@@ -94,7 +94,7 @@ use crate::batcher::{
 use crate::fault::FaultInjector;
 use crate::metrics::{BatchRecord, ServeMetrics, DEFAULT_SKETCH_CAPACITY};
 use crate::pool::ThreadPool;
-use crate::server::{validate_request, EncodeResponse, RequestId};
+use crate::server::{validate_generate, validate_request, EncodeResponse, RequestId};
 use crate::trace::{FlightRecorder, RequestTrace, Stage, TraceBreakdown, TraceConfig};
 
 /// Why an asynchronous request failed.
@@ -212,23 +212,10 @@ pub struct AsyncServerConfig {
     pub sketch_capacity: usize,
     /// GEMM precision of the transformer body.
     pub mode: MatmulMode,
-    /// Deterministic fault injection hook, consulted by the encoder
-    /// threads just before each batch encode (inside the per-batch panic
-    /// containment). `None` — the default — injects nothing; production
-    /// configs never set this. See [`crate::fault`].
-    pub fault: Option<FaultInjector>,
     /// Tracing configuration. Per-request lifecycle traces are always on
     /// (part of the [`Ticket`] contract); this governs the flight
     /// recorder. Default: [`TraceConfig::from_env`] (`NNLUT_TRACE=1`).
     pub trace: TraceConfig,
-    /// An externally-owned flight recorder to journal into (how the
-    /// sharded layer shares one ring across every replica). `None` with
-    /// `trace.recorder` set builds a private recorder; `None` without it
-    /// journals nothing.
-    pub recorder: Option<Arc<FlightRecorder>>,
-    /// Replica id stamped on this server's trace events and journal
-    /// entries (set by the sharded layer; `None` standalone).
-    pub replica_label: Option<usize>,
 }
 
 impl Default for AsyncServerConfig {
@@ -241,20 +228,73 @@ impl Default for AsyncServerConfig {
             max_in_flight: 1,
             sketch_capacity: DEFAULT_SKETCH_CAPACITY,
             mode: MatmulMode::F32,
-            fault: None,
             trace: TraceConfig::from_env(),
-            recorder: None,
-            replica_label: None,
         }
     }
 }
 
-/// A pending response slot shared between the submitter and the worker
-/// (and, in the sharded layer, between the shard door and its
-/// supervisor).
+/// How a server is wired into a sharded fleet. Standalone servers use
+/// the default: no label, no injected faults, and a private recorder
+/// only if [`AsyncServerConfig::trace`] asks for one.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Wiring {
+    /// Replica id stamped on this server's trace events and journal
+    /// entries.
+    pub(crate) label: Option<usize>,
+    /// Deterministic fault injection hook, consulted by the encoder
+    /// threads just before each batch encode (inside the per-batch panic
+    /// containment). See [`crate::fault`].
+    pub(crate) fault: Option<FaultInjector>,
+    /// The fleet's shared flight recorder: one ring across every replica.
+    pub(crate) recorder: Option<Arc<FlightRecorder>>,
+}
+
+/// What a submission asks for — the one difference between the two
+/// request kinds at either door.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RequestKind {
+    /// A whole-sequence encode.
+    Encode,
+    /// An autoregressive generation of `max_new` greedy tokens.
+    Generate {
+        /// Tokens to generate.
+        max_new: usize,
+    },
+}
+
+impl RequestKind {
+    /// Door-step validation for this kind of request.
+    ///
+    /// # Panics
+    ///
+    /// See [`validate_request`] and [`validate_generate`].
+    pub(crate) fn validate(self, cfg: &TransformerConfig, tokens: &[usize]) {
+        match self {
+            RequestKind::Encode => validate_request(cfg, tokens),
+            RequestKind::Generate { max_new } => validate_generate(cfg, tokens, max_new),
+        }
+    }
+}
+
+/// How a request ended: an encode's response, or `None` for a
+/// generation (its tokens already streamed through the [`Slot`]).
+pub(crate) type Outcome = Result<Option<EncodeResponse>, ServeError>;
+
+#[derive(Debug, Default)]
+struct SlotState {
+    /// Tokens a generation has emitted so far (always empty for an
+    /// encode).
+    tokens: Vec<usize>,
+    /// The terminal outcome, once the request has resolved.
+    done: Option<Outcome>,
+}
+
+/// The response slot behind every [`Ticket`] and [`GenerateTicket`],
+/// shared between the submitter and the worker (and, in the sharded
+/// layer, between the shard door and its supervisor).
 #[derive(Debug)]
-pub(crate) struct TicketState {
-    slot: Mutex<Option<Result<EncodeResponse, ServeError>>>,
+pub(crate) struct Slot {
+    state: Mutex<SlotState>,
     ready: Condvar,
     /// The request's lifecycle journal, shared with every writer along
     /// the request path (and, in the sharded layer, across failover
@@ -262,20 +302,98 @@ pub(crate) struct TicketState {
     pub(crate) trace: Arc<RequestTrace>,
 }
 
-impl TicketState {
+impl Slot {
     pub(crate) fn new(trace: Arc<RequestTrace>) -> Self {
         Self {
-            slot: Mutex::new(None),
+            state: Mutex::new(SlotState::default()),
             ready: Condvar::new(),
             trace,
         }
     }
 
-    pub(crate) fn resolve(&self, result: Result<EncodeResponse, ServeError>) {
-        let mut slot = lock(&self.slot);
-        debug_assert!(slot.is_none(), "ticket resolved twice");
-        *slot = Some(result);
+    /// Appends one emitted token and wakes streaming readers.
+    pub(crate) fn push_token(&self, token: usize) {
+        let mut state = lock(&self.state);
+        debug_assert!(state.done.is_none(), "token emitted after completion");
+        state.tokens.push(token);
         self.ready.notify_all();
+    }
+
+    /// Terminates the request. Exactly-once per slot.
+    pub(crate) fn resolve(&self, outcome: Outcome) {
+        let mut state = lock(&self.state);
+        debug_assert!(state.done.is_none(), "request resolved twice");
+        state.done = Some(outcome);
+        self.ready.notify_all();
+    }
+
+    /// Resolves a request rejected at an admission door to
+    /// [`ServeError::Overloaded`], journaling the queue depth it met.
+    pub(crate) fn reject_overloaded(
+        &self,
+        id: RequestId,
+        queue_depth: usize,
+        replica: Option<usize>,
+        recorder: Option<&FlightRecorder>,
+    ) {
+        self.trace
+            .record(Stage::Failed, replica, Some("overloaded"));
+        if let Some(rec) = recorder {
+            rec.record("overload-rejection", replica, Some(id), queue_depth as u64);
+        }
+        self.resolve(Err(ServeError::Overloaded { id, queue_depth }));
+    }
+
+    /// Tokens emitted at or past `cursor`, plus the terminal outcome if
+    /// the request has ended — *taken*, so only a slot's sole reader (the
+    /// sharded supervisor, polling a replica attempt) may call this.
+    pub(crate) fn harvest(&self, cursor: usize) -> (Vec<usize>, Option<Outcome>) {
+        let mut state = lock(&self.state);
+        let fresh = state.tokens.get(cursor..).unwrap_or_default().to_vec();
+        (fresh, state.done.take())
+    }
+
+    fn is_resolved(&self) -> bool {
+        lock(&self.state).done.is_some()
+    }
+
+    /// The one blocking loop behind every ticket wait: blocks until
+    /// `poll` yields, or until `timeout` lapses
+    /// ([`ServeError::WaitTimeout`]); `None` waits for as long as it
+    /// takes.
+    fn wait_for<R>(
+        &self,
+        id: RequestId,
+        timeout: Option<Duration>,
+        mut poll: impl FnMut(&mut SlotState) -> Option<R>,
+    ) -> Result<R, ServeError> {
+        let start = Instant::now();
+        let mut state = lock(&self.state);
+        loop {
+            if let Some(value) = poll(&mut state) {
+                return Ok(value);
+            }
+            let waited = start.elapsed();
+            state = match timeout {
+                None => self
+                    .ready
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(limit) if waited >= limit => {
+                    return Err(ServeError::WaitTimeout {
+                        id,
+                        waited,
+                        last_stage: self.trace.last_stage(),
+                    })
+                }
+                Some(limit) => {
+                    self.ready
+                        .wait_timeout(state, limit - waited)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
+        }
     }
 }
 
@@ -285,14 +403,12 @@ impl TicketState {
 #[derive(Debug)]
 pub struct Ticket {
     id: RequestId,
-    state: Arc<TicketState>,
+    slot: Arc<Slot>,
 }
 
 impl Ticket {
-    /// Builds a ticket over an externally-owned state slot (the sharded
-    /// layer resolves shard tickets from its supervisor).
-    pub(crate) fn from_state(id: RequestId, state: Arc<TicketState>) -> Self {
-        Self { id, state }
+    pub(crate) fn new(id: RequestId, slot: Arc<Slot>) -> Self {
+        Self { id, slot }
     }
 
     /// The request id this ticket tracks.
@@ -303,31 +419,31 @@ impl Ticket {
     /// The request's lifecycle trace — live while the request is in
     /// flight, final once the ticket resolves.
     pub fn trace(&self) -> &RequestTrace {
-        &self.state.trace
+        &self.slot.trace
     }
 
     /// A shared handle to the same trace that survives [`Ticket::wait`]
     /// (which consumes the ticket) — grab it before waiting to read the
     /// final breakdown afterwards.
     pub fn trace_handle(&self) -> Arc<RequestTrace> {
-        Arc::clone(&self.state.trace)
+        Arc::clone(&self.slot.trace)
     }
 
     /// The request's per-stage latency breakdown so far (final once the
     /// ticket resolves; see [`RequestTrace::breakdown`]).
     pub fn breakdown(&self) -> TraceBreakdown {
-        self.state.trace.breakdown()
+        self.slot.trace.breakdown()
     }
 
     /// The request's most recently recorded lifecycle stage.
     pub fn last_stage(&self) -> Option<Stage> {
-        self.state.trace.last_stage()
+        self.slot.trace.last_stage()
     }
 
     /// True once the worker has resolved this ticket ([`Ticket::wait`]
     /// will not block).
     pub fn is_ready(&self) -> bool {
-        lock(&self.state.slot).is_some()
+        self.slot.is_resolved()
     }
 
     /// Blocks until the request completes, expires, or is rejected.
@@ -338,17 +454,7 @@ impl Ticket {
     /// ([`ServeError::ServerFailed`], from the per-batch panic
     /// containment or the shutdown sweep).
     pub fn wait(self) -> Result<EncodeResponse, ServeError> {
-        let mut slot = lock(&self.state.slot);
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            slot = self
-                .state
-                .ready
-                .wait(slot)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        self.wait_for(None)
     }
 
     /// Like [`Ticket::wait`], but gives up after `timeout` with
@@ -357,90 +463,12 @@ impl Ticket {
     /// request stays in flight and its eventual result is discarded, so
     /// the no-abandoned-ticket guarantee is unaffected.
     pub fn wait_timeout(self, timeout: Duration) -> Result<EncodeResponse, ServeError> {
-        let start = Instant::now();
-        let deadline = start + timeout;
-        let mut slot = lock(&self.state.slot);
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(ServeError::WaitTimeout {
-                    id: self.id,
-                    waited: now.saturating_duration_since(start),
-                    last_stage: self.state.trace.last_stage(),
-                });
-            }
-            slot = self
-                .state
-                .ready
-                .wait_timeout(slot, deadline.saturating_duration_since(now))
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-    }
-}
-
-/// The streaming inner state of one generation: tokens appended as the
-/// worker emits them, plus the terminal outcome slot.
-#[derive(Debug)]
-struct GenInner {
-    tokens: Vec<usize>,
-    done: Option<Result<(), ServeError>>,
-}
-
-/// A pending generation's streaming slot, shared between the submitter's
-/// [`GenerateTicket`] and the worker (and, in the sharded layer, read by
-/// the supervisor to harvest tokens across failover attempts).
-#[derive(Debug)]
-pub(crate) struct GenTicketState {
-    inner: Mutex<GenInner>,
-    ready: Condvar,
-    /// The generation's lifecycle journal — one trace per *request*,
-    /// accumulating `decoded` events across every step (and, sharded,
-    /// across failover attempts).
-    pub(crate) trace: Arc<RequestTrace>,
-}
-
-impl GenTicketState {
-    pub(crate) fn new(trace: Arc<RequestTrace>) -> Self {
-        Self {
-            inner: Mutex::new(GenInner {
-                tokens: Vec::new(),
-                done: None,
-            }),
-            ready: Condvar::new(),
-            trace,
-        }
+        self.wait_for(Some(timeout))
     }
 
-    /// Appends one emitted token and wakes streaming readers.
-    pub(crate) fn push_token(&self, token: usize) {
-        let mut inner = lock(&self.inner);
-        debug_assert!(inner.done.is_none(), "token emitted after completion");
-        inner.tokens.push(token);
-        self.ready.notify_all();
-    }
-
-    /// Terminates the stream. Exactly-once per generation.
-    pub(crate) fn finish(&self, result: Result<(), ServeError>) {
-        let mut inner = lock(&self.inner);
-        debug_assert!(inner.done.is_none(), "generation finished twice");
-        inner.done = Some(result);
-        self.ready.notify_all();
-    }
-
-    /// Tokens emitted at or past `cursor`, plus the terminal outcome if
-    /// the stream has ended — the sharded supervisor's non-blocking
-    /// harvest (failover needs the emitted prefix to rebuild the cache).
-    pub(crate) fn snapshot_from(
-        &self,
-        cursor: usize,
-    ) -> (Vec<usize>, Option<Result<(), ServeError>>) {
-        let inner = lock(&self.inner);
-        let fresh = inner.tokens.get(cursor..).unwrap_or_default().to_vec();
-        (fresh, inner.done.clone())
+    fn wait_for(self, timeout: Option<Duration>) -> Result<EncodeResponse, ServeError> {
+        let outcome = self.slot.wait_for(self.id, timeout, |s| s.done.take())?;
+        outcome.map(|response| response.expect("an encode resolves with its response"))
     }
 }
 
@@ -465,7 +493,7 @@ pub struct GenerateResponse {
 #[derive(Debug)]
 pub struct GenerateTicket {
     id: RequestId,
-    state: Arc<GenTicketState>,
+    slot: Arc<Slot>,
     /// Tokens already yielded through [`GenerateTicket::next`].
     cursor: usize,
     /// The terminal error was already yielded; the stream is exhausted.
@@ -473,20 +501,13 @@ pub struct GenerateTicket {
 }
 
 impl GenerateTicket {
-    pub(crate) fn from_state(id: RequestId, state: Arc<GenTicketState>) -> Self {
+    pub(crate) fn new(id: RequestId, slot: Arc<Slot>) -> Self {
         Self {
             id,
-            state,
+            slot,
             cursor: 0,
             error_yielded: false,
         }
-    }
-
-    /// The shared stream state — the sharded supervisor harvests a
-    /// replica attempt's tokens through this handle (via
-    /// [`GenTicketState::snapshot_from`]) without consuming the ticket.
-    pub(crate) fn state_handle(&self) -> Arc<GenTicketState> {
-        Arc::clone(&self.state)
     }
 
     /// The generation request's id.
@@ -497,33 +518,33 @@ impl GenerateTicket {
     /// The generation's lifecycle trace (`decoded` events accumulate as
     /// tokens resolve).
     pub fn trace(&self) -> &RequestTrace {
-        &self.state.trace
+        &self.slot.trace
     }
 
     /// A shared handle to the trace that survives [`GenerateTicket::wait`].
     pub fn trace_handle(&self) -> Arc<RequestTrace> {
-        Arc::clone(&self.state.trace)
+        Arc::clone(&self.slot.trace)
     }
 
     /// The generation's per-stage latency breakdown so far.
     pub fn breakdown(&self) -> TraceBreakdown {
-        self.state.trace.breakdown()
+        self.slot.trace.breakdown()
     }
 
     /// The most recently recorded lifecycle stage.
     pub fn last_stage(&self) -> Option<Stage> {
-        self.state.trace.last_stage()
+        self.slot.trace.last_stage()
     }
 
     /// True once the generation has terminated (successfully or not);
     /// [`GenerateTicket::wait`] will not block.
     pub fn is_done(&self) -> bool {
-        lock(&self.state.inner).done.is_some()
+        self.slot.is_resolved()
     }
 
     /// Tokens emitted so far (a snapshot; the stream may still be live).
     pub fn tokens_so_far(&self) -> Vec<usize> {
-        lock(&self.state.inner).tokens.clone()
+        lock(&self.slot.state).tokens.clone()
     }
 
     /// Blocks until the generation terminates and returns the full token
@@ -531,57 +552,25 @@ impl GenerateTicket {
     /// are observable through [`GenerateTicket::next`] /
     /// [`GenerateTicket::tokens_so_far`] before waiting).
     pub fn wait(self) -> Result<GenerateResponse, ServeError> {
-        let mut inner = lock(&self.state.inner);
-        loop {
-            if let Some(done) = &inner.done {
-                return match done {
-                    Ok(()) => Ok(GenerateResponse {
-                        id: self.id,
-                        tokens: inner.tokens.clone(),
-                    }),
-                    Err(e) => Err(e.clone()),
-                };
-            }
-            inner = self
-                .state
-                .ready
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        self.wait_for(None)
     }
 
     /// Like [`GenerateTicket::wait`], but gives up after `timeout` with
     /// [`ServeError::WaitTimeout`]. Bounds only the caller's blocking —
     /// the generation stays in flight and still resolves.
     pub fn wait_timeout(self, timeout: Duration) -> Result<GenerateResponse, ServeError> {
-        let start = Instant::now();
-        let deadline = start + timeout;
-        let mut inner = lock(&self.state.inner);
-        loop {
-            if let Some(done) = &inner.done {
-                return match done {
-                    Ok(()) => Ok(GenerateResponse {
-                        id: self.id,
-                        tokens: inner.tokens.clone(),
-                    }),
-                    Err(e) => Err(e.clone()),
-                };
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(ServeError::WaitTimeout {
-                    id: self.id,
-                    waited: now.saturating_duration_since(start),
-                    last_stage: self.state.trace.last_stage(),
-                });
-            }
-            inner = self
-                .state
-                .ready
-                .wait_timeout(inner, deadline.saturating_duration_since(now))
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
+        self.wait_for(Some(timeout))
+    }
+
+    fn wait_for(self, timeout: Option<Duration>) -> Result<GenerateResponse, ServeError> {
+        let tokens = self.slot.wait_for(self.id, timeout, |s| {
+            let done = s.done.clone()?;
+            Some(done.map(|_| s.tokens.clone()))
+        })??;
+        Ok(GenerateResponse {
+            id: self.id,
+            tokens,
+        })
     }
 }
 
@@ -593,31 +582,23 @@ impl Iterator for GenerateTicket {
     type Item = Result<usize, ServeError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let mut inner = lock(&self.state.inner);
-        loop {
-            if self.cursor < inner.tokens.len() {
-                let token = inner.tokens[self.cursor];
-                self.cursor += 1;
-                return Some(Ok(token));
+        let (cursor, error_yielded) = (&mut self.cursor, &mut self.error_yielded);
+        let polled = self.slot.wait_for(self.id, None, |s| {
+            if let Some(&token) = s.tokens.get(*cursor) {
+                *cursor += 1;
+                return Some(Some(Ok(token)));
             }
-            match &inner.done {
-                Some(Ok(())) => return None,
-                Some(Err(e)) => {
-                    if self.error_yielded {
-                        return None;
-                    }
-                    self.error_yielded = true;
-                    return Some(Err(e.clone()));
+            match &s.done {
+                None => None,
+                Some(Err(e)) if !*error_yielded => {
+                    *error_yielded = true;
+                    Some(Some(Err(e.clone())))
                 }
-                None => {
-                    inner = self
-                        .state
-                        .ready
-                        .wait(inner)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
+                Some(_) => Some(None),
             }
-        }
+        });
+        // Without a timeout the wait only returns once `poll` yields.
+        polled.ok().flatten()
     }
 }
 
@@ -636,10 +617,16 @@ struct GenState {
     next_token: usize,
     /// Absolute deadline for the whole generation, if any.
     deadline: Option<Instant>,
-    /// The streaming slot tokens are pushed into.
-    ticket: Arc<GenTicketState>,
     /// When the previous token was emitted (inter-token gap metrics).
     last_emit: Option<Instant>,
+}
+
+/// One unresolved request: its response slot, plus the generation
+/// bookkeeping when it is one.
+#[derive(Debug)]
+struct Entry {
+    slot: Arc<Slot>,
+    gen: Option<GenState>,
 }
 
 /// What a dispatched batch actually runs: a length-bucket batch (pure
@@ -648,8 +635,7 @@ struct GenState {
 #[derive(Debug)]
 enum JobWork {
     /// A closed length-bucket batch. `is_gen[i]` marks member `i` as a
-    /// generation prefill (its id lives in the `gens` map, not the
-    /// ticket map).
+    /// generation prefill.
     Bucket {
         closed: ClosedBatch,
         is_gen: Vec<bool>,
@@ -716,12 +702,11 @@ struct Completion {
 #[derive(Debug)]
 struct State {
     batcher: Batcher,
-    tickets: HashMap<RequestId, Arc<TicketState>>,
-    /// Live generations, keyed by request id. Insertion at
-    /// `submit_generate`; removal on completion, expiry or failure — and
-    /// removal drops the KV cache, so "no residual allocation after
-    /// eviction" is structural.
-    gens: HashMap<RequestId, GenState>,
+    /// Every unresolved request, encodes and generations alike. Insertion
+    /// at admission; removal on completion, expiry or failure — and
+    /// removal drops a generation's KV cache, so "no residual allocation
+    /// after eviction" is structural.
+    requests: HashMap<RequestId, Entry>,
     metrics: ServeMetrics,
     next_id: RequestId,
     shutdown: bool,
@@ -786,10 +771,8 @@ pub struct AsyncLutServer {
     config: TransformerConfig,
     admission: ServePolicy,
     worker: Option<JoinHandle<()>>,
-    /// The flight recorder this server journals into, if any.
-    recorder: Option<Arc<FlightRecorder>>,
-    /// Replica id stamped on trace events and journal entries.
-    replica_label: Option<usize>,
+    /// Replica label and the flight recorder this server journals into.
+    wiring: Wiring,
 }
 
 impl AsyncLutServer {
@@ -802,7 +785,7 @@ impl AsyncLutServer {
 
     /// Builds the server with an explicit per-site backend selection.
     pub fn with_backend(model: BertModel, nl: Nonlinearity, config: AsyncServerConfig) -> Self {
-        Self::with_shared(Arc::new(model), Arc::new(nl), config)
+        Self::with_shared(Arc::new(model), Arc::new(nl), config, Wiring::default())
     }
 
     /// Builds the server over **already-shared** model weights and
@@ -810,18 +793,18 @@ impl AsyncLutServer {
     /// copy of the weights: every replica's encoder threads read the same
     /// `Arc`s, so replica count is a topology knob, not a memory
     /// multiplier.
-    pub fn with_shared(
+    pub(crate) fn with_shared(
         model: Arc<BertModel>,
         nl: Arc<Nonlinearity>,
         config: AsyncServerConfig,
+        mut wiring: Wiring,
     ) -> Self {
         crate::check_codebook_mode(&model, config.mode);
         let model_config = model.config().clone();
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 batcher: Batcher::new(config.policy.clone()),
-                tickets: HashMap::new(),
-                gens: HashMap::new(),
+                requests: HashMap::new(),
                 metrics: ServeMetrics::with_sketch_capacity(config.sketch_capacity),
                 next_id: 0,
                 shutdown: false,
@@ -835,54 +818,33 @@ impl AsyncLutServer {
             work: Condvar::new(),
             encode: Condvar::new(),
         });
-        let worker_shared = Arc::clone(&shared);
-        let close = config.close;
-        let threads = config.threads;
-        let max_in_flight = config.max_in_flight.max(1);
-        let mode = config.mode;
-        let admission = config.admission;
-        let fault = config.fault;
         // A shared recorder wins; otherwise the trace config decides
         // whether this server runs a private one or journals nothing.
-        let recorder = config.recorder.clone().or_else(|| {
-            config
-                .trace
-                .recorder
-                .then(|| Arc::new(FlightRecorder::new(config.trace.recorder_capacity)))
-        });
-        let replica_label = config.replica_label;
-        let worker_recorder = recorder.clone();
+        if wiring.recorder.is_none() && config.trace.recorder {
+            wiring.recorder = Some(Arc::new(FlightRecorder::new(
+                config.trace.recorder_capacity,
+            )));
+        }
+        let admission = config.admission;
+        let worker_shared = Arc::clone(&shared);
+        let worker_wiring = wiring.clone();
         let worker = std::thread::Builder::new()
             .name("nnlut-serve-dispatch".into())
-            .spawn(move || {
-                dispatcher_loop(
-                    worker_shared,
-                    model,
-                    nl,
-                    mode,
-                    threads,
-                    close,
-                    max_in_flight,
-                    fault,
-                    worker_recorder,
-                    replica_label,
-                )
-            })
+            .spawn(move || dispatcher_loop(worker_shared, model, nl, config, worker_wiring))
             .expect("spawn serving dispatcher");
         Self {
             shared,
             config: model_config,
             admission,
             worker: Some(worker),
-            recorder,
-            replica_label,
+            wiring,
         }
     }
 
     /// The flight recorder this server journals into, if one is enabled
-    /// (via [`AsyncServerConfig::recorder`] or `trace.recorder`).
+    /// (via `trace.recorder`, or the fleet's shared recorder).
     pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.recorder.as_ref()
+        self.wiring.recorder.as_ref()
     }
 
     /// Enqueues a request with no deadline. Returns immediately; the
@@ -916,78 +878,8 @@ impl AsyncLutServer {
     /// Panics if the request is empty, overlong, out-of-vocabulary, or
     /// submitted after [`AsyncLutServer::shutdown`].
     pub fn submit_with_deadline(&self, tokens: Vec<usize>, deadline: Option<Duration>) -> Ticket {
-        self.submit_inner(tokens, deadline, None)
-    }
-
-    /// Enqueues a request that continues an **existing** lifecycle trace
-    /// — the sharded layer's seam: one [`RequestTrace`] per shard
-    /// request, accumulating stages across every failover attempt, while
-    /// each replica submission still gets its own replica-local id.
-    pub(crate) fn submit_traced(
-        &self,
-        tokens: Vec<usize>,
-        deadline: Option<Duration>,
-        trace: Arc<RequestTrace>,
-    ) -> Ticket {
-        self.submit_inner(tokens, deadline, Some(trace))
-    }
-
-    fn submit_inner(
-        &self,
-        tokens: Vec<usize>,
-        deadline: Option<Duration>,
-        trace: Option<Arc<RequestTrace>>,
-    ) -> Ticket {
-        validate_request(&self.config, &tokens);
-        let now = Instant::now();
-        let (id, state, rejected_at_depth) = {
-            let mut st = lock(&self.shared.state);
-            assert!(!st.shutdown, "cannot submit after shutdown");
-            let id = st.next_id;
-            st.next_id += 1;
-            // A fresh trace starts with `Admitted`; an inherited one
-            // (shard failover) already recorded it at the shard door.
-            let trace = trace.unwrap_or_else(|| {
-                let t = Arc::new(RequestTrace::new(id));
-                t.record(Stage::Admitted, self.replica_label, None);
-                t
-            });
-            let state = Arc::new(TicketState::new(trace));
-            let depth = st.batcher.queue_depth();
-            if !self
-                .admission
-                .admits(depth + 1, st.batcher.queued_tokens() + tokens.len())
-            {
-                st.metrics.record_overload_rejection();
-                (id, state, Some(depth))
-            } else {
-                state.trace.record(Stage::Queued, self.replica_label, None);
-                st.tickets.insert(id, Arc::clone(&state));
-                st.batcher
-                    .push_at(id, tokens, now, deadline.map(|d| now + d));
-                (id, state, None)
-            }
-        };
-        match rejected_at_depth {
-            Some(queue_depth) => {
-                state
-                    .trace
-                    .record(Stage::Failed, self.replica_label, Some("overloaded"));
-                if let Some(rec) = &self.recorder {
-                    rec.record(
-                        "overload-rejection",
-                        self.replica_label,
-                        Some(id),
-                        queue_depth as u64,
-                    );
-                }
-                // Resolved outside the shared lock; the ticket's own lock
-                // orders the handoff.
-                state.resolve(Err(ServeError::Overloaded { id, queue_depth }));
-            }
-            None => self.shared.work.notify_one(),
-        }
-        Ticket { id, state }
+        let (id, slot) = self.enqueue(tokens, deadline, RequestKind::Encode, None);
+        Ticket::new(id, slot)
     }
 
     /// Enqueues an autoregressive generation: prefill the prompt, then
@@ -1041,93 +933,79 @@ impl AsyncLutServer {
         max_new: usize,
         deadline: Option<Duration>,
     ) -> GenerateTicket {
-        self.submit_generate_inner(prompt, max_new, deadline, None)
+        let (id, slot) = self.enqueue(prompt, deadline, RequestKind::Generate { max_new }, None);
+        GenerateTicket::new(id, slot)
     }
 
-    /// [`AsyncLutServer::submit_generate`] continuing an existing trace —
-    /// the sharded layer's failover seam (one trace per shard request,
-    /// across every rebuild attempt).
-    pub(crate) fn submit_generate_traced(
+    /// The one admission path for both request kinds: validate, charge
+    /// the token count against the [`ServePolicy`] watermarks, then queue
+    /// (or reject at the door). `trace` continues an **existing**
+    /// lifecycle trace — the sharded layer's seam: one [`RequestTrace`]
+    /// per shard request, accumulating stages across every failover
+    /// attempt, while each replica submission still gets its own
+    /// replica-local id.
+    pub(crate) fn enqueue(
         &self,
-        prompt: Vec<usize>,
-        max_new: usize,
+        tokens: Vec<usize>,
         deadline: Option<Duration>,
-        trace: Arc<RequestTrace>,
-    ) -> GenerateTicket {
-        self.submit_generate_inner(prompt, max_new, deadline, Some(trace))
-    }
-
-    fn submit_generate_inner(
-        &self,
-        prompt: Vec<usize>,
-        max_new: usize,
-        deadline: Option<Duration>,
+        kind: RequestKind,
         trace: Option<Arc<RequestTrace>>,
-    ) -> GenerateTicket {
-        validate_request(&self.config, &prompt);
-        assert!(max_new > 0, "must generate at least one token");
-        assert!(
-            prompt.len() + max_new <= self.config.max_seq,
-            "prompt ({}) + max_new ({max_new}) exceeds max_seq {}",
-            prompt.len(),
-            self.config.max_seq
-        );
+    ) -> (RequestId, Arc<Slot>) {
+        kind.validate(&self.config, &tokens);
+        let label = self.wiring.label;
         let now = Instant::now();
-        let (id, state, rejected_at_depth) = {
+        let deadline = deadline.map(|d| now + d);
+        let (id, slot, rejected_at_depth) = {
             let mut st = lock(&self.shared.state);
             assert!(!st.shutdown, "cannot submit after shutdown");
             let id = st.next_id;
             st.next_id += 1;
+            // A fresh trace starts with `Admitted`; an inherited one
+            // (shard failover) already recorded it at the shard door.
             let trace = trace.unwrap_or_else(|| {
                 let t = Arc::new(RequestTrace::new(id));
-                t.record(Stage::Admitted, self.replica_label, None);
+                t.record(Stage::Admitted, label, None);
                 t
             });
-            let state = Arc::new(GenTicketState::new(trace));
+            let slot = Arc::new(Slot::new(trace));
             let depth = st.batcher.queue_depth();
             if !self
                 .admission
-                .admits(depth + 1, st.batcher.queued_tokens() + prompt.len())
+                .admits(depth + 1, st.batcher.queued_tokens() + tokens.len())
             {
                 st.metrics.record_overload_rejection();
-                (id, state, Some(depth))
+                (id, slot, Some(depth))
             } else {
-                state.trace.record(Stage::Queued, self.replica_label, None);
-                st.gens.insert(
-                    id,
-                    GenState {
+                slot.trace.record(Stage::Queued, label, None);
+                let gen = match kind {
+                    RequestKind::Encode => None,
+                    RequestKind::Generate { max_new } => Some(GenState {
                         emitted: 0,
                         max_new,
                         cache: None,
                         next_token: 0,
-                        deadline: deadline.map(|d| now + d),
-                        ticket: Arc::clone(&state),
+                        deadline,
                         last_emit: None,
-                    },
-                );
-                st.batcher
-                    .push_at(id, prompt, now, deadline.map(|d| now + d));
-                (id, state, None)
+                    }),
+                };
+                let entry = Entry {
+                    slot: Arc::clone(&slot),
+                    gen,
+                };
+                st.requests.insert(id, entry);
+                st.batcher.push_at(id, tokens, now, deadline);
+                (id, slot, None)
             }
         };
         match rejected_at_depth {
+            // Resolved outside the shared lock; the slot's own lock
+            // orders the handoff.
             Some(queue_depth) => {
-                state
-                    .trace
-                    .record(Stage::Failed, self.replica_label, Some("overloaded"));
-                if let Some(rec) = &self.recorder {
-                    rec.record(
-                        "overload-rejection",
-                        self.replica_label,
-                        Some(id),
-                        queue_depth as u64,
-                    );
-                }
-                state.finish(Err(ServeError::Overloaded { id, queue_depth }));
+                slot.reject_overloaded(id, queue_depth, label, self.wiring.recorder.as_deref())
             }
             None => self.shared.work.notify_one(),
         }
-        GenerateTicket::from_state(id, state)
+        (id, slot)
     }
 
     /// Generations currently live on this server (admitted, not yet
@@ -1136,7 +1014,8 @@ impl AsyncLutServer {
     /// generation resolves (eviction is structural: the cache drops with
     /// the bookkeeping entry).
     pub fn active_generations(&self) -> usize {
-        lock(&self.shared.state).gens.len()
+        let st = lock(&self.shared.state);
+        st.requests.values().filter(|e| e.gen.is_some()).count()
     }
 
     /// Requests currently waiting in the queue (not yet dispatched).
@@ -1175,25 +1054,7 @@ impl AsyncLutServer {
         self.shared.work.notify_all();
         if let Some(worker) = self.worker.take() {
             if worker.join().is_err() {
-                let mut st = lock(&self.shared.state);
-                let orphaned: Vec<RequestId> = st.tickets.keys().copied().collect();
-                for id in orphaned {
-                    if let Some(ticket) = st.tickets.remove(&id) {
-                        ticket
-                            .trace
-                            .record(Stage::Failed, None, Some("server-failed"));
-                        ticket.resolve(Err(ServeError::ServerFailed { id }));
-                    }
-                }
-                let orphaned_gens: Vec<RequestId> = st.gens.keys().copied().collect();
-                for id in orphaned_gens {
-                    if let Some(gen) = st.gens.remove(&id) {
-                        gen.ticket
-                            .trace
-                            .record(Stage::Failed, None, Some("server-failed"));
-                        gen.ticket.finish(Err(ServeError::ServerFailed { id }));
-                    }
-                }
+                fail_all(&mut lock(&self.shared.state), None);
             }
         }
     }
@@ -1205,22 +1066,37 @@ impl Drop for AsyncLutServer {
     }
 }
 
-/// Terminates one live generation with `err`: records the failure stage,
-/// folds its stage breakdown into the metrics, resolves its streaming
-/// ticket and drops its [`GenState`] (KV cache included). Called under
-/// the shared lock; a no-op if the generation already resolved.
-fn fail_generation(
+/// The one terminal-failure path, for either request kind: records the
+/// failure stage, folds the stage breakdown into the metrics, resolves
+/// the slot with `err` and drops the entry (a generation's KV cache
+/// included). Called under the shared lock; a no-op if the request
+/// already resolved.
+fn fail_request(
     st: &mut State,
     id: RequestId,
     replica: Option<usize>,
     note: &'static str,
     err: ServeError,
 ) {
-    if let Some(gen) = st.gens.remove(&id) {
-        gen.ticket.trace.record(Stage::Failed, replica, Some(note));
-        let breakdown = gen.ticket.trace.breakdown();
-        st.metrics.record_stages(&breakdown);
-        gen.ticket.finish(Err(err));
+    if let Some(entry) = st.requests.remove(&id) {
+        entry.slot.trace.record(Stage::Failed, replica, Some(note));
+        st.metrics.record_stages(&entry.slot.trace.breakdown());
+        entry.slot.resolve(Err(err));
+    }
+}
+
+/// Fails every unresolved request with [`ServeError::ServerFailed`] —
+/// the sweep that guarantees no ticket is left hanging.
+fn fail_all(st: &mut State, replica: Option<usize>) {
+    let ids: Vec<RequestId> = st.requests.keys().copied().collect();
+    for id in ids {
+        fail_request(
+            st,
+            id,
+            replica,
+            "server-failed",
+            ServeError::ServerFailed { id },
+        );
     }
 }
 
@@ -1237,7 +1113,11 @@ fn advance_generation(
     replica: Option<usize>,
 ) {
     let now = Instant::now();
-    let Some(gen) = st.gens.get_mut(&id) else {
+    let Some(Entry {
+        slot,
+        gen: Some(gen),
+    }) = st.requests.get_mut(&id)
+    else {
         // The generation resolved while its step was in flight (only the
         // worker-death sweep can do that); drop the cache and move on.
         return;
@@ -1247,16 +1127,15 @@ fn advance_generation(
     gen.last_emit = Some(now);
     gen.emitted += 1;
     gen.next_token = token;
-    gen.ticket.trace.record(Stage::Decoded, replica, None);
-    gen.ticket.push_token(token);
+    slot.trace.record(Stage::Decoded, replica, None);
+    slot.push_token(token);
     if gen.emitted >= gen.max_new {
-        let gen = st.gens.remove(&id).expect("looked up above");
-        gen.ticket.trace.record(Stage::Resolved, replica, None);
-        let breakdown = gen.ticket.trace.breakdown();
-        st.metrics.record_stages(&breakdown);
+        let entry = st.requests.remove(&id).expect("looked up above");
+        entry.slot.trace.record(Stage::Resolved, replica, None);
+        st.metrics.record_stages(&entry.slot.trace.breakdown());
         st.metrics.record_generation_complete();
-        gen.ticket.finish(Ok(()));
-        // `gen` (and the cache) drop here — eviction on completion.
+        entry.slot.resolve(Ok(None));
+        // `entry` (and the cache) drop here — eviction on completion.
     } else {
         let context = cache.len();
         gen.cache = Some(cache);
@@ -1278,27 +1157,18 @@ fn resolve_ready_completions(st: &mut State, replica: Option<usize>) {
             traces,
         } = done;
         match work {
+            // The unwind consumed a decode batch's caches: these
+            // generations cannot continue on this server.
             DoneWork::Bucket {
-                closed,
+                closed: ClosedBatch { ids, .. },
+                outcome: Err(()),
+            }
+            | DoneWork::Decode {
+                closed: ClosedDecodeBatch { ids, .. },
                 outcome: Err(()),
             } => {
-                for (id, trace) in closed.ids.iter().zip(&traces) {
-                    if st.gens.contains_key(id) {
-                        fail_generation(
-                            st,
-                            *id,
-                            replica,
-                            "panic",
-                            ServeError::ServerFailed { id: *id },
-                        );
-                    } else {
-                        trace.record(Stage::Failed, replica, Some("panic"));
-                        let breakdown = trace.breakdown();
-                        st.metrics.record_stages(&breakdown);
-                        if let Some(ticket) = st.tickets.remove(id) {
-                            ticket.resolve(Err(ServeError::ServerFailed { id: *id }));
-                        }
-                    }
+                for id in ids {
+                    fail_request(st, id, replica, "panic", ServeError::ServerFailed { id });
                 }
             }
             DoneWork::Bucket {
@@ -1320,37 +1190,20 @@ fn resolve_ready_completions(st: &mut State, replica: Option<usize>) {
                     match result {
                         MemberResult::Encoded(hidden) => {
                             trace.record(Stage::Resolved, replica, None);
-                            let breakdown = trace.breakdown();
-                            st.metrics.record_stages(&breakdown);
-                            if let Some(ticket) = st.tickets.remove(id) {
-                                ticket.resolve(Ok(EncodeResponse {
+                            st.metrics.record_stages(&trace.breakdown());
+                            if let Some(entry) = st.requests.remove(id) {
+                                entry.slot.resolve(Ok(Some(EncodeResponse {
                                     id: *id,
                                     tokens: hidden.rows(),
                                     hidden,
                                     latency,
-                                }));
+                                })));
                             }
                         }
                         MemberResult::Prefilled { cache, token } => {
                             advance_generation(st, *id, cache, token, replica);
                         }
                     }
-                }
-            }
-            DoneWork::Decode {
-                closed,
-                outcome: Err(()),
-            } => {
-                // The unwind consumed the members' caches: these
-                // generations cannot continue on this server.
-                for id in &closed.ids {
-                    fail_generation(
-                        st,
-                        *id,
-                        replica,
-                        "panic",
-                        ServeError::ServerFailed { id: *id },
-                    );
                 }
             }
             DoneWork::Decode {
@@ -1460,17 +1313,19 @@ fn run_decode(
 /// One encoder thread: pop a job, encode it (the only expensive step —
 /// outside the lock), park the result in the ordered completion queue and
 /// resolve whatever prefix is ready.
-#[allow(clippy::too_many_arguments)] // private seam; mirrors the config
 fn encoder_loop(
     shared: Arc<Shared>,
     model: Arc<BertModel>,
     nl: Arc<Nonlinearity>,
     mode: MatmulMode,
     pool: ThreadPool,
-    fault: Option<FaultInjector>,
-    recorder: Option<Arc<FlightRecorder>>,
-    replica: Option<usize>,
+    wiring: Wiring,
 ) {
+    let Wiring {
+        label: replica,
+        fault,
+        recorder,
+    } = wiring;
     loop {
         let job = {
             let mut st = lock(&shared.state);
@@ -1571,43 +1426,33 @@ fn encoder_loop(
 
 /// The background dispatcher: expire deadlines, close batches, hand them
 /// to the encoder threads, sleep until the next timed event or arrival.
-#[allow(clippy::too_many_arguments)] // private seam; mirrors the config
 fn dispatcher_loop(
     shared: Arc<Shared>,
     model: Arc<BertModel>,
     nl: Arc<Nonlinearity>,
-    mode: MatmulMode,
-    threads: usize,
-    close: ClosePolicy,
-    max_in_flight: usize,
-    fault: Option<FaultInjector>,
-    recorder: Option<Arc<FlightRecorder>>,
-    replica: Option<usize>,
+    config: AsyncServerConfig,
+    wiring: Wiring,
 ) {
+    let (close, mode) = (config.close, config.mode);
+    let max_in_flight = config.max_in_flight.max(1);
     let encoders: Vec<JoinHandle<()>> = (0..max_in_flight)
         .map(|i| {
             let shared = Arc::clone(&shared);
             let model = Arc::clone(&model);
             let nl = Arc::clone(&nl);
-            let fault = fault.clone();
-            let recorder = recorder.clone();
+            let pool = ThreadPool::new(config.threads);
+            let wiring = wiring.clone();
             std::thread::Builder::new()
                 .name(format!("nnlut-serve-encode-{i}"))
-                .spawn(move || {
-                    encoder_loop(
-                        shared,
-                        model,
-                        nl,
-                        mode,
-                        ThreadPool::new(threads),
-                        fault,
-                        recorder,
-                        replica,
-                    )
-                })
+                .spawn(move || encoder_loop(shared, model, nl, mode, pool, wiring))
                 .expect("spawn serving encoder")
         })
         .collect();
+    let Wiring {
+        label: replica,
+        recorder,
+        ..
+    } = wiring;
 
     let mut st = lock(&shared.state);
     loop {
@@ -1616,58 +1461,32 @@ fn dispatcher_loop(
         // packed, whatever else this wakeup does. Both planes: a queued
         // prefill (generation or encode) and a queued decode step die
         // the same way.
-        let expired = st.batcher.take_expired(now);
-        let expired_decode = st.batcher.take_expired_decode(now);
-        if !expired.is_empty() || !expired_decode.is_empty() {
-            for req in expired {
-                let waited = now.saturating_duration_since(req.queued_at);
+        let expired: Vec<(RequestId, Instant)> = st
+            .batcher
+            .take_expired(now)
+            .into_iter()
+            .map(|req| (req.id, req.queued_at))
+            .chain(
+                st.batcher
+                    .take_expired_decode(now)
+                    .into_iter()
+                    .map(|step| (step.id, step.queued_at)),
+            )
+            .collect();
+        if !expired.is_empty() {
+            for (id, queued_at) in expired {
+                let waited = now.saturating_duration_since(queued_at);
                 st.metrics.record_deadline_miss(waited);
                 if let Some(rec) = &recorder {
                     rec.record(
                         "deadline-miss",
                         replica,
-                        Some(req.id),
+                        Some(id),
                         waited.as_millis() as u64,
                     );
                 }
-                if st.gens.contains_key(&req.id) {
-                    fail_generation(
-                        &mut st,
-                        req.id,
-                        replica,
-                        "deadline",
-                        ServeError::DeadlineExceeded { id: req.id, waited },
-                    );
-                } else if let Some(ticket) = st.tickets.remove(&req.id) {
-                    ticket
-                        .trace
-                        .record(Stage::Failed, replica, Some("deadline"));
-                    let breakdown = ticket.trace.breakdown();
-                    st.metrics.record_stages(&breakdown);
-                    ticket.resolve(Err(ServeError::DeadlineExceeded { id: req.id, waited }));
-                }
-            }
-            for step in expired_decode {
-                let waited = now.saturating_duration_since(step.queued_at);
-                st.metrics.record_deadline_miss(waited);
-                if let Some(rec) = &recorder {
-                    rec.record(
-                        "deadline-miss",
-                        replica,
-                        Some(step.id),
-                        waited.as_millis() as u64,
-                    );
-                }
-                fail_generation(
-                    &mut st,
-                    step.id,
-                    replica,
-                    "deadline",
-                    ServeError::DeadlineExceeded {
-                        id: step.id,
-                        waited,
-                    },
-                );
+                let err = ServeError::DeadlineExceeded { id, waited };
+                fail_request(&mut st, id, replica, "deadline", err);
             }
             continue; // re-plan against the culled queue
         }
@@ -1696,7 +1515,7 @@ fn dispatcher_loop(
                         let is_gen: Vec<bool> = closed
                             .ids
                             .iter()
-                            .map(|id| st.gens.contains_key(id))
+                            .map(|id| st.requests.get(id).is_some_and(|e| e.gen.is_some()))
                             .collect();
                         let ids = closed.ids.clone();
                         (JobWork::Bucket { closed, is_gen }, ids)
@@ -1708,8 +1527,9 @@ fn dispatcher_loop(
                             .iter()
                             .map(|id| {
                                 let gen = st
-                                    .gens
+                                    .requests
                                     .get_mut(id)
+                                    .and_then(|e| e.gen.as_mut())
                                     .expect("queued decode step belongs to a live generation");
                                 let cache = gen
                                     .cache
@@ -1726,16 +1546,14 @@ fn dispatcher_loop(
                 st.next_seq += 1;
                 st.in_flight += 1;
                 // Clone the members' traces now, under the lock: the
-                // encoder then records on them lock-free. Encode members
-                // live in the ticket map, generations in the gens map.
+                // encoder then records on them lock-free.
                 let traces: Vec<Arc<RequestTrace>> = member_ids
                     .iter()
                     .map(|id| {
-                        st.tickets
-                            .get(id)
-                            .map(|t| Arc::clone(&t.trace))
-                            .or_else(|| st.gens.get(id).map(|g| Arc::clone(&g.ticket.trace)))
-                            .unwrap_or_else(|| Arc::new(RequestTrace::new(*id)))
+                        st.requests.get(id).map_or_else(
+                            || Arc::new(RequestTrace::new(*id)),
+                            |e| Arc::clone(&e.slot.trace),
+                        )
                     })
                     .collect();
                 let is_decode = matches!(work, JobWork::Decode { .. });
@@ -1763,19 +1581,10 @@ fn dispatcher_loop(
         }
         if st.shutdown && st.batcher.is_empty() && st.in_flight == 0 {
             // Queue drained, every batch resolved, admission closed. No
-            // generation can be live here (each is always either queued,
-            // in flight, or resolved) — but a sweep costs nothing and
-            // guarantees no streaming ticket is ever left hanging.
-            let leftover: Vec<RequestId> = st.gens.keys().copied().collect();
-            for id in leftover {
-                fail_generation(
-                    &mut st,
-                    id,
-                    replica,
-                    "server-failed",
-                    ServeError::ServerFailed { id },
-                );
-            }
+            // request can be live here (each is always either queued, in
+            // flight, or resolved) — but a sweep costs nothing and
+            // guarantees no ticket is ever left hanging.
+            fail_all(&mut st, replica);
             // Tell the idle encoders to exit and join them.
             st.encoders_exit = true;
             drop(st);

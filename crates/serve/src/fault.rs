@@ -25,10 +25,11 @@
 //!
 //! Plans are built explicitly ([`FaultPlan::panic_at`] and friends) or
 //! generated from a seed ([`FaultPlan::seeded`]) for property-style chaos
-//! sweeps. The injection point in the encode path is [`FaultInjector`]:
-//! one per replica, handed to the replica's
-//! [`AsyncServerConfig`](crate::AsyncServerConfig), consulted by the
-//! encoder thread *inside* its panic-containment boundary.
+//! sweeps. The injection point in the encode path is a crate-private
+//! `FaultInjector`: one per replica, handed to each replica the
+//! [`ShardedServer`](crate::ShardedServer) builds from
+//! [`ShardConfig::fault_plan`](crate::ShardConfig::fault_plan), consulted
+//! by the encoder thread *inside* its panic-containment boundary.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -229,27 +230,22 @@ pub const INJECTED_PANIC_PREFIX: &str = "injected fault:";
 /// consults just before encoding each dispatched batch. Cheap to clone
 /// (the plan is shared behind an `Arc`).
 #[derive(Debug, Clone)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     plan: Arc<FaultPlan>,
     replica: usize,
 }
 
 impl FaultInjector {
     /// The injector for `replica` under `plan`.
-    pub fn new(plan: Arc<FaultPlan>, replica: usize) -> Self {
+    pub(crate) fn new(plan: Arc<FaultPlan>, replica: usize) -> Self {
         Self { plan, replica }
-    }
-
-    /// The replica this injector targets.
-    pub fn replica(&self) -> usize {
-        self.replica
     }
 
     /// Called by the encoder just before encoding its `batch`-th
     /// dispatched batch, *inside* the per-batch panic containment:
     /// panics for [`Fault::Panic`], sleeps for [`Fault::Stall`], returns
     /// immediately otherwise.
-    pub fn before_encode(&self, batch: u64) {
+    pub(crate) fn before_encode(&self, batch: u64) {
         match self.plan.batch_fault(self.replica, batch) {
             Some(BatchFault::Panic) => panic!(
                 "{INJECTED_PANIC_PREFIX} panic at batch {batch} on replica {}",

@@ -36,7 +36,9 @@
 //!   queue), `submit` returns a [`Ticket`], requests carry optional
 //!   deadlines, under-filled batches close on age or deadline pressure,
 //!   and submissions above the [`ServePolicy`] watermark are rejected at
-//!   the door as [`ServeError::Overloaded`].
+//!   the door as [`ServeError::Overloaded`]. Encodes and generations
+//!   share one admission path and one table of unresolved requests, so
+//!   expiry, failure and the shutdown sweep each have one code path.
 //! * [`metrics`] — bounded streaming aggregates (O(sketch capacity), not
 //!   O(batches served)): per-batch latency, queue-wait percentiles over a
 //!   fixed-size [`QuantileSketch`], per-bucket padding efficiency,
@@ -48,11 +50,13 @@
 //!   single rolled-up admission door, a per-replica
 //!   `Healthy → Degraded → Quarantined` health machine with
 //!   stall watchdogs, front-of-queue failover under a retry budget, and
-//!   exponential-backoff probe re-admission.
+//!   exponential-backoff probe re-admission. Like the replica door, the
+//!   shard door has one admission path and one request table for both
+//!   request kinds.
 //! * [`fault`] — deterministic, seedable fault injection
-//!   ([`FaultPlan`] / [`FaultInjector`]): panic at batch *k* on replica
-//!   *r*, stall for *d*, bounce an admission — keyed to event
-//!   coordinates so chaos runs are reproducible (`tests/serve_chaos.rs`).
+//!   ([`FaultPlan`]): panic at batch *k* on replica *r*, stall for *d*,
+//!   bounce an admission — keyed to event coordinates so chaos runs are
+//!   reproducible (`tests/serve_chaos.rs`).
 //! * [`trace`] — the structured-observability layer: every request
 //!   carries a [`RequestTrace`] of monotonic-clock [`Stage`] events
 //!   (queryable per-stage breakdown from the [`Ticket`]), and a bounded
@@ -61,10 +65,9 @@
 //!   Strictly passive — see the module docs.
 //! * [`http`] — a dependency-free `std::net` listener serving
 //!   `GET /healthz` (per-replica health), `GET /metrics`
-//!   (Prometheus text exposition), `GET /metrics.json` (the JSON
-//!   snapshot), `GET /trace` (recent flight-recorder events) and
-//!   `GET /incident` (last incident snapshot) for the sharded fleet
-//!   ([`ShardedServer::serve_http`]).
+//!   (Prometheus text exposition), `GET /trace` (recent flight-recorder
+//!   events) and `GET /incident` (last incident snapshot) for the sharded
+//!   fleet ([`ShardedServer::serve_http`]).
 //!
 //! ## Determinism contract
 //!
@@ -127,7 +130,7 @@ pub use batcher::{
     BatchPolicy, Batcher, ClosePolicy, CloseReason, CloseTarget, ClosedBatch, ClosedDecodeBatch,
     DecodeStep, PendingRequest, ServePolicy,
 };
-pub use fault::{BatchFault, Fault, FaultInjector, FaultPlan, INJECTED_PANIC_PREFIX};
+pub use fault::{BatchFault, Fault, FaultPlan, INJECTED_PANIC_PREFIX};
 pub use http::{HttpHandle, HttpResponse};
 pub use metrics::{
     BatchRecord, BucketStats, QuantileSketch, ServeMetrics, DEFAULT_SKETCH_CAPACITY,

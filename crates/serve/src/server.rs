@@ -86,6 +86,25 @@ pub(crate) fn validate_request(cfg: &TransformerConfig, tokens: &[usize]) {
     }
 }
 
+/// [`validate_request`] for a generation's prompt, plus its token
+/// budget: every generated position must fit the KV cache. Shared by
+/// both asynchronous front doors.
+///
+/// # Panics
+///
+/// Panics on the same prompts as [`validate_request`], if `max_new` is
+/// zero, or if `prompt.len() + max_new` exceeds the model's `max_seq`.
+pub(crate) fn validate_generate(cfg: &TransformerConfig, prompt: &[usize], max_new: usize) {
+    validate_request(cfg, prompt);
+    assert!(max_new > 0, "must generate at least one token");
+    assert!(
+        prompt.len() + max_new <= cfg.max_seq,
+        "prompt ({}) + max_new ({max_new}) exceeds max_seq {}",
+        prompt.len(),
+        cfg.max_seq
+    );
+}
+
 /// The deterministic batching inference server over the baked LUT engines.
 ///
 /// The LUT kit is deployed on all three non-linearity sites

@@ -70,13 +70,13 @@ use nnlut_core::NnLutKit;
 use nnlut_transformer::{BertModel, Nonlinearity, TransformerConfig};
 
 use crate::async_server::{
-    lock, AsyncLutServer, AsyncServerConfig, GenTicketState, GenerateTicket, ServeError, Ticket,
-    TicketState,
+    lock, AsyncLutServer, AsyncServerConfig, GenerateTicket, Outcome, RequestKind, ServeError,
+    Slot, Ticket, Wiring,
 };
 use crate::batcher::ServePolicy;
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::metrics::ServeMetrics;
-use crate::server::{validate_request, EncodeResponse, RequestId};
+use crate::server::RequestId;
 use crate::trace::{FlightEvent, FlightRecorder, RequestTrace, Stage};
 
 /// Construction knobs for the sharded server.
@@ -85,8 +85,9 @@ pub struct ShardConfig {
     /// Replica count (`0` is clamped to `1`).
     pub replicas: usize,
     /// Per-replica configuration. The replica's own `admission` is
-    /// ignored (forced unbounded — the shard door is the only door) and
-    /// its `fault` field is overwritten from [`ShardConfig::fault_plan`].
+    /// ignored (forced unbounded — the shard door is the only door);
+    /// `trace` also decides whether the fleet runs one shared flight
+    /// recorder.
     pub replica: AsyncServerConfig,
     /// The single rolled-up admission door, checked against
     /// pending + outstanding depth and padded area across the fleet.
@@ -103,16 +104,9 @@ pub struct ShardConfig {
     /// fault anywhere). Big models, deep contexts, or heavier matmul
     /// modes (e.g. a first-bake [`nnlut_transformer::MatmulMode::Codebook`]
     /// bench) can silently cross a default that was fine before. Debug
-    /// builds warn once when an attempt completes slower than
-    /// `stall_timeout / stall_warn_multiple`; see
-    /// [`ShardConfig::stall_warn_multiple`].
+    /// builds warn once when an attempt completes slower than a quarter
+    /// of `stall_timeout`.
     pub stall_timeout: Duration,
-    /// Headroom factor for the debug-build stall-margin warning: warn
-    /// when an attempt's observed completion time exceeds
-    /// `stall_timeout / stall_warn_multiple` (i.e. the timeout is less
-    /// than `stall_warn_multiple ×` observed encode time). `0` disables
-    /// the check. Default `4`.
-    pub stall_warn_multiple: u32,
     /// Consecutive failures (batch panics, stalls, admission bounces)
     /// that quarantine a replica. `1` quarantines on the first failure;
     /// below that is clamped to `1`.
@@ -134,7 +128,6 @@ impl Default for ShardConfig {
             admission: ServePolicy::unbounded(),
             retry_budget: 2,
             stall_timeout: Duration::from_secs(2),
-            stall_warn_multiple: 4,
             quarantine_after: 2,
             probe_backoff: Duration::from_millis(25),
             max_probe_backoff: Duration::from_secs(2),
@@ -232,25 +225,14 @@ pub struct ShardMetrics {
     pub cache_rebuilds: u64,
 }
 
-/// What an admitted request wants from its replica.
-#[derive(Debug)]
-enum ReqKind {
-    /// A whole-sequence encode ([`ShardedServer::submit`]).
-    Encode,
-    /// An autoregressive generation. Across failovers `tokens` holds
-    /// `prompt ++ every-token-harvested-so-far` and `max_new` the
-    /// *remaining* budget, so a retry rebuilds the KV cache by
-    /// re-prefilling exactly the prefix the caller already streamed.
-    Generate {
-        /// Tokens still to generate (shrinks as the supervisor harvests).
-        max_new: usize,
-    },
-}
-
 /// One admitted request waiting to be routed (or re-routed).
 #[derive(Debug)]
 struct ShardRequest {
     id: RequestId,
+    /// For a generation, across failovers: `prompt ++
+    /// every-token-harvested-so-far`, with `max_new` in `kind` the
+    /// *remaining* budget — so a retry rebuilds the KV cache by
+    /// re-prefilling exactly the prefix the caller already streamed.
     tokens: Vec<usize>,
     deadline: Option<Instant>,
     queued_at: Instant,
@@ -259,7 +241,7 @@ struct ShardRequest {
     /// The replica that just failed this request — avoided on the next
     /// route when any alternative exists.
     avoid: Option<usize>,
-    kind: ReqKind,
+    kind: RequestKind,
 }
 
 impl ShardRequest {
@@ -270,8 +252,8 @@ impl ShardRequest {
     fn area(&self) -> usize {
         self.tokens.len()
             + match self.kind {
-                ReqKind::Encode => 0,
-                ReqKind::Generate { max_new } => max_new,
+                RequestKind::Encode => 0,
+                RequestKind::Generate { max_new } => max_new,
             }
     }
 }
@@ -403,12 +385,9 @@ struct ShardState {
     /// half of the rolled-up door signal.
     outstanding: usize,
     outstanding_tokens: usize,
-    tickets: HashMap<RequestId, Arc<TicketState>>,
-    /// Shard-owned streaming sinks for in-flight generations — the state
-    /// behind the [`GenerateTicket`]s callers hold. Tokens harvested from
-    /// whichever replica attempt is current are spliced in here, so the
-    /// caller's stream is seamless across failovers.
-    gens: HashMap<RequestId, Arc<GenTicketState>>,
+    /// Every request the shard still owes an answer, encodes and
+    /// generations alike.
+    requests: HashMap<RequestId, Entry>,
     next_id: RequestId,
     shutdown: bool,
     replicas: Vec<ReplicaCtl>,
@@ -416,6 +395,19 @@ struct ShardState {
     /// Merged replica metrics frozen at shutdown, so
     /// [`ShardedServer::metrics`] keeps answering after the fleet is gone.
     final_metrics: Option<ServeMetrics>,
+}
+
+/// One unresolved shard request.
+#[derive(Debug)]
+struct Entry {
+    /// The state behind the caller's ticket. Tokens harvested from
+    /// whichever replica attempt is current are spliced into a
+    /// generation's slot, so the caller's stream is seamless across
+    /// failovers.
+    slot: Arc<Slot>,
+    /// Whether the request is a generation (the KV-cache residency
+    /// gauge counts these).
+    generation: bool,
 }
 
 #[derive(Debug)]
@@ -432,9 +424,6 @@ struct ShardShared {
 struct SupervisorConfig {
     retry_budget: u32,
     stall_timeout: Duration,
-    // Only read by the debug-build stall-margin warning.
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    stall_warn_multiple: u32,
     quarantine_after: u32,
     probe_backoff: Duration,
     max_probe_backoff: Duration,
@@ -442,35 +431,18 @@ struct SupervisorConfig {
     recorder: Option<Arc<FlightRecorder>>,
 }
 
-/// The replica-side handle of one in-flight attempt.
-#[derive(Debug)]
-enum AttemptTicket {
-    /// An encode attempt: resolves once, harvested with `wait()`.
-    Encode(Ticket),
-    /// A generation attempt: a token stream the supervisor polls.
-    Generate {
-        /// The replica ticket's shared stream (tokens land here as the
-        /// replica decodes).
-        replica_state: Arc<GenTicketState>,
-        /// The shard-owned sink the caller's [`GenerateTicket`] reads.
-        sink: Arc<GenTicketState>,
-        /// Tokens already forwarded from `replica_state` to `sink`.
-        harvested: usize,
-    },
-}
-
-/// What a finished attempt produced.
-enum AttemptOutcome {
-    Encode(Result<EncodeResponse, ServeError>),
-    Generate(Result<(), ServeError>),
-}
-
 /// One request currently riding a replica.
 #[derive(Debug)]
 struct Attempt {
     req: ShardRequest,
     replica: usize,
-    ticket: AttemptTicket,
+    /// The replica submission's slot, which the supervisor alone reads
+    /// (tokens land here as the replica decodes).
+    replica_slot: Arc<Slot>,
+    /// The shard-owned slot the caller's ticket reads.
+    sink: Arc<Slot>,
+    /// Tokens already forwarded from `replica_slot` to `sink`.
+    harvested: usize,
     /// The padded-area charge recorded when this attempt was routed —
     /// discharged verbatim on resolution (the request's own area may have
     /// grown since, as harvested tokens fold into `req.tokens`).
@@ -537,11 +509,9 @@ impl ShardedServer {
         // One fleet-wide recorder: replicas and the supervisor journal
         // into the same ring, so an incident snapshot shows the whole
         // shard's recent history, not one replica's.
-        let recorder = config.replica.recorder.clone().or_else(|| {
-            trace_cfg
-                .recorder
-                .then(|| Arc::new(FlightRecorder::new(trace_cfg.recorder_capacity)))
-        });
+        let recorder = trace_cfg
+            .recorder
+            .then(|| Arc::new(FlightRecorder::new(trace_cfg.recorder_capacity)));
         // Attach the op-profiling sink when tracing is on (and the caller
         // didn't wire their own) — relaxed counters, read only by /metrics.
         let mut nl = nl;
@@ -557,13 +527,15 @@ impl ShardedServer {
                 let mut rc = config.replica.clone();
                 // The shard door is the only door.
                 rc.admission = ServePolicy::unbounded();
-                rc.fault = config
-                    .fault_plan
-                    .as_ref()
-                    .map(|plan| FaultInjector::new(Arc::clone(plan), r));
-                rc.recorder = recorder.clone();
-                rc.replica_label = Some(r);
-                AsyncLutServer::with_shared(Arc::clone(&model), Arc::clone(&nl), rc)
+                let wiring = Wiring {
+                    label: Some(r),
+                    fault: config
+                        .fault_plan
+                        .as_ref()
+                        .map(|plan| FaultInjector::new(Arc::clone(plan), r)),
+                    recorder: recorder.clone(),
+                };
+                AsyncLutServer::with_shared(Arc::clone(&model), Arc::clone(&nl), rc, wiring)
             })
             .collect();
         let servers = Arc::new(servers);
@@ -573,8 +545,7 @@ impl ShardedServer {
                 pending_tokens: 0,
                 outstanding: 0,
                 outstanding_tokens: 0,
-                tickets: HashMap::new(),
-                gens: HashMap::new(),
+                requests: HashMap::new(),
                 next_id: 0,
                 shutdown: false,
                 replicas: (0..replicas)
@@ -590,7 +561,6 @@ impl ShardedServer {
         let sup_config = SupervisorConfig {
             retry_budget: config.retry_budget,
             stall_timeout: config.stall_timeout,
-            stall_warn_multiple: config.stall_warn_multiple,
             quarantine_after: config.quarantine_after.max(1),
             probe_backoff: config.probe_backoff,
             max_probe_backoff: config.max_probe_backoff,
@@ -641,52 +611,8 @@ impl ShardedServer {
     /// Panics if the request is empty, overlong, out-of-vocabulary, or
     /// submitted after [`ShardedServer::shutdown`].
     pub fn submit_with_deadline(&self, tokens: Vec<usize>, deadline: Option<Duration>) -> Ticket {
-        validate_request(&self.config, &tokens);
-        let now = Instant::now();
-        let token_count = tokens.len();
-        let (id, state, rejected_at_depth) = {
-            let mut st = lock(&self.shared.state);
-            assert!(!st.shutdown, "cannot submit after shutdown");
-            let id = st.next_id;
-            st.next_id += 1;
-            // The trace is born inside the lock so its id matches the
-            // shard ticket; it rides the request across every failover.
-            let trace = Arc::new(RequestTrace::new(id));
-            trace.record(Stage::Admitted, None, None);
-            let state = Arc::new(TicketState::new(trace));
-            let depth = st.pending.len() + st.outstanding;
-            let area = st.pending_tokens + st.outstanding_tokens;
-            if !self.admission.admits(depth + 1, area + tokens.len()) {
-                st.metrics.overload_rejections += 1;
-                (id, state, Some(depth))
-            } else {
-                state.trace.record(Stage::Queued, None, None);
-                st.metrics.submitted += 1;
-                st.tickets.insert(id, Arc::clone(&state));
-                st.pending_tokens += tokens.len();
-                st.pending.push_back(ShardRequest {
-                    id,
-                    tokens,
-                    deadline: deadline.map(|d| now + d),
-                    queued_at: now,
-                    attempts: 0,
-                    avoid: None,
-                    kind: ReqKind::Encode,
-                });
-                (id, state, None)
-            }
-        };
-        match rejected_at_depth {
-            Some(queue_depth) => {
-                state.trace.record(Stage::Failed, None, Some("overloaded"));
-                if let Some(rec) = &self.recorder {
-                    rec.record("overload-rejection", None, Some(id), token_count as u64);
-                }
-                state.resolve(Err(ServeError::Overloaded { id, queue_depth }));
-            }
-            None => self.shared.work.notify_all(),
-        }
-        Ticket::from_state(id, state)
+        let (id, slot) = self.enqueue(tokens, deadline, RequestKind::Encode);
+        Ticket::new(id, slot)
     }
 
     /// Enqueues an autoregressive generation: `max_new` greedy tokens
@@ -720,65 +646,74 @@ impl ShardedServer {
         max_new: usize,
         deadline: Option<Duration>,
     ) -> GenerateTicket {
-        validate_request(&self.config, &prompt);
-        assert!(max_new > 0, "must generate at least one token");
-        assert!(
-            prompt.len() + max_new <= self.config.max_seq,
-            "prompt ({}) + max_new ({max_new}) exceeds max_seq ({})",
-            prompt.len(),
-            self.config.max_seq,
-        );
+        let (id, slot) = self.enqueue(prompt, deadline, RequestKind::Generate { max_new });
+        GenerateTicket::new(id, slot)
+    }
+
+    /// The one admission path for both request kinds: validate, charge
+    /// the request's area (a generation reserves its decode budget)
+    /// against the rolled-up door, then queue it for routing or reject it
+    /// at the door.
+    fn enqueue(
+        &self,
+        tokens: Vec<usize>,
+        deadline: Option<Duration>,
+        kind: RequestKind,
+    ) -> (RequestId, Arc<Slot>) {
+        kind.validate(&self.config, &tokens);
         let now = Instant::now();
-        let prompt_len = prompt.len();
-        let (id, state, rejected_at_depth) = {
+        let (id, slot, rejected_at_depth) = {
             let mut st = lock(&self.shared.state);
             assert!(!st.shutdown, "cannot submit after shutdown");
             let id = st.next_id;
             st.next_id += 1;
-            let trace = Arc::new(RequestTrace::new(id));
-            trace.record(Stage::Admitted, None, None);
-            let state = Arc::new(GenTicketState::new(trace));
+            // The trace is born inside the lock so its id matches the
+            // shard ticket; it rides the request across every failover.
+            let slot = Arc::new(Slot::new(Arc::new(RequestTrace::new(id))));
+            slot.trace.record(Stage::Admitted, None, None);
+            let req = ShardRequest {
+                id,
+                tokens,
+                deadline: deadline.map(|d| now + d),
+                queued_at: now,
+                attempts: 0,
+                avoid: None,
+                kind,
+            };
             let depth = st.pending.len() + st.outstanding;
             let area = st.pending_tokens + st.outstanding_tokens;
-            let charge = prompt_len + max_new;
-            if !self.admission.admits(depth + 1, area + charge) {
+            if !self.admission.admits(depth + 1, area + req.area()) {
                 st.metrics.overload_rejections += 1;
-                (id, state, Some(depth))
+                (id, slot, Some(depth))
             } else {
-                state.trace.record(Stage::Queued, None, None);
+                slot.trace.record(Stage::Queued, None, None);
                 st.metrics.submitted += 1;
-                st.metrics.generations += 1;
-                st.gens.insert(id, Arc::clone(&state));
-                st.pending_tokens += charge;
-                st.pending.push_back(ShardRequest {
-                    id,
-                    tokens: prompt,
-                    deadline: deadline.map(|d| now + d),
-                    queued_at: now,
-                    attempts: 0,
-                    avoid: None,
-                    kind: ReqKind::Generate { max_new },
-                });
-                (id, state, None)
+                let generation = kind != RequestKind::Encode;
+                st.metrics.generations += u64::from(generation);
+                let entry = Entry {
+                    slot: Arc::clone(&slot),
+                    generation,
+                };
+                st.requests.insert(id, entry);
+                st.pending_tokens += req.area();
+                st.pending.push_back(req);
+                (id, slot, None)
             }
         };
         match rejected_at_depth {
             Some(queue_depth) => {
-                state.trace.record(Stage::Failed, None, Some("overloaded"));
-                if let Some(rec) = &self.recorder {
-                    rec.record("overload-rejection", None, Some(id), prompt_len as u64);
-                }
-                state.finish(Err(ServeError::Overloaded { id, queue_depth }));
+                slot.reject_overloaded(id, queue_depth, None, self.recorder.as_deref())
             }
             None => self.shared.work.notify_all(),
         }
-        GenerateTicket::from_state(id, state)
+        (id, slot)
     }
 
     /// Generations admitted and not yet finished (their KV caches are
     /// resident on some replica, or about to be rebuilt on one).
     pub fn active_generations(&self) -> usize {
-        lock(&self.shared.state).gens.len()
+        let st = lock(&self.shared.state);
+        st.requests.values().filter(|e| e.generation).count()
     }
 
     /// Requests admitted but not yet routed to a replica.
@@ -836,8 +771,6 @@ impl ShardedServer {
     ///   [`ShardMetrics`] failure-handling counters, per-replica gauges,
     ///   and (when tracing is on) op-level profile totals and recorder
     ///   occupancy.
-    /// * `GET /metrics.json` — the same snapshot as compact JSON (the
-    ///   historical `/metrics` body, kept for scripts).
     /// * `GET /trace` — the flight recorder's current ring, oldest
     ///   event first; `{"enabled":false}` when tracing is off.
     /// * `GET /incident` — the last [`crate::trace::IncidentReport`]
@@ -932,52 +865,6 @@ impl ShardedServer {
                 crate::http::HttpResponse::prometheus(body)
             });
 
-        let metrics_shared = Arc::clone(&self.shared);
-        let metrics_servers = self.servers.clone();
-        let metrics_json: Arc<dyn Fn() -> crate::http::HttpResponse + Send + Sync> =
-            Arc::new(move || {
-                let merged = match &metrics_servers {
-                    Some(servers) => merged_metrics(servers),
-                    None => ServeMetrics::default(),
-                };
-                let shard = lock(&metrics_shared.state).metrics;
-                let p50 = merged
-                    .latency_percentile(50.0)
-                    .unwrap_or_default()
-                    .as_secs_f64()
-                    * 1e3;
-                let p95 = merged
-                    .latency_percentile(95.0)
-                    .unwrap_or_default()
-                    .as_secs_f64()
-                    * 1e3;
-                let body = format!(
-                    "{{\"batches\":{},\"sequences\":{},\"tokens\":{},\"tokens_per_sec\":{:.3},\
-                     \"latency_p50_ms\":{p50:.3},\"latency_p95_ms\":{p95:.3},\
-                     \"padding_efficiency\":{:.4},\"deadline_misses\":{},\
-                     \"overload_rejections\":{},\"shard\":{{\"submitted\":{},\"completed\":{},\
-                     \"failovers\":{},\"retries_exhausted\":{},\"stalls\":{},\"probes_sent\":{},\
-                     \"readmissions\":{},\"overload_rejections\":{},\"deadline_misses\":{}}}}}\n",
-                    merged.batches_served(),
-                    merged.total_sequences(),
-                    merged.total_tokens(),
-                    merged.tokens_per_sec(),
-                    merged.padding_efficiency(),
-                    merged.deadline_misses(),
-                    merged.overload_rejections(),
-                    shard.submitted,
-                    shard.completed,
-                    shard.failovers,
-                    shard.retries_exhausted,
-                    shard.stalls,
-                    shard.probes_sent,
-                    shard.readmissions,
-                    shard.overload_rejections,
-                    shard.deadline_misses,
-                );
-                crate::http::HttpResponse::json(body)
-            });
-
         let trace_recorder = self.recorder.clone();
         let trace_route: Arc<dyn Fn() -> crate::http::HttpResponse + Send + Sync> =
             Arc::new(move || {
@@ -1020,15 +907,14 @@ impl ShardedServer {
             vec![
                 ("/healthz".into(), healthz),
                 ("/metrics".into(), prometheus),
-                ("/metrics.json".into(), metrics_json),
                 ("/trace".into(), trace_route),
                 ("/incident".into(), incident_route),
             ],
         )
     }
 
-    /// The fleet-wide flight recorder, when tracing is on (either
-    /// `NNLUT_TRACE=1` or an explicit recorder in the replica config).
+    /// The fleet-wide flight recorder, when tracing is on (`NNLUT_TRACE=1`
+    /// or `trace.recorder` in the replica config).
     pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
         self.recorder.as_ref()
     }
@@ -1054,22 +940,10 @@ impl ShardedServer {
                 // The supervisor died: fail every unresolved ticket
                 // rather than leaving waiters hanging.
                 let mut st = lock(&self.shared.state);
-                let orphaned: Vec<RequestId> = st.tickets.keys().copied().collect();
+                let orphaned: Vec<RequestId> = st.requests.keys().copied().collect();
                 for id in orphaned {
-                    if let Some(ticket) = st.tickets.remove(&id) {
-                        ticket
-                            .trace
-                            .record(Stage::Failed, None, Some("server-failed"));
-                        ticket.resolve(Err(ServeError::ServerFailed { id }));
-                    }
-                }
-                let orphaned_gens: Vec<RequestId> = st.gens.keys().copied().collect();
-                for id in orphaned_gens {
-                    if let Some(sink) = st.gens.remove(&id) {
-                        sink.trace
-                            .record(Stage::Failed, None, Some("server-failed"));
-                        sink.finish(Err(ServeError::ServerFailed { id }));
-                    }
+                    let err = ServeError::ServerFailed { id };
+                    fail_terminal(&mut st, id, None, "server-failed", err);
                 }
             }
         }
@@ -1495,6 +1369,11 @@ fn render_prometheus(
 /// and probe scheduling.
 const SUPERVISOR_TICK: Duration = Duration::from_micros(500);
 
+/// Headroom factor for the debug-build stall-margin warning: warn when an
+/// attempt completes slower than `stall_timeout / STALL_WARN_MULTIPLE`.
+#[cfg(debug_assertions)]
+const STALL_WARN_MULTIPLE: u32 = 4;
+
 /// The supervisor: routes pending requests (JSQ over healthy replicas,
 /// with fault-plan admission bounces applied), harvests finished
 /// attempts, trips the stall watchdog, advances the health machines and
@@ -1507,7 +1386,7 @@ fn supervisor_loop(
     let n = servers.len();
     let mut attempts: Vec<Attempt> = Vec::new();
     // One-shot latch for the debug-build stall-margin warning (see
-    // `ShardConfig::stall_warn_multiple`).
+    // `STALL_WARN_MULTIPLE`).
     #[cfg(debug_assertions)]
     let mut stall_margin_warned = false;
     // In-flight probe tickets, by replica.
@@ -1519,9 +1398,8 @@ fn supervisor_loop(
     loop {
         let now = Instant::now();
 
-        // Harvest outside the lock: `wait()` on a ready ticket cannot
-        // block, generation polling is a snapshot, and collecting first
-        // keeps the locked section short.
+        // Harvest outside the lock: polling a slot never blocks, and
+        // collecting first keeps the locked section short.
         let mut finished = Vec::new();
         let mut stalled = Vec::new();
         let mut i = 0;
@@ -1530,60 +1408,40 @@ fn supervisor_loop(
             // caller's stream *and* the request's failover state before
             // deciding the attempt's fate, so a failure observed in the
             // same snapshot still rebuilds from the full emitted prefix.
-            let (ready, fresh) = match &mut attempts[i].ticket {
-                AttemptTicket::Encode(t) => (t.is_ready(), Vec::new()),
-                AttemptTicket::Generate {
-                    replica_state,
-                    sink,
-                    harvested,
-                } => {
-                    let (fresh, done) = replica_state.snapshot_from(*harvested);
-                    *harvested += fresh.len();
-                    for &token in &fresh {
-                        sink.push_token(token);
-                    }
-                    (done.is_some(), fresh)
-                }
-            };
+            let a = &mut attempts[i];
+            let (fresh, done) = a.replica_slot.harvest(a.harvested);
             if !fresh.is_empty() {
-                let a = &mut attempts[i];
+                a.harvested += fresh.len();
+                for &token in &fresh {
+                    a.sink.push_token(token);
+                }
                 a.last_progress = now;
-                if let ReqKind::Generate { max_new } = &mut a.req.kind {
+                if let RequestKind::Generate { max_new } = &mut a.req.kind {
                     *max_new = max_new.saturating_sub(fresh.len());
                 }
                 a.req.tokens.extend(fresh);
             }
-            if ready {
+            if let Some(outcome) = done {
                 // Stall-margin check (debug builds, once): an attempt
                 // that *completed* after `stall_timeout / multiple` means
                 // the watchdog is within one bad batch of requeueing
                 // healthy work — a config footgun, not a replica fault.
                 #[cfg(debug_assertions)]
-                if !stall_margin_warned && config.stall_warn_multiple > 0 {
-                    let took = now.saturating_duration_since(attempts[i].last_progress);
-                    if config.stall_timeout < took * config.stall_warn_multiple {
+                if !stall_margin_warned {
+                    let took = now.saturating_duration_since(a.last_progress);
+                    if config.stall_timeout < took * STALL_WARN_MULTIPLE {
                         stall_margin_warned = true;
                         eprintln!(
                             "nnlut-shard warning: an attempt completed in {took:?} but \
-                             stall_timeout is only {:?} (< {}x observed) — raise \
-                             ShardConfig::stall_timeout or spurious stall requeues and \
+                             stall_timeout is only {:?} (< {STALL_WARN_MULTIPLE}x observed) — \
+                             raise ShardConfig::stall_timeout or spurious stall requeues and \
                              quarantines will follow under load",
-                            config.stall_timeout, config.stall_warn_multiple,
+                            config.stall_timeout,
                         );
                     }
                 }
-                let a = attempts.swap_remove(i);
-                let outcome = match a.ticket {
-                    AttemptTicket::Encode(t) => AttemptOutcome::Encode(t.wait()),
-                    AttemptTicket::Generate { replica_state, .. } => {
-                        let (_, done) = replica_state.snapshot_from(usize::MAX);
-                        AttemptOutcome::Generate(done.expect("polled done above"))
-                    }
-                };
-                finished.push((a.req, a.replica, a.area, outcome));
-            } else if now.saturating_duration_since(attempts[i].last_progress)
-                >= config.stall_timeout
-            {
+                finished.push((attempts.swap_remove(i), outcome));
+            } else if now.saturating_duration_since(a.last_progress) >= config.stall_timeout {
                 stalled.push(attempts.swap_remove(i));
             } else {
                 i += 1;
@@ -1599,46 +1457,39 @@ fn supervisor_loop(
 
         let mut st = lock(&shared.state);
 
-        for (req, replica, area, outcome) in finished {
+        for (a, outcome) in finished {
+            let Attempt {
+                req, replica, area, ..
+            } = a;
             st.outstanding -= 1;
             st.outstanding_tokens -= area;
             st.replicas[replica].outstanding_tokens -= area;
             match outcome {
-                AttemptOutcome::Encode(Ok(mut resp)) => {
+                Ok(mut response) => {
                     // Response identity is the shard's: same id whichever
-                    // replica (or retry) produced it.
-                    resp.id = req.id;
-                    st.replicas[replica].completed += 1;
-                    st.replicas[replica].on_success(now);
-                    st.metrics.completed += 1;
-                    if let Some(ticket) = st.tickets.remove(&req.id) {
-                        ticket.resolve(Ok(resp));
-                    }
-                }
-                AttemptOutcome::Generate(Ok(())) => {
-                    // Every token was already harvested into the caller's
+                    // replica (or retry) produced it. A generation's
+                    // tokens were already harvested into the caller's
                     // stream; ending it is all that's left.
+                    if let Some(r) = &mut response {
+                        r.id = req.id;
+                    }
                     st.replicas[replica].completed += 1;
                     st.replicas[replica].on_success(now);
                     st.metrics.completed += 1;
-                    if let Some(sink) = st.gens.remove(&req.id) {
-                        sink.finish(Ok(()));
-                    }
+                    resolve(&mut st, req.id, Ok(response));
                 }
-                AttemptOutcome::Encode(Err(ServeError::DeadlineExceeded { .. }))
-                | AttemptOutcome::Generate(Err(ServeError::DeadlineExceeded { .. })) => {
+                Err(ServeError::DeadlineExceeded { .. }) => {
                     // Expired inside the replica: terminal, not a replica
                     // fault — the request was simply too old.
                     st.metrics.deadline_misses += 1;
                     let waited = now.saturating_duration_since(req.queued_at);
-                    let err = ServeError::DeadlineExceeded { id: req.id, waited };
-                    if let Some(ticket) = st.tickets.remove(&req.id) {
-                        ticket.resolve(Err(err));
-                    } else if let Some(sink) = st.gens.remove(&req.id) {
-                        sink.finish(Err(err));
-                    }
+                    resolve(
+                        &mut st,
+                        req.id,
+                        Err(ServeError::DeadlineExceeded { id: req.id, waited }),
+                    );
                 }
-                AttemptOutcome::Encode(Err(_)) | AttemptOutcome::Generate(Err(_)) => {
+                Err(_) => {
                     // ServerFailed (a contained batch panic — possibly
                     // injected) or any other replica-side failure: the
                     // replica takes the health hit, the request fails
@@ -1671,7 +1522,7 @@ fn supervisor_loop(
             }
             fail_health(&mut st, a.replica, &config, now);
             fail_over(&mut st, req, a.replica, &config, "stall");
-            // a.ticket drops here: when the wedged encode eventually
+            // a.replica_slot drops here: when the wedged encode eventually
             // finishes, its result resolves into a slot nobody reads.
         }
 
@@ -1767,12 +1618,8 @@ fn supervisor_loop(
 
         if st.shutdown && st.pending.is_empty() && attempts.is_empty() {
             debug_assert!(
-                st.tickets.is_empty(),
-                "drained shard still holds unresolved tickets"
-            );
-            debug_assert!(
-                st.gens.is_empty(),
-                "drained shard still holds unresolved generations"
+                st.requests.is_empty(),
+                "drained shard still holds unresolved requests"
             );
             break;
             // In-flight probes (if any) are dropped with `probes`; their
@@ -1808,16 +1655,26 @@ fn expired(req: &ShardRequest, now: Instant) -> bool {
     req.deadline.is_some_and(|d| now >= d)
 }
 
-/// The trace of an unresolved request, whichever kind it is.
-fn trace_of(st: &ShardState, id: RequestId) -> Option<Arc<RequestTrace>> {
-    st.tickets
-        .get(&id)
-        .map(|t| Arc::clone(&t.trace))
-        .or_else(|| st.gens.get(&id).map(|g| Arc::clone(&g.trace)))
+/// Records a requeue on an unresolved request's trace.
+fn record_requeue(st: &ShardState, id: RequestId, replica: usize, cause: &'static str) {
+    if let Some(entry) = st.requests.get(&id) {
+        entry
+            .slot
+            .trace
+            .record(Stage::Requeued, Some(replica), Some(cause));
+    }
 }
 
-/// Terminally fails an unresolved request — encode tickets resolve,
-/// generation sinks finish — recording the failure on its trace.
+/// Resolves an unresolved request's caller slot and drops its entry; a
+/// no-op if it already resolved.
+fn resolve(st: &mut ShardState, id: RequestId, outcome: Outcome) {
+    if let Some(entry) = st.requests.remove(&id) {
+        entry.slot.resolve(outcome);
+    }
+}
+
+/// The one terminal-failure path, for either request kind: records the
+/// failure on the request's trace and resolves its slot with `err`.
 fn fail_terminal(
     st: &mut ShardState,
     id: RequestId,
@@ -1825,13 +1682,10 @@ fn fail_terminal(
     note: &'static str,
     err: ServeError,
 ) {
-    if let Some(ticket) = st.tickets.remove(&id) {
-        ticket.trace.record(Stage::Failed, replica, Some(note));
-        ticket.resolve(Err(err));
-    } else if let Some(sink) = st.gens.remove(&id) {
-        sink.trace.record(Stage::Failed, replica, Some(note));
-        sink.finish(Err(err));
+    if let Some(entry) = st.requests.get(&id) {
+        entry.slot.trace.record(Stage::Failed, replica, Some(note));
     }
+    resolve(st, id, Err(err));
 }
 
 /// Requeues a failed attempt at the front of the pending queue (retry
@@ -1869,10 +1723,8 @@ fn fail_over(
             },
         );
     } else {
-        if let Some(trace) = trace_of(st, req.id) {
-            trace.record(Stage::Requeued, Some(failed_on), Some(cause));
-        }
-        if let ReqKind::Generate { .. } = req.kind {
+        record_requeue(st, req.id, failed_on, cause);
+        if let RequestKind::Generate { .. } = req.kind {
             st.metrics.cache_rebuilds += 1;
             if let Some(rec) = &config.recorder {
                 rec.record(
@@ -1981,68 +1833,39 @@ fn route(
                 );
                 return Routed::Resolved;
             }
-            if let Some(trace) = trace_of(st, req.id) {
-                trace.record(Stage::Requeued, Some(target), Some("bounce"));
-            }
+            record_requeue(st, req.id, target, "bounce");
             st.metrics.failovers += 1;
             continue;
         }
-        let remaining = req.deadline.map(|d| d.saturating_duration_since(now));
-        let area = req.area();
-        let ticket = match req.kind {
-            ReqKind::Encode => {
-                // The shard trace rides into the replica: the attempt's
-                // stage events (queued, assembled, dispatched, encoded, …)
-                // land on the same journal the shard has been writing
-                // since admission.
-                let trace = st.tickets.get(&req.id).map(|t| Arc::clone(&t.trace));
-                AttemptTicket::Encode(match &trace {
-                    Some(trace) => {
-                        if req.attempts > 0 {
-                            trace.record(Stage::Retried, Some(target), None);
-                        }
-                        servers[target].submit_traced(
-                            req.tokens.clone(),
-                            remaining,
-                            Arc::clone(trace),
-                        )
-                    }
-                    None => servers[target].submit_with_deadline(req.tokens.clone(), remaining),
-                })
-            }
-            ReqKind::Generate { max_new } => {
-                let Some(sink) = st.gens.get(&req.id).map(Arc::clone) else {
-                    // Already resolved terminally (caller raced a
-                    // deadline cull) — nothing left to route.
-                    return Routed::Resolved;
-                };
-                if max_new == 0 {
-                    // Every budgeted token was harvested before the
-                    // failed attempt died; the stream just needs its end.
-                    st.gens.remove(&req.id);
-                    st.metrics.completed += 1;
-                    sink.trace.record(Stage::Resolved, None, None);
-                    sink.finish(Ok(()));
-                    return Routed::Resolved;
-                }
-                if req.attempts > 0 {
-                    sink.trace.record(Stage::Retried, Some(target), None);
-                }
-                // Resubmitting prompt ++ harvested prefix re-prefills it
-                // on the target — the KV-cache rebuild.
-                let replica_ticket = servers[target].submit_generate_traced(
-                    req.tokens.clone(),
-                    max_new,
-                    remaining,
-                    Arc::clone(&sink.trace),
-                );
-                AttemptTicket::Generate {
-                    replica_state: replica_ticket.state_handle(),
-                    sink,
-                    harvested: 0,
-                }
-            }
+        let Some(sink) = st.requests.get(&req.id).map(|e| Arc::clone(&e.slot)) else {
+            // Already resolved terminally (caller raced a deadline cull)
+            // — nothing left to route.
+            return Routed::Resolved;
         };
+        if req.kind == (RequestKind::Generate { max_new: 0 }) {
+            // Every budgeted token was harvested before the failed
+            // attempt died; the stream just needs its end.
+            st.metrics.completed += 1;
+            sink.trace.record(Stage::Resolved, None, None);
+            resolve(st, req.id, Ok(None));
+            return Routed::Resolved;
+        }
+        if req.attempts > 0 {
+            sink.trace.record(Stage::Retried, Some(target), None);
+        }
+        // The shard trace rides into the replica: the attempt's stage
+        // events (queued, assembled, dispatched, encoded, …) land on the
+        // same journal the shard has been writing since admission. A
+        // generation resubmits prompt ++ harvested prefix, which
+        // re-prefills it on the target — the KV-cache rebuild.
+        let remaining = req.deadline.map(|d| d.saturating_duration_since(now));
+        let (_, replica_slot) = servers[target].enqueue(
+            req.tokens.clone(),
+            remaining,
+            req.kind,
+            Some(Arc::clone(&sink.trace)),
+        );
+        let area = req.area();
         st.replicas[target].routed += 1;
         st.replicas[target].outstanding_tokens += area;
         st.outstanding += 1;
@@ -2050,7 +1873,9 @@ fn route(
         return Routed::Attempt(Attempt {
             req,
             replica: target,
-            ticket,
+            replica_slot,
+            sink,
+            harvested: 0,
             area,
             last_progress: now,
         });
@@ -2101,13 +1926,28 @@ mod tests {
         let server = tiny_sharded(ShardConfig {
             replicas: 2,
             admission: ServePolicy::with_max_queued_tokens(0),
+            replica: AsyncServerConfig {
+                trace: crate::TraceConfig::enabled(),
+                ..AsyncServerConfig::default()
+            },
             ..ShardConfig::default()
         });
         let t = server.submit(vec![1, 2, 3]);
         assert!(t.is_ready(), "door rejection resolves immediately");
-        assert!(matches!(t.wait(), Err(ServeError::Overloaded { .. })));
+        let Err(ServeError::Overloaded { queue_depth, .. }) = t.wait() else {
+            panic!("expected Overloaded");
+        };
         assert_eq!(server.shard_metrics().overload_rejections, 1);
         assert_eq!(server.shard_metrics().submitted, 0);
+        // The journal records the queue depth the request met, as a
+        // replica door does — not the request's token count.
+        let journal = server.recorder().expect("tracing enabled").snapshot();
+        let rejection = journal
+            .iter()
+            .find(|ev| ev.kind == "overload-rejection")
+            .expect("the rejection is journaled");
+        assert_eq!(rejection.value, queue_depth as u64);
+        assert_eq!(rejection.value, 0);
     }
 
     #[test]

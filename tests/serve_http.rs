@@ -1,7 +1,8 @@
 //! Ops-plane HTTP integration: `/metrics` speaks well-formed Prometheus
-//! text exposition with stable metric names, `/metrics.json` stays
-//! consistent with it, `/healthz` carries uptime/version/transition
-//! fields, and `/trace` + `/incident` round-trip the flight recorder.
+//! text exposition with stable metric names and agrees with the
+//! in-process metrics snapshots, `/healthz` carries
+//! uptime/version/transition fields, and `/trace` + `/incident`
+//! round-trip the flight recorder.
 //!
 //! The Prometheus parser here is deliberately minimal — exactly the
 //! lexical rules a scraper relies on — so a malformed line or a renamed
@@ -126,7 +127,7 @@ fn sample(samples: &[Sample], name: &str, labels_contains: &str) -> f64 {
 }
 
 /// Pulls `"key":<integer>` out of a flat JSON body (enough for the
-/// hand-written snapshot format).
+/// hand-written `/trace` format).
 fn json_u64(json: &str, key: &str) -> u64 {
     let pat = format!("\"{key}\":");
     let at = json
@@ -141,7 +142,7 @@ fn json_u64(json: &str, key: &str) -> u64 {
 }
 
 #[test]
-fn prometheus_exposition_is_well_formed_and_consistent_with_json() {
+fn prometheus_exposition_is_well_formed_and_consistent_with_snapshots() {
     let model = BertModel::new_synthetic(TransformerConfig::roberta_tiny(), 9);
     let kit = NnLutKit::train_with(16, 9, &TrainConfig::fast());
     let mut config = ShardConfig {
@@ -248,24 +249,29 @@ fn prometheus_exposition_is_well_formed_and_consistent_with_json() {
     // The op profile saw real kernel traffic.
     assert!(sample(&samples, "nnlut_op_calls_total", "op=\"softmax\"") > 0.0);
 
-    // --- /metrics.json: same snapshot, legacy shape ---
-    let (status, json) = http::get(handle.addr(), "/metrics.json").expect("GET /metrics.json");
-    assert_eq!(status, 200);
+    // --- /metrics agrees with the in-process snapshots ---
+    // Every request resolved before the scrape, so both are quiescent.
+    let merged = server.metrics();
+    let shard = server.shard_metrics();
     assert_eq!(
         sample(&samples, "nnlut_serve_batches_total", "") as u64,
-        json_u64(&json, "batches"),
-        "Prometheus and JSON must expose the same snapshot"
+        merged.batches_served(),
+        "Prometheus and the in-process metrics must expose the same snapshot"
     );
     assert_eq!(
-        sample(&samples, "nnlut_serve_tokens_total", "") as u64,
-        json_u64(&json, "tokens")
+        sample(&samples, "nnlut_serve_tokens_total", "") as usize,
+        merged.total_tokens()
     );
     assert_eq!(
         sample(&samples, "nnlut_shard_submitted_total", "") as u64,
         7
     );
-    assert_eq!(json_u64(&json, "submitted"), 7);
-    assert_eq!(json_u64(&json, "completed"), 7);
+    assert_eq!(shard.submitted, 7);
+    assert_eq!(
+        sample(&samples, "nnlut_shard_completed_total", "") as u64,
+        shard.completed
+    );
+    assert_eq!(shard.completed, 7);
 
     // --- /healthz: uptime, version, per-replica transitions ---
     let (status, healthz) = http::get(handle.addr(), "/healthz").expect("GET /healthz");
