@@ -11,14 +11,13 @@
 //!
 //! * kernel rows — the baked *scalar oracle* (`eval_slice_scalar`)
 //!   against whatever `eval_slice` dispatches to at the recorded
-//!   `simd.level` (AVX2 / SSE2 / scalar, stamped at bake time), on the
+//!   `simd.level` (`avx2` or `scalar`, detected at bake time), on the
 //!   same tables and shapes as the trajectory rows. With
 //!   `--no-default-features` both sides are the same kernel and the
 //!   speedups sit at ~1.0 by construction.
-//! * fused rows — the unfused softmax / LayerNorm+affine op sequences
-//!   against their fused single-sweep counterparts, per encoder row
-//!   (attention row = seq, LayerNorm row = hidden), with the row-pass
-//!   counts that explain the delta.
+//! * fused row — the unfused LayerNorm+affine op sequence against its
+//!   fused single-sweep counterpart, per encoder row (LayerNorm row =
+//!   hidden), with the row-pass counts that explain the delta.
 //!
 //! `bench_check` requires the section and, when the level is `avx2`,
 //! gates the 64k-element gelu/exp kernel rows at a ≥ 1.5× floor.
@@ -154,31 +153,6 @@ struct FusedRow {
 impl FusedRow {
     fn speedup(&self) -> f64 {
         self.unfused_ns_per_row / self.fused_ns_per_row
-    }
-}
-
-fn measure_fused_softmax(kit: &NnLutKit, row_len: usize, rows: usize) -> FusedRow {
-    let xs = gelu_inputs(row_len * rows);
-    let unfused = time_ns_per_elem(&xs, 7, |buf| {
-        for row in buf.chunks_exact_mut(row_len) {
-            kit.softmax(row);
-        }
-    });
-    let fused = time_ns_per_elem(&xs, 7, |buf| {
-        for row in buf.chunks_exact_mut(row_len) {
-            kit.softmax_fused(row);
-        }
-    });
-    FusedRow {
-        op: "softmax",
-        row_len,
-        rows,
-        unfused_ns_per_row: unfused * row_len as f64,
-        fused_ns_per_row: fused * row_len as f64,
-        // max, subtract, EXP LUT, clamp+sum, scale — vs — max, one tiled
-        // subtract·LUT·clamp+sum sweep, scale.
-        passes_unfused: 5,
-        passes_fused: 3,
     }
 }
 
@@ -382,9 +356,9 @@ fn main() {
     }
     results.push_str("  ]");
     // Part 2: the `simd` section — dispatched kernel vs scalar oracle,
-    // and fused vs unfused row ops, at the shared RoBERTa bench shapes.
+    // and fused vs unfused LayerNorm, at the shared RoBERTa bench shapes.
     let level = nnlut_core::engine::simd::detect();
-    println!("\nsimd level: {} (stamped at bake time)", level.name());
+    println!("\nsimd level: {} (detected at bake time)", level.name());
     let mut simd_rows = Vec::new();
     for n in [4096usize, 65536] {
         simd_rows.push(measure_simd("gelu", gelu, &gelu_inputs(n)));
@@ -411,10 +385,7 @@ fn main() {
     }
 
     let hidden = roberta_bench_config().hidden;
-    let fused_rows = [
-        measure_fused_softmax(&kit, softmax_row_len, 64),
-        measure_fused_layernorm(&kit, hidden, 16),
-    ];
+    let fused_rows = [measure_fused_layernorm(&kit, hidden, 16)];
     println!(
         "{:<18}{:>10}{:>16}{:>16}{:>10}",
         "fused op", "row len", "unfused ns/row", "fused ns/row", "speedup"

@@ -26,8 +26,8 @@ pub const KIT_SEED: u64 = 20220712;
 pub const ROBERTA_BENCH_LAYERS: usize = 2;
 
 /// Sequence length shared by every RoBERTa-shaped bench workload: the
-/// serve sweep's `max_seq`, the lut-eval layer shapes and the `simd`
-/// section's fused softmax row all derive from this one constant.
+/// serve sweep's `max_seq`, the lut-eval layer shapes and the codebook
+/// section's row count all derive from this one constant.
 pub const ROBERTA_BENCH_SEQ: usize = 128;
 
 /// The single source of the benches' RoBERTa-base model shapes

@@ -422,11 +422,10 @@ impl BakedCodebook {
     }
 
     /// The dispatched batch kernel: AVX2 when the bake stamped
-    /// [`SimdLevel::Avx2`], the scalar oracle otherwise (SSE2 gains
-    /// nothing here — the hot loops are already 4-wide-friendly adds the
-    /// compiler handles, and there is no gather to accelerate before
-    /// AVX2). Bit-identical to [`BakedCodebook::apply_rows_scalar`] for
-    /// every input, NaN/inf included.
+    /// [`SimdLevel::Avx2`], the scalar oracle otherwise — the same rule
+    /// the FP32 LUT engine's `eval_slice` follows. Bit-identical to
+    /// [`BakedCodebook::apply_rows_scalar`] for every input, NaN/inf
+    /// included.
     pub fn apply_rows(&self, x: &[f32], rows: usize, out: &mut [f32]) {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if self.level == SimdLevel::Avx2 {

@@ -34,16 +34,18 @@
 //!
 //! # SIMD dispatch (the third tier)
 //!
-//! On top of reference → baked-scalar there is a third level: explicit
-//! `core::arch` batch kernels in the [`simd`] submodule (AVX2 with an
-//! SSE2 fallback, behind the `simd` cargo feature). [`BakedLut::new`]
-//! detects the strongest supported tier **once, at bake time** and
-//! [`BakedLut::eval_slice`] dispatches on the stored
-//! [`simd::SimdLevel`]; the scalar kernel stays in every build as
+//! On top of reference → baked-scalar there is a third level: one
+//! explicit `core::arch` AVX2 batch kernel in the [`simd`] submodule
+//! (behind the `simd` cargo feature) for tables with at most 16 segments.
+//! [`BakedLut::new`] makes the choice **once, at bake time**: it bakes
+//! the kernel's register-resident parameter store only when
+//! [`simd::detect`] finds AVX2 and the table fits, and
+//! [`BakedLut::eval_slice`] runs the AVX2 kernel exactly when that store
+//! exists. Every other table, CPU and build takes
 //! [`BakedLut::eval_slice_scalar`] — the **bitwise** oracle the vector
-//! kernels must match on every input (ULP-exact is not enough), and the
-//! tail / non-x86 fallback. See `docs/PERFORMANCE.md` for the kernel
-//! matrix and the rules that keep the bits identical.
+//! kernel must match on every input (ULP-exact is not enough), and its
+//! tail. See `docs/PERFORMANCE.md` for the dispatch matrix and the rules
+//! that keep the bits identical.
 //!
 //! # Profiling
 //!
@@ -152,68 +154,13 @@ const MAX_CELLS: usize = 1 << 14;
 /// (round-to-nearest) in the mantissa bits.
 const MANTISSA_MAGIC: f32 = 8_388_608.0;
 
-/// Chunk length of the two-pass scalar/SSE2 kernels: the cell-index
-/// buffer stays a 512-byte stack array, and both passes touch at most a
-/// few cache lines of the input per chunk.
+/// Chunk length of the two-pass scalar kernel: the cell-index buffer
+/// stays a 512-byte stack array, and both passes touch at most a few
+/// cache lines of the input per chunk.
 const SCALAR_CHUNK: usize = 128;
-
-/// Pass 2 of the chunked kernel over the fused layout: load each
-/// element's cell record and apply the selected `(slope, intercept)`
-/// pair. `cell_idx[..chunk.len()]` must hold cell-map outputs for
-/// `chunk` — the map clamps them to `fused.len() − 1`, which is what the
-/// unchecked index relies on. Shared by the scalar oracle and the SSE2
-/// kernel (whose pass 1 differs but whose gather side is this exact
-/// loop, keeping the two trivially bit-identical).
-#[inline(always)]
-fn gather_chunk_fused(fused: &[FusedCell], chunk: &mut [f32], cell_idx: &[u32]) {
-    for (o, &c) in chunk.iter_mut().zip(cell_idx) {
-        let x = *o;
-        // SAFETY: pass 1 clamps `c ≤ fused.len() − 1`.
-        let cell = unsafe { fused.get_unchecked(c as usize) };
-        let p = if cell.key <= x { cell.hi } else { cell.lo };
-        *o = p[0] * x + p[1];
-    }
-}
-
-/// Pass 2 of the chunked kernel over the general layout: cell base →
-/// fixed `scan`-wide comparison window → parameter pair → MAC. Same
-/// clamped-`cell_idx` contract and scalar/SSE2 sharing as
-/// [`gather_chunk_fused`].
-#[inline(always)]
-fn gather_chunk_general(
-    cells: &[Cell],
-    padded: &[f32],
-    params: &[[f32; 2]],
-    scan: usize,
-    chunk: &mut [f32],
-    cell_idx: &[u32],
-) {
-    for (o, &c) in chunk.iter_mut().zip(cell_idx) {
-        let x = *o;
-        // SAFETY: pass 1 clamps `c ≤ cells.len() − 1`.
-        let base = unsafe { cells.get_unchecked(c as usize) }.base as usize;
-        let mut idx = base;
-        for j in 0..scan {
-            // SAFETY: `base + j < base + scan_len ≤
-            // padded_breakpoints.len()` (bake pads the array with
-            // `scan_len` NaN sentinels past the last breakpoint, and
-            // `base ≤ breakpoints.len()`).
-            idx += (unsafe { *padded.get_unchecked(base + j) } <= x) as usize;
-        }
-        // SAFETY: `idx ≤ breakpoints.len() = params.len() − 1` (at most
-        // `count ≤ scan_len` in-cell comparisons can succeed, and NaN /
-        // later-cell entries never do).
-        let p = unsafe { *params.get_unchecked(idx) };
-        *o = p[0] * x + p[1];
-    }
-}
 
 /// One uniform-grid cell: the segment index at the cell's left edge and
 /// how many breakpoints fall inside the cell.
-///
-/// `repr(C)` pins the field order so the AVX2 kernel can gather `base`
-/// as the i32 at element offset `2·c` of the cell array.
-#[repr(C)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Cell {
     /// Number of breakpoints mapped to cells strictly left of this one —
@@ -366,9 +313,7 @@ pub struct BakedLut {
     padded_breakpoints: Vec<f32>,
     /// Maximum number of breakpoints sharing one grid cell.
     scan_len: u32,
-    /// SoA `(slope, intercept)` pairs — the single parameter store: one
-    /// 8-byte gather per element in the kernels, indexed access in the
-    /// scalar paths.
+    /// The `(slope, intercept)` pairs, indexed by segment.
     params: Vec<[f32; 2]>,
     /// When at most one breakpoint lands in any cell (the typical trained
     /// table), each cell carries its comparison key *and both candidate
@@ -377,28 +322,25 @@ pub struct BakedLut {
     /// cells (compares false against every input, selecting `lo`, and
     /// `hi` duplicates `lo`).
     fused: Option<Vec<FusedCell>>,
-    /// Register-resident parameter store, baked whenever the table has at
-    /// most [`REG_MAX_SEGMENTS`] segments (every paper-config 16-entry
-    /// table qualifies). The AVX2 kernel then needs **no gathers at all**:
-    /// the segment index is the global count of `breakpoint ≤ x`
-    /// (bit-identical to the grid path — see [`Grid`]'s exactness
-    /// argument), computed with broadcast compares, and the `(slope,
-    /// intercept)` pair is selected from four in-register vectors with
-    /// `vpermd` + blend. Hardware gathers are microcoded on several x86
-    /// families and can lose to the scalar kernel; this path is fast
-    /// everywhere.
+    /// Register-resident parameter store of the AVX2 kernel, baked only
+    /// when [`simd::detect`] finds AVX2 and the table has at most
+    /// [`REG_MAX_SEGMENTS`] segments (every paper-config 16-entry table
+    /// qualifies). Its presence *is* the dispatch decision:
+    /// [`BakedLut::eval_slice`] runs the AVX2 kernel exactly when it is
+    /// `Some`. That kernel needs **no gathers**: the segment index is the
+    /// global count of `breakpoint ≤ x` (bit-identical to the grid path —
+    /// see [`Grid`]'s exactness argument), computed with broadcast
+    /// compares, and the `(slope, intercept)` pair is selected from four
+    /// in-register vectors with `vpermd` + blend.
+    #[cfg_attr(not(all(feature = "simd", target_arch = "x86_64")), allow(dead_code))]
     reg: Option<RegParams>,
     grid: Grid,
-    /// Strongest batch-kernel tier the running CPU supports, detected
-    /// once by [`BakedLut::new`]; [`BakedLut::eval_slice`] dispatches on
-    /// it without any per-call probing.
-    simd: simd::SimdLevel,
 }
 
 /// Largest segment count the register-resident AVX2 kernel covers: 16
 /// slopes + 16 intercepts is exactly two 8-lane vectors per array, one
-/// `vpermd` pair + blend to select. Larger tables fall back to the
-/// gather kernels.
+/// `vpermd` pair + blend to select. Larger tables take the scalar
+/// oracle.
 const REG_MAX_SEGMENTS: usize = 16;
 
 /// See [`BakedLut::reg`]: the per-segment `(slope, intercept)` pairs
@@ -406,6 +348,7 @@ const REG_MAX_SEGMENTS: usize = 16;
 /// AVX2 kernel can hold the entire parameter store in four vector
 /// registers.
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(not(all(feature = "simd", target_arch = "x86_64")), allow(dead_code))]
 struct RegParams {
     slopes: [f32; REG_MAX_SEGMENTS],
     intercepts: [f32; REG_MAX_SEGMENTS],
@@ -420,12 +363,6 @@ struct RegParams {
 /// See [`BakedLut::fused`]: one grid cell with its in-cell breakpoint key
 /// and the `(slope, intercept)` pairs of the segments below (`lo`) and at
 /// or above (`hi`) that breakpoint.
-///
-/// `repr(C)` pins the layout to five contiguous f32s
-/// `[key, lo_s, lo_t, hi_s, hi_t]` (20 bytes, no padding), which is what
-/// lets the AVX2 kernel fetch all five fields with stride-5 gathers off
-/// one index vector.
-#[repr(C)]
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct FusedCell {
     key: f32,
@@ -467,7 +404,8 @@ impl BakedLut {
                 })
                 .collect()
         });
-        let reg = (params.len() <= REG_MAX_SEGMENTS).then(|| {
+        let avx2 = simd::detect() == simd::SimdLevel::Avx2;
+        let reg = (avx2 && params.len() <= REG_MAX_SEGMENTS).then(|| {
             let mut slopes = [0.0f32; REG_MAX_SEGMENTS];
             let mut intercepts = [0.0f32; REG_MAX_SEGMENTS];
             let mut bps = [f32::NAN; REG_MAX_SEGMENTS];
@@ -492,14 +430,14 @@ impl BakedLut {
             fused,
             reg,
             grid,
-            simd: simd::detect(),
         }
     }
 
-    /// The batch-kernel tier [`BakedLut::eval_slice`] dispatches to,
-    /// stamped at bake time by [`simd::detect`].
+    /// The batch-kernel tier the running CPU supports ([`simd::detect`]).
+    /// [`BakedLut::eval_slice`] runs the AVX2 kernel when this is
+    /// [`simd::SimdLevel::Avx2`] and the table has at most 16 segments.
     pub fn simd_level(&self) -> simd::SimdLevel {
-        self.simd
+        simd::detect()
     }
 
     /// The breakpoints (the sentinel-free prefix of the padded array).
@@ -540,11 +478,10 @@ impl BakedLut {
         self.params[i][0] * x + self.params[i][1]
     }
 
-    /// Batched in-place evaluation over a slice (row, matrix buffer, …),
-    /// dispatched to the kernel tier stamped at bake time
-    /// ([`BakedLut::simd_level`]): the explicit AVX2 or SSE2 kernel from
-    /// [`simd`] when the `simd` feature is compiled in on x86-64, the
-    /// scalar oracle otherwise. Every tier is **bit-identical** to
+    /// Batched in-place evaluation over a slice (row, matrix buffer, …):
+    /// the AVX2 register kernel from [`simd`] when the bake chose it (AVX2
+    /// host, `simd` feature, ≤ 16 segments), the scalar oracle otherwise.
+    /// Both routes are **bit-identical** to
     /// [`BakedLut::eval_slice_scalar`] for every input — NaN payloads,
     /// infinities, breakpoint-exact values — so dispatch can never change
     /// an output bit (property-tested in `tests/engine_equivalence.rs`).
@@ -571,8 +508,7 @@ impl BakedLut {
     pub fn eval_slice(&self, xs: &mut [f32]) {
         // Single-segment tables are a pure affine map (`scan_len == 0`
         // exactly when the table has no breakpoints); LLVM already turns
-        // this loop into packed mul+add, so every tier shares it and the
-        // vector kernels can assume `scan_len > 0`.
+        // this loop into packed mul+add.
         if self.scan_len == 0 {
             let [s, t] = self.params[0];
             for x in xs {
@@ -581,25 +517,23 @@ impl BakedLut {
             return;
         }
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        match self.simd {
-            // SAFETY: the bake stamped Avx2 only after
-            // `is_x86_feature_detected!("avx2")`, Sse2 is the x86-64
-            // baseline ISA, and `scan_len > 0` was handled above.
-            simd::SimdLevel::Avx2 => return unsafe { simd::eval_slice_avx2(self, xs) },
-            simd::SimdLevel::Sse2 => return unsafe { simd::eval_slice_sse2(self, xs) },
-            simd::SimdLevel::Scalar => {}
+        if let Some(reg) = &self.reg {
+            // SAFETY: the bake builds `reg` only after `simd::detect()`
+            // saw `is_x86_feature_detected!("avx2")`.
+            return unsafe { simd::eval_slice_avx2(self, reg, xs) };
         }
         self.eval_slice_scalar(xs);
     }
 
-    /// The scalar batch kernel — the **bitwise oracle** every SIMD tier
-    /// in [`simd`] is tested against, and the fallback for non-x86
-    /// targets, `--no-default-features` builds and non-lane-multiple
-    /// tails. Kept public precisely so callers (tests, benches) can pin
-    /// the reference behaviour regardless of what
-    /// [`BakedLut::eval_slice`] dispatches to.
+    /// The scalar batch kernel — the **bitwise oracle** the AVX2 kernel
+    /// in [`simd`] is tested against, and the route for tables wider than
+    /// 16 segments, CPUs without AVX2, non-x86 targets,
+    /// `--no-default-features` builds and non-lane-multiple tails. Kept
+    /// public precisely so callers (tests, benches) can pin the reference
+    /// behaviour regardless of what [`BakedLut::eval_slice`] dispatches
+    /// to.
     ///
-    /// All grid state is hoisted into locals, and the gathers skip bounds
+    /// All grid state is hoisted into locals, and the lookups skip bounds
     /// checks: every index the grid produces is `base + k` with
     /// `k ≤ count`, and the bake established `base + count ≤
     /// breakpoints.len() < params.len()`, so the accesses are always in
@@ -619,43 +553,60 @@ impl BakedLut {
         let inv_w = self.grid.inv_w;
         let mask = (self.grid.cells.len() - 1) as u32;
         let mask_f = mask as f32;
+        let (cells, padded, params) = (
+            &self.grid.cells[..],
+            &self.padded_breakpoints[..],
+            &self.params[..],
+        );
+        let scan = self.scan_len as usize;
         // Chunked two-pass kernel. Pass 1 is the cell map — a pure
         // elementwise sub·mul·clamp·cast that LLVM autovectorizes
         // (clamping in float space first keeps the cast's input in range,
         // so no scalar saturation fixups survive). Pass 2 is the gather
         // side: cell record → segment index → parameter pair → MAC, with
-        // no data-dependent branches.
+        // no data-dependent branches. Every `cell_idx` entry is clamped to
+        // `≤ mask`, which is what the unchecked cell loads rely on.
         let mut cell_idx = [0u32; SCALAR_CHUNK];
-        if let Some(fused) = &self.fused {
-            // Dominant case: at most one breakpoint per cell (trained
-            // tables, 8× oversampling). The cell record carries both
-            // candidate parameter pairs, so the whole gather side is one
-            // cell load plus a branchless select.
-            for chunk in xs.chunks_mut(SCALAR_CHUNK) {
-                for (slot, &x) in cell_idx.iter_mut().zip(chunk.iter()) {
-                    let t = ((x - lo) * inv_w).max(0.0).min(mask_f);
-                    *slot = (t + MANTISSA_MAGIC).to_bits() & mask;
-                }
-                gather_chunk_fused(fused, chunk, &cell_idx);
-            }
-            return;
-        }
-        // General path: several breakpoints may share a cell; compare a
-        // fixed `scan_len` window from the cell base (NaN sentinels and
-        // later-cell breakpoints contribute 0), still branch-free.
         for chunk in xs.chunks_mut(SCALAR_CHUNK) {
             for (slot, &x) in cell_idx.iter_mut().zip(chunk.iter()) {
                 let t = ((x - lo) * inv_w).max(0.0).min(mask_f);
                 *slot = (t + MANTISSA_MAGIC).to_bits() & mask;
             }
-            gather_chunk_general(
-                &self.grid.cells,
-                &self.padded_breakpoints,
-                &self.params,
-                self.scan_len as usize,
-                chunk,
-                &cell_idx,
-            );
+            if let Some(fused) = &self.fused {
+                // Dominant case: at most one breakpoint per cell (trained
+                // tables, 8× oversampling). The cell record carries both
+                // candidate parameter pairs, so the whole gather side is
+                // one cell load plus a branchless select.
+                for (o, &c) in chunk.iter_mut().zip(&cell_idx) {
+                    let x = *o;
+                    // SAFETY: pass 1 clamps `c ≤ fused.len() − 1`.
+                    let cell = unsafe { fused.get_unchecked(c as usize) };
+                    let p = if cell.key <= x { cell.hi } else { cell.lo };
+                    *o = p[0] * x + p[1];
+                }
+                continue;
+            }
+            // General path: several breakpoints may share a cell; compare
+            // a fixed `scan_len` window from the cell base (NaN sentinels
+            // and later-cell breakpoints contribute 0), still branch-free.
+            for (o, &c) in chunk.iter_mut().zip(&cell_idx) {
+                let x = *o;
+                // SAFETY: pass 1 clamps `c ≤ cells.len() − 1`.
+                let base = unsafe { cells.get_unchecked(c as usize) }.base as usize;
+                let mut idx = base;
+                for j in 0..scan {
+                    // SAFETY: `base + j < base + scan_len ≤
+                    // padded_breakpoints.len()` (bake pads the array with
+                    // `scan_len` NaN sentinels past the last breakpoint,
+                    // and `base ≤ breakpoints.len()`).
+                    idx += (unsafe { *padded.get_unchecked(base + j) } <= x) as usize;
+                }
+                // SAFETY: `idx ≤ breakpoints.len() = params.len() − 1` (at
+                // most `count ≤ scan_len` in-cell comparisons can succeed,
+                // and NaN / later-cell entries never do).
+                let p = unsafe { *params.get_unchecked(idx) };
+                *o = p[0] * x + p[1];
+            }
         }
     }
 
@@ -988,7 +939,23 @@ mod tests {
 
     #[test]
     fn batch_kernels_match_scalar() {
-        let lut = table(
+        // A small table, the widest register-path table (16 segments, with
+        // a duplicated breakpoint), and one segment past it (the oracle).
+        let reg_edge = table(
+            vec![
+                -7.0, -6.0, -6.0, -5.0, -4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0,
+            ],
+            (0..16)
+                .map(|i| (i as f32 * 0.13 - 1.0, i as f32 * 0.25 - 2.0))
+                .collect(),
+        );
+        let oracle_edge = table(
+            (0..16).map(|i| i as f32 * 0.75 - 6.0).collect(),
+            (0..17)
+                .map(|i| (0.9 - i as f32 * 0.11, i as f32 * 0.5 - 4.0))
+                .collect(),
+        );
+        let small = table(
             vec![-2.0, -0.5, 0.0, 1.0, 3.0],
             vec![
                 (0.1, 0.0),
@@ -999,28 +966,42 @@ mod tests {
                 (2.0, 0.0),
             ],
         );
-        let baked = BakedLut::new(lut.clone());
-        let xs: Vec<f32> = probe_points(&lut);
-        // In place.
-        let mut got = xs.clone();
-        baked.eval_slice(&mut got);
-        for (&x, &y) in xs.iter().zip(&got) {
-            assert_eq!(y.to_bits(), lut.eval(x).to_bits(), "eval_slice at {x}");
-        }
-        // Out of place.
-        let mut out = vec![0.0f32; xs.len()];
-        baked.eval_to(&xs, &mut out);
-        for (&x, &y) in xs.iter().zip(&out) {
-            assert_eq!(y.to_bits(), lut.eval(x).to_bits(), "eval_to at {x}");
-        }
-        // Matrix view (row-major buffer).
-        let mut m = xs.clone();
-        let cols = 11;
-        let rows = m.len() / cols;
-        m.truncate(rows * cols);
-        baked.eval_matrix(&mut m, rows, cols);
-        for (&x, &y) in xs.iter().zip(&m) {
-            assert_eq!(y.to_bits(), lut.eval(x).to_bits(), "eval_matrix at {x}");
+        for lut in [small, reg_edge, oracle_edge] {
+            let baked = BakedLut::new(lut.clone());
+            assert_eq!(
+                baked.reg.is_some(),
+                baked.simd_level() == simd::SimdLevel::Avx2 && baked.entries() <= REG_MAX_SEGMENTS,
+                "bake chose the wrong route for {} segments",
+                baked.entries()
+            );
+            let all = probe_points(&lut);
+            // Every tail length 0..=7 past the last full 8-lane block.
+            let n8 = (all.len() - 8) & !7;
+            for xs in (n8..n8 + 8).map(|len| &all[..len]) {
+                let (mut got, mut oracle) = (xs.to_vec(), xs.to_vec());
+                baked.eval_slice(&mut got);
+                baked.eval_slice_scalar(&mut oracle);
+                for ((&x, &y), &o) in xs.iter().zip(&got).zip(&oracle) {
+                    let want = lut.eval(x).to_bits();
+                    assert_eq!(y.to_bits(), want, "eval_slice at {x} (len {})", xs.len());
+                    assert_eq!(o.to_bits(), want, "eval_slice_scalar at {x}");
+                }
+            }
+            // Out of place.
+            let mut out = vec![0.0f32; all.len()];
+            baked.eval_to(&all, &mut out);
+            for (&x, &y) in all.iter().zip(&out) {
+                assert_eq!(y.to_bits(), lut.eval(x).to_bits(), "eval_to at {x}");
+            }
+            // Matrix view (row-major buffer).
+            let mut m = all.clone();
+            let cols = 11;
+            let rows = m.len() / cols;
+            m.truncate(rows * cols);
+            baked.eval_matrix(&mut m, rows, cols);
+            for (&x, &y) in all.iter().zip(&m) {
+                assert_eq!(y.to_bits(), lut.eval(x).to_bits(), "eval_matrix at {x}");
+            }
         }
     }
 

@@ -1,53 +1,44 @@
-//! Explicit SIMD batch kernels for the baked FP32 LUT engine.
+//! The explicit AVX2 batch kernel for the baked FP32 LUT engine.
 //!
 //! The scalar [`BakedLut::eval_slice_scalar`] kernel is already branchless
-//! and autovectorizes its cell-map pass, but the gather side — cell record
+//! and autovectorizes its cell-map pass, but its gather side — cell record
 //! → segment index → `(slope, intercept)` → multiply-add — is left to
-//! whatever LLVM can prove. This module makes the whole pipeline explicit
-//! `core::arch` SIMD:
+//! whatever LLVM can prove. This module holds the engine's one explicit
+//! `core::arch` kernel, under the rule
+//! [`crate::codebook::BakedCodebook::apply_rows`] follows too: the AVX2
+//! kernel when the bake says it applies, the scalar oracle otherwise.
 //!
-//! * **AVX2** ([`SimdLevel::Avx2`]): one 8-lane pass per 8 elements,
-//!   picking one of three sub-paths at bake time:
-//!   * **register-resident** (tables with ≤ 16 segments — every
-//!     paper-config table): no gathers at all. Broadcast compares count
-//!     `breakpoint ≤ x` to get the segment index, then `vpermd` + blend
-//!     selects `(slope, intercept)` from four in-register vectors.
-//!     Gather-free matters: `vgatherdps` is microcoded on several x86
-//!     families and can lose to the scalar kernel outright.
-//!   * **fused gather** (larger tables, ≤ 1 breakpoint per grid cell):
-//!     vectorized mantissa-trick cell map, then five stride-5 gathers
-//!     into the `#[repr(C)]` fused cell and a branchless blend select.
-//!   * **general gather** (adversarial tables): cell-record gather plus
-//!     one gather per fixed-window scan step.
-//! * **SSE2** ([`SimdLevel::Sse2`]): the cell-map pass runs 4 lanes wide;
-//!   the gather side has no hardware gather before AVX2, so it reuses the
-//!   scalar chunk loop. This is the x86-64 baseline fallback — every
-//!   x86-64 CPU has SSE2, so [`detect`] never returns
-//!   [`SimdLevel::Scalar`] on that architecture when the `simd` feature is
-//!   compiled in.
-//! * **Scalar** ([`SimdLevel::Scalar`]): the oracle. Non-x86-64 targets
-//!   and `--no-default-features` builds always take it.
+//! * **AVX2 register path** ([`SimdLevel::Avx2`], tables with ≤ 16
+//!   segments — every paper-config table and every served kit): no gathers
+//!   at all. A 4-level branchless binary search over broadcast breakpoint
+//!   compares counts `breakpoint ≤ x` to get the segment index, then
+//!   `vpermd` + blend selects `(slope, intercept)` from four in-register
+//!   vectors.
+//! * **Scalar oracle** ([`SimdLevel::Scalar`], or any table wider than 16
+//!   segments): [`BakedLut::eval_slice_scalar`]. Non-x86-64 targets, CPUs
+//!   without AVX2 and `--no-default-features` builds always take it.
+//!
+//! Wider tables run the oracle on purpose: AVX2 gather kernels for them
+//! measured 0.67–1.34× of it (noise-bound), and an SSE2 cell-map-only
+//! tier 0.84–1.09×, on a 2-vCPU AVX2 host — see docs/PERFORMANCE.md.
 //!
 //! # The bitwise contract
 //!
-//! Every kernel here is **bit-identical** to the scalar oracle for every
+//! The AVX2 kernel is **bit-identical** to the scalar oracle for every
 //! input — NaN payloads, infinities, breakpoint-exact values, duplicate
 //! breakpoints, non-multiple-of-lane-width tails. ULP-exact is *not* the
-//! contract; the bits are. Three rules make that hold (and
+//! contract; the bits are. Two rules make that hold (and
 //! docs/PERFORMANCE.md walks through why each one matters):
 //!
 //! 1. **No FMA.** The scalar kernel computes `s·x + t` as an IEEE multiply
 //!    followed by an IEEE add, rounding twice. `vfmadd*` rounds once and
 //!    would differ in the last bit on roughly one input in a thousand, so
-//!    the kernels use `mul` + `add` even where FMA would be faster.
-//! 2. **Same special-value routing.** `max(t, 0)` must squash NaN to `0.0`
-//!    exactly like Rust's `f32::max`; `maxps`/`vmaxps` return their
-//!    *second* operand on NaN, so the kernels pass the constant second —
-//!    `max_ps(t, zero)` — matching the scalar `t.max(0.0)`.
-//! 3. **Same gather order.** The in-cell scan compares the same `scan_len`
-//!    breakpoints in the same order against the same clamped cell index,
-//!    so the comparison count (and therefore the gathered parameter pair)
-//!    is the scalar one, lane for lane.
+//!    the kernel uses `mul` + `add` even where FMA would be faster.
+//! 2. **Same selection index.** The binary search lands on
+//!    `partition_point(breakpoint ≤ x)`, which is exactly the grid walk's
+//!    `base + in-cell count` (see the exactness argument on the engine's
+//!    `Grid`). Ordered compares fail on NaN, so a NaN input selects
+//!    segment 0 on both paths.
 //!
 //! The contract is enforced by `tests/engine_equivalence.rs` (a
 //! SIMD-vs-scalar property leg over adversarial tables) and inherited by
@@ -56,41 +47,45 @@
 //!
 //! # Dispatch
 //!
-//! Detection happens **once, at bake time**: [`BakedLut::new`] stamps the
-//! result of [`detect`] into the engine, and every subsequent
-//! [`BakedLut::eval_slice`] call branches on that stored level — no
-//! per-call CPUID, no per-element dispatch.
+//! The kernel choice is made **once, at bake time**: [`BakedLut::new`]
+//! bakes the register-resident parameter store only when [`detect`]
+//! returns [`SimdLevel::Avx2`] and the table fits it, and
+//! [`BakedLut::eval_slice`] runs the AVX2 kernel exactly when that store
+//! is present — no per-call CPUID, no per-element dispatch.
 
+// Scalar-only builds name `BakedLut` in doc links alone.
+#[cfg_attr(
+    not(all(feature = "simd", target_arch = "x86_64")),
+    allow(unused_imports)
+)]
 use super::BakedLut;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use super::MANTISSA_MAGIC;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use super::{gather_chunk_fused, gather_chunk_general, SCALAR_CHUNK};
+use super::RegParams;
 
-/// The batch-kernel tier a [`BakedLut`] was baked for.
+/// The batch-kernel tier the running CPU supports (see [`detect`]).
 ///
-/// Ordered weakest to strongest; the bake picks the strongest level the
-/// running CPU supports (see [`detect`]).
+/// Ordered weakest to strongest.
 ///
 /// # Examples
 ///
 /// ```
 /// use nnlut_core::engine::simd::{self, SimdLevel};
 ///
-/// let level = simd::detect();
-/// // On x86-64 with the `simd` feature on, SSE2 is the guaranteed floor.
+/// // With the `simd` feature on x86-64, AVX2 exactly when the CPU has it…
 /// #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-/// assert!(level >= SimdLevel::Sse2);
+/// assert_eq!(
+///     simd::detect() == SimdLevel::Avx2,
+///     is_x86_feature_detected!("avx2")
+/// );
+/// // …and the scalar oracle everywhere else.
 /// #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-/// assert_eq!(level, SimdLevel::Scalar);
+/// assert_eq!(simd::detect(), SimdLevel::Scalar);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdLevel {
     /// The scalar oracle kernel (always available, always correct).
     Scalar,
-    /// 4-lane SSE2 cell map + scalar gathers (x86-64 baseline).
-    Sse2,
-    /// 8-lane AVX2 kernel with hardware gathers.
+    /// The 8-lane AVX2 register-resident kernel.
     Avx2,
 }
 
@@ -100,7 +95,6 @@ impl SimdLevel {
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
         }
     }
@@ -109,10 +103,9 @@ impl SimdLevel {
 /// Detects the strongest kernel tier the running CPU supports.
 ///
 /// Called once per bake by [`BakedLut::new`]. Returns
-/// [`SimdLevel::Scalar`] unless the `simd` cargo feature is enabled *and*
-/// the target is x86-64; on x86-64 the floor is [`SimdLevel::Sse2`]
-/// (architecturally guaranteed) and AVX2 is probed at runtime with
-/// `is_x86_feature_detected!`.
+/// [`SimdLevel::Avx2`] when the `simd` cargo feature is enabled, the
+/// target is x86-64 and `is_x86_feature_detected!("avx2")` holds;
+/// [`SimdLevel::Scalar`] otherwise.
 ///
 /// # Examples
 ///
@@ -126,7 +119,7 @@ impl SimdLevel {
 ///     vec![Segment::new(-1.0, 0.0), Segment::new(1.0, 0.0)],
 /// )?;
 /// let baked = BakedLut::new(lut);
-/// // The bake stamps the detected level into the engine…
+/// // The engine reports the detected level…
 /// assert_eq!(baked.simd_level(), simd::detect());
 /// // …and whatever that level is, the dispatched kernel is bit-identical
 /// // to the scalar oracle.
@@ -142,280 +135,115 @@ impl SimdLevel {
 /// ```
 pub fn detect() -> SimdLevel {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if is_x86_feature_detected!("avx2") {
-            return SimdLevel::Avx2;
-        }
-        // SSE2 is part of the x86-64 baseline ISA: unconditionally true.
-        SimdLevel::Sse2
+    if is_x86_feature_detected!("avx2") {
+        return SimdLevel::Avx2;
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     SimdLevel::Scalar
 }
 
-/// The AVX2 batch kernel: 8 lanes per iteration, hardware gathers,
-/// bit-identical to [`BakedLut::eval_slice_scalar`].
+/// The AVX2 batch kernel over the register-resident parameter store: 8
+/// lanes per step, no gathers, bit-identical to
+/// [`BakedLut::eval_slice_scalar`]. The non-multiple-of-8 tail runs on the
+/// scalar oracle.
 ///
 /// # Safety
 ///
 /// The caller must guarantee the running CPU supports AVX2 (the bake only
-/// stamps [`SimdLevel::Avx2`] after `is_x86_feature_detected!("avx2")`
-/// returned true) and that `lut.scan_len > 0` (single-segment tables take
-/// the affine fast path before dispatch).
+/// builds `reg` after [`detect`] returned [`SimdLevel::Avx2`]).
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn eval_slice_avx2(lut: &BakedLut, xs: &mut [f32]) {
+pub(super) unsafe fn eval_slice_avx2(lut: &BakedLut, reg: &RegParams, xs: &mut [f32]) {
     use core::arch::x86_64::*;
 
-    debug_assert!(
-        lut.scan_len > 0,
-        "affine fast path must run before dispatch"
-    );
     let n8 = xs.len() & !7;
+    // The segment index is the global count of `breakpoint ≤ x` —
+    // bit-identical to the grid walk by the `Grid` exactness argument. The
+    // `(slope, intercept)` pair is then selected from four vector
+    // registers with `vpermd` + blend.
+    let s_lo = _mm256_loadu_ps(reg.slopes.as_ptr());
+    let s_hi = _mm256_loadu_ps(reg.slopes.as_ptr().add(8));
+    let t_lo = _mm256_loadu_ps(reg.intercepts.as_ptr());
+    let t_hi = _mm256_loadu_ps(reg.intercepts.as_ptr().add(8));
+    let seven = _mm256_set1_epi32(7);
+    let c8 = _mm256_set1_epi32(8);
+    let c4 = _mm256_set1_epi32(4);
+    let c2 = _mm256_set1_epi32(2);
+    // Pivot registers of the 4-level branchless binary search over
+    // the NaN-padded sorted breakpoints `b[0..16]`. Searching for
+    // `partition_point(b ≤ x)` needs only `log2(16) = 4` ordered
+    // compares per lane instead of 16: the predicate `b[i] ≤ x` is
+    // monotone non-increasing in `i` (breakpoints are validated
+    // sorted; the NaN tail always compares false), so the classic
+    // stride-halving walk lands on the exact count — the same index
+    // the scalar grid walk computes, NaN inputs included (every
+    // probe fails, leaving index 0).
+    let bp = &reg.breakpoints;
+    let pivot8 = _mm256_set1_ps(bp[7]);
+    let pivot4_lo = _mm256_set1_ps(bp[3]);
+    let pivot4_hi = _mm256_set1_ps(bp[11]);
+    // Stride-2 pivots `b[idx+1]` for `idx ∈ {0,4,8,12}`, fetched by
+    // `vpermd` with `idx >> 2`; stride-1 pivots `b[idx]` for even
+    // `idx`, fetched with `idx >> 1`.
+    let pivot2 = _mm256_setr_ps(bp[1], bp[5], bp[9], bp[13], bp[1], bp[5], bp[9], bp[13]);
+    let pivot1 = _mm256_setr_ps(bp[0], bp[2], bp[4], bp[6], bp[8], bp[10], bp[12], bp[14]);
 
-    if let Some(reg) = &lut.reg {
-        // Register-resident path (tables with ≤ 16 segments — every
-        // paper-config table): no gathers at all. The segment index is
-        // the global count of `breakpoint ≤ x` — bit-identical to the
-        // grid walk by the `Grid` exactness argument (`base + in-cell
-        // count = partition_point(d ≤ x)` for every input, NaN included:
-        // all ordered compares fail, giving index 0 on both paths). The
-        // `(slope, intercept)` pair is then selected from four vector
-        // registers with `vpermd` + blend. Hardware gathers are
-        // microcoded on several x86 families and can run *slower* than
-        // the scalar kernel; broadcast-compare + permute is fast on
-        // every AVX2 implementation.
-        let s_lo = _mm256_loadu_ps(reg.slopes.as_ptr());
-        let s_hi = _mm256_loadu_ps(reg.slopes.as_ptr().add(8));
-        let t_lo = _mm256_loadu_ps(reg.intercepts.as_ptr());
-        let t_hi = _mm256_loadu_ps(reg.intercepts.as_ptr().add(8));
-        let seven = _mm256_set1_epi32(7);
-        let c8 = _mm256_set1_epi32(8);
-        let c4 = _mm256_set1_epi32(4);
-        let c2 = _mm256_set1_epi32(2);
-        // Pivot registers of the 4-level branchless binary search over
-        // the NaN-padded sorted breakpoints `b[0..16]`. Searching for
-        // `partition_point(b ≤ x)` needs only `log2(16) = 4` ordered
-        // compares per lane instead of 16: the predicate `b[i] ≤ x` is
-        // monotone non-increasing in `i` (breakpoints are validated
-        // sorted; the NaN tail always compares false), so the classic
-        // stride-halving walk lands on the exact count — the same index
-        // the scalar grid walk computes, NaN inputs included (every
-        // probe fails, leaving index 0).
-        let bp = &reg.breakpoints;
-        let pivot8 = _mm256_set1_ps(bp[7]);
-        let pivot4_lo = _mm256_set1_ps(bp[3]);
-        let pivot4_hi = _mm256_set1_ps(bp[11]);
-        // Stride-2 pivots `b[idx+1]` for `idx ∈ {0,4,8,12}`, fetched by
-        // `vpermd` with `idx >> 2`; stride-1 pivots `b[idx]` for even
-        // `idx`, fetched with `idx >> 1`.
-        let pivot2 = _mm256_setr_ps(bp[1], bp[5], bp[9], bp[13], bp[1], bp[5], bp[9], bp[13]);
-        let pivot1 = _mm256_setr_ps(bp[0], bp[2], bp[4], bp[6], bp[8], bp[10], bp[12], bp[14]);
-
-        macro_rules! eval8 {
-            ($p:expr) => {{
-                let p = $p;
-                let x = _mm256_loadu_ps(p);
-                // Level 8: `b[7] ≤ x` ⟺ at least 8 breakpoints ≤ x.
-                let m8 = _mm256_cmp_ps::<_CMP_LE_OQ>(pivot8, x);
-                let mut idx = _mm256_and_si256(_mm256_castps_si256(m8), c8);
-                // Level 4: probe `b[idx + 3]`, reusing `m8` as the select.
-                let key = _mm256_blendv_ps(pivot4_lo, pivot4_hi, m8);
-                let m4 = _mm256_cmp_ps::<_CMP_LE_OQ>(key, x);
-                idx = _mm256_add_epi32(idx, _mm256_and_si256(_mm256_castps_si256(m4), c4));
-                // Level 2: probe `b[idx + 1]`.
-                let key = _mm256_permutevar8x32_ps(pivot2, _mm256_srli_epi32::<2>(idx));
-                let m2 = _mm256_cmp_ps::<_CMP_LE_OQ>(key, x);
-                idx = _mm256_add_epi32(idx, _mm256_and_si256(_mm256_castps_si256(m2), c2));
-                // Level 1: probe `b[idx]`; cmp lanes are −1, so
-                // subtracting adds the final 1.
-                let key = _mm256_permutevar8x32_ps(pivot1, _mm256_srli_epi32::<1>(idx));
-                let m1 = _mm256_cmp_ps::<_CMP_LE_OQ>(key, x);
-                idx = _mm256_sub_epi32(idx, _mm256_castps_si256(m1));
-                // `vpermd` reads the low 3 bits of each index lane; the
-                // `idx > 7` mask picks the upper half of the 16-entry
-                // parameter store.
-                let hi = _mm256_castsi256_ps(_mm256_cmpgt_epi32(idx, seven));
-                let s = _mm256_blendv_ps(
-                    _mm256_permutevar8x32_ps(s_lo, idx),
-                    _mm256_permutevar8x32_ps(s_hi, idx),
-                    hi,
-                );
-                let t = _mm256_blendv_ps(
-                    _mm256_permutevar8x32_ps(t_lo, idx),
-                    _mm256_permutevar8x32_ps(t_hi, idx),
-                    hi,
-                );
-                // mul + add, NOT fmadd: the scalar oracle rounds twice.
-                _mm256_storeu_ps(p, _mm256_add_ps(_mm256_mul_ps(s, x), t));
-            }};
-        }
-
-        let base = xs.as_mut_ptr();
-        let n32 = xs.len() & !31;
-        let mut i = 0;
-        // 4×8 lanes per iteration: the four compare-count chains are
-        // independent, so they overlap and hide each other's latency.
-        while i < n32 {
-            eval8!(base.add(i));
-            eval8!(base.add(i + 8));
-            eval8!(base.add(i + 16));
-            eval8!(base.add(i + 24));
-            i += 32;
-        }
-        while i < n8 {
-            eval8!(base.add(i));
-            i += 8;
-        }
-        if n8 < xs.len() {
-            lut.eval_slice_scalar(&mut xs[n8..]);
-        }
-        return;
-    }
-
-    let lo = _mm256_set1_ps(lut.grid.lo);
-    let inv_w = _mm256_set1_ps(lut.grid.inv_w);
-    let mask = (lut.grid.cells.len() - 1) as u32;
-    let mask_f = _mm256_set1_ps(mask as f32);
-    let mask_i = _mm256_set1_epi32(mask as i32);
-    let magic = _mm256_set1_ps(MANTISSA_MAGIC);
-    let zero = _mm256_setzero_ps();
-
-    // The vectorized cell map — identical op sequence (and therefore
-    // identical rounding and NaN routing) to the scalar
-    // `((x − lo) · inv_w).max(0.0).min(mask_f)` + mantissa trick.
-    // `max_ps(t, zero)` returns `zero` when `t` is NaN, matching Rust's
-    // `f32::max`; after it `t` is never NaN, so `min_ps` is exact too.
-    macro_rules! cell_map {
-        ($x:expr) => {{
-            let t = _mm256_mul_ps(_mm256_sub_ps($x, lo), inv_w);
-            let t = _mm256_min_ps(_mm256_max_ps(t, zero), mask_f);
-            _mm256_and_si256(_mm256_castps_si256(_mm256_add_ps(t, magic)), mask_i)
+    macro_rules! eval8 {
+        ($p:expr) => {{
+            let p = $p;
+            let x = _mm256_loadu_ps(p);
+            // Level 8: `b[7] ≤ x` ⟺ at least 8 breakpoints ≤ x.
+            let m8 = _mm256_cmp_ps::<_CMP_LE_OQ>(pivot8, x);
+            let mut idx = _mm256_and_si256(_mm256_castps_si256(m8), c8);
+            // Level 4: probe `b[idx + 3]`, reusing `m8` as the select.
+            let key = _mm256_blendv_ps(pivot4_lo, pivot4_hi, m8);
+            let m4 = _mm256_cmp_ps::<_CMP_LE_OQ>(key, x);
+            idx = _mm256_add_epi32(idx, _mm256_and_si256(_mm256_castps_si256(m4), c4));
+            // Level 2: probe `b[idx + 1]`.
+            let key = _mm256_permutevar8x32_ps(pivot2, _mm256_srli_epi32::<2>(idx));
+            let m2 = _mm256_cmp_ps::<_CMP_LE_OQ>(key, x);
+            idx = _mm256_add_epi32(idx, _mm256_and_si256(_mm256_castps_si256(m2), c2));
+            // Level 1: probe `b[idx]`; cmp lanes are −1, so
+            // subtracting adds the final 1.
+            let key = _mm256_permutevar8x32_ps(pivot1, _mm256_srli_epi32::<1>(idx));
+            let m1 = _mm256_cmp_ps::<_CMP_LE_OQ>(key, x);
+            idx = _mm256_sub_epi32(idx, _mm256_castps_si256(m1));
+            // `vpermd` reads the low 3 bits of each index lane; the
+            // `idx > 7` mask picks the upper half of the 16-entry
+            // parameter store.
+            let hi = _mm256_castsi256_ps(_mm256_cmpgt_epi32(idx, seven));
+            let s = _mm256_blendv_ps(
+                _mm256_permutevar8x32_ps(s_lo, idx),
+                _mm256_permutevar8x32_ps(s_hi, idx),
+                hi,
+            );
+            let t = _mm256_blendv_ps(
+                _mm256_permutevar8x32_ps(t_lo, idx),
+                _mm256_permutevar8x32_ps(t_hi, idx),
+                hi,
+            );
+            // mul + add, NOT fmadd: the scalar oracle rounds twice.
+            _mm256_storeu_ps(p, _mm256_add_ps(_mm256_mul_ps(s, x), t));
         }};
     }
 
-    if let Some(fused) = &lut.fused {
-        // Fused single-breakpoint-per-cell layout: each `#[repr(C)]` cell
-        // is five contiguous f32s `[key, lo_s, lo_t, hi_s, hi_t]`, so the
-        // five gathers share one index vector `5·c` at scale 4 with the
-        // base pointer stepped one field at a time.
-        let base = fused.as_ptr() as *const f32;
-        let mut i = 0;
-        while i < n8 {
-            let p = xs.as_mut_ptr().add(i);
-            let x = _mm256_loadu_ps(p);
-            let c = cell_map!(x);
-            let off = _mm256_add_epi32(_mm256_slli_epi32(c, 2), c); // 5·c
-            let key = _mm256_i32gather_ps::<4>(base, off);
-            let lo_s = _mm256_i32gather_ps::<4>(base.add(1), off);
-            let lo_t = _mm256_i32gather_ps::<4>(base.add(2), off);
-            let hi_s = _mm256_i32gather_ps::<4>(base.add(3), off);
-            let hi_t = _mm256_i32gather_ps::<4>(base.add(4), off);
-            // `key ≤ x` (ordered: NaN key — the empty-cell sentinel — and
-            // NaN x both select `lo`, exactly like the scalar compare).
-            let take_hi = _mm256_cmp_ps::<_CMP_LE_OQ>(key, x);
-            let s = _mm256_blendv_ps(lo_s, hi_s, take_hi);
-            let t = _mm256_blendv_ps(lo_t, hi_t, take_hi);
-            // mul + add, NOT fmadd: the scalar oracle rounds twice.
-            _mm256_storeu_ps(p, _mm256_add_ps(_mm256_mul_ps(s, x), t));
-            i += 8;
-        }
-    } else {
-        // General layout: gather each lane's cell base, run the fixed
-        // `scan_len` comparison window (NaN sentinels and later-cell
-        // breakpoints compare false, exactly as in the scalar kernel),
-        // then gather the selected `(slope, intercept)` pair.
-        let cells = lut.grid.cells.as_ptr() as *const i32;
-        let padded = lut.padded_breakpoints.as_ptr();
-        let params = lut.params.as_ptr() as *const f32;
-        let mut i = 0;
-        while i < n8 {
-            let p = xs.as_mut_ptr().add(i);
-            let x = _mm256_loadu_ps(p);
-            let c = cell_map!(x);
-            // `Cell` is `#[repr(C)] { base: u32, count: u32 }`: the base
-            // field of cell `c` sits at i32 offset `2·c`.
-            let base_v = _mm256_i32gather_epi32::<4>(cells, _mm256_slli_epi32(c, 1));
-            let mut idx = base_v;
-            for j in 0..lut.scan_len {
-                let at = _mm256_add_epi32(base_v, _mm256_set1_epi32(j as i32));
-                let d = _mm256_i32gather_ps::<4>(padded, at);
-                // cmp returns −1 per true lane; subtracting accumulates
-                // the in-cell `(d ≤ x)` count just like the scalar `+=`.
-                let le = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LE_OQ>(d, x));
-                idx = _mm256_sub_epi32(idx, le);
-            }
-            let off = _mm256_slli_epi32(idx, 1); // params are [f32; 2]
-            let s = _mm256_i32gather_ps::<4>(params, off);
-            let t = _mm256_i32gather_ps::<4>(params.add(1), off);
-            _mm256_storeu_ps(p, _mm256_add_ps(_mm256_mul_ps(s, x), t));
-            i += 8;
-        }
+    let base = xs.as_mut_ptr();
+    let n32 = xs.len() & !31;
+    let mut i = 0;
+    // 4×8 lanes per iteration: the four compare-count chains are
+    // independent, so they overlap and hide each other's latency.
+    while i < n32 {
+        eval8!(base.add(i));
+        eval8!(base.add(i + 8));
+        eval8!(base.add(i + 16));
+        eval8!(base.add(i + 24));
+        i += 32;
     }
-
-    // Non-multiple-of-8 tail: the scalar oracle (bit-identical by
-    // definition, and per-element results are position-independent).
+    while i < n8 {
+        eval8!(base.add(i));
+        i += 8;
+    }
     if n8 < xs.len() {
         lut.eval_slice_scalar(&mut xs[n8..]);
-    }
-}
-
-/// The SSE2 batch kernel: the cell-map pass runs 4 lanes wide into the
-/// chunk index buffer; the gather side (no hardware gather before AVX2)
-/// reuses the scalar chunk loops. Bit-identical to
-/// [`BakedLut::eval_slice_scalar`].
-///
-/// # Safety
-///
-/// SSE2 is architecturally guaranteed on x86-64, so the only obligation
-/// is `lut.scan_len > 0` (the affine fast path runs before dispatch).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "sse2")]
-pub(super) unsafe fn eval_slice_sse2(lut: &BakedLut, xs: &mut [f32]) {
-    use core::arch::x86_64::*;
-
-    debug_assert!(
-        lut.scan_len > 0,
-        "affine fast path must run before dispatch"
-    );
-    let lo = _mm_set1_ps(lut.grid.lo);
-    let inv_w = _mm_set1_ps(lut.grid.inv_w);
-    let mask = (lut.grid.cells.len() - 1) as u32;
-    let mask_f = _mm_set1_ps(mask as f32);
-    let mask_i = _mm_set1_epi32(mask as i32);
-    let magic = _mm_set1_ps(MANTISSA_MAGIC);
-    let zero = _mm_setzero_ps();
-
-    let mut cell_idx = [0u32; SCALAR_CHUNK];
-    for chunk in xs.chunks_mut(SCALAR_CHUNK) {
-        let n4 = chunk.len() & !3;
-        let mut i = 0;
-        while i < n4 {
-            let x = _mm_loadu_ps(chunk.as_ptr().add(i));
-            let t = _mm_mul_ps(_mm_sub_ps(x, lo), inv_w);
-            // `max_ps(t, zero)`: NaN t → zero, matching scalar f32::max.
-            let t = _mm_min_ps(_mm_max_ps(t, zero), mask_f);
-            let c = _mm_and_si128(_mm_castps_si128(_mm_add_ps(t, magic)), mask_i);
-            _mm_storeu_si128(cell_idx.as_mut_ptr().add(i) as *mut __m128i, c);
-            i += 4;
-        }
-        for (slot, &x) in cell_idx[n4..chunk.len()].iter_mut().zip(chunk[n4..].iter()) {
-            let t = ((x - lut.grid.lo) * lut.grid.inv_w)
-                .max(0.0)
-                .min(mask as f32);
-            *slot = (t + MANTISSA_MAGIC).to_bits() & mask;
-        }
-        match &lut.fused {
-            Some(fused) => gather_chunk_fused(fused, chunk, &cell_idx),
-            None => gather_chunk_general(
-                &lut.grid.cells,
-                &lut.padded_breakpoints,
-                &lut.params,
-                lut.scan_len as usize,
-                chunk,
-                &cell_idx,
-            ),
-        }
     }
 }
 
@@ -428,21 +256,11 @@ mod tests {
         let a = detect();
         let b = detect();
         assert_eq!(a, b, "detection must be deterministic");
-        assert!(["scalar", "sse2", "avx2"].contains(&a.name()));
+        assert!(["scalar", "avx2"].contains(&a.name()));
     }
 
     #[test]
     fn level_ordering_matches_strength() {
-        assert!(SimdLevel::Scalar < SimdLevel::Sse2);
-        assert!(SimdLevel::Sse2 < SimdLevel::Avx2);
-    }
-
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[test]
-    fn x86_64_floor_is_sse2() {
-        assert!(
-            detect() >= SimdLevel::Sse2,
-            "SSE2 is the x86-64 baseline; detect() must not fall to scalar"
-        );
+        assert!(SimdLevel::Scalar < SimdLevel::Avx2);
     }
 }

@@ -413,58 +413,6 @@ impl NnLutKit {
         var + eps
     }
 
-    /// Fused in-place Softmax over one row — same result as
-    /// [`NnLutKit::softmax`], **bit for bit**, in fewer row-sized memory
-    /// sweeps.
-    ///
-    /// The unfused op walks the whole row five times (max, subtract,
-    /// EXP-LUT batch, clamp+sum, scale). Here the middle three are tiled:
-    /// each 64-element tile is max-subtracted, pushed through the EXP LUT
-    /// and clamp-summed while still L1-resident, cutting the row sweeps
-    /// from five to three. Bit-identity holds at all three precisions
-    /// because every per-element op is unchanged and order-preserving:
-    /// the LUT batch kernel is chunk-independent (an element's result
-    /// never depends on its neighbours), and the running sum still adds
-    /// the clamped terms strictly left to right, so every intermediate
-    /// rounds exactly as in the unfused op.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use nnlut_core::NnLutKit;
-    ///
-    /// let kit = NnLutKit::linear_baseline(16);
-    /// let row = [0.5f32, -2.0, 1.5, 0.0, -0.7, 2.2];
-    /// let (mut fused, mut unfused) = (row.to_vec(), row.to_vec());
-    /// kit.softmax_fused(&mut fused);
-    /// kit.softmax(&mut unfused);
-    /// for (f, u) in fused.iter().zip(&unfused) {
-    ///     assert_eq!(f.to_bits(), u.to_bits());
-    /// }
-    /// ```
-    pub fn softmax_fused(&self, xs: &mut [f32]) {
-        if xs.is_empty() {
-            return;
-        }
-        // One tile of f32s is 256 bytes — a few cache lines, so the
-        // subtract → LUT → clamp+sum sub-passes all hit L1.
-        const TILE: usize = 64;
-        let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for tile in xs.chunks_mut(TILE) {
-            for x in tile.iter_mut() {
-                *x -= max;
-            }
-            self.exp_op.eval_slice(tile);
-            for x in tile.iter_mut() {
-                *x = x.max(0.0);
-                sum += *x;
-            }
-        }
-        let inv = self.recip(sum).max(0.0);
-        self.scale_slice(xs, inv);
-    }
-
     /// Fused in-place LayerNorm **with affine** over one row — bit for
     /// bit the result of [`NnLutKit::layer_norm`] followed by the
     /// elementwise `x·γ + β` the transformer backend applies, in fewer
@@ -809,12 +757,11 @@ mod tests {
         let mut empty: Vec<f32> = vec![];
         kit.softmax(&mut empty);
         kit.layer_norm(&mut empty, 1e-5);
-        kit.softmax_fused(&mut empty);
         kit.layer_norm_fused_affine(&mut empty, 1e-5, &[], &[]);
         assert!(empty.is_empty());
     }
 
-    /// Rows whose lengths straddle the fused tile size, plus specials.
+    /// Rows of assorted lengths, plus specials.
     fn fusion_rows() -> Vec<Vec<f32>> {
         let mut rows: Vec<Vec<f32>> = [1usize, 3, 63, 64, 65, 128, 200]
             .iter()
@@ -826,31 +773,6 @@ mod tests {
             .collect();
         rows.push(vec![f32::NEG_INFINITY, 0.0, 1.0, f32::NAN, 2.0]);
         rows
-    }
-
-    #[test]
-    fn softmax_fused_is_bit_identical_at_all_precisions() {
-        let f32_kit = fast_kit();
-        for kit in [
-            f32_kit.with_precision(Precision::F16).unwrap(),
-            f32_kit.with_precision(Precision::Int32).unwrap(),
-            f32_kit,
-        ] {
-            for row in fusion_rows() {
-                let (mut fused, mut unfused) = (row.clone(), row.clone());
-                kit.softmax_fused(&mut fused);
-                kit.softmax(&mut unfused);
-                for (i, (f, u)) in fused.iter().zip(&unfused).enumerate() {
-                    assert_eq!(
-                        f.to_bits(),
-                        u.to_bits(),
-                        "{:?} softmax diverged at index {i} of row len {}",
-                        kit.precision(),
-                        row.len()
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -181,17 +181,10 @@ impl Nonlinearity {
     /// Deliberately unprofiled: attribution happens at chunk granularity
     /// ([`Nonlinearity::softmax_chunk`] and friends) so a profiling sink
     /// costs one clock pair per chunk, not per row.
-    ///
-    /// The LUT arm runs the *fused* kernel
-    /// ([`NnLutKit::softmax_fused`]) unconditionally: it is bit-identical
-    /// to [`NnLutKit::softmax`] at every precision, so the masked path
-    /// built on top of this (which trims each row to its valid prefix
-    /// before calling here) keeps its exact semantics, and the serve
-    /// determinism matrix holds unchanged.
     pub fn softmax_row(&self, row: &mut [f32]) {
         match &self.softmax {
             OpImpl::Exact => exact_softmax(row),
-            OpImpl::Lut(kit) => kit.softmax_fused(row),
+            OpImpl::Lut(kit) => kit.softmax(row),
             OpImpl::IBert => i_softmax_f32(row),
             OpImpl::Softermax => crate::softermax::softermax(row),
         }

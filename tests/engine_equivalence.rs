@@ -144,8 +144,9 @@ proptest! {
         }
     }
 
-    /// SIMD dispatch: whatever kernel tier the bake detected (AVX2, SSE2
-    /// or scalar — [`nn_lut::core::engine::simd::detect`]), `eval_slice`
+    /// SIMD dispatch: whichever route the bake chose (the AVX2 register
+    /// kernel for ≤ 16 segments on an AVX2 host, the scalar oracle
+    /// otherwise — [`nn_lut::core::engine::simd::detect`]), `eval_slice`
     /// must equal the scalar oracle `eval_slice_scalar` **bit for bit**
     /// on every input class — NaN payloads, infinities, breakpoint-exact
     /// and ±1-ulp values, duplicate-breakpoint tables (which force the
@@ -162,8 +163,8 @@ proptest! {
         prop_assert_eq!(baked.simd_level(), nn_lut::core::engine::simd::detect());
         let xs = probes(&lut, random);
         // Cut the batch to assorted lengths: exercises full 8-lane AVX2
-        // blocks, 4-lane SSE2 blocks, and every scalar-tail remainder
-        // 0..=7 as the random length varies.
+        // blocks and every scalar-tail remainder 0..=7 as the random
+        // length varies.
         for cut in [0usize, 1, 2, 3, 5, 7, 8, 13] {
             if cut > xs.len() {
                 break;

@@ -272,15 +272,14 @@ fn bucketed_pooled_server_matches_serial_fifo_at_all_precisions() {
     }
 }
 
-/// The serving backend's LUT arms now run the *fused* softmax and
-/// LayerNorm+affine kernels; this pins the fusion side of the contract at
-/// all three kit precisions, through the same backend seams the servers
-/// above exercise:
+/// The serving backend's LUT arms run the *fused* LayerNorm+affine
+/// kernel and the kit's one softmax; this pins both against per-row
+/// references at all three kit precisions, through the same backend
+/// seams the servers above exercise:
 ///
-/// * `softmax_chunk_masked` (fused underneath) must equal trimming each
-///   row to its valid prefix and running the **unfused** `kit.softmax`,
-///   with zeros past the prefix — i.e. fusion preserves the masked
-///   semantics exactly;
+/// * `softmax_chunk_masked` must equal trimming each row to its valid
+///   prefix and running `kit.softmax`, with zeros past the prefix — i.e.
+///   the mask preserves the per-row semantics exactly;
 /// * `layer_norm_chunk` (fused underneath) must equal the unfused
 ///   `kit.layer_norm` followed by the affine `γ∘x + β`, bit for bit.
 #[test]
@@ -298,10 +297,10 @@ fn fused_backend_kernels_match_unfused_reference_at_all_precisions() {
         let kit = base.with_precision(precision).expect("kit converts");
         let nl = Nonlinearity::all_lut(&kit);
 
-        // Masked softmax through the (fused) backend…
+        // Masked softmax through the backend…
         let mut got = data.clone();
         nl.softmax_chunk_masked(&mut got, cols, &valid);
-        // …versus the unfused per-row reference.
+        // …versus the per-row reference.
         let mut want = data.clone();
         for (row, &v) in want.chunks_exact_mut(cols).zip(&valid) {
             if v > 0 {
