@@ -13,6 +13,14 @@
 //! [`BatchExecutor`] seam the serving layer
 //! already drives.
 //!
+//! Both run the one transformer block `encode_batch` runs; only the
+//! attention handed to it differs. `encode_batch` attends bidirectionally
+//! over each sequence's valid rows, `prefill` over a causal prefix per
+//! head (appending every position's K/V to the cache first), and
+//! `decode_step` dots its one query row against the cache. The decode
+//! step's attention stays its own code: it is the step-at-a-time oracle
+//! `prefill` is tested against.
+//!
 //! # Determinism contract (extended to decode)
 //!
 //! The serving layer's bit-identity guarantee extends to generation
@@ -43,13 +51,14 @@
 //!    continuing yields the same remaining tokens as the uninterrupted
 //!    run (the sharded layer's failover-with-cache-rebuild leans on 1).
 
+use std::sync::Mutex;
+
 use nnlut_tensor::Matrix;
 
 use crate::backend::Nonlinearity;
-use crate::config::{Activation, NormKind};
-use crate::exec::{run_row_chunks, BatchExecutor, SerialExecutor};
-use crate::model::{Affine, BertModel, EncoderLayer};
-use crate::quant::{Linear, MatmulMode};
+use crate::exec::{par_map, BatchExecutor, SerialExecutor};
+use crate::model::{copy_block, BertModel, Scope};
+use crate::quant::MatmulMode;
 
 /// One sequence's appended K/V rows for every layer — the state a
 /// generation carries between decode steps.
@@ -133,107 +142,6 @@ impl KvCache {
         self.k[layer].extend_from_slice(k_row);
         self.v[layer].extend_from_slice(v_row);
     }
-
-    /// Copies the `[0, rows) × [c0, c1)` block of `layer`'s cached keys
-    /// into a fresh matrix (the per-head view attention works on).
-    fn k_block(&self, layer: usize, rows: usize, c0: usize, c1: usize) -> Matrix {
-        block_of(&self.k[layer], self.hidden, rows, c0, c1)
-    }
-
-    /// Copies the `[0, rows) × [c0, c1)` block of `layer`'s cached values.
-    fn v_block(&self, layer: usize, rows: usize, c0: usize, c1: usize) -> Matrix {
-        block_of(&self.v[layer], self.hidden, rows, c0, c1)
-    }
-}
-
-/// Copies the `[0, rows) × [c0, c1)` sub-block of a `… × hidden` row-major
-/// buffer into a fresh matrix.
-fn block_of(flat: &[f32], hidden: usize, rows: usize, c0: usize, c1: usize) -> Matrix {
-    let mut out = Matrix::zeros(rows, c1 - c0);
-    for r in 0..rows {
-        out.row_mut(r)
-            .copy_from_slice(&flat[r * hidden + c0..r * hidden + c1]);
-    }
-    out
-}
-
-/// A projection whose per-row bits are independent of its row-mates:
-/// F32/F16 use the row-split GEMM (bit-equal to `apply` row by row),
-/// Codebook's assignment + gather is row-local by construction, and INT8
-/// quantizes each token row independently — so a wide prefill row equals
-/// the same row pushed through a single-token decode step.
-fn project_rows(layer: &Linear, x: &Matrix, mode: MatmulMode, exec: &dyn BatchExecutor) -> Matrix {
-    match mode {
-        MatmulMode::F32 | MatmulMode::F16 | MatmulMode::Codebook => layer.apply_exec(x, mode, exec),
-        MatmulMode::Int8 => {
-            let (rows, in_dim) = x.shape();
-            let cols = layer.out_dim();
-            let mut out = Matrix::zeros(rows, cols);
-            run_row_chunks(exec, out.as_mut_slice(), rows, cols, &|first_row, chunk| {
-                for (i, out_row) in chunk.chunks_exact_mut(cols).enumerate() {
-                    let r = first_row + i;
-                    let row = Matrix::from_vec(1, in_dim, x.row(r).to_vec());
-                    out_row.copy_from_slice(layer.apply(&row, MatmulMode::Int8).row(0));
-                }
-            });
-            out
-        }
-    }
-}
-
-/// The GELU/ReLU activation applied with **per-token-row** semantics: the
-/// I-BERT arm's quantization scale is resolved from each row alone, so a
-/// prefill row equals the same row in a decode step. (LUT and exact arms
-/// are element-local; for them this is just the batch kernel.)
-fn activate_rows(
-    config_act: Activation,
-    nl: &Nonlinearity,
-    m: &mut Matrix,
-    exec: &dyn BatchExecutor,
-) {
-    let cols = m.cols();
-    let rows = m.rows();
-    match config_act {
-        Activation::Gelu => {
-            run_row_chunks(exec, m.as_mut_slice(), rows, cols, &|_, chunk| {
-                for row in chunk.chunks_exact_mut(cols) {
-                    let row_m = Matrix::from_vec(1, cols, row.to_vec());
-                    nl.gelu_kernel(&row_m).apply_chunk(row);
-                }
-            });
-        }
-        Activation::Relu => {
-            run_row_chunks(exec, m.as_mut_slice(), rows, cols, &|_, chunk| {
-                for v in chunk {
-                    *v = v.max(0.0);
-                }
-            });
-        }
-    }
-}
-
-fn norm_rows(
-    kind: NormKind,
-    affine: &Affine,
-    nl: &Nonlinearity,
-    m: &mut Matrix,
-    eps: f32,
-    exec: &dyn BatchExecutor,
-) {
-    let cols = m.cols();
-    let rows = m.rows();
-    match kind {
-        NormKind::LayerNorm => {
-            run_row_chunks(exec, m.as_mut_slice(), rows, cols, &|_, chunk| {
-                nl.layer_norm_chunk(chunk, cols, &affine.gamma, &affine.beta, eps);
-            });
-        }
-        NormKind::NoNorm => {
-            run_row_chunks(exec, m.as_mut_slice(), rows, cols, &|_, chunk| {
-                affine.apply_chunk(chunk, cols);
-            });
-        }
-    }
 }
 
 impl BertModel {
@@ -241,6 +149,19 @@ impl BertModel {
     /// layer, reserved to `max_seq` positions).
     pub fn new_cache(&self) -> KvCache {
         KvCache::new(self.layers.len(), self.config.hidden, self.config.max_seq)
+    }
+
+    /// Panics unless `cache` is shaped for this model.
+    fn check_cache(&self, cache: &KvCache) {
+        assert_eq!(
+            cache.layers(),
+            self.layers.len(),
+            "cache/model layer mismatch"
+        );
+        assert_eq!(
+            cache.hidden, self.config.hidden,
+            "cache/model width mismatch"
+        );
     }
 
     /// Causal prefill: runs the prompt through the decoder-mode body in
@@ -265,93 +186,34 @@ impl BertModel {
         mode: MatmulMode,
         exec: &dyn BatchExecutor,
     ) -> Vec<f32> {
-        let n = tokens.len();
-        assert!(n > 0, "cannot prefill an empty prompt");
-        assert!(
-            n <= self.config.max_seq,
-            "prompt length {n} exceeds max_seq {}",
-            self.config.max_seq
-        );
+        let mut x = self.embed(tokens);
         assert!(cache.is_empty(), "prefill requires an empty cache");
-        assert_eq!(
-            cache.layers(),
-            self.layers.len(),
-            "cache/model layer mismatch"
-        );
-        assert_eq!(
-            cache.hidden, self.config.hidden,
-            "cache/model width mismatch"
-        );
-        let d = self.config.hidden;
-        let heads = self.config.heads;
+        self.check_cache(cache);
+        let n = tokens.len();
         let dh = self.config.head_dim();
-        let scale = 1.0 / (dh as f32).sqrt();
-
-        // Embedding: row-local (token + position).
-        let mut x = Matrix::zeros(n, d);
-        for (p, &t) in tokens.iter().enumerate() {
-            assert!(t < self.config.vocab, "token id {t} out of vocabulary");
-            for (c, v) in x.row_mut(p).iter_mut().enumerate() {
-                *v = self.token_embedding[(t, c)] + self.pos_embedding[(p, c)];
-            }
-        }
-
         for (l, layer) in self.layers.iter().enumerate() {
-            let q = project_rows(&layer.wq, &x, mode, exec);
-            let k = project_rows(&layer.wk, &x, mode, exec);
-            let v = project_rows(&layer.wv, &x, mode, exec);
-            for p in 0..n {
-                cache.push(l, k.row(p), v.row(p));
-            }
-
-            // Causal attention, parallel over heads. Each query row `p`
-            // sees keys `0..=p`: the masked softmax evaluates exactly that
-            // prefix, and the context row is accumulated over the prefix
-            // only — both identical to what the incremental step computes.
-            let slots: Vec<std::sync::Mutex<Option<Matrix>>> =
-                (0..heads).map(|_| std::sync::Mutex::new(None)).collect();
-            let ranges = nnlut_core::engine::chunk_ranges(heads, exec.lanes());
-            exec.run_n(ranges.len(), &|lane| {
-                let Some(range) = ranges.get(lane) else {
-                    return;
-                };
-                for h in range.clone() {
-                    let (lo, hi) = (h * dh, (h + 1) * dh);
-                    let qh = q.col_slice(lo, hi);
-                    let kh = k.col_slice(lo, hi);
-                    let vh = v.col_slice(lo, hi);
-                    let mut scores = qh.matmul_transpose(&kh);
-                    scores.scale(scale);
-                    let valid: Vec<usize> = (0..n).map(|p| p + 1).collect();
+            x = self.block(layer, &x, nl, mode, Scope::Row, exec, |q, k, v| {
+                for p in 0..n {
+                    cache.push(l, k.row(p), v.row(p));
+                }
+                // Causal attention: query row `p` sees keys `0..=p`. The
+                // masked softmax evaluates exactly that prefix, and row p's
+                // context is its probs times the V prefix, in the same
+                // shape (and the same per-row INT8 quantization) as a
+                // decode step's 1 × (p+1) product.
+                self.attend_pairs(q, k, v, n, exec, |_, mut scores, vh| {
+                    let valid: Vec<usize> = (1..=n).collect();
                     nl.apply_softmax_rows_masked(&mut scores, &valid);
-                    // Per-row prefix context: row p's probs over positions
-                    // 0..=p times the V prefix, in the same shape (and the
-                    // same per-row quantization, for INT8) as a decode
-                    // step's 1 × (p+1) product.
                     let mut ctx_h = Matrix::zeros(n, dh);
                     for p in 0..n {
                         let probs = Matrix::from_vec(1, p + 1, scores.row(p)[..p + 1].to_vec());
-                        let vh_pre = block_of(vh.as_slice(), dh, p + 1, 0, dh);
+                        let vh_pre = Matrix::from_vec(p + 1, dh, vh.row_block(0, p + 1).to_vec());
                         let row = crate::quant::matmul(&probs, &vh_pre, mode);
                         ctx_h.row_mut(p).copy_from_slice(row.row(0));
                     }
-                    *slots[h].lock().expect("attention slot poisoned") = Some(ctx_h);
-                }
+                    ctx_h
+                })
             });
-            let mut ctx = Matrix::zeros(n, d);
-            for (h, slot) in slots.iter().enumerate() {
-                let ctx_h = slot
-                    .lock()
-                    .expect("attention slot poisoned")
-                    .take()
-                    .expect("every head was computed");
-                let (lo, hi) = (h * dh, (h + 1) * dh);
-                for p in 0..n {
-                    ctx.row_mut(p)[lo..hi].copy_from_slice(ctx_h.row(p));
-                }
-            }
-
-            x = self.decoder_block_tail(layer, &x, &ctx, nl, mode, exec);
         }
         cache.len = n;
         x.row(n - 1).to_vec()
@@ -378,92 +240,34 @@ impl BertModel {
             "KV cache is full ({} positions)",
             cache.capacity
         );
-        assert_eq!(
-            cache.layers(),
-            self.layers.len(),
-            "cache/model layer mismatch"
-        );
-        assert_eq!(
-            cache.hidden, self.config.hidden,
-            "cache/model width mismatch"
-        );
-        assert!(
-            token < self.config.vocab,
-            "token id {token} out of vocabulary"
-        );
+        self.check_cache(cache);
         let p = cache.len;
         let d = self.config.hidden;
-        let heads = self.config.heads;
         let dh = self.config.head_dim();
         let scale = 1.0 / (dh as f32).sqrt();
         let exec = &SerialExecutor;
-
         let mut x = Matrix::zeros(1, d);
-        for (c, v) in x.row_mut(0).iter_mut().enumerate() {
-            *v = self.token_embedding[(token, c)] + self.pos_embedding[(p, c)];
-        }
+        self.embed_into(token, p, x.row_mut(0));
 
         for (l, layer) in self.layers.iter().enumerate() {
-            let q = layer.wq.apply(&x, mode);
-            let k = layer.wk.apply(&x, mode);
-            let v = layer.wv.apply(&x, mode);
-            cache.push(l, k.row(0), v.row(0));
-
-            let mut ctx = Matrix::zeros(1, d);
-            for h in 0..heads {
-                let (lo, hi) = (h * dh, (h + 1) * dh);
-                let qh = q.col_slice(lo, hi);
-                let kh = cache.k_block(l, p + 1, lo, hi);
-                let vh = cache.v_block(l, p + 1, lo, hi);
-                let mut scores = qh.matmul_transpose(&kh);
-                scores.scale(scale);
-                nl.apply_softmax_rows_masked(&mut scores, &[p + 1]);
-                let ctx_h = crate::quant::matmul(&scores, &vh, mode);
-                ctx.row_mut(0)[lo..hi].copy_from_slice(ctx_h.row(0));
-            }
-
-            x = self.decoder_block_tail(layer, &x, &ctx, nl, mode, exec);
+            x = self.block(layer, &x, nl, mode, Scope::Row, exec, |q, k, v| {
+                cache.push(l, k.row(0), v.row(0));
+                let mut ctx = Matrix::zeros(1, d);
+                for h in 0..self.config.heads {
+                    let (lo, hi) = (h * dh, (h + 1) * dh);
+                    let kh = copy_block(&cache.k[l], d, 0..p + 1, lo..hi);
+                    let vh = copy_block(&cache.v[l], d, 0..p + 1, lo..hi);
+                    let mut scores = q.col_slice(lo, hi).matmul_transpose(&kh);
+                    scores.scale(scale);
+                    nl.apply_softmax_rows_masked(&mut scores, &[p + 1]);
+                    let ctx_h = crate::quant::matmul(&scores, &vh, mode);
+                    ctx.row_mut(0)[lo..hi].copy_from_slice(ctx_h.row(0));
+                }
+                ctx
+            });
         }
         cache.len = p + 1;
         x.into_vec()
-    }
-
-    /// The post-attention half of a decoder block (shared by prefill and
-    /// the incremental step): output projection, residual, norm,
-    /// feed-forward with per-row activation, residual, norm. Every op is
-    /// token-row-local.
-    fn decoder_block_tail(
-        &self,
-        layer: &EncoderLayer,
-        x: &Matrix,
-        ctx: &Matrix,
-        nl: &Nonlinearity,
-        mode: MatmulMode,
-        exec: &dyn BatchExecutor,
-    ) -> Matrix {
-        let (rows, d) = x.shape();
-        let attn_out = project_rows(&layer.wo, ctx, mode, exec);
-        let mut x1 = Matrix::zeros(rows, d);
-        run_row_chunks(exec, x1.as_mut_slice(), rows, d, &|first_row, chunk| {
-            let base = first_row * d;
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = x.as_slice()[base + i] + attn_out.as_slice()[base + i];
-            }
-        });
-        norm_rows(self.config.norm, &layer.norm1, nl, &mut x1, self.eps, exec);
-
-        let mut hmid = project_rows(&layer.ff1, &x1, mode, exec);
-        activate_rows(self.config.activation, nl, &mut hmid, exec);
-        let ff_out = project_rows(&layer.ff2, &hmid, mode, exec);
-        let mut x2 = Matrix::zeros(rows, d);
-        run_row_chunks(exec, x2.as_mut_slice(), rows, d, &|first_row, chunk| {
-            let base = first_row * d;
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = x1.as_slice()[base + i] + ff_out.as_slice()[base + i];
-            }
-        });
-        norm_rows(self.config.norm, &layer.norm2, nl, &mut x2, self.eps, exec);
-        x2
     }
 
     /// Greedy next-token readout: logits are the dot of the hidden row
@@ -505,30 +309,12 @@ impl BertModel {
         mode: MatmulMode,
         exec: &dyn BatchExecutor,
     ) -> Vec<(KvCache, Vec<f32>)> {
-        type PrefillSlot = std::sync::Mutex<Option<(KvCache, Vec<f32>)>>;
-        let n = prompts.len();
-        assert!(n > 0, "cannot prefill an empty batch");
-        let slots: Vec<PrefillSlot> = (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-        let ranges = nnlut_core::engine::chunk_ranges(n, exec.lanes());
-        exec.run_n(ranges.len(), &|lane| {
-            let Some(range) = ranges.get(lane) else {
-                return;
-            };
-            for i in range.clone() {
-                let mut cache = self.new_cache();
-                let hidden = self.prefill(&prompts[i], &mut cache, nl, mode, &SerialExecutor);
-                *slots[i].lock().expect("prefill slot poisoned") = Some((cache, hidden));
-            }
-        });
-        slots
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("prefill slot poisoned")
-                    .take()
-                    .expect("every prompt was prefilled")
-            })
-            .collect()
+        assert!(!prompts.is_empty(), "cannot prefill an empty batch");
+        par_map(exec, prompts.len(), |i| {
+            let mut cache = self.new_cache();
+            let hidden = self.prefill(&prompts[i], &mut cache, nl, mode, &SerialExecutor);
+            (cache, hidden)
+        })
     }
 
     /// Advances many sequences by one token each — the continuous-batching
@@ -548,38 +334,14 @@ impl BertModel {
         mode: MatmulMode,
         exec: &dyn BatchExecutor,
     ) -> Vec<Vec<f32>> {
-        let n = steps.len();
-        assert!(n > 0, "cannot decode an empty batch");
-        let slots: Vec<std::sync::Mutex<Option<(&mut KvCache, usize)>>> = steps
-            .iter_mut()
-            .map(|(cache, token)| std::sync::Mutex::new(Some((&mut **cache, *token))))
-            .collect();
-        let outputs: Vec<std::sync::Mutex<Option<Vec<f32>>>> =
-            (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-        let ranges = nnlut_core::engine::chunk_ranges(n, exec.lanes());
-        exec.run_n(ranges.len(), &|lane| {
-            let Some(range) = ranges.get(lane) else {
-                return;
-            };
-            for i in range.clone() {
-                let (cache, token) = slots[i]
-                    .lock()
-                    .expect("decode slot poisoned")
-                    .take()
-                    .expect("each step is taken once");
-                let hidden = self.decode_step(cache, token, nl, mode);
-                *outputs[i].lock().expect("decode output poisoned") = Some(hidden);
-            }
-        });
-        outputs
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("decode output poisoned")
-                    .take()
-                    .expect("every step was computed")
-            })
-            .collect()
+        assert!(!steps.is_empty(), "cannot decode an empty batch");
+        let steps: Vec<Mutex<&mut (&mut KvCache, usize)>> =
+            steps.iter_mut().map(Mutex::new).collect();
+        par_map(exec, steps.len(), |i| {
+            let mut step = steps[i].lock().expect("decode step poisoned");
+            let (cache, token) = &mut **step;
+            self.decode_step(cache, *token, nl, mode)
+        })
     }
 
     /// Serial greedy generation — the step-at-a-time oracle the serving
@@ -624,6 +386,8 @@ impl BertModel {
 mod tests {
     use super::*;
     use crate::config::TransformerConfig;
+    use crate::exec::tests::FakeLanes;
+    use nnlut_core::codebook::CodebookSpec;
     use nnlut_core::train::TrainConfig;
     use nnlut_core::NnLutKit;
 
@@ -645,25 +409,40 @@ mod tests {
     }
 
     /// Cached attention == full recompute, at every step, for every
-    /// backend and matmul mode: prefilling a prefix yields bit-identical
-    /// hidden states and cache contents to stepping token by token.
+    /// backend and matmul mode: prefilling a prefix — serially or on three
+    /// lanes — yields bit-identical hidden states and cache contents to
+    /// stepping token by token.
     #[test]
     fn prefill_matches_step_by_step_bitwise() {
-        let m = tiny_model();
+        let mut m = tiny_model();
+        let calib: Vec<Vec<usize>> = (0..4).map(|s| prompt(5 + s, s)).collect();
+        m.bake_codebooks(
+            &CodebookSpec::default(),
+            &calib,
+            &Nonlinearity::exact(),
+            128,
+        );
         let tokens = prompt(13, 3);
+        let modes = [
+            MatmulMode::F32,
+            MatmulMode::F16,
+            MatmulMode::Int8,
+            MatmulMode::Codebook,
+        ];
+        let execs: [&dyn BatchExecutor; 2] = [&SerialExecutor, &FakeLanes(3)];
         for nl in backends() {
-            for mode in [MatmulMode::F32, MatmulMode::F16, MatmulMode::Int8] {
+            for mode in modes {
                 // Incremental: one decode_step per token.
                 let mut inc = m.new_cache();
                 let mut inc_hidden = Vec::new();
                 for &t in &tokens {
                     inc_hidden = m.decode_step(&mut inc, t, &nl, mode);
                 }
-                for t in 1..=tokens.len() {
+                for (t, exec) in (1..=tokens.len()).flat_map(|t| execs.map(|e| (t, e))) {
                     // Wide prefill of every prefix matches the incremental
                     // cache bit for bit up to that prefix.
                     let mut pre = m.new_cache();
-                    let hidden = m.prefill(&tokens[..t], &mut pre, &nl, mode, &SerialExecutor);
+                    let hidden = m.prefill(&tokens[..t], &mut pre, &nl, mode, exec);
                     assert_eq!(pre.len(), t);
                     for l in 0..pre.layers() {
                         assert_eq!(
@@ -672,7 +451,8 @@ mod tests {
                                 .iter()
                                 .map(|v| v.to_bits())
                                 .collect::<Vec<_>>(),
-                            "{mode} K cache diverged at layer {l} prefix {t}"
+                            "{mode} K cache diverged at layer {l} prefix {t} on {} lanes",
+                            exec.lanes()
                         );
                         assert_eq!(
                             pre.v[l].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -680,13 +460,19 @@ mod tests {
                                 .iter()
                                 .map(|v| v.to_bits())
                                 .collect::<Vec<_>>(),
-                            "{mode} V cache diverged at layer {l} prefix {t}"
+                            "{mode} V cache diverged at layer {l} prefix {t} on {} lanes",
+                            exec.lanes()
                         );
                     }
                     if t == tokens.len() {
                         let want: Vec<u32> = inc_hidden.iter().map(|v| v.to_bits()).collect();
                         let got: Vec<u32> = hidden.iter().map(|v| v.to_bits()).collect();
-                        assert_eq!(got, want, "{mode} final hidden diverged");
+                        assert_eq!(
+                            got,
+                            want,
+                            "{mode} final hidden diverged on {} lanes",
+                            exec.lanes()
+                        );
                     }
                 }
             }

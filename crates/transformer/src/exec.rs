@@ -12,10 +12,12 @@
 //!
 //! Implementations only choose *which lane runs where* — chunk boundaries
 //! are fixed by [`nnlut_core::engine::chunk_ranges`] inside
-//! [`run_row_chunks`], and every kernel handed to it is row-local (an
-//! output row depends only on its own input row plus shared read-only
-//! state). Together that makes the batch path **bit-identical across
-//! executors and lane counts**; `tests/serve_determinism.rs` asserts it.
+//! [`run_row_chunks`] (and the crate's item-level `par_map`, which the
+//! attention and the batched decode entry points use), and every kernel
+//! handed to them is row-local (an output row depends only on its own
+//! input row plus shared read-only state). Together that makes the batch
+//! path **bit-identical across executors and lane counts**;
+//! `tests/serve_determinism.rs` asserts it.
 //!
 //! The op-profiling seam (`nnlut_core::profile`, attached via
 //! `Nonlinearity::with_profile`) is equally passive here: kernels record
@@ -118,6 +120,32 @@ pub fn run_row_chunks(
     });
 }
 
+/// Maps `f` over the items `0..n` with exactly one
+/// [`BatchExecutor::run_n`] call: lane `i` computes the items of the
+/// `i`-th [`chunk_ranges`]`(n, lanes)` range in order, and the results come
+/// back in item order. An item's value never depends on which lane ran it,
+/// so for a deterministic `f` the result is the same on every executor.
+pub(crate) fn par_map<T: Send>(
+    exec: &dyn BatchExecutor,
+    n: usize,
+    f: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let ranges = chunk_ranges(n, exec.lanes());
+    let slots: Vec<Mutex<Vec<T>>> = ranges.iter().map(|_| Mutex::new(Vec::new())).collect();
+    exec.run_n(ranges.len(), &|lane| {
+        if let Some(range) = ranges.get(lane) {
+            let items: Vec<T> = range.clone().map(&f).collect();
+            *slots[lane].lock().expect("par_map slot poisoned") = items;
+        }
+    });
+    let out: Vec<T> = slots
+        .into_iter()
+        .flat_map(|slot| slot.into_inner().expect("par_map slot poisoned"))
+        .collect();
+    assert_eq!(out.len(), n, "every item was computed");
+    out
+}
+
 /// Splits `data` into the disjoint mutable row blocks named by `ranges`
 /// (which must be contiguous and ascending, as [`chunk_ranges`] produces):
 /// the row ranges scaled to element ranges, carved by the workspace's one
@@ -135,13 +163,13 @@ fn split_row_ranges<'a>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A test executor that runs its lanes serially but reports many lanes,
     /// exercising the chunked path without threads.
-    struct FakeLanes(usize);
+    pub(crate) struct FakeLanes(pub(crate) usize);
 
     impl BatchExecutor for FakeLanes {
         fn lanes(&self) -> usize {
@@ -179,6 +207,47 @@ mod tests {
         });
         for (r, row) in data.chunks_exact(cols).enumerate() {
             assert!(row.iter().all(|&v| v == r as f32 + 1.0), "row {r}: {row:?}");
+        }
+    }
+
+    /// A [`FakeLanes`] that also counts its `run_n` calls.
+    struct CountingLanes(FakeLanes, AtomicUsize);
+
+    impl BatchExecutor for CountingLanes {
+        fn lanes(&self) -> usize {
+            self.0.lanes()
+        }
+
+        fn run(&self, f: &(dyn Fn(usize) + Sync)) {
+            self.0.run(f);
+        }
+
+        fn run_n(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.run_n(n, f);
+        }
+    }
+
+    #[test]
+    fn par_map_returns_items_in_order_from_one_call() {
+        // (lanes, items): one lane, fewer items than lanes, a non-dividing
+        // split, and no items at all.
+        for (lanes, n) in [(1, 5), (3, 2), (3, 7), (8, 3), (1, 0), (3, 0)] {
+            let exec = CountingLanes(FakeLanes(lanes), AtomicUsize::new(0));
+            let computed: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let out = par_map(&exec, n, |i| {
+                computed[i].fetch_add(1, Ordering::Relaxed);
+                i * 10
+            });
+            assert_eq!(out, (0..n).map(|i| i * 10).collect::<Vec<_>>());
+            for (i, c) in computed.iter().enumerate() {
+                assert_eq!(c.load(Ordering::Relaxed), 1, "item {i} at {lanes} lanes");
+            }
+            assert_eq!(
+                exec.1.load(Ordering::Relaxed),
+                1,
+                "{lanes} lanes, {n} items"
+            );
         }
     }
 

@@ -7,6 +7,8 @@
 //! log-uniformly, so the variances feeding 1/√x span from ≪1 to ≫1
 //! (the regime paper §3.3.2 motivates input scaling with).
 
+use std::ops::Range;
+
 use nnlut_core::calibrate::{ActivationCapture, RowCapture};
 use nnlut_core::codebook::CodebookSpec;
 use nnlut_tensor::init::{normal_matrix, xavier_matrix};
@@ -16,7 +18,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::backend::Nonlinearity;
 use crate::config::{Activation, NormKind, TransformerConfig};
-use crate::exec::{run_row_chunks, BatchExecutor};
+use crate::exec::{par_map, run_row_chunks, BatchExecutor};
 use crate::quant::{Linear, MatmulMode};
 
 /// One encoder layer's codebook-calibration taps: a [`RowCapture`]
@@ -165,6 +167,19 @@ pub struct EncoderLayer {
     pub(crate) norm2: Affine,
 }
 
+/// The reduction scope of a block's two per-tensor quantities: the INT8
+/// activation quantizer and the I-BERT GELU scale. The block reads it in
+/// exactly those two places.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Scope {
+    /// Over the whole activation matrix, as per-tensor hardware takes
+    /// them ([`BertModel::encode_batch`]).
+    Matrix,
+    /// Per token row, as a step-at-a-time decoder takes them — so a
+    /// prefill row equals the same row fed through one decode step.
+    Row,
+}
+
 /// A BERT-style encoder with embeddings.
 ///
 /// # Examples
@@ -288,6 +303,44 @@ impl BertModel {
         &self.config
     }
 
+    /// Writes the embedding of `token` at position `pos` (token row plus
+    /// position row) into `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `token` is outside the vocabulary.
+    pub(crate) fn embed_into(&self, token: usize, pos: usize, row: &mut [f32]) {
+        assert!(
+            token < self.config.vocab,
+            "token id {token} out of vocabulary"
+        );
+        let (tok, at) = (self.token_embedding.row(token), self.pos_embedding.row(pos));
+        for ((v, &t), &p) in row.iter_mut().zip(tok).zip(at) {
+            *v = t + p;
+        }
+    }
+
+    /// The `(len × d)` embedding of one sequence, computed serially.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tokens` is empty, longer than `max_seq`, or contains an
+    /// id outside the vocabulary.
+    pub(crate) fn embed(&self, tokens: &[usize]) -> Matrix {
+        let n = tokens.len();
+        assert!(n > 0, "cannot embed an empty sequence");
+        assert!(
+            n <= self.config.max_seq,
+            "sequence length {n} exceeds max_seq {}",
+            self.config.max_seq
+        );
+        let mut x = Matrix::zeros(n, self.config.hidden);
+        for (pos, (&t, row)) in tokens.iter().zip(x.rows_iter_mut()).enumerate() {
+            self.embed_into(t, pos, row);
+        }
+        x
+    }
+
     /// Runs the encoder over a token sequence, returning the `(seq × d)`
     /// final hidden states.
     ///
@@ -305,23 +358,9 @@ impl BertModel {
         mode: MatmulMode,
         mut capture: Option<&mut ActivationCapture>,
     ) -> Matrix {
-        let seq = tokens.len();
-        assert!(seq > 0, "cannot encode an empty sequence");
-        assert!(
-            seq <= self.config.max_seq,
-            "sequence length {seq} exceeds max_seq {}",
-            self.config.max_seq
-        );
-        let d = self.config.hidden;
-        let mut x = Matrix::zeros(seq, d);
-        for (i, &t) in tokens.iter().enumerate() {
-            assert!(t < self.config.vocab, "token id {t} out of vocabulary");
-            for c in 0..d {
-                x[(i, c)] = self.token_embedding[(t, c)] + self.pos_embedding[(i, c)];
-            }
-        }
+        let mut x = self.embed(tokens);
         for layer in &self.layers {
-            x = self.encode_layer(layer, &x, nl, mode, capture.as_deref_mut());
+            x = self.encode_layer_tapped(layer, &x, nl, mode, capture.as_deref_mut(), None);
         }
         x
     }
@@ -363,20 +402,7 @@ impl BertModel {
 
         // Capture pass: the FP32 forward, with taps on.
         for tokens in calib {
-            let seq = tokens.len();
-            assert!(seq > 0, "cannot calibrate on an empty sequence");
-            assert!(
-                seq <= self.config.max_seq,
-                "sequence length {seq} exceeds max_seq {}",
-                self.config.max_seq
-            );
-            let mut x = Matrix::zeros(seq, d);
-            for (i, &t) in tokens.iter().enumerate() {
-                assert!(t < self.config.vocab, "token id {t} out of vocabulary");
-                for c in 0..d {
-                    x[(i, c)] = self.token_embedding[(t, c)] + self.pos_embedding[(i, c)];
-                }
-            }
+            let mut x = self.embed(tokens);
             for (layer, tap) in self.layers.iter().zip(taps.iter_mut()) {
                 x = self.encode_layer_tapped(layer, &x, nl, MatmulMode::F32, None, Some(tap));
             }
@@ -426,11 +452,14 @@ impl BertModel {
     /// Runs the encoder over a whole padded batch, returning one
     /// `(len × d)` hidden-state matrix per sequence (pad rows stripped).
     ///
-    /// Every stage is expressed as a row-local kernel over row ranges of
-    /// the packed `(sequences·max_len) × d` activation buffer, dispatched
-    /// through `exec` — [`crate::exec::SerialExecutor`] for the reference
-    /// serial path, `nnlut_serve`'s thread pool for the parallel one. The
-    /// two are **bit-identical** for any lane count (see [`crate::exec`]).
+    /// Each layer is the one transformer block `prefill` and `decode_step`
+    /// also run (q/k/v, attention, wo, residual, norm, FFN, activation,
+    /// FFN, residual, norm); only the attention differs — here it is
+    /// bidirectional over each sequence's valid rows. Every stage works on
+    /// the packed `(sequences·max_len) × d` activation buffer through
+    /// `exec` — [`crate::exec::SerialExecutor`] for the reference serial
+    /// path, `nnlut_serve`'s thread pool for the parallel one. The two are
+    /// **bit-identical** for any lane count (see [`crate::exec`]).
     ///
     /// With [`MatmulMode::F32`] and [`MatmulMode::F16`] bodies and the
     /// exact/LUT backends, each sequence's result is additionally
@@ -466,23 +495,26 @@ impl BertModel {
             self.config.max_seq
         );
         let d = self.config.hidden;
-        for &t in batch.ids() {
-            assert!(t < self.config.vocab, "token id {t} out of vocabulary");
-        }
         // Embedding: row-local (token + position), parallel over all rows.
         let mut x = Matrix::zeros(b * l, d);
         run_row_chunks(exec, x.as_mut_slice(), b * l, d, &|first_row, chunk| {
             for (i, row) in chunk.chunks_exact_mut(d).enumerate() {
                 let r = first_row + i;
-                let t = batch.ids()[r];
-                let pos = r % l;
-                for (c, v) in row.iter_mut().enumerate() {
-                    *v = self.token_embedding[(t, c)] + self.pos_embedding[(pos, c)];
-                }
+                self.embed_into(batch.ids()[r], r % l, row);
             }
         });
         for layer in &self.layers {
-            x = self.encode_layer_batch(layer, &x, batch, nl, mode, exec);
+            x = self.block(layer, &x, nl, mode, Scope::Matrix, exec, |q, k, v| {
+                self.attend_pairs(q, k, v, l, exec, |s, mut scores, vh| {
+                    // Valid key-prefix length per query row; 0 for pad rows
+                    // (their softmax output is all-zero, keeping them
+                    // finite). The mask keeps pad rows out of real ones.
+                    let len = batch.lens()[s];
+                    let valid: Vec<usize> = (0..l).map(|r| if r < len { len } else { 0 }).collect();
+                    nl.apply_softmax_rows_masked(&mut scores, &valid);
+                    crate::quant::matmul(&scores, vh, mode)
+                })
+            });
         }
         // Unpack: keep only each sequence's valid rows.
         batch
@@ -493,156 +525,135 @@ impl BertModel {
             .collect()
     }
 
-    fn encode_layer_batch(
+    /// One transformer block over the rows of `x` — the body `encode_batch`,
+    /// `prefill` and `decode_step` all run. It projects q/k/v, hands them
+    /// to the caller's `attend(&q, &k, &v) -> ctx`, then runs wo →
+    /// residual → norm1 → FFN1 → activation → FFN2 → residual → norm2.
+    /// The stages run through `exec` in that order, one call each — except
+    /// an INT8 projection at [`Scope::Matrix`], whose per-tensor quantizer
+    /// runs serially, and any stage whose rows fit one chunk. `scope`
+    /// picks where the per-tensor reductions are taken.
+    #[allow(clippy::too_many_arguments)] // every argument is an input of the block
+    pub(crate) fn block(
         &self,
         layer: &EncoderLayer,
         x: &Matrix,
-        batch: &PaddedBatch,
         nl: &Nonlinearity,
         mode: MatmulMode,
+        scope: Scope,
         exec: &dyn BatchExecutor,
+        attend: impl FnOnce(&Matrix, &Matrix, &Matrix) -> Matrix,
     ) -> Matrix {
-        let b = batch.sequences();
-        let l = batch.max_len();
-        let d = self.config.hidden;
+        // F32/F16/Codebook projections are row-local at either scope; only
+        // INT8's activation quantizer needs per-row application.
+        let project = |lin: &Linear, m: &Matrix| match (mode, scope) {
+            (MatmulMode::Int8, Scope::Row) => {
+                let (rows, in_dim) = m.shape();
+                let cols = lin.out_dim();
+                let mut out = Matrix::zeros(rows, cols);
+                run_row_chunks(exec, out.as_mut_slice(), rows, cols, &|first_row, chunk| {
+                    for (i, out_row) in chunk.chunks_exact_mut(cols).enumerate() {
+                        let row = Matrix::from_vec(1, in_dim, m.row(first_row + i).to_vec());
+                        out_row.copy_from_slice(lin.apply(&row, mode).row(0));
+                    }
+                });
+                out
+            }
+            _ => lin.apply_exec(m, mode, exec),
+        };
+        // Residual `a + b`, then the block's norm, as two row-local stages.
+        let add_norm = |a: &Matrix, b: &Matrix, affine: &Affine| {
+            let (rows, cols) = a.shape();
+            let mut m = Matrix::zeros(rows, cols);
+            run_row_chunks(exec, m.as_mut_slice(), rows, cols, &|first_row, chunk| {
+                let base = first_row * cols;
+                for (i, o) in chunk.iter_mut().enumerate() {
+                    *o = a.as_slice()[base + i] + b.as_slice()[base + i];
+                }
+            });
+            let (gamma, beta) = (&affine.gamma, &affine.beta);
+            let norm = |chunk: &mut [f32]| match self.config.norm {
+                NormKind::LayerNorm => nl.layer_norm_chunk(chunk, cols, gamma, beta, self.eps),
+                NormKind::NoNorm => affine.apply_chunk(chunk, cols),
+            };
+            run_row_chunks(exec, m.as_mut_slice(), rows, cols, &|_, chunk| norm(chunk));
+            m
+        };
+
+        let q = project(&layer.wq, x);
+        let k = project(&layer.wk, x);
+        let v = project(&layer.wv, x);
+        let ctx = attend(&q, &k, &v);
+        let x1 = add_norm(x, &project(&layer.wo, &ctx), &layer.norm1);
+
+        let mut hmid = project(&layer.ff1, &x1);
+        let (rows, cols) = hmid.shape();
+        let gelu = self.config.activation == Activation::Gelu;
+        let whole = (gelu && scope == Scope::Matrix).then(|| nl.gelu_kernel(&hmid));
+        let activate = |chunk: &mut [f32]| match &whole {
+            Some(kernel) => kernel.apply_chunk(chunk),
+            // Per-row GELU: the I-BERT scale comes from each row alone.
+            None if gelu => {
+                for row in chunk.chunks_exact_mut(cols) {
+                    let row_m = Matrix::from_vec(1, cols, row.to_vec());
+                    nl.gelu_kernel(&row_m).apply_chunk(row);
+                }
+            }
+            // ReLU is piecewise linear — exact on any hardware.
+            None => {
+                for v in chunk {
+                    *v = v.max(0.0);
+                }
+            }
+        };
+        run_row_chunks(exec, hmid.as_mut_slice(), rows, cols, &|_, chunk| {
+            activate(chunk)
+        });
+        add_norm(&x1, &project(&layer.ff2, &hmid), &layer.norm2)
+    }
+
+    /// Multi-head attention over the sequences of `len` rows stacked in
+    /// `q`/`k`/`v`, parallel over (sequence, head) pairs so even a single
+    /// sequence spreads its quadratic stage across the lanes. Each pair
+    /// scores `q·kᵀ/√dh` on its own row block and `finish(seq, scores,
+    /// &v_block)` masks, normalises and applies V; a serial pass then
+    /// assembles the pairs' context blocks. A pair's math is the same on
+    /// whichever lane runs it, so the result is executor-independent.
+    pub(crate) fn attend_pairs(
+        &self,
+        q: &Matrix,
+        k: &Matrix,
+        v: &Matrix,
+        len: usize,
+        exec: &dyn BatchExecutor,
+        finish: impl Fn(usize, Matrix, &Matrix) -> Matrix + Sync,
+    ) -> Matrix {
+        let (rows, d) = q.shape();
         let heads = self.config.heads;
         let dh = self.config.head_dim();
         let scale = 1.0 / (dh as f32).sqrt();
-
-        // Projections over the whole packed batch (row-parallel GEMMs).
-        let q = layer.wq.apply_exec(x, mode, exec);
-        let k = layer.wk.apply_exec(x, mode, exec);
-        let v = layer.wv.apply_exec(x, mode, exec);
-
-        // Multi-head self-attention, parallel over (sequence, head) pairs
-        // so even a singleton batch spreads its quadratic stage across the
-        // pool. Each pair's context block targets an interleaved column
-        // range of `ctx` (not a contiguous slice), so lanes produce owned
-        // per-pair matrices into take-once slots and a cheap serial pass
-        // assembles them — each pair's math is identical whichever lane
-        // runs it, keeping pooled bits equal to serial. The mask keeps
-        // valid query rows attending to valid key columns only, so pad
-        // rows never leak into real ones.
-        let pairs = b * heads;
-        let slots: Vec<std::sync::Mutex<Option<Matrix>>> =
-            (0..pairs).map(|_| std::sync::Mutex::new(None)).collect();
-        let ranges = nnlut_core::engine::chunk_ranges(pairs, exec.lanes());
-        exec.run_n(ranges.len(), &|lane| {
-            let Some(range) = ranges.get(lane) else {
-                return;
-            };
-            for p in range.clone() {
-                let (s, h) = (p / heads, p % heads);
-                let len = batch.lens()[s];
-                let (r0, r1) = (s * l, (s + 1) * l);
-                // Valid key-prefix length per query row; 0 for pad rows
-                // (their softmax output is all-zero, keeping them finite).
-                let valid: Vec<usize> = (0..l).map(|r| if r < len { len } else { 0 }).collect();
-                let (lo, hi) = (h * dh, (h + 1) * dh);
-                let qh = sub_block(&q, r0, r1, lo, hi);
-                let kh = sub_block(&k, r0, r1, lo, hi);
-                let vh = sub_block(&v, r0, r1, lo, hi);
-                let mut scores = qh.matmul_transpose(&kh);
-                scores.scale(scale);
-                nl.apply_softmax_rows_masked(&mut scores, &valid);
-                let ctx_h = crate::quant::matmul(&scores, &vh, mode);
-                *slots[p].lock().expect("attention slot poisoned") = Some(ctx_h);
-            }
-        });
-        let mut ctx = Matrix::zeros(b * l, d);
-        for (p, slot) in slots.iter().enumerate() {
-            let ctx_h = slot
-                .lock()
-                .expect("attention slot poisoned")
-                .take()
-                .expect("every pair was computed");
+        let parts = par_map(exec, rows / len * heads, |p| {
             let (s, h) = (p / heads, p % heads);
-            let (lo, hi) = (h * dh, (h + 1) * dh);
-            for r in 0..l {
-                ctx.row_mut(s * l + r)[lo..hi].copy_from_slice(ctx_h.row(r));
-            }
-        }
-        let attn_out = layer.wo.apply_exec(&ctx, mode, exec);
-
-        // Residual + norm (all row-local from here on).
-        let mut x1 = Matrix::zeros(b * l, d);
-        run_row_chunks(exec, x1.as_mut_slice(), b * l, d, &|first_row, chunk| {
-            let base = first_row * d;
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = x.as_slice()[base + i] + attn_out.as_slice()[base + i];
-            }
+            let (seq_rows, head_cols) = (s * len..(s + 1) * len, h * dh..(h + 1) * dh);
+            let pair =
+                |m: &Matrix| copy_block(m.as_slice(), d, seq_rows.clone(), head_cols.clone());
+            let mut scores = pair(q).matmul_transpose(&pair(k));
+            scores.scale(scale);
+            finish(s, scores, &pair(v))
         });
-        self.apply_norm_batch(&layer.norm1, &mut x1, nl, exec);
-
-        // Feed-forward.
-        let mut hmid = layer.ff1.apply_exec(&x1, mode, exec);
-        match self.config.activation {
-            Activation::Gelu => {
-                let kernel = nl.gelu_kernel(&hmid);
-                let cols = hmid.cols();
-                let rows = hmid.rows();
-                run_row_chunks(exec, hmid.as_mut_slice(), rows, cols, &|_, chunk| {
-                    kernel.apply_chunk(chunk);
-                });
-            }
-            Activation::Relu => {
-                let cols = hmid.cols();
-                let rows = hmid.rows();
-                run_row_chunks(exec, hmid.as_mut_slice(), rows, cols, &|_, chunk| {
-                    for v in chunk {
-                        *v = v.max(0.0);
-                    }
-                });
+        let mut ctx = Matrix::zeros(rows, d);
+        for (p, part) in parts.iter().enumerate() {
+            let (s, h) = (p / heads, p % heads);
+            for r in 0..len {
+                ctx.row_mut(s * len + r)[h * dh..(h + 1) * dh].copy_from_slice(part.row(r));
             }
         }
-        let ff_out = layer.ff2.apply_exec(&hmid, mode, exec);
-        let mut x2 = Matrix::zeros(b * l, d);
-        run_row_chunks(exec, x2.as_mut_slice(), b * l, d, &|first_row, chunk| {
-            let base = first_row * d;
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = x1.as_slice()[base + i] + ff_out.as_slice()[base + i];
-            }
-        });
-        self.apply_norm_batch(&layer.norm2, &mut x2, nl, exec);
-        x2
+        ctx
     }
 
-    fn apply_norm_batch(
-        &self,
-        affine: &Affine,
-        m: &mut Matrix,
-        nl: &Nonlinearity,
-        exec: &dyn BatchExecutor,
-    ) {
-        let cols = m.cols();
-        let rows = m.rows();
-        match self.config.norm {
-            NormKind::LayerNorm => {
-                let eps = self.eps;
-                run_row_chunks(exec, m.as_mut_slice(), rows, cols, &|_, chunk| {
-                    nl.layer_norm_chunk(chunk, cols, &affine.gamma, &affine.beta, eps);
-                });
-            }
-            NormKind::NoNorm => {
-                run_row_chunks(exec, m.as_mut_slice(), rows, cols, &|_, chunk| {
-                    affine.apply_chunk(chunk, cols);
-                });
-            }
-        }
-    }
-
-    fn encode_layer(
-        &self,
-        layer: &EncoderLayer,
-        x: &Matrix,
-        nl: &Nonlinearity,
-        mode: MatmulMode,
-        capture: Option<&mut ActivationCapture>,
-    ) -> Matrix {
-        self.encode_layer_tapped(layer, x, nl, mode, capture, None)
-    }
-
-    /// [`BertModel::encode_layer`] with optional codebook-calibration taps
+    /// One encoder layer, serially — the independent oracle
+    /// [`BertModel::encode_batch`]'s shared block is tested against — with
+    /// optional LayerNorm capture and codebook-calibration taps
     /// recording the rows entering each linear site (see
     /// [`BertModel::bake_codebooks`]). The taps are passive: the returned
     /// activations are bit-identical with them on or off.
@@ -745,12 +756,18 @@ impl BertModel {
     }
 }
 
-/// Copies the `[r0, r1) × [c0, c1)` sub-block of `m` into a fresh matrix
-/// (the per-sequence, per-head view the batched attention works on).
-fn sub_block(m: &Matrix, r0: usize, r1: usize, c0: usize, c1: usize) -> Matrix {
-    let mut out = Matrix::zeros(r1 - r0, c1 - c0);
-    for r in r0..r1 {
-        out.row_mut(r - r0).copy_from_slice(&m.row(r)[c0..c1]);
+/// Copies the `rows × cols` block of a row-major buffer `width` values
+/// wide into a fresh matrix (the per-sequence, per-head view attention
+/// works on, whether the rows come from a projection or a K/V cache).
+pub(crate) fn copy_block(
+    flat: &[f32],
+    width: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
+) -> Matrix {
+    let mut out = Matrix::zeros(rows.len(), cols.len());
+    for (r, out_row) in rows.zip(out.rows_iter_mut()) {
+        out_row.copy_from_slice(&flat[r * width + cols.start..r * width + cols.end]);
     }
     out
 }
@@ -758,6 +775,7 @@ fn sub_block(m: &Matrix, r0: usize, r1: usize, c0: usize, c1: usize) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::tests::FakeLanes;
     use crate::exec::SerialExecutor;
     use nnlut_core::train::TrainConfig;
     use nnlut_core::NnLutKit;
@@ -919,11 +937,14 @@ mod tests {
     }
 
     /// Mixed-length batched encode must reproduce the single-sequence path
-    /// exactly: padding and batch-mates never change a valid row. (Matrix
-    /// equality is element-exact up to -0.0 == +0.0.)
+    /// exactly, serially and on three lanes, in every matmul mode whose
+    /// result is independent of batch-mates (INT8 and the I-BERT GELU take
+    /// per-tensor scales, so they are left out): padding and batch-mates
+    /// never change a valid row. (Matrix equality is element-exact up to
+    /// -0.0 == +0.0.)
     #[test]
     fn batched_encode_matches_single_sequences() {
-        let m = tiny_model();
+        let mut m = tiny_model();
         let kit = NnLutKit::train_with(16, 5, &TrainConfig::fast());
         let seqs = vec![
             (0..11usize).map(|i| (i * 7) % 128).collect::<Vec<_>>(),
@@ -931,13 +952,19 @@ mod tests {
             (0..17usize).map(|i| (i * 13) % 128).collect::<Vec<_>>(),
             vec![99],
         ];
+        m.bake_codebooks(&CodebookSpec::default(), &seqs, &Nonlinearity::exact(), 128);
         let batch = PaddedBatch::pack(&seqs);
+        let execs: [&dyn BatchExecutor; 2] = [&SerialExecutor, &FakeLanes(3)];
         for nl in [Nonlinearity::exact(), Nonlinearity::all_lut(&kit)] {
-            let batched = m.encode_batch(&batch, &nl, MatmulMode::F32, &SerialExecutor);
-            assert_eq!(batched.len(), seqs.len());
-            for (seq, got) in seqs.iter().zip(&batched) {
-                let want = m.encode(seq, &nl, MatmulMode::F32, None);
-                assert_eq!(got, &want, "batched encode diverged for {seq:?}");
+            for mode in [MatmulMode::F32, MatmulMode::F16, MatmulMode::Codebook] {
+                for exec in execs {
+                    let batched = m.encode_batch(&batch, &nl, mode, exec);
+                    assert_eq!(batched.len(), seqs.len());
+                    for (seq, got) in seqs.iter().zip(&batched) {
+                        let want = m.encode(seq, &nl, mode, None);
+                        assert_eq!(got, &want, "{mode} batched encode diverged for {seq:?}");
+                    }
+                }
             }
         }
     }
