@@ -17,7 +17,8 @@
 //! The padding-efficiency comparison has no such caveat: padded area is a
 //! pure function of admission order, identical on any machine.
 //!
-//! A third part exercises **sustained** serving through `AsyncLutServer`:
+//! A third part exercises **sustained** serving through the asynchronous
+//! front door (`ShardedServer` over one replica):
 //! steady-state metrics memory (the RSS proxy a long-lived deployment
 //! cares about), overload reject rate at a deliberately tight
 //! backpressure watermark, and 1-vs-2 batches in flight. It lands in the
@@ -69,9 +70,8 @@ use nnlut_core::codebook::CodebookSpec;
 use nnlut_core::train::TrainConfig;
 use nnlut_core::NnLutKit;
 use nnlut_serve::{
-    AsyncLutServer, AsyncServerConfig, BatchPolicy, ClosePolicy, FaultPlan, LutServer,
-    ReplicaHealth, ServeError, ServePolicy, ServerConfig, ShardConfig, ShardedServer, TraceConfig,
-    INJECTED_PANIC_PREFIX,
+    AsyncServerConfig, BatchPolicy, ClosePolicy, FaultPlan, LutServer, ReplicaHealth, ServeError,
+    ServePolicy, ServerConfig, ShardConfig, ShardedServer, TraceConfig, INJECTED_PANIC_PREFIX,
 };
 use nnlut_transformer::Nonlinearity;
 use nnlut_transformer::{BertModel, MatmulMode, TransformerConfig};
@@ -185,7 +185,6 @@ fn run_once(
             threads,
             policy,
             mode: MatmulMode::F32,
-            ..ServerConfig::default()
         },
     );
     let start = Instant::now();
@@ -213,7 +212,26 @@ struct SustainedRun {
     sketch_capacity: usize,
 }
 
-/// Pushes the mixed-length workload through `AsyncLutServer` with
+/// The asynchronous door over one replica behind `admission`. Queue wait
+/// counts toward the stall watchdog, so it sits at the benchmark's
+/// 120 s, far beyond any honest batch.
+fn async_server(
+    model: &BertModel,
+    kit: &NnLutKit,
+    replica: AsyncServerConfig,
+    admission: ServePolicy,
+) -> ShardedServer {
+    let config = ShardConfig {
+        replicas: 1,
+        replica,
+        admission,
+        stall_timeout: Duration::from_secs(120),
+        ..ShardConfig::default()
+    };
+    ShardedServer::new(model.clone(), kit.clone(), config)
+}
+
+/// Pushes the mixed-length workload through the asynchronous door with
 /// `max_in_flight` concurrent batches and reports end-to-end throughput
 /// plus the steady-state metrics footprint (the RSS proxy).
 fn run_sustained(
@@ -222,9 +240,9 @@ fn run_sustained(
     kit: &NnLutKit,
     max_in_flight: usize,
 ) -> SustainedRun {
-    let server = AsyncLutServer::new(
-        model.clone(),
-        kit.clone(),
+    let server = async_server(
+        model,
+        kit,
         AsyncServerConfig {
             threads: 1,
             max_in_flight,
@@ -235,6 +253,7 @@ fn run_sustained(
             },
             ..AsyncServerConfig::default()
         },
+        ServePolicy::unbounded(),
     );
     let requests: Vec<Vec<usize>> = (0..cfg.sustained_requests)
         .map(|r| {
@@ -279,9 +298,9 @@ struct TraceOverheadRun {
 /// must stay passive in cost, not just in semantics.
 fn run_trace_overhead(cfg: &Config, model: &BertModel, kit: &NnLutKit) -> TraceOverheadRun {
     let one = |trace: TraceConfig| -> (f64, usize, usize) {
-        let server = AsyncLutServer::new(
-            model.clone(),
-            kit.clone(),
+        let server = async_server(
+            model,
+            kit,
             AsyncServerConfig {
                 threads: 1,
                 max_in_flight: 2,
@@ -293,6 +312,7 @@ fn run_trace_overhead(cfg: &Config, model: &BertModel, kit: &NnLutKit) -> TraceO
                 trace,
                 ..AsyncServerConfig::default()
             },
+            ServePolicy::unbounded(),
         );
         let requests: Vec<Vec<usize>> = (0..cfg.sustained_requests)
             .map(|r| {
@@ -357,19 +377,19 @@ struct OverloadRun {
 /// reject-at-door outcomes, then verifies the door reopens once the
 /// burst drains.
 fn run_overload(cfg: &Config, model: &BertModel, kit: &NnLutKit) -> OverloadRun {
-    let server = AsyncLutServer::new(
-        model.clone(),
-        kit.clone(),
+    let server = async_server(
+        model,
+        kit,
         AsyncServerConfig {
             threads: 1,
             policy: cfg.policy.clone().with_buckets(cfg.bucket_edges.to_vec()),
-            admission: ServePolicy::with_max_queue_depth(cfg.overload_watermark),
             close: ClosePolicy {
                 max_batch_age: Duration::from_millis(2),
                 deadline_slack: Duration::from_millis(1),
             },
             ..AsyncServerConfig::default()
         },
+        ServePolicy::with_max_queue_depth(cfg.overload_watermark),
     );
     let submitted = cfg.sustained_requests;
     let shortest = *cfg.lengths.iter().min().expect("lengths are non-empty");
@@ -570,7 +590,6 @@ fn run_codebook(cfg: &Config, model: &BertModel, kit: &NnLutKit) -> CodebookRun 
                 threads: 1,
                 policy: cfg.policy.clone(),
                 mode,
-                ..ServerConfig::default()
             },
         );
         let responses = server.serve(workload(cfg));
@@ -638,9 +657,9 @@ fn run_decode_context(
     kit: &NnLutKit,
     context: usize,
 ) -> DecodeRun {
-    let server = AsyncLutServer::new(
-        model.clone(),
-        kit.clone(),
+    let server = async_server(
+        model,
+        kit,
         AsyncServerConfig {
             threads: 1,
             max_in_flight: 2,
@@ -655,6 +674,7 @@ fn run_decode_context(
             },
             ..AsyncServerConfig::default()
         },
+        ServePolicy::unbounded(),
     );
     let start = Instant::now();
     let tickets: Vec<_> = (0..cfg.decode_streams)
@@ -701,9 +721,9 @@ fn run_decode_mix(
     generations: usize,
 ) -> MixRun {
     let context = cfg.decode_contexts[0];
-    let server = AsyncLutServer::new(
-        model.clone(),
-        kit.clone(),
+    let server = async_server(
+        model,
+        kit,
         AsyncServerConfig {
             threads: 1,
             max_in_flight: 2,
@@ -714,6 +734,7 @@ fn run_decode_mix(
             },
             ..AsyncServerConfig::default()
         },
+        ServePolicy::unbounded(),
     );
     let start = Instant::now();
     let mut enc_tickets = Vec::with_capacity(encodes);

@@ -1,9 +1,12 @@
-//! The asynchronous serving front door.
+//! The asynchronous replica behind [`ShardedServer`](crate::ShardedServer),
+//! and the ticket and error types of the asynchronous door.
 //!
-//! [`AsyncLutServer`] decouples admission from execution: `submit` returns
-//! a [`Ticket`] immediately, and a dedicated background **dispatcher**
-//! thread drains the length-bucketed [`Batcher`] as batches close. A batch
-//! closes when the **first** of three conditions fires:
+//! `AsyncLutServer` is crate-private: the shard supervisor is its only
+//! caller. It decouples admission from execution — `enqueue` returns the
+//! request's response slot immediately, and a dedicated background
+//! **dispatcher** thread drains the length-bucketed [`Batcher`] as
+//! batches close. A batch closes when the **first** of three conditions
+//! fires:
 //!
 //! 1. **area budget** — a bucket can fill the
 //!    [`BatchPolicy`] sequence/padded-area budget
@@ -14,22 +17,12 @@
 //!    [`ClosePolicy::deadline_slack`] ([`CloseReason::Deadline`]).
 //!
 //! Requests whose deadline passes while still queued are never encoded:
-//! their tickets resolve to [`ServeError::DeadlineExceeded`] and the miss
-//! is counted in the metrics. Deadlines shape *when* batches close, never
-//! the packing order — admission stays FIFO within a bucket, so the
-//! determinism story of the synchronous server carries over unchanged
-//! (and with an FP32/FP16 body the responses are bit-identical to a
-//! serial, unbatched server; `tests/serve_async.rs` proves it).
-//!
-//! # Backpressure
-//!
-//! Admission is bounded by [`ServePolicy`]: a submission that would push
-//! the queue past its depth or queued-area watermark is **rejected at the
-//! door** — its ticket resolves immediately to [`ServeError::Overloaded`],
-//! the rejection is counted in the metrics, and every already-queued
-//! request is untouched (newest-arrival-first rejection keeps FIFO
-//! fairness). Once the dispatcher drains the queue back under the
-//! watermark, new submissions are admitted again.
+//! their slots resolve to [`ServeError::DeadlineExceeded`]. Deadlines
+//! shape *when* batches close, never the packing order — admission stays
+//! FIFO within a bucket, so the determinism story of the synchronous
+//! server carries over unchanged (and with an FP32/FP16 body the
+//! responses are bit-identical to a serial, unbatched server;
+//! `tests/serve_async.rs` proves it through the shard door).
 //!
 //! # Multiple batches in flight
 //!
@@ -39,20 +32,21 @@
 //! Batch *composition* stays a pure function of queue contents at close
 //! time — only the dispatcher, under the shared lock, ever packs a batch.
 //! Completions flow through an **ordered completion queue**: results are
-//! recorded and tickets resolved strictly in dispatch order, so a fast
+//! recorded and slots resolved strictly in dispatch order, so a fast
 //! batch never overtakes a slow earlier one observably, and the
 //! bit-identical-to-serial contract is unchanged (mask-aware attention
 //! makes each response independent of batch composition; see
 //! `docs/ARCHITECTURE.md`).
 //!
-//! Dropping the server (or calling [`AsyncLutServer::shutdown`]) flushes:
-//! the dispatcher drains every queued request and waits out every
-//! in-flight batch before exiting, so no ticket is left unresolved.
+//! Once the shard starts shutting down it tells each replica to
+//! **drain**: batches close without waiting for age or deadline timers,
+//! while the replica still accepts the supervisor's retries. Dropping
+//! the replica drains every queued request and waits out every in-flight
+//! batch before the dispatcher exits, so no slot is left unresolved.
 //!
 //! # Continuous batching
 //!
-//! [`AsyncLutServer::submit_generate`] admits an autoregressive
-//! generation. Its prompt enters the length-bucketed queue as a
+//! A generation's prompt enters the length-bucketed queue as a
 //! **prefill**; once prefilled (KV cache populated, first token read
 //! greedily), the sequence rejoins the batcher's **decode plane** after
 //! every emitted token, so many generations advance one token per batch
@@ -60,14 +54,14 @@
 //! batches with prefill/encode batches under the same padded-area
 //! budget: decode-priority closes keep inter-token latency flat, and
 //! [`ClosePolicy::max_prefill_wait`] bounds how long a queued prefill
-//! can be deferred (the starvation guard). Tokens stream to the caller
-//! through a [`GenerateTicket`] as each step resolves; a deadline covers
-//! the **whole** generation (a lapsed deadline culls the sequence from
-//! whichever plane holds it and frees its KV cache), shutdown *finishes*
-//! in-flight generations (the token budget bounds the drain), and a
-//! panic mid-step fails the generation with [`ServeError::ServerFailed`]
-//! — its cache is lost, and the sharded layer rebuilds it on a healthy
-//! replica by re-prefilling the prompt plus the tokens already emitted.
+//! can be deferred (the starvation guard). Tokens stream into the slot
+//! as each step resolves; a deadline covers the **whole** generation (a
+//! lapsed deadline culls the sequence from whichever plane holds it and
+//! frees its KV cache), a drain *finishes* in-flight generations (the
+//! token budget bounds it), and a panic mid-step fails the generation
+//! with [`ServeError::ServerFailed`] — its cache is lost, and the shard
+//! rebuilds it on a healthy replica by re-prefilling the prompt plus the
+//! tokens already emitted.
 //!
 //! Because every decode step is row-local in the token dimension
 //! (masked attention over a per-sequence cache, per-row quantization on
@@ -81,7 +75,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use nnlut_core::NnLutKit;
 use nnlut_tensor::Matrix;
 use nnlut_transformer::{
     BertModel, KvCache, MatmulMode, Nonlinearity, PaddedBatch, TransformerConfig,
@@ -89,7 +82,6 @@ use nnlut_transformer::{
 
 use crate::batcher::{
     BatchPolicy, Batcher, ClosePolicy, CloseReason, CloseTarget, ClosedBatch, ClosedDecodeBatch,
-    ServePolicy,
 };
 use crate::fault::FaultInjector;
 use crate::metrics::{BatchRecord, ServeMetrics, DEFAULT_SKETCH_CAPACITY};
@@ -108,8 +100,9 @@ pub enum ServeError {
         /// How long it waited before expiring.
         waited: Duration,
     },
-    /// The queue was at its [`ServePolicy`] watermark when the request
-    /// arrived; it was rejected at the door, never queued, never encoded.
+    /// The shard door was at its [`ServePolicy`](crate::ServePolicy)
+    /// watermark when the request arrived; it was rejected at the door,
+    /// never queued, never encoded.
     /// Back off and resubmit — already-queued requests are unaffected.
     Overloaded {
         /// The request's id.
@@ -190,7 +183,8 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Construction knobs for the asynchronous front door.
+/// Per-replica construction knobs of the asynchronous door (see
+/// [`ShardConfig::replica`](crate::ShardConfig::replica)).
 #[derive(Debug, Clone)]
 pub struct AsyncServerConfig {
     /// Worker threads in each encode pool (`1` = serial reference path).
@@ -199,9 +193,6 @@ pub struct AsyncServerConfig {
     pub policy: BatchPolicy,
     /// When under-filled batches close anyway.
     pub close: ClosePolicy,
-    /// Admission watermarks — reject-at-door backpressure. Default:
-    /// unbounded (no behavior change until you opt in).
-    pub admission: ServePolicy,
     /// Batches that may encode concurrently (`0` is clamped to `1`).
     /// Each in-flight slot is one encoder thread with its own
     /// [`ThreadPool`] of [`AsyncServerConfig::threads`] lanes, so total
@@ -213,8 +204,9 @@ pub struct AsyncServerConfig {
     /// GEMM precision of the transformer body.
     pub mode: MatmulMode,
     /// Tracing configuration. Per-request lifecycle traces are always on
-    /// (part of the [`Ticket`] contract); this governs the flight
-    /// recorder. Default: [`TraceConfig::from_env`] (`NNLUT_TRACE=1`).
+    /// (part of the [`Ticket`] contract); this decides whether the fleet
+    /// runs one shared flight recorder. Default: [`TraceConfig::from_env`]
+    /// (`NNLUT_TRACE=1`).
     pub trace: TraceConfig,
 }
 
@@ -224,7 +216,6 @@ impl Default for AsyncServerConfig {
             threads: 1,
             policy: BatchPolicy::default_policy(),
             close: ClosePolicy::default_policy(),
-            admission: ServePolicy::unbounded(),
             max_in_flight: 1,
             sketch_capacity: DEFAULT_SKETCH_CAPACITY,
             mode: MatmulMode::F32,
@@ -233,10 +224,8 @@ impl Default for AsyncServerConfig {
     }
 }
 
-/// How a server is wired into a sharded fleet. Standalone servers use
-/// the default: no label, no injected faults, and a private recorder
-/// only if [`AsyncServerConfig::trace`] asks for one.
-#[derive(Debug, Clone, Default)]
+/// How a replica is wired into its sharded fleet.
+#[derive(Debug, Clone)]
 pub(crate) struct Wiring {
     /// Replica id stamped on this server's trace events and journal
     /// entries.
@@ -245,12 +234,13 @@ pub(crate) struct Wiring {
     /// threads just before each batch encode (inside the per-batch panic
     /// containment). See [`crate::fault`].
     pub(crate) fault: Option<FaultInjector>,
-    /// The fleet's shared flight recorder: one ring across every replica.
+    /// The fleet's shared flight recorder: one ring across every replica
+    /// (`None` when tracing is off).
     pub(crate) recorder: Option<Arc<FlightRecorder>>,
 }
 
 /// What a submission asks for — the one difference between the two
-/// request kinds at either door.
+/// request kinds, at the door and on a replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RequestKind {
     /// A whole-sequence encode.
@@ -327,23 +317,6 @@ impl Slot {
         self.ready.notify_all();
     }
 
-    /// Resolves a request rejected at an admission door to
-    /// [`ServeError::Overloaded`], journaling the queue depth it met.
-    pub(crate) fn reject_overloaded(
-        &self,
-        id: RequestId,
-        queue_depth: usize,
-        replica: Option<usize>,
-        recorder: Option<&FlightRecorder>,
-    ) {
-        self.trace
-            .record(Stage::Failed, replica, Some("overloaded"));
-        if let Some(rec) = recorder {
-            rec.record("overload-rejection", replica, Some(id), queue_depth as u64);
-        }
-        self.resolve(Err(ServeError::Overloaded { id, queue_depth }));
-    }
-
     /// Tokens emitted at or past `cursor`, plus the terminal outcome if
     /// the request has ended — *taken*, so only a slot's sole reader (the
     /// sharded supervisor, polling a replica attempt) may call this.
@@ -399,7 +372,7 @@ impl Slot {
 
 /// Handle to one in-flight asynchronous request, resolved by the worker
 /// on completion (or expiry/rejection). Obtained from
-/// [`AsyncLutServer::submit`].
+/// [`ShardedServer::submit`](crate::ShardedServer::submit).
 #[derive(Debug)]
 pub struct Ticket {
     id: RequestId,
@@ -483,7 +456,7 @@ pub struct GenerateResponse {
 
 /// Handle to one in-flight generation, streaming tokens as the worker
 /// resolves each decode step. Obtained from
-/// [`AsyncLutServer::submit_generate`].
+/// [`ShardedServer::submit_generate`](crate::ShardedServer::submit_generate).
 ///
 /// Consume it either as a stream ([`GenerateTicket::next`] per token) or
 /// in one blocking call ([`GenerateTicket::wait`] for the whole
@@ -709,6 +682,10 @@ struct State {
     requests: HashMap<RequestId, Entry>,
     metrics: ServeMetrics,
     next_id: RequestId,
+    /// The shard is shutting down: close batches without waiting for age
+    /// or deadline timers, but keep admitting its retries.
+    draining: bool,
+    /// The replica is being dropped: drain, then exit.
     shutdown: bool,
     /// Closed batches awaiting an encoder, in dispatch order.
     encode_queue: VecDeque<EncodeJob>,
@@ -737,69 +714,30 @@ struct Shared {
     encode: Condvar,
 }
 
-/// The asynchronous, deadline-aware batching server over the baked LUT
-/// engines.
-///
-/// # Examples
-///
-/// ```
-/// use nnlut_core::{train::TrainConfig, NnLutKit};
-/// use nnlut_serve::{AsyncLutServer, AsyncServerConfig, ServePolicy};
-/// use nnlut_transformer::{BertModel, TransformerConfig};
-/// use std::time::Duration;
-///
-/// let model = BertModel::new_synthetic(TransformerConfig::roberta_tiny(), 3);
-/// let kit = NnLutKit::train_with(16, 3, &TrainConfig::fast());
-/// let server = AsyncLutServer::new(model, kit, AsyncServerConfig {
-///     max_in_flight: 2,                                   // overlap encodes
-///     admission: ServePolicy::with_max_queue_depth(1024), // reject-at-door
-///     ..AsyncServerConfig::default()
-/// });
-///
-/// // Tickets resolve in the background; wait() blocks until done.
-/// let a = server.submit(vec![1, 2, 3, 4]);
-/// let b = server.submit_with_deadline(vec![5, 6], Some(Duration::from_secs(5)));
-/// let hidden = a.wait().expect("no deadline, cannot expire");
-/// assert_eq!(hidden.hidden.shape(), (4, 64));
-/// assert_eq!(b.wait().expect("5 s is plenty").tokens, 2);
-/// assert!(server.metrics().total_tokens() >= 6);
-/// ```
+/// One asynchronous, deadline-aware batching replica of a
+/// [`ShardedServer`](crate::ShardedServer) fleet.
 #[derive(Debug)]
-pub struct AsyncLutServer {
+pub(crate) struct AsyncLutServer {
     shared: Arc<Shared>,
     /// Kept for door-step validation; the model itself lives on the worker.
     config: TransformerConfig,
-    admission: ServePolicy,
     worker: Option<JoinHandle<()>>,
-    /// Replica label and the flight recorder this server journals into.
-    wiring: Wiring,
+    /// Replica id stamped on this server's trace events.
+    label: Option<usize>,
 }
 
 impl AsyncLutServer {
-    /// Builds the server and starts its background worker. The worker
-    /// owns the model and the kit's baked engines ("Altogether"
-    /// deployment, like [`LutServer::new`](crate::LutServer::new)).
-    pub fn new(model: BertModel, kit: NnLutKit, config: AsyncServerConfig) -> Self {
-        Self::with_backend(model, Nonlinearity::all_lut(&kit), config)
-    }
-
-    /// Builds the server with an explicit per-site backend selection.
-    pub fn with_backend(model: BertModel, nl: Nonlinearity, config: AsyncServerConfig) -> Self {
-        Self::with_shared(Arc::new(model), Arc::new(nl), config, Wiring::default())
-    }
-
-    /// Builds the server over **already-shared** model weights and
-    /// backend. This is how the sharded layer keeps N replicas over one
-    /// copy of the weights: every replica's encoder threads read the same
-    /// `Arc`s, so replica count is a topology knob, not a memory
-    /// multiplier.
+    /// Builds the replica over **already-shared** model weights and
+    /// backend, and starts its background worker. This is how the shard
+    /// keeps N replicas over one copy of the weights: every replica's
+    /// encoder threads read the same `Arc`s, so replica count is a
+    /// topology knob, not a memory multiplier.
     pub(crate) fn with_shared(
         model: Arc<BertModel>,
         nl: Arc<Nonlinearity>,
         config: AsyncServerConfig,
-        mut wiring: Wiring,
+        wiring: Wiring,
     ) -> Self {
-        crate::check_codebook_mode(&model, config.mode);
         let model_config = model.config().clone();
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
@@ -807,6 +745,7 @@ impl AsyncLutServer {
                 requests: HashMap::new(),
                 metrics: ServeMetrics::with_sketch_capacity(config.sketch_capacity),
                 next_id: 0,
+                draining: false,
                 shutdown: false,
                 encode_queue: VecDeque::new(),
                 in_flight: 0,
@@ -818,215 +757,77 @@ impl AsyncLutServer {
             work: Condvar::new(),
             encode: Condvar::new(),
         });
-        // A shared recorder wins; otherwise the trace config decides
-        // whether this server runs a private one or journals nothing.
-        if wiring.recorder.is_none() && config.trace.recorder {
-            wiring.recorder = Some(Arc::new(FlightRecorder::new(
-                config.trace.recorder_capacity,
-            )));
-        }
-        let admission = config.admission;
+        let label = wiring.label;
         let worker_shared = Arc::clone(&shared);
-        let worker_wiring = wiring.clone();
         let worker = std::thread::Builder::new()
             .name("nnlut-serve-dispatch".into())
-            .spawn(move || dispatcher_loop(worker_shared, model, nl, config, worker_wiring))
+            .spawn(move || dispatcher_loop(worker_shared, model, nl, config, wiring))
             .expect("spawn serving dispatcher");
         Self {
             shared,
             config: model_config,
-            admission,
             worker: Some(worker),
-            wiring,
+            label,
         }
     }
 
-    /// The flight recorder this server journals into, if one is enabled
-    /// (via `trace.recorder`, or the fleet's shared recorder).
-    pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.wiring.recorder.as_ref()
-    }
-
-    /// Enqueues a request with no deadline. Returns immediately; the
-    /// [`Ticket`] resolves when the batch it rides in completes (or
-    /// immediately, to [`ServeError::Overloaded`], if the queue is at its
-    /// backpressure watermark).
+    /// The one admission path for both request kinds: validate, then
+    /// queue. Admission control is the shard door's job. `trace` is the
+    /// shard request's lifecycle trace: one [`RequestTrace`] per shard
+    /// request, accumulating stages across every failover attempt, while
+    /// each replica submission still gets its own replica-local id.
+    /// `deadline` (measured from now) bounds the time queued — on either
+    /// plane, for a generation; see [`ServeError::DeadlineExceeded`].
     ///
     /// # Panics
     ///
-    /// Panics if the request is empty, overlong, out-of-vocabulary, or
-    /// submitted after [`AsyncLutServer::shutdown`].
-    pub fn submit(&self, tokens: Vec<usize>) -> Ticket {
-        self.submit_with_deadline(tokens, None)
-    }
-
-    /// Enqueues a request whose **queue wait** is bounded by `deadline`
-    /// (measured from now): a request still queued when its deadline
-    /// passes is culled without being encoded and its ticket resolves to
-    /// [`ServeError::DeadlineExceeded`]. A request *dispatched* before
-    /// its deadline runs to completion — encode time is not bounded, so
-    /// `wait()` can return `Ok` after the deadline on a slow batch;
-    /// [`ClosePolicy::deadline_slack`] is the knob that leaves encode
-    /// headroom. `None` means no deadline.
-    ///
-    /// If the queue is at its [`ServePolicy`] watermark the request is
-    /// rejected at the door: the returned ticket is already resolved to
-    /// [`ServeError::Overloaded`] and nothing was queued.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request is empty, overlong, out-of-vocabulary, or
-    /// submitted after [`AsyncLutServer::shutdown`].
-    pub fn submit_with_deadline(&self, tokens: Vec<usize>, deadline: Option<Duration>) -> Ticket {
-        let (id, slot) = self.enqueue(tokens, deadline, RequestKind::Encode, None);
-        Ticket::new(id, slot)
-    }
-
-    /// Enqueues an autoregressive generation: prefill the prompt, then
-    /// emit `max_new` greedy tokens, one continuous-batched decode step
-    /// at a time. Returns a streaming [`GenerateTicket`] immediately;
-    /// tokens become readable as each step resolves.
-    ///
-    /// `deadline` (measured from now) bounds the **whole generation**: a
-    /// sequence still queued — on either the prefill or the decode plane
-    /// — when it lapses is culled, its KV cache freed, and the ticket
-    /// resolves [`ServeError::DeadlineExceeded`] after yielding whatever
-    /// tokens it had emitted. Admission charges the prompt length
-    /// against the [`ServePolicy`] door watermarks once, at submit;
-    /// per-token rejoins are never re-checked (the generation was
-    /// already admitted).
-    ///
-    /// The emitted sequence is **bit-identical to
-    /// [`BertModel::generate`]** — serial, step-at-a-time greedy
-    /// decoding — at every precision, thread count and in-flight depth,
-    /// whatever else is batched alongside (`tests/serve_decode.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the prompt is empty, out-of-vocabulary, `max_new` is
-    /// zero, `prompt.len() + max_new` exceeds the model's `max_seq`
-    /// (every generated position must fit the KV cache), or the server
-    /// is shut down.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use nnlut_core::{train::TrainConfig, NnLutKit};
-    /// use nnlut_serve::{AsyncLutServer, AsyncServerConfig};
-    /// use nnlut_transformer::{BertModel, TransformerConfig};
-    ///
-    /// let model = BertModel::new_synthetic(TransformerConfig::roberta_tiny(), 3);
-    /// let kit = NnLutKit::train_with(16, 3, &TrainConfig::fast());
-    /// let server = AsyncLutServer::new(model, kit, AsyncServerConfig::default());
-    ///
-    /// let ticket = server.submit_generate(vec![5, 6, 7], 4, None);
-    /// let mut tokens = Vec::new();
-    /// for token in ticket {
-    ///     tokens.push(token.expect("no deadline, cannot expire"));
-    /// }
-    /// assert_eq!(tokens.len(), 4);
-    /// assert!(server.metrics().generations_completed() >= 1);
-    /// ```
-    pub fn submit_generate(
-        &self,
-        prompt: Vec<usize>,
-        max_new: usize,
-        deadline: Option<Duration>,
-    ) -> GenerateTicket {
-        let (id, slot) = self.enqueue(prompt, deadline, RequestKind::Generate { max_new }, None);
-        GenerateTicket::new(id, slot)
-    }
-
-    /// The one admission path for both request kinds: validate, charge
-    /// the token count against the [`ServePolicy`] watermarks, then queue
-    /// (or reject at the door). `trace` continues an **existing**
-    /// lifecycle trace — the sharded layer's seam: one [`RequestTrace`]
-    /// per shard request, accumulating stages across every failover
-    /// attempt, while each replica submission still gets its own
-    /// replica-local id.
+    /// Panics if the request is malformed for its kind (see
+    /// [`RequestKind::validate`]).
     pub(crate) fn enqueue(
         &self,
         tokens: Vec<usize>,
         deadline: Option<Duration>,
         kind: RequestKind,
-        trace: Option<Arc<RequestTrace>>,
-    ) -> (RequestId, Arc<Slot>) {
+        trace: Arc<RequestTrace>,
+    ) -> Arc<Slot> {
         kind.validate(&self.config, &tokens);
-        let label = self.wiring.label;
         let now = Instant::now();
         let deadline = deadline.map(|d| now + d);
-        let (id, slot, rejected_at_depth) = {
+        let slot = Arc::new(Slot::new(trace));
+        {
             let mut st = lock(&self.shared.state);
-            assert!(!st.shutdown, "cannot submit after shutdown");
             let id = st.next_id;
             st.next_id += 1;
-            // A fresh trace starts with `Admitted`; an inherited one
-            // (shard failover) already recorded it at the shard door.
-            let trace = trace.unwrap_or_else(|| {
-                let t = Arc::new(RequestTrace::new(id));
-                t.record(Stage::Admitted, label, None);
-                t
-            });
-            let slot = Arc::new(Slot::new(trace));
-            let depth = st.batcher.queue_depth();
-            if !self
-                .admission
-                .admits(depth + 1, st.batcher.queued_tokens() + tokens.len())
-            {
-                st.metrics.record_overload_rejection();
-                (id, slot, Some(depth))
-            } else {
-                slot.trace.record(Stage::Queued, label, None);
-                let gen = match kind {
-                    RequestKind::Encode => None,
-                    RequestKind::Generate { max_new } => Some(GenState {
-                        emitted: 0,
-                        max_new,
-                        cache: None,
-                        next_token: 0,
-                        deadline,
-                        last_emit: None,
-                    }),
-                };
-                let entry = Entry {
-                    slot: Arc::clone(&slot),
-                    gen,
-                };
-                st.requests.insert(id, entry);
-                st.batcher.push_at(id, tokens, now, deadline);
-                (id, slot, None)
-            }
-        };
-        match rejected_at_depth {
-            // Resolved outside the shared lock; the slot's own lock
-            // orders the handoff.
-            Some(queue_depth) => {
-                slot.reject_overloaded(id, queue_depth, label, self.wiring.recorder.as_deref())
-            }
-            None => self.shared.work.notify_one(),
+            slot.trace.record(Stage::Queued, self.label, None);
+            let gen = match kind {
+                RequestKind::Encode => None,
+                RequestKind::Generate { max_new } => Some(GenState {
+                    emitted: 0,
+                    max_new,
+                    cache: None,
+                    next_token: 0,
+                    deadline,
+                    last_emit: None,
+                }),
+            };
+            let entry = Entry {
+                slot: Arc::clone(&slot),
+                gen,
+            };
+            st.requests.insert(id, entry);
+            st.batcher.push_at(id, tokens, now, deadline);
         }
-        (id, slot)
+        self.shared.work.notify_one();
+        slot
     }
 
-    /// Generations currently live on this server (admitted, not yet
-    /// completed/expired/failed). Each holds one KV cache — this is the
-    /// cache-residency gauge, and it returns to zero when the last
-    /// generation resolves (eviction is structural: the cache drops with
-    /// the bookkeeping entry).
-    pub fn active_generations(&self) -> usize {
-        let st = lock(&self.shared.state);
-        st.requests.values().filter(|e| e.gen.is_some()).count()
-    }
-
-    /// Requests currently waiting in the queue (not yet dispatched).
-    pub fn queue_depth(&self) -> usize {
-        lock(&self.shared.state).batcher.queue_depth()
-    }
-
-    /// Sum of queued requests' token lengths — the queued-area signal the
-    /// backpressure watermark runs on.
-    pub fn queued_tokens(&self) -> usize {
-        lock(&self.shared.state).batcher.queued_tokens()
+    /// Stops waiting on batch timers: from now on every batch closes as
+    /// soon as an in-flight slot is free, and enqueues are still
+    /// accepted. Called once the shard starts shutting down, so its drain
+    /// never waits out a replica's `max_batch_age`.
+    pub(crate) fn drain(&self) {
+        lock(&self.shared.state).draining = true;
+        self.shared.work.notify_all();
     }
 
     /// A snapshot of the serving metrics so far. The shared lock is held
@@ -1034,35 +835,27 @@ impl AsyncLutServer {
     /// computed on the snapshot, outside the lock, so this call's cost is
     /// independent of how many batches the server has dispatched
     /// (`tests/serve_soak.rs` pins that down).
-    pub fn metrics(&self) -> ServeMetrics {
+    pub(crate) fn metrics(&self) -> ServeMetrics {
         lock(&self.shared.state).metrics.clone()
     }
+}
 
-    /// Stops admission, drains every queued request (resolving all
-    /// outstanding tickets, waiting out every in-flight batch) and joins
-    /// the worker. Idempotent; also runs on drop.
-    ///
-    /// If the worker died abnormally (a panic that escaped even the
-    /// per-batch containment), every still-unresolved ticket is failed
-    /// with [`ServeError::ServerFailed`] rather than re-panicking — a
-    /// drop during unwinding must never double-panic, and no waiter may
-    /// be left hanging.
-    pub fn shutdown(&mut self) {
-        {
-            lock(&self.shared.state).shutdown = true;
-        }
+/// Stops admission, drains every queued request (resolving every slot,
+/// waiting out every in-flight batch) and joins the worker.
+///
+/// If the worker died abnormally (a panic that escaped even the per-batch
+/// containment), every still-unresolved request is failed with
+/// [`ServeError::ServerFailed`] rather than re-panicking — a drop during
+/// unwinding must never double-panic, and no waiter may be left hanging.
+impl Drop for AsyncLutServer {
+    fn drop(&mut self) {
+        lock(&self.shared.state).shutdown = true;
         self.shared.work.notify_all();
         if let Some(worker) = self.worker.take() {
             if worker.join().is_err() {
                 fail_all(&mut lock(&self.shared.state), None);
             }
         }
-    }
-}
-
-impl Drop for AsyncLutServer {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -1492,7 +1285,7 @@ fn dispatcher_loop(
         }
         // Dispatch while an in-flight slot is free and a close fires.
         if st.in_flight < max_in_flight {
-            let plan = if st.shutdown {
+            let plan = if st.draining || st.shutdown {
                 // Flush: ignore timers. The decode plane drains first —
                 // in-flight generations *finish* under shutdown (their
                 // token budget bounds the drain), and their steps are
@@ -1620,238 +1413,9 @@ fn dispatcher_loop(
     for handle in encoders {
         if handle.join().is_err() {
             // An encoder died outside the per-batch containment. Propagate
-            // so `shutdown`'s sweep fails the orphaned tickets instead of
+            // so the drop's sweep fails the orphaned tickets instead of
             // leaving waiters hanging.
             panic!("serving encoder thread panicked");
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use nnlut_core::train::TrainConfig;
-    use nnlut_transformer::TransformerConfig;
-
-    fn tiny_async(config: AsyncServerConfig) -> AsyncLutServer {
-        let model = BertModel::new_synthetic(TransformerConfig::roberta_tiny(), 9);
-        let kit = NnLutKit::train_with(16, 9, &TrainConfig::fast());
-        AsyncLutServer::new(model, kit, config)
-    }
-
-    #[test]
-    fn tickets_resolve_with_correct_shapes() {
-        let server = tiny_async(AsyncServerConfig::default());
-        let tickets: Vec<Ticket> = (1..=5).map(|n| server.submit(vec![2; n])).collect();
-        for (n, t) in tickets.into_iter().enumerate() {
-            assert_eq!(t.id(), n as u64);
-            let r = t.wait().expect("no deadline set");
-            assert_eq!(r.id, n as u64);
-            assert_eq!(r.hidden.shape(), (n + 1, 64));
-        }
-        let m = server.metrics();
-        assert_eq!(m.total_tokens(), 1 + 2 + 3 + 4 + 5);
-        assert_eq!(m.deadline_misses(), 0);
-    }
-
-    #[test]
-    fn multi_in_flight_resolves_everything() {
-        let server = tiny_async(AsyncServerConfig {
-            max_in_flight: 3,
-            threads: 2,
-            ..AsyncServerConfig::default()
-        });
-        let tickets: Vec<Ticket> = (0..12).map(|n| server.submit(vec![2; 1 + n % 7])).collect();
-        for (n, t) in tickets.into_iter().enumerate() {
-            let r = t.wait().expect("no deadline set");
-            assert_eq!(r.id, n as u64);
-            assert_eq!(r.tokens, 1 + n % 7);
-        }
-        let m = server.metrics();
-        assert_eq!(m.total_sequences(), 12);
-        assert_eq!(m.deadline_misses(), 0);
-    }
-
-    #[test]
-    fn shutdown_flushes_outstanding_tickets() {
-        let mut server = tiny_async(AsyncServerConfig {
-            close: ClosePolicy {
-                // An hour-long age: only the shutdown drain can flush.
-                max_batch_age: Duration::from_secs(3600),
-                deadline_slack: Duration::from_millis(1),
-            },
-            ..AsyncServerConfig::default()
-        });
-        let t1 = server.submit(vec![1, 2, 3]);
-        let t2 = server.submit(vec![4; 10]);
-        server.shutdown();
-        assert!(t1.is_ready() && t2.is_ready());
-        assert_eq!(t1.wait().unwrap().tokens, 3);
-        assert_eq!(t2.wait().unwrap().tokens, 10);
-    }
-
-    #[test]
-    fn overload_rejects_at_the_door_and_recovers() {
-        let mut server = tiny_async(AsyncServerConfig {
-            admission: ServePolicy::with_max_queue_depth(2),
-            close: ClosePolicy {
-                // Nothing closes on its own: the queue stays at depth 2.
-                max_batch_age: Duration::from_secs(3600),
-                deadline_slack: Duration::from_millis(1),
-            },
-            ..AsyncServerConfig::default()
-        });
-        let a = server.submit(vec![1; 3]);
-        let b = server.submit(vec![2; 3]);
-        let rejected = server.submit(vec![3; 3]);
-        // The rejection is immediate — no worker involvement.
-        assert!(rejected.is_ready());
-        match rejected.wait() {
-            Err(ServeError::Overloaded { id, queue_depth }) => {
-                assert_eq!(id, 2);
-                assert_eq!(queue_depth, 2);
-            }
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
-        assert_eq!(server.metrics().overload_rejections(), 1);
-        // Queued requests are unaffected by the rejection (FIFO fairness):
-        // the shutdown drain serves both.
-        server.shutdown();
-        assert_eq!(a.wait().unwrap().tokens, 3);
-        assert_eq!(b.wait().unwrap().tokens, 3);
-    }
-
-    #[test]
-    fn queued_area_watermark_rejects_large_backlog() {
-        let server = tiny_async(AsyncServerConfig {
-            admission: ServePolicy::with_max_queued_tokens(10),
-            close: ClosePolicy {
-                max_batch_age: Duration::from_secs(3600),
-                deadline_slack: Duration::from_millis(1),
-            },
-            ..AsyncServerConfig::default()
-        });
-        let _a = server.submit(vec![1; 8]); // 8 of 10 queued tokens
-        let rejected = server.submit(vec![2; 3]); // would be 11 — rejected
-        assert!(matches!(
-            rejected.wait(),
-            Err(ServeError::Overloaded { .. })
-        ));
-        let small = server.submit(vec![2; 2]); // exactly 10 — admitted
-        assert_eq!(server.queued_tokens(), 10);
-        drop(server); // shutdown drain serves the admitted requests
-        assert_eq!(small.wait().unwrap().tokens, 2);
-    }
-
-    #[test]
-    fn generate_streams_tokens_matching_the_serial_oracle() {
-        // The same synthetic weights + kit, once for the server and once
-        // for the serial step-at-a-time oracle.
-        let model = BertModel::new_synthetic(TransformerConfig::roberta_tiny(), 9);
-        let kit = NnLutKit::train_with(16, 9, &TrainConfig::fast());
-        let nl = Nonlinearity::all_lut(&kit);
-        let oracle = model.generate(&[3, 1, 4, 1, 5], 6, &nl, MatmulMode::F32);
-
-        let server = tiny_async(AsyncServerConfig::default());
-        let ticket = server.submit_generate(vec![3, 1, 4, 1, 5], 6, None);
-        let mut streamed = Vec::new();
-        for token in ticket {
-            streamed.push(token.expect("no deadline, cannot expire"));
-        }
-        assert_eq!(streamed, oracle, "continuous batching changed a token");
-
-        let m = server.metrics();
-        assert_eq!(m.generated_tokens(), 6);
-        assert_eq!(m.generations_completed(), 1);
-        assert_eq!(m.decode_steps(), 5, "first token comes from the prefill");
-        assert!(m.decode_batches() >= 1);
-        // Inter-token gaps exist once two tokens are out.
-        assert!(m.inter_token_percentile(50.0).is_some());
-        // Eviction on completion: no residual generation state or cache.
-        assert_eq!(server.active_generations(), 0);
-    }
-
-    #[test]
-    fn mixed_encodes_and_generations_share_batches() {
-        let server = tiny_async(AsyncServerConfig {
-            threads: 2,
-            max_in_flight: 2,
-            ..AsyncServerConfig::default()
-        });
-        let gens: Vec<GenerateTicket> = (0..3)
-            .map(|i| server.submit_generate(vec![1 + i, 2, 3], 4, None))
-            .collect();
-        let encodes: Vec<Ticket> = (0..4).map(|n| server.submit(vec![2; 3 + n])).collect();
-        for t in encodes {
-            let r = t.wait().expect("no deadline set");
-            assert_eq!(r.hidden.rows(), r.tokens);
-        }
-        for g in gens {
-            let r = g.wait().expect("no deadline set");
-            assert_eq!(r.tokens.len(), 4);
-        }
-        let m = server.metrics();
-        assert_eq!(m.generations_completed(), 3);
-        assert_eq!(m.generated_tokens(), 12);
-        assert_eq!(server.active_generations(), 0);
-    }
-
-    #[test]
-    fn generation_deadline_expires_cleanly() {
-        let server = tiny_async(AsyncServerConfig {
-            close: ClosePolicy {
-                // Nothing closes on age: the prefill sits queued until
-                // its deadline lapses.
-                max_batch_age: Duration::from_secs(3600),
-                deadline_slack: Duration::ZERO,
-            },
-            ..AsyncServerConfig::default()
-        });
-        let ticket = server.submit_generate(vec![1, 2], 4, Some(Duration::from_millis(1)));
-        match ticket.wait() {
-            Err(ServeError::DeadlineExceeded { id, .. }) => assert_eq!(id, 0),
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
-        assert_eq!(server.active_generations(), 0, "expiry freed the cache");
-        assert_eq!(server.metrics().deadline_misses(), 1);
-    }
-
-    #[test]
-    fn shutdown_finishes_in_flight_generations() {
-        let mut server = tiny_async(AsyncServerConfig {
-            close: ClosePolicy {
-                // Only the shutdown drain can run the prefill.
-                max_batch_age: Duration::from_secs(3600),
-                deadline_slack: Duration::from_millis(1),
-            },
-            ..AsyncServerConfig::default()
-        });
-        let g = server.submit_generate(vec![7, 8, 9], 5, None);
-        let e = server.submit(vec![1; 4]);
-        server.shutdown();
-        assert!(g.is_done(), "shutdown drains generations to completion");
-        assert_eq!(g.wait().expect("drained, not dropped").tokens.len(), 5);
-        assert_eq!(e.wait().expect("drained").tokens, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds max_seq")]
-    fn submit_generate_validates_the_token_budget() {
-        // roberta_tiny max_seq = 64: 60 prompt + 5 new cannot fit.
-        tiny_async(AsyncServerConfig::default()).submit_generate(vec![1; 60], 5, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "after shutdown")]
-    fn submit_after_shutdown_panics() {
-        let mut server = tiny_async(AsyncServerConfig::default());
-        server.shutdown();
-        server.submit(vec![1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of vocabulary")]
-    fn async_submit_validates_at_the_door() {
-        tiny_async(AsyncServerConfig::default()).submit(vec![10_000]);
     }
 }

@@ -155,9 +155,9 @@ impl Default for ClosePolicy {
 /// every queued request waits longer, deadlines die in bulk, and the
 /// server melts instead of shedding. `ServePolicy` caps what the queue may
 /// hold — a submission that would push **either** watermark over its limit
-/// is rejected *immediately* (`ServeError::Overloaded` on the async front
-/// door, an `Err` from the sync `try_submit`), leaving every already-queued
-/// request untouched. Rejection is strictly newest-arrival-first: the door
+/// is rejected *immediately* (`ServeError::Overloaded` at the
+/// [`ShardedServer`](crate::ShardedServer) door), leaving every
+/// already-queued request untouched. Rejection is strictly newest-arrival-first: the door
 /// closes, the queue never reshuffles, so FIFO fairness is preserved.
 ///
 /// The default is unbounded (both watermarks at `usize::MAX`) — existing
@@ -360,9 +360,6 @@ pub struct ClosedBatch {
 pub struct Batcher {
     policy: BatchPolicy,
     buckets: Vec<VecDeque<PendingRequest>>,
-    /// Sum of queued requests' token lengths, maintained O(1) on
-    /// push/pop so the backpressure check never walks the queue.
-    queued_tokens: usize,
     /// The decode plane: FIFO of single-token generation steps, separate
     /// from the length buckets because a decode step's cost profile is a
     /// different shape (one new row, attention over a cached context) and
@@ -400,7 +397,6 @@ impl Batcher {
         Self {
             policy,
             buckets,
-            queued_tokens: 0,
             decode: VecDeque::new(),
         }
     }
@@ -435,7 +431,6 @@ impl Batcher {
     ) {
         assert!(!tokens.is_empty(), "cannot enqueue an empty request");
         let bucket = self.policy.bucket_index(tokens.len());
-        self.queued_tokens += tokens.len();
         self.buckets[bucket].push_back(PendingRequest {
             id,
             tokens,
@@ -447,12 +442,6 @@ impl Batcher {
     /// Number of requests waiting across all buckets.
     pub fn queue_depth(&self) -> usize {
         self.buckets.iter().map(VecDeque::len).sum()
-    }
-
-    /// Sum of queued requests' token lengths — the queued-area signal the
-    /// [`ServePolicy`] backpressure watermark runs on. O(1).
-    pub fn queued_tokens(&self) -> usize {
-        self.queued_tokens
     }
 
     /// Requests waiting per bucket (length `policy.bucket_count()`).
@@ -515,7 +504,6 @@ impl Batcher {
             }
             *bucket = keep;
         }
-        self.queued_tokens -= expired.iter().map(|r| r.tokens.len()).sum::<usize>();
         expired.sort_by_key(|r| (r.queued_at, r.id));
         expired
     }
@@ -729,7 +717,6 @@ impl Batcher {
             let req = self.buckets[bucket]
                 .pop_front()
                 .expect("pack_plan counted it");
-            self.queued_tokens -= req.tokens.len();
             ids.push(req.id);
             deadlines.push(req.deadline);
             queue_waits.push(now.saturating_duration_since(req.queued_at));
@@ -1049,25 +1036,6 @@ mod tests {
         let closed = b.close_bucket(0, t0, CloseReason::Aged);
         assert_eq!(closed.ids, vec![2]);
         assert_eq!(closed.reason, CloseReason::Aged);
-    }
-
-    #[test]
-    fn queued_tokens_tracks_push_close_and_expiry() {
-        let mut b = Batcher::new(BatchPolicy::bucketed(vec![4]));
-        assert_eq!(b.queued_tokens(), 0);
-        let t0 = Instant::now();
-        b.push_at(0, vec![1; 3], t0, None);
-        b.push_at(1, vec![1; 8], t0, Some(t0 + Duration::from_millis(1)));
-        b.push_at(2, vec![1; 2], t0, None);
-        assert_eq!(b.queued_tokens(), 13);
-        // Expiry releases the expired request's area…
-        let expired = b.take_expired(t0 + Duration::from_millis(2));
-        assert_eq!(expired.len(), 1);
-        assert_eq!(b.queued_tokens(), 5);
-        // …and packing releases the batch's.
-        let (ids, _) = b.next_batch().unwrap();
-        assert_eq!(ids, vec![0, 2]);
-        assert_eq!(b.queued_tokens(), 0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! # nnlut-serve
 //!
-//! The serving layer of the NN-LUT reproduction: synchronous and
-//! asynchronous inference servers that take variable-length encode
-//! requests and drive the baked LUT engines at full-machine width,
-//! without ever changing a bit of the answer.
+//! The serving layer of the NN-LUT reproduction: a synchronous serial
+//! oracle and one asynchronous front door that take variable-length
+//! encode and generation requests and drive the baked LUT engines at
+//! full-machine width, without ever changing a bit of the answer.
 //!
 //! NN-LUT's pitch is that *one* generic LUT datapath serves every
 //! non-linearity; this crate is the serving analogue — one generic
@@ -27,32 +27,32 @@
 //!   queue separately and close into wide [`ClosedDecodeBatch`]es under
 //!   the same area budget, decode-priority but with prefill
 //!   anti-starvation.
-//! * [`server`] — the synchronous [`LutServer`] front door: the caller's
-//!   thread drives `submit`/`step`/`drain`; `try_submit` honors the
-//!   [`ServePolicy`] backpressure watermark.
-//! * [`async_server`] — the asynchronous [`AsyncLutServer`] front door: a
-//!   background dispatcher drains the queue into up to
+//! * [`server`] — the synchronous [`LutServer`], the serial oracle: the
+//!   caller's thread drives `submit`/`step`/`drain`.
+//! * [`async_server`] — the crate-private replica behind the shard door:
+//!   a background dispatcher drains the queue into up to
 //!   `max_in_flight` concurrent encoder threads (ordered completion
-//!   queue), `submit` returns a [`Ticket`], requests carry optional
-//!   deadlines, under-filled batches close on age or deadline pressure,
-//!   and submissions above the [`ServePolicy`] watermark are rejected at
-//!   the door as [`ServeError::Overloaded`]. Encodes and generations
-//!   share one admission path and one table of unresolved requests, so
-//!   expiry, failure and the shutdown sweep each have one code path.
+//!   queue), requests carry optional deadlines, and under-filled batches
+//!   close on age or deadline pressure. Encodes and generations share one
+//!   admission path and one table of unresolved requests, so expiry,
+//!   failure and the shutdown sweep each have one code path. The module
+//!   also holds the door's public types: [`Ticket`], [`GenerateTicket`],
+//!   [`ServeError`] and the per-replica [`AsyncServerConfig`].
 //! * [`metrics`] — bounded streaming aggregates (O(sketch capacity), not
 //!   O(batches served)): per-batch latency, queue-wait percentiles over a
 //!   fixed-size [`QuantileSketch`], per-bucket padding efficiency,
-//!   deadline misses, overload rejections and end-to-end tokens/sec;
-//!   [`ServeMetrics::merge`] rolls replica snapshots up for the shard.
-//! * [`shard`] — the replica-sharded [`ShardedServer`]: N
-//!   [`AsyncLutServer`] replicas over one `Arc`-shared copy of the
-//!   weights, join-shortest-queue routing by outstanding padded area, a
-//!   single rolled-up admission door, a per-replica
+//!   deadline misses and end-to-end tokens/sec; [`ServeMetrics::merge`]
+//!   rolls replica snapshots up for the shard.
+//! * [`shard`] — the replica-sharded [`ShardedServer`], the only
+//!   asynchronous front door: `submit` returns a [`Ticket`], N replicas
+//!   share one `Arc`-shared copy of the weights, join-shortest-queue
+//!   routing by outstanding padded area, one admission door that rejects
+//!   submissions above its [`ServePolicy`] watermark as
+//!   [`ServeError::Overloaded`], a per-replica
 //!   `Healthy → Degraded → Quarantined` health machine with
 //!   stall watchdogs, front-of-queue failover under a retry budget, and
-//!   exponential-backoff probe re-admission. Like the replica door, the
-//!   shard door has one admission path and one request table for both
-//!   request kinds.
+//!   exponential-backoff probe re-admission. The door has one admission
+//!   path and one request table for both request kinds.
 //! * [`fault`] — deterministic, seedable fault injection
 //!   ([`FaultPlan`]): panic at batch *k* on replica *r*, stall for *d*,
 //!   bounce an admission — keyed to event coordinates so chaos runs are
@@ -88,7 +88,8 @@
 //! `tests/serve_determinism.rs` property-tests the claim across thread
 //! counts 1/2/4/8, NaN/inf payloads and batch sizes that don't divide
 //! evenly; `tests/serve_async.rs` extends it to the asynchronous front
-//! door. The full story lives in `docs/ARCHITECTURE.md`.
+//! door ([`ShardedServer`]). The full story lives in
+//! `docs/ARCHITECTURE.md`.
 //!
 //! ## Quickstart
 //!
@@ -109,7 +110,7 @@
 //! ```
 //!
 //! For the asynchronous front door (tickets, deadlines, timed batch
-//! closes) see [`AsyncLutServer`] and `examples/serve_async.rs`.
+//! closes) see [`ShardedServer`] and `examples/serve_async.rs`.
 
 #![warn(missing_docs)]
 
@@ -123,9 +124,7 @@ pub mod server;
 pub mod shard;
 pub mod trace;
 
-pub use async_server::{
-    AsyncLutServer, AsyncServerConfig, GenerateResponse, GenerateTicket, ServeError, Ticket,
-};
+pub use async_server::{AsyncServerConfig, GenerateResponse, GenerateTicket, ServeError, Ticket};
 pub use batcher::{
     BatchPolicy, Batcher, ClosePolicy, CloseReason, CloseTarget, ClosedBatch, ClosedDecodeBatch,
     DecodeStep, PendingRequest, ServePolicy,
@@ -143,7 +142,7 @@ pub use trace::{
     TraceEvent, DEFAULT_RECORDER_CAPACITY,
 };
 
-/// Front-door guard every server constructor runs: a config asking for
+/// Front-door guard both server constructors run: a config asking for
 /// [`nnlut_transformer::MatmulMode::Codebook`] against a model whose
 /// linears were never baked is a deployment error — fail at construction
 /// with an actionable message, not mid-batch inside a worker thread.

@@ -1,7 +1,8 @@
 //! Serving metrics: what the operator of a heavy-traffic deployment would
 //! watch — per-batch latency, queue depth at dispatch, padding efficiency
 //! (overall and per length bucket), queue-wait percentiles, deadline
-//! misses, overload rejections and end-to-end tokens/sec.
+//! misses and end-to-end tokens/sec. Overload rejections happen at the
+//! shard door and are counted in [`crate::ShardMetrics`].
 //!
 //! # Bounded by design
 //!
@@ -249,7 +250,6 @@ pub struct ServeMetrics {
     /// dispatched a batch (bounded by the policy's bucket count).
     per_bucket: Vec<BucketStats>,
     deadline_misses: usize,
-    overload_rejections: usize,
     latency_sketch: QuantileSketch,
     queue_wait_sketch: QuantileSketch,
     missed_wait_sketch: QuantileSketch,
@@ -304,7 +304,6 @@ impl ServeMetrics {
             close_counts: [0; 5],
             per_bucket: Vec::new(),
             deadline_misses: 0,
-            overload_rejections: 0,
             latency_sketch: QuantileSketch::new(capacity),
             queue_wait_sketch: QuantileSketch::new(capacity),
             missed_wait_sketch: QuantileSketch::new(capacity),
@@ -406,12 +405,6 @@ impl ServeMetrics {
         self.missed_wait_sketch.observe(waited);
     }
 
-    /// Records one request rejected at the door by the backpressure
-    /// watermark ([`crate::ServePolicy`]); it was never queued.
-    pub fn record_overload_rejection(&mut self) {
-        self.overload_rejections += 1;
-    }
-
     /// Batches dispatched so far.
     pub fn batches_served(&self) -> u64 {
         self.batches
@@ -425,11 +418,6 @@ impl ServeMetrics {
     /// Requests that expired unserved at their deadline.
     pub fn deadline_misses(&self) -> usize {
         self.deadline_misses
-    }
-
-    /// Requests rejected at the door by the backpressure watermark.
-    pub fn overload_rejections(&self) -> usize {
-        self.overload_rejections
     }
 
     /// Total real tokens encoded.
@@ -661,7 +649,6 @@ impl ServeMetrics {
             mine.padded_tokens += theirs.padded_tokens;
         }
         self.deadline_misses += other.deadline_misses;
-        self.overload_rejections += other.overload_rejections;
         self.latency_sketch.merge(&other.latency_sketch);
         self.queue_wait_sketch.merge(&other.queue_wait_sketch);
         self.missed_wait_sketch.merge(&other.missed_wait_sketch);
@@ -687,7 +674,7 @@ impl ServeMetrics {
         let w50 = self.queue_wait_percentile(50.0).unwrap_or_default();
         let w95 = self.queue_wait_percentile(95.0).unwrap_or_default();
         format!(
-            "{} batches · {} tokens · {:.1} tok/s · p50 {:.2} ms · p95 {:.2} ms · wait p50 {:.2} ms · wait p95 {:.2} ms · padding eff {:.2} · peak queue {} · deadline misses {} · overload rejections {}",
+            "{} batches · {} tokens · {:.1} tok/s · p50 {:.2} ms · p95 {:.2} ms · wait p50 {:.2} ms · wait p95 {:.2} ms · padding eff {:.2} · peak queue {} · deadline misses {}",
             self.batches,
             self.tokens,
             self.tokens_per_sec(),
@@ -698,7 +685,6 @@ impl ServeMetrics {
             self.padding_efficiency(),
             self.peak_queue_depth,
             self.deadline_misses,
-            self.overload_rejections,
         )
     }
 }
@@ -729,7 +715,6 @@ mod tests {
         assert_eq!(m.queue_wait_percentile(50.0), None);
         assert_eq!(m.peak_queue_depth(), 0);
         assert_eq!(m.deadline_misses(), 0);
-        assert_eq!(m.overload_rejections(), 0);
         assert_eq!(m.batches_served(), 0);
         assert_eq!(m.min_latency(), None);
         assert_eq!(m.max_latency(), None);
@@ -813,15 +798,6 @@ mod tests {
     }
 
     #[test]
-    fn overload_rejections_are_counted() {
-        let mut m = ServeMetrics::new();
-        m.record_overload_rejection();
-        m.record_overload_rejection();
-        assert_eq!(m.overload_rejections(), 2);
-        assert!(m.summary().contains("overload rejections 2"));
-    }
-
-    #[test]
     fn memory_is_bounded_by_sketch_capacity_not_batches() {
         let mut m = ServeMetrics::with_sketch_capacity(64);
         m.record(rec(1, 1, 1));
@@ -878,7 +854,6 @@ mod tests {
             bucket: 1,
             ..rec(10, 20, 5)
         });
-        a.record_overload_rejection();
         let mut b = ServeMetrics::new();
         b.record(BatchRecord {
             reason: CloseReason::Aged,
@@ -892,7 +867,6 @@ mod tests {
         assert_eq!(a.min_latency(), Some(Duration::from_millis(5)));
         assert_eq!(a.max_latency(), Some(Duration::from_millis(50)));
         assert_eq!(a.deadline_misses(), 1);
-        assert_eq!(a.overload_rejections(), 1);
         assert_eq!(a.closes_for(CloseReason::Drain), 1);
         assert_eq!(a.closes_for(CloseReason::Aged), 1);
         // b's bucket-0 batch lands in the bucket table a already had.

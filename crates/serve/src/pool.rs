@@ -19,9 +19,9 @@
 //! get wrong.
 //!
 //! Both front doors drive this pool: the synchronous
-//! [`LutServer`](crate::LutServer) from the caller's thread, the
-//! asynchronous [`AsyncLutServer`](crate::AsyncLutServer) from its
-//! background worker — one parallel region per encoded batch either way.
+//! [`LutServer`](crate::LutServer) from the caller's thread, each replica
+//! of the asynchronous [`ShardedServer`](crate::ShardedServer) from its
+//! encoder threads — one parallel region per encoded batch either way.
 
 use nnlut_transformer::BatchExecutor;
 

@@ -7,9 +7,10 @@
 //! respond. "Synchronous" means the caller's thread drives the queue;
 //! the parallelism lives *inside* a batch (row ranges across the pool),
 //! which is the right shape for a single-tenant CPU deployment and keeps
-//! the whole layer deterministic. For a concurrent front door with
-//! deadlines and timed batch closes, see
-//! [`AsyncLutServer`](crate::AsyncLutServer).
+//! the whole layer deterministic — the serial oracle the asynchronous
+//! door is tested against. For a concurrent front door with deadlines,
+//! timed batch closes and backpressure, see
+//! [`ShardedServer`](crate::ShardedServer).
 
 use std::time::Instant;
 
@@ -17,8 +18,7 @@ use nnlut_core::NnLutKit;
 use nnlut_tensor::Matrix;
 use nnlut_transformer::{BertModel, MatmulMode, Nonlinearity, TransformerConfig};
 
-use crate::async_server::ServeError;
-use crate::batcher::{BatchPolicy, Batcher, ServePolicy};
+use crate::batcher::{BatchPolicy, Batcher};
 use crate::metrics::{BatchRecord, ServeMetrics};
 use crate::pool::ThreadPool;
 
@@ -33,9 +33,6 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Dynamic batching policy (area budget + length buckets).
     pub policy: BatchPolicy,
-    /// Admission watermarks enforced by [`LutServer::try_submit`]
-    /// (reject-at-door backpressure). Default: unbounded.
-    pub admission: ServePolicy,
     /// GEMM precision of the transformer body.
     pub mode: MatmulMode,
 }
@@ -45,7 +42,6 @@ impl Default for ServerConfig {
         Self {
             threads: 1,
             policy: BatchPolicy::default_policy(),
-            admission: ServePolicy::unbounded(),
             mode: MatmulMode::F32,
         }
     }
@@ -87,8 +83,8 @@ pub(crate) fn validate_request(cfg: &TransformerConfig, tokens: &[usize]) {
 }
 
 /// [`validate_request`] for a generation's prompt, plus its token
-/// budget: every generated position must fit the KV cache. Shared by
-/// both asynchronous front doors.
+/// budget: every generated position must fit the KV cache. Checked at
+/// the asynchronous door and again on the replica it routes to.
 ///
 /// # Panics
 ///
@@ -144,7 +140,6 @@ pub struct LutServer {
     nl: Nonlinearity,
     pool: ThreadPool,
     batcher: Batcher,
-    admission: ServePolicy,
     mode: MatmulMode,
     metrics: ServeMetrics,
     next_id: RequestId,
@@ -172,7 +167,6 @@ impl LutServer {
             nl,
             pool: ThreadPool::new(config.threads),
             batcher: Batcher::new(config.policy),
-            admission: config.admission,
             mode: config.mode,
             metrics: ServeMetrics::new(),
             next_id: 0,
@@ -213,37 +207,11 @@ impl LutServer {
     /// contains an out-of-vocabulary id (rejecting at the door beats
     /// panicking mid-batch).
     pub fn submit(&mut self, tokens: Vec<usize>) -> RequestId {
-        self.try_submit(tokens)
-            .expect("queue at backpressure watermark; use try_submit to handle Overloaded")
-    }
-
-    /// [`LutServer::submit`] with the [`ServePolicy`] backpressure
-    /// watermark enforced as a recoverable error: a request that would
-    /// push the queue past its depth or queued-area watermark returns
-    /// [`ServeError::Overloaded`] (counted in the metrics) and the queue
-    /// is untouched. Drain below the watermark and resubmit.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same malformed requests as [`LutServer::submit`] —
-    /// backpressure is recoverable, a bad request is a caller bug.
-    pub fn try_submit(&mut self, tokens: Vec<usize>) -> Result<RequestId, ServeError> {
         validate_request(self.model.config(), &tokens);
         let id = self.next_id;
         self.next_id += 1;
-        let depth = self.batcher.queue_depth();
-        if !self
-            .admission
-            .admits(depth + 1, self.batcher.queued_tokens() + tokens.len())
-        {
-            self.metrics.record_overload_rejection();
-            return Err(ServeError::Overloaded {
-                id,
-                queue_depth: depth,
-            });
-        }
         self.batcher.push(id, tokens);
-        Ok(id)
+        id
     }
 
     /// Packs and encodes **one** batch (from the bucket whose front
@@ -395,35 +363,6 @@ mod tests {
         assert_eq!(first.len(), 2);
         assert_eq!(server.queue_depth(), 5);
         assert!(server.metrics().batches_served() == 1);
-    }
-
-    #[test]
-    fn try_submit_rejects_at_the_watermark_and_recovers() {
-        let model = BertModel::new_synthetic(TransformerConfig::roberta_tiny(), 9);
-        let kit = NnLutKit::train_with(16, 9, &TrainConfig::fast());
-        let mut server = LutServer::new(
-            model,
-            kit,
-            ServerConfig {
-                admission: ServePolicy::with_max_queue_depth(2),
-                ..ServerConfig::default()
-            },
-        );
-        let a = server.try_submit(vec![1; 3]).unwrap();
-        let b = server.try_submit(vec![2; 3]).unwrap();
-        match server.try_submit(vec![3; 3]) {
-            Err(ServeError::Overloaded { queue_depth, .. }) => assert_eq!(queue_depth, 2),
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
-        assert_eq!(server.metrics().overload_rejections(), 1);
-        // Rejection left the queue untouched: both queued requests serve.
-        let responses = server.drain();
-        assert_eq!(
-            responses.iter().map(|r| r.id).collect::<Vec<_>>(),
-            vec![a, b]
-        );
-        // Below the watermark again: admission recovers.
-        assert!(server.try_submit(vec![4; 3]).is_ok());
     }
 
     #[test]

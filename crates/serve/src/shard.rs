@@ -1,5 +1,5 @@
-//! Replica-sharded serving: N [`AsyncLutServer`] replicas over one copy
-//! of the weights, behind one door.
+//! Replica-sharded serving: N asynchronous replicas over one copy of the
+//! weights, behind one door — the crate's only asynchronous front door.
 //!
 //! [`ShardedServer`] makes "more traffic" a topology knob: every replica's
 //! encoder threads read the same `Arc`-shared model and backend, so
@@ -10,10 +10,10 @@
 //!   request goes to the non-quarantined replica with the fewest tokens
 //!   routed-but-unresolved (ties to the lowest index — deterministic
 //!   given a load picture).
-//! * **Backpressure** rolls up into a single door: replica admission is
-//!   forced unbounded and the shard's own [`ServePolicy`] is checked
-//!   against `pending + outstanding` depth/area, so a rejection means the
-//!   *fleet* is saturated, not one unlucky replica.
+//! * **Backpressure** rolls up into a single door: replicas have no
+//!   admission control of their own, and the shard's [`ServePolicy`] is
+//!   checked against `pending + outstanding` depth/area, so a rejection
+//!   means the *fleet* is saturated, not one unlucky replica.
 //! * **Health** is a per-replica state machine
 //!   `Healthy → Degraded → Quarantined`: batch failures, stall-watchdog
 //!   trips and admission bounces advance it; any success resets it. At
@@ -57,8 +57,10 @@
 //! probing; deadlines and [`Ticket::wait_timeout`] bound the callers.
 //! Shutdown drains: pending work is routed (to quarantined replicas if
 //! nothing else survives — drain beats purity), every attempt is waited
-//! out, and if the supervisor itself died every unresolved ticket is
-//! failed with [`ServeError::ServerFailed`] rather than abandoned.
+//! out — each replica closes its batches without waiting for age or
+//! deadline timers while it does — and if the supervisor itself died
+//! every unresolved ticket is failed with [`ServeError::ServerFailed`]
+//! rather than abandoned.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -84,10 +86,8 @@ use crate::trace::{FlightEvent, FlightRecorder, RequestTrace, Stage};
 pub struct ShardConfig {
     /// Replica count (`0` is clamped to `1`).
     pub replicas: usize,
-    /// Per-replica configuration. The replica's own `admission` is
-    /// ignored (forced unbounded — the shard door is the only door);
-    /// `trace` also decides whether the fleet runs one shared flight
-    /// recorder.
+    /// Per-replica configuration; `trace` also decides whether the fleet
+    /// runs one shared flight recorder.
     pub replica: AsyncServerConfig,
     /// The single rolled-up admission door, checked against
     /// pending + outstanding depth and padded area across the fleet.
@@ -503,7 +503,14 @@ impl ShardedServer {
     /// Builds the fleet with an explicit per-site backend selection. The
     /// model and backend are shared (`Arc`) across every replica — N
     /// replicas cost one copy of the weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.replica.mode` is
+    /// [`MatmulMode::Codebook`](nnlut_transformer::MatmulMode::Codebook)
+    /// and the model has no baked codebooks.
     pub fn with_backend(model: BertModel, nl: Nonlinearity, config: ShardConfig) -> Self {
+        crate::check_codebook_mode(&model, config.replica.mode);
         let model = Arc::new(model);
         let trace_cfg = config.replica.trace;
         // One fleet-wide recorder: replicas and the supervisor journal
@@ -524,9 +531,6 @@ impl ShardedServer {
         let replicas = config.replicas.max(1);
         let servers: Vec<AsyncLutServer> = (0..replicas)
             .map(|r| {
-                let mut rc = config.replica.clone();
-                // The shard door is the only door.
-                rc.admission = ServePolicy::unbounded();
                 let wiring = Wiring {
                     label: Some(r),
                     fault: config
@@ -535,7 +539,8 @@ impl ShardedServer {
                         .map(|plan| FaultInjector::new(Arc::clone(plan), r)),
                     recorder: recorder.clone(),
                 };
-                AsyncLutServer::with_shared(Arc::clone(&model), Arc::clone(&nl), rc, wiring)
+                let (model, nl) = (Arc::clone(&model), Arc::clone(&nl));
+                AsyncLutServer::with_shared(model, nl, config.replica.clone(), wiring)
             })
             .collect();
         let servers = Arc::new(servers);
@@ -620,8 +625,9 @@ impl ShardedServer {
     /// [`GenerateTicket`] as some replica decodes them.
     ///
     /// The generation rides one replica as a prefill plus per-token
-    /// decode steps (continuous batching — see
-    /// [`AsyncLutServer::submit_generate`]). The supervisor harvests
+    /// decode steps (continuous batching: decode steps share batches with
+    /// prefills and encodes, and the stream is bit-identical to
+    /// [`BertModel::generate`]). The supervisor harvests
     /// emitted tokens every tick, so if the replica panics or stalls
     /// mid-generation the shard re-submits `prompt ++ harvested-tokens`
     /// with the remaining budget to a healthy replica: the retry's
@@ -669,6 +675,7 @@ impl ShardedServer {
             st.next_id += 1;
             // The trace is born inside the lock so its id matches the
             // shard ticket; it rides the request across every failover.
+            // `Admitted` covers routing: the replica records `Queued`.
             let slot = Arc::new(Slot::new(Arc::new(RequestTrace::new(id))));
             slot.trace.record(Stage::Admitted, None, None);
             let req = ShardRequest {
@@ -686,7 +693,6 @@ impl ShardedServer {
                 st.metrics.overload_rejections += 1;
                 (id, slot, Some(depth))
             } else {
-                slot.trace.record(Stage::Queued, None, None);
                 st.metrics.submitted += 1;
                 let generation = kind != RequestKind::Encode;
                 st.metrics.generations += u64::from(generation);
@@ -700,9 +706,15 @@ impl ShardedServer {
                 (id, slot, None)
             }
         };
+        // Resolved outside the shared lock; the slot's own lock orders
+        // the handoff.
         match rejected_at_depth {
             Some(queue_depth) => {
-                slot.reject_overloaded(id, queue_depth, None, self.recorder.as_deref())
+                slot.trace.record(Stage::Failed, None, Some("overloaded"));
+                if let Some(rec) = &self.recorder {
+                    rec.record("overload-rejection", None, Some(id), queue_depth as u64);
+                }
+                slot.resolve(Err(ServeError::Overloaded { id, queue_depth }));
             }
             None => self.shared.work.notify_all(),
         }
@@ -931,10 +943,13 @@ impl ShardedServer {
     /// joins the supervisor and shuts every replica down. Idempotent;
     /// also runs on drop.
     pub fn shutdown(&mut self) {
-        {
-            lock(&self.shared.state).shutdown = true;
-        }
+        lock(&self.shared.state).shutdown = true;
         self.shared.work.notify_all();
+        // The supervisor only exits once every attempt resolves, so the
+        // replicas must stop waiting on batch timers first.
+        for server in self.servers.iter().flat_map(|s| s.iter()) {
+            server.drain();
+        }
         if let Some(supervisor) = self.supervisor.take() {
             if supervisor.join().is_err() {
                 // The supervisor died: fail every unresolved ticket
@@ -1046,13 +1061,9 @@ fn render_prometheus(
         ),
         (
             "nnlut_serve_deadline_misses_total",
-            "Requests that expired before encoding.",
+            "Requests that expired while queued inside a replica \
+             (nnlut_shard_deadline_misses_total counts every expiry).",
             merged.deadline_misses() as u64,
-        ),
-        (
-            "nnlut_serve_overload_rejections_total",
-            "Requests rejected at an admission door.",
-            merged.overload_rejections() as u64,
         ),
         (
             "nnlut_serve_decode_batches_total",
@@ -1389,8 +1400,8 @@ fn supervisor_loop(
     // `STALL_WARN_MULTIPLE`).
     #[cfg(debug_assertions)]
     let mut stall_margin_warned = false;
-    // In-flight probe tickets, by replica.
-    let mut probes: Vec<Option<Ticket>> = (0..n).map(|_| None).collect();
+    // In-flight probe slots, by replica.
+    let mut probes: Vec<Option<Arc<Slot>>> = (0..n).map(|_| None).collect();
     // Routing decisions targeting each replica, including bounced ones —
     // the fault plan's submission coordinate.
     let mut routed_to: Vec<u64> = vec![0; n];
@@ -1448,10 +1459,10 @@ fn supervisor_loop(
             }
         }
         let mut probe_results = Vec::new();
-        for (r, slot) in probes.iter_mut().enumerate() {
-            if slot.as_ref().is_some_and(|t| t.is_ready()) {
-                let ticket = slot.take().expect("checked above");
-                probe_results.push((r, ticket.wait()));
+        for (r, probe) in probes.iter_mut().enumerate() {
+            if let Some(outcome) = probe.as_ref().and_then(|slot| slot.harvest(0).1) {
+                *probe = None;
+                probe_results.push((r, outcome));
             }
         }
 
@@ -1542,6 +1553,11 @@ fn supervisor_loop(
             }
         }
 
+        // Deadlines are judged by a clock read under the lock, after every
+        // pending request's admission: a zero deadline never reaches a
+        // replica with time to spare.
+        let now = Instant::now();
+
         // Cull pending requests whose deadline passed while unrouted.
         if st.pending.iter().any(|req| expired(req, now)) {
             let mut keep = VecDeque::with_capacity(st.pending.len());
@@ -1611,7 +1627,8 @@ fn supervisor_loop(
                     }
                     // A minimal in-vocabulary batch; its result is only a
                     // health signal.
-                    *slot = Some(servers[r].submit(vec![0]));
+                    let trace = Arc::new(RequestTrace::new(0));
+                    *slot = Some(servers[r].enqueue(vec![0], None, RequestKind::Encode, trace));
                 }
             }
         }
@@ -1859,11 +1876,11 @@ fn route(
         // generation resubmits prompt ++ harvested prefix, which
         // re-prefills it on the target — the KV-cache rebuild.
         let remaining = req.deadline.map(|d| d.saturating_duration_since(now));
-        let (_, replica_slot) = servers[target].enqueue(
+        let replica_slot = servers[target].enqueue(
             req.tokens.clone(),
             remaining,
             req.kind,
-            Some(Arc::clone(&sink.trace)),
+            Arc::clone(&sink.trace),
         );
         let area = req.area();
         st.replicas[target].routed += 1;
@@ -1885,6 +1902,7 @@ fn route(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batcher::ClosePolicy;
     use nnlut_core::train::TrainConfig;
     use nnlut_transformer::MatmulMode;
 
@@ -1892,6 +1910,26 @@ mod tests {
         let model = BertModel::new_synthetic(TransformerConfig::roberta_tiny(), 9);
         let kit = NnLutKit::train_with(16, 9, &TrainConfig::fast());
         ShardedServer::new(model, kit, config)
+    }
+
+    /// A one-replica door, its stall watchdog far above any debug-build
+    /// batch.
+    fn one_replica(replica: AsyncServerConfig, admission: ServePolicy) -> ShardedServer {
+        tiny_sharded(ShardConfig {
+            replicas: 1,
+            replica,
+            admission,
+            stall_timeout: Duration::from_secs(60),
+            ..ShardConfig::default()
+        })
+    }
+
+    /// Nothing closes on age: only a drain (or a deadline) can flush.
+    fn untimed() -> ClosePolicy {
+        ClosePolicy {
+            max_batch_age: Duration::from_secs(3600),
+            deadline_slack: Duration::from_millis(1),
+        }
     }
 
     #[test]
@@ -1992,7 +2030,159 @@ mod tests {
             0,
             "cache evicted on completion"
         );
-        assert_eq!(server.metrics().generations_completed(), 1);
+        let served = server.metrics();
+        assert_eq!(served.generations_completed(), 1);
+        assert_eq!(
+            served.decode_steps(),
+            5,
+            "first token comes from the prefill"
+        );
+        assert!(served.inter_token_percentile(50.0).is_some());
+    }
+
+    #[test]
+    fn multi_in_flight_resolves_everything_in_id_order() {
+        let server = one_replica(
+            AsyncServerConfig {
+                max_in_flight: 3,
+                threads: 2,
+                ..AsyncServerConfig::default()
+            },
+            ServePolicy::unbounded(),
+        );
+        let tickets: Vec<Ticket> = (0..12).map(|n| server.submit(vec![2; 1 + n % 7])).collect();
+        for (n, t) in tickets.into_iter().enumerate() {
+            let r = t.wait().expect("no deadline set");
+            assert_eq!(r.id, n as u64);
+            assert_eq!(r.tokens, 1 + n % 7);
+        }
+        assert_eq!(server.metrics().total_sequences(), 12);
+        assert_eq!(server.shard_metrics().deadline_misses, 0);
+    }
+
+    #[test]
+    fn depth_watermark_rejects_and_shutdown_serves_the_admitted() {
+        let mut server = one_replica(
+            AsyncServerConfig {
+                close: untimed(),
+                ..AsyncServerConfig::default()
+            },
+            ServePolicy::with_max_queue_depth(2),
+        );
+        let a = server.submit(vec![1; 3]);
+        let b = server.submit(vec![2; 3]);
+        let rejected = server.submit(vec![3; 3]);
+        // The rejection is immediate — no worker involvement.
+        assert!(rejected.is_ready());
+        match rejected.wait() {
+            Err(ServeError::Overloaded { id, queue_depth }) => {
+                assert_eq!(id, 2);
+                assert_eq!(queue_depth, 2);
+            }
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+        assert_eq!(server.shard_metrics().overload_rejections, 1);
+        // Queued requests are unaffected by the rejection (FIFO fairness):
+        // the shutdown drain serves both.
+        server.shutdown();
+        assert_eq!(a.wait().unwrap().tokens, 3);
+        assert_eq!(b.wait().unwrap().tokens, 3);
+    }
+
+    #[test]
+    fn area_watermark_admits_exactly_at_the_limit() {
+        let server = one_replica(
+            AsyncServerConfig {
+                close: untimed(),
+                ..AsyncServerConfig::default()
+            },
+            ServePolicy::with_max_queued_tokens(10),
+        );
+        let _a = server.submit(vec![1; 8]); // 8 of 10 queued tokens
+        let rejected = server.submit(vec![2; 3]); // would be 11 — rejected
+        assert!(matches!(
+            rejected.wait(),
+            Err(ServeError::Overloaded { .. })
+        ));
+        let small = server.submit(vec![2; 2]); // exactly 10 — admitted
+        assert_eq!(server.queued_tokens(), 10);
+        drop(server); // shutdown drain serves the admitted requests
+        assert_eq!(small.wait().unwrap().tokens, 2);
+    }
+
+    #[test]
+    fn mixed_encodes_and_generations_share_batches() {
+        let server = one_replica(
+            AsyncServerConfig {
+                threads: 2,
+                max_in_flight: 2,
+                ..AsyncServerConfig::default()
+            },
+            ServePolicy::unbounded(),
+        );
+        let gens: Vec<GenerateTicket> = (0..3)
+            .map(|i| server.submit_generate(vec![1 + i, 2, 3], 4, None))
+            .collect();
+        let encodes: Vec<Ticket> = (0..4).map(|n| server.submit(vec![2; 3 + n])).collect();
+        for t in encodes {
+            let r = t.wait().expect("no deadline set");
+            assert_eq!(r.hidden.rows(), r.tokens);
+        }
+        for g in gens {
+            let r = g.wait().expect("no deadline set");
+            assert_eq!(r.tokens.len(), 4);
+        }
+        let m = server.metrics();
+        assert_eq!(m.generations_completed(), 3);
+        assert_eq!(m.generated_tokens(), 12);
+        assert_eq!(server.active_generations(), 0);
+    }
+
+    #[test]
+    fn generation_deadline_expires_cleanly() {
+        let server = one_replica(
+            AsyncServerConfig {
+                close: ClosePolicy {
+                    // Nothing closes on age: the prefill sits queued until
+                    // its deadline lapses.
+                    max_batch_age: Duration::from_secs(3600),
+                    deadline_slack: Duration::ZERO,
+                },
+                ..AsyncServerConfig::default()
+            },
+            ServePolicy::unbounded(),
+        );
+        let ticket = server.submit_generate(vec![1, 2], 4, Some(Duration::from_millis(1)));
+        match ticket.wait() {
+            Err(ServeError::DeadlineExceeded { id, .. }) => assert_eq!(id, 0),
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+        assert_eq!(server.active_generations(), 0, "expiry freed the cache");
+        assert_eq!(server.shard_metrics().deadline_misses, 1);
+    }
+
+    /// Shutdown must not wait out a replica's batch timers: the replicas
+    /// drain what they hold — a generation to its last token — while the
+    /// supervisor still owes answers, so nothing stalls or fails over.
+    #[test]
+    fn shutdown_drains_untimed_work_including_generations() {
+        let mut server = tiny_sharded(ShardConfig {
+            replicas: 2,
+            replica: AsyncServerConfig {
+                close: untimed(),
+                ..AsyncServerConfig::default()
+            },
+            ..ShardConfig::default()
+        });
+        let g = server.submit_generate(vec![7, 8, 9], 5, None);
+        let e = server.submit(vec![1; 4]);
+        let started = Instant::now();
+        server.shutdown();
+        let took = started.elapsed();
+        assert_eq!(g.wait().expect("drained, not dropped").tokens.len(), 5);
+        assert_eq!(e.wait().expect("drained").tokens, 4);
+        assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+        assert_eq!(server.shard_metrics().failovers, 0);
     }
 
     #[test]
@@ -2026,6 +2216,13 @@ mod tests {
         assert!(m.failovers >= 1, "the panic must have failed over");
         assert!(m.cache_rebuilds >= 1, "the failover re-prefilled");
         assert_eq!(server.active_generations(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds max_seq")]
+    fn submit_generate_validates_the_token_budget() {
+        // roberta_tiny max_seq = 64: 60 prompt + 5 new cannot fit.
+        tiny_sharded(ShardConfig::default()).submit_generate(vec![1; 60], 5, None);
     }
 
     #[test]

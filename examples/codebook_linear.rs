@@ -51,7 +51,6 @@ fn main() {
                 threads,
                 policy: BatchPolicy::default_policy(),
                 mode,
-                ..ServerConfig::default()
             },
         );
         server.serve(calibration.clone())

@@ -1,19 +1,21 @@
-//! Asynchronous serving quickstart: stand up an `AsyncLutServer` whose
-//! background worker drains a length-bucketed queue, submit mixed-length
-//! requests with and without deadlines, and watch tickets, batch-close
-//! reasons and deadline misses.
+//! Asynchronous serving quickstart: stand up the asynchronous front door,
+//! a `ShardedServer` here over one replica whose background worker drains
+//! a length-bucketed queue, submit mixed-length requests with and without
+//! deadlines, and watch tickets, batch-close reasons and deadline misses.
 //!
 //! Run: `cargo run --release --example serve_async`
 
 use std::time::Duration;
 
 use nn_lut::core::{train::TrainConfig, NnLutKit};
-use nn_lut::serve::{AsyncLutServer, AsyncServerConfig, BatchPolicy, ClosePolicy, CloseReason};
+use nn_lut::serve::{
+    AsyncServerConfig, BatchPolicy, ClosePolicy, CloseReason, ShardConfig, ShardedServer,
+};
 use nn_lut::transformer::{BertModel, TransformerConfig};
 
 fn main() {
     // 1. A frozen "pre-trained" body and a trained LUT kit (engines bake
-    //    at assembly). The async server moves both onto its worker.
+    //    at assembly). The server shares both with its replica's worker.
     let config = TransformerConfig::roberta_tiny();
     let model = BertModel::new_synthetic(config.clone(), 42);
     let kit = NnLutKit::train_with(16, 42, &TrainConfig::fast());
@@ -22,21 +24,25 @@ fn main() {
     //    8 sequences or 512 padded positions per batch, and under-filled
     //    batches close after 5 ms (or 2 ms before a member's deadline).
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let server = AsyncLutServer::new(
+    let server = ShardedServer::new(
         model,
         kit,
-        AsyncServerConfig {
-            threads,
-            policy: BatchPolicy {
-                max_batch: 8,
-                max_padded_tokens: 512,
-                bucket_edges: vec![8, 16, 32],
+        ShardConfig {
+            replicas: 1,
+            replica: AsyncServerConfig {
+                threads,
+                policy: BatchPolicy {
+                    max_batch: 8,
+                    max_padded_tokens: 512,
+                    bucket_edges: vec![8, 16, 32],
+                },
+                close: ClosePolicy {
+                    max_batch_age: Duration::from_millis(5),
+                    deadline_slack: Duration::from_millis(2),
+                },
+                ..AsyncServerConfig::default()
             },
-            close: ClosePolicy {
-                max_batch_age: Duration::from_millis(5),
-                deadline_slack: Duration::from_millis(2),
-            },
-            ..AsyncServerConfig::default()
+            ..ShardConfig::default()
         },
     );
 
@@ -75,6 +81,11 @@ fn main() {
     // 5. The operator's view: close reasons, per-bucket padding, waits.
     let m = server.metrics();
     println!("summary: {}", m.summary());
+    let door = server.shard_metrics();
+    println!(
+        "door: {} deadline misses · {} overload rejections",
+        door.deadline_misses, door.overload_rejections
+    );
     println!(
         "batch closes: {} full · {} aged · {} deadline-pressure · {} drain",
         m.closes_for(CloseReason::Full),

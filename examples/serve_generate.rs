@@ -12,8 +12,8 @@ use std::time::Duration;
 
 use nn_lut::core::{train::TrainConfig, NnLutKit};
 use nn_lut::serve::{
-    AsyncLutServer, AsyncServerConfig, BatchPolicy, ClosePolicy, FaultPlan, ShardConfig,
-    ShardedServer, INJECTED_PANIC_PREFIX,
+    AsyncServerConfig, BatchPolicy, ClosePolicy, FaultPlan, ShardConfig, ShardedServer,
+    INJECTED_PANIC_PREFIX,
 };
 use nn_lut::transformer::{BertModel, MatmulMode, Nonlinearity, TransformerConfig};
 
@@ -45,25 +45,30 @@ fn main() -> Result<(), Box<dyn Error>> {
     let serial = model.generate(&prompt, max_new, &nl, MatmulMode::F32);
     println!("serial generate       : {serial:?}");
 
-    // 2. The async front door. `submit_generate` returns a streaming
-    //    ticket; the scheduler mixes this generation's decode steps with
-    //    whatever prefills and encodes are queued (continuous batching).
-    let server = AsyncLutServer::new(
+    // 2. The async front door, over one replica. `submit_generate`
+    //    returns a streaming ticket; the scheduler mixes this generation's
+    //    decode steps with whatever prefills and encodes are queued
+    //    (continuous batching).
+    let server = ShardedServer::new(
         model.clone(),
         kit.clone(),
-        AsyncServerConfig {
-            threads: 2,
-            max_in_flight: 2,
-            policy: BatchPolicy {
-                max_batch: 4,
-                max_padded_tokens: 128,
-                bucket_edges: vec![8, 16],
+        ShardConfig {
+            replicas: 1,
+            replica: AsyncServerConfig {
+                threads: 2,
+                max_in_flight: 2,
+                policy: BatchPolicy {
+                    max_batch: 4,
+                    max_padded_tokens: 128,
+                    bucket_edges: vec![8, 16],
+                },
+                close: ClosePolicy {
+                    max_batch_age: Duration::from_millis(1),
+                    deadline_slack: Duration::from_millis(1),
+                },
+                ..AsyncServerConfig::default()
             },
-            close: ClosePolicy {
-                max_batch_age: Duration::from_millis(1),
-                deadline_slack: Duration::from_millis(1),
-            },
-            ..AsyncServerConfig::default()
+            ..ShardConfig::default()
         },
     );
     // Encode traffic rides along so the decode plane genuinely shares

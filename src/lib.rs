@@ -20,10 +20,11 @@
 //! * [`transformer`] — a BERT-style encoder with pluggable non-linearity
 //!   backends plus the synthetic evaluation harness.
 //! * [`serve`] — the serving layer: deterministic scoped thread pool,
-//!   length-bucketed deadline-aware request batcher, and two front doors
-//!   over the baked engines — the synchronous `LutServer` and the
-//!   asynchronous `AsyncLutServer` (background worker, tickets,
-//!   per-request deadlines) — with pooled results bit-identical to
+//!   length-bucketed deadline-aware request batcher, and two servers
+//!   over the baked engines — the synchronous `LutServer` (the serial
+//!   oracle) and the asynchronous front door `ShardedServer` (replicas
+//!   with background workers, tickets, per-request deadlines,
+//!   backpressure, failover) — with pooled results bit-identical to
 //!   serial.
 //! * [`hw`] — the 7 nm-class arithmetic-unit cost model (paper Table 4).
 //! * [`npu`] — the cycle-level accelerator simulator (paper Table 5).

@@ -1,16 +1,17 @@
-//! Integration tests of the asynchronous serving front door: deadlines
-//! expire as errors (never hangs), timed closes flush partial batches,
-//! shutdown drains, and the bucketed async pipeline reproduces the serial
-//! synchronous server bit for bit across thread counts.
+//! Integration tests of the asynchronous serving front door
+//! (`ShardedServer`, here over one replica): deadlines expire as errors
+//! (never hangs), timed closes flush partial batches, shutdown drains,
+//! and the bucketed async pipeline reproduces the serial synchronous
+//! server bit for bit across thread counts.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use nn_lut::core::precision::Precision;
 use nn_lut::core::train::TrainConfig;
 use nn_lut::core::NnLutKit;
 use nn_lut::serve::{
-    AsyncLutServer, AsyncServerConfig, BatchPolicy, ClosePolicy, CloseReason, LutServer,
-    ServeError, ServerConfig,
+    AsyncServerConfig, BatchPolicy, ClosePolicy, CloseReason, LutServer, ServeError, ServerConfig,
+    ShardConfig, ShardedServer, Stage,
 };
 use nn_lut::transformer::{BertModel, TransformerConfig};
 
@@ -25,8 +26,19 @@ fn tiny_kit() -> NnLutKit {
     NnLutKit::train_with(16, 9, &TrainConfig::fast())
 }
 
-fn async_server(config: AsyncServerConfig) -> AsyncLutServer {
-    AsyncLutServer::new(tiny_model(), tiny_kit(), config)
+/// The asynchronous door over one replica. Queue wait counts toward the
+/// stall watchdog, so it sits far above any debug-build batch.
+fn one_replica(replica: AsyncServerConfig) -> ShardConfig {
+    ShardConfig {
+        replicas: 1,
+        replica,
+        stall_timeout: Duration::from_secs(60),
+        ..ShardConfig::default()
+    }
+}
+
+fn async_server(config: AsyncServerConfig) -> ShardedServer {
+    ShardedServer::new(tiny_model(), tiny_kit(), one_replica(config))
 }
 
 /// Mixed lengths 1..=29 spread across several buckets of `[8, 16, 24]`.
@@ -50,8 +62,8 @@ fn expired_deadline_returns_timeout_error_not_a_hang() {
         Err(ServeError::DeadlineExceeded { id: got, .. }) => assert_eq!(got, id),
         other => panic!("a zero deadline must expire, got {other:?}"),
     }
+    assert_eq!(server.shard_metrics().deadline_misses, 1);
     let m = server.metrics();
-    assert_eq!(m.deadline_misses(), 1);
     assert_eq!(m.total_tokens(), 0, "expired requests are never encoded");
 }
 
@@ -168,10 +180,10 @@ fn async_bucketed_pipeline_is_bit_identical_to_serial_sync() {
 
         for threads in thread_counts() {
             for max_in_flight in [1usize, 2] {
-                let server = AsyncLutServer::new(
+                let server = ShardedServer::new(
                     model.clone(),
                     kit.clone(),
-                    AsyncServerConfig {
+                    one_replica(AsyncServerConfig {
                         threads,
                         max_in_flight,
                         policy: BatchPolicy {
@@ -184,7 +196,7 @@ fn async_bucketed_pipeline_is_bit_identical_to_serial_sync() {
                             deadline_slack: Duration::from_millis(1),
                         },
                         ..AsyncServerConfig::default()
-                    },
+                    }),
                 );
                 let tickets: Vec<_> = workload().into_iter().map(|t| server.submit(t)).collect();
                 for (ticket, w) in tickets.into_iter().zip(&want) {
@@ -226,7 +238,13 @@ fn wait_timeout_bounds_blocking_with_a_typed_error() {
     });
     let stuck = server.submit(vec![1, 2, 3]);
     let id = stuck.id();
-    let start = std::time::Instant::now();
+    // The supervisor routes the request onto the replica's queue.
+    let routed_by = Instant::now() + Duration::from_secs(10);
+    while stuck.last_stage() != Some(Stage::Queued) {
+        assert!(Instant::now() < routed_by, "the request was never routed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let start = Instant::now();
     match stuck.wait_timeout(Duration::from_millis(30)) {
         Err(ServeError::WaitTimeout {
             id: got,
@@ -238,7 +256,7 @@ fn wait_timeout_bounds_blocking_with_a_typed_error() {
             assert!(start.elapsed() >= Duration::from_millis(30));
             // The request was admitted and queued but its batch never
             // closed — the error names the stage it is stuck behind.
-            assert_eq!(last_stage, Some(nnlut_serve::Stage::Queued));
+            assert_eq!(last_stage, Some(Stage::Queued));
         }
         other => panic!("an hour-long batch age cannot resolve in 30 ms: {other:?}"),
     }

@@ -17,7 +17,7 @@
 //!   budget) change nothing;
 //! * **eviction is structural** — a finished generation leaves no
 //!   residual per-sequence cache state behind
-//!   ([`AsyncLutServer::active_generations`] returns to zero).
+//!   ([`ShardedServer::active_generations`] returns to zero).
 
 use std::time::Duration;
 
@@ -25,7 +25,8 @@ use nn_lut::core::precision::Precision;
 use nn_lut::core::train::TrainConfig;
 use nn_lut::core::NnLutKit;
 use nn_lut::serve::{
-    AsyncLutServer, AsyncServerConfig, BatchPolicy, ClosePolicy, LutServer, ServerConfig,
+    AsyncServerConfig, BatchPolicy, ClosePolicy, LutServer, ServerConfig, ShardConfig,
+    ShardedServer,
 };
 use nn_lut::transformer::{BertModel, MatmulMode, Nonlinearity, TransformerConfig};
 
@@ -38,6 +39,18 @@ fn tiny_model() -> BertModel {
 
 fn tiny_kit() -> NnLutKit {
     NnLutKit::train_with(16, 9, &TrainConfig::fast())
+}
+
+/// The asynchronous door over one replica. Queue wait counts toward the
+/// stall watchdog, so it sits far above any debug-build batch.
+fn async_server(kit: NnLutKit, replica: AsyncServerConfig) -> ShardedServer {
+    let config = ShardConfig {
+        replicas: 1,
+        replica,
+        stall_timeout: Duration::from_secs(60),
+        ..ShardConfig::default()
+    };
+    ShardedServer::new(tiny_model(), kit, config)
 }
 
 /// Generation workload: varied prompt lengths and token budgets, all
@@ -104,11 +117,7 @@ fn continuous_batching_is_bit_identical_to_serial_decode() {
             .expect("fast kit converts to every precision");
         for threads in thread_counts() {
             for in_flight in [1, 2] {
-                let server = AsyncLutServer::new(
-                    tiny_model(),
-                    kit.clone(),
-                    decode_config(threads, in_flight),
-                );
+                let server = async_server(kit.clone(), decode_config(threads, in_flight));
                 let tickets: Vec<_> = generations()
                     .into_iter()
                     .map(|(prompt, max_new)| server.submit_generate(prompt, max_new, None))
@@ -171,7 +180,7 @@ fn prefill_and_decode_interleaving_changes_no_bits() {
     .serve(encodes.clone());
     let want_gens = serial_oracles(&kit, Precision::F32);
 
-    let server = AsyncLutServer::new(tiny_model(), kit, decode_config(2, 2));
+    let server = async_server(kit, decode_config(2, 2));
     // Interleave submissions so prefills land while decode steps are
     // queued and vice versa.
     let mut enc_tickets = Vec::new();
@@ -221,8 +230,7 @@ fn prefill_and_decode_interleaving_changes_no_bits() {
 fn non_dividing_decode_widths_are_exact() {
     let kit = tiny_kit();
     let want = serial_oracles(&kit, Precision::F32);
-    let server = AsyncLutServer::new(
-        tiny_model(),
+    let server = async_server(
         kit,
         AsyncServerConfig {
             threads: 2,

@@ -373,7 +373,6 @@ fn pooled_server_matches_serial_in_every_matmul_mode() {
                     threads,
                     policy: BatchPolicy::default_policy(),
                     mode,
-                    ..ServerConfig::default()
                 },
             )
             .serve(serve_workload())
@@ -409,7 +408,6 @@ fn pooled_codebook_server_matches_serial_bitwise() {
                     bucket_edges: vec![8, 16, 24],
                 },
                 mode: MatmulMode::Codebook,
-                ..ServerConfig::default()
             },
         )
         .serve(serve_workload())
@@ -433,10 +431,10 @@ fn pooled_codebook_server_matches_serial_bitwise() {
 }
 
 /// End-to-end codebook serving through the replicated front door: a
-/// 2-replica `ShardedServer` (each replica an `AsyncLutServer` with a
-/// pooled encode pool) in `MatmulMode::Codebook` must reproduce the
-/// serial `LutServer` bit for bit at threads 1/2/4 — JSQ routing and
-/// concurrent encoders change *where* a request runs, never its bits.
+/// 2-replica `ShardedServer` (each replica with a pooled encode pool) in
+/// `MatmulMode::Codebook` must reproduce the serial `LutServer` bit for
+/// bit at threads 1/2/4 — JSQ routing and concurrent encoders change
+/// *where* a request runs, never its bits.
 #[test]
 fn sharded_codebook_server_matches_serial_bitwise() {
     let kit = NnLutKit::train_with(16, 9, &TrainConfig::fast());
@@ -448,7 +446,6 @@ fn sharded_codebook_server_matches_serial_bitwise() {
             threads: 1,
             policy: BatchPolicy::default_policy(),
             mode: MatmulMode::Codebook,
-            ..ServerConfig::default()
         },
     )
     .serve(serve_workload());

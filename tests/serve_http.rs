@@ -9,10 +9,14 @@
 //! metric fails the build, not the dashboard.
 
 use std::collections::HashMap;
+use std::time::Duration;
 
 use nn_lut::core::train::TrainConfig;
 use nn_lut::core::NnLutKit;
-use nn_lut::serve::{http, ShardConfig, ShardedServer, TraceConfig, DEFAULT_RECORDER_CAPACITY};
+use nn_lut::serve::{
+    http, ServeError, ServePolicy, ShardConfig, ShardedServer, TraceConfig,
+    DEFAULT_RECORDER_CAPACITY,
+};
 use nn_lut::transformer::{BertModel, TransformerConfig};
 
 /// One `name{labels} value` sample line.
@@ -147,6 +151,9 @@ fn prometheus_exposition_is_well_formed_and_consistent_with_snapshots() {
     let kit = NnLutKit::train_with(16, 9, &TrainConfig::fast());
     let mut config = ShardConfig {
         replicas: 2,
+        // Admits the traffic below, which never holds more than 21
+        // tokens at once; a 48-token request is rejected at the door.
+        admission: ServePolicy::with_max_queued_tokens(32),
         ..ShardConfig::default()
     };
     config.replica.trace = TraceConfig::enabled();
@@ -272,6 +279,30 @@ fn prometheus_exposition_is_well_formed_and_consistent_with_snapshots() {
         shard.completed
     );
     assert_eq!(shard.completed, 7);
+
+    // --- door events: only the shard door can count them ---
+    let rejected = server.submit(vec![1; 48]).wait();
+    assert!(matches!(rejected, Err(ServeError::Overloaded { .. })));
+    let expired = server.submit_with_deadline(vec![1, 2], Some(Duration::ZERO));
+    assert!(matches!(
+        expired.wait(),
+        Err(ServeError::DeadlineExceeded { .. })
+    ));
+    let (status, text) = http::get(handle.addr(), "/metrics").expect("GET /metrics");
+    assert_eq!(status, 200);
+    let (samples, types) = parse_prometheus(&text);
+    assert_eq!(
+        sample(&samples, "nnlut_shard_overload_rejections_total", ""),
+        1.0
+    );
+    assert_eq!(
+        sample(&samples, "nnlut_shard_deadline_misses_total", ""),
+        1.0
+    );
+    assert!(
+        !types.contains_key("nnlut_serve_overload_rejections_total"),
+        "the replicas have no admission door to count"
+    );
 
     // --- /healthz: uptime, version, per-replica transitions ---
     let (status, healthz) = http::get(handle.addr(), "/healthz").expect("GET /healthz");

@@ -1,4 +1,5 @@
-//! Sustained-load soak of the asynchronous front door: many requests
+//! Sustained-load soak of the asynchronous front door (`ShardedServer`,
+//! over one replica): many requests
 //! under mixed lengths, deadlines and a backpressure watermark — with
 //! generation traffic woven through the encode stream so prefill chunks,
 //! decode steps and whole-sequence encodes all share the same queue —
@@ -23,8 +24,8 @@ use std::time::Duration;
 use nn_lut::core::train::TrainConfig;
 use nn_lut::core::NnLutKit;
 use nn_lut::serve::{
-    AsyncLutServer, AsyncServerConfig, BatchPolicy, ClosePolicy, ServeError, ServePolicy,
-    TraceConfig,
+    AsyncServerConfig, BatchPolicy, ClosePolicy, ServeError, ServePolicy, ShardConfig,
+    ShardedServer, TraceConfig,
 };
 use nn_lut::transformer::{BertModel, TransformerConfig};
 
@@ -36,12 +37,23 @@ struct Tally {
     overloaded: usize,
 }
 
-fn soak(requests: usize, sketch_capacity: usize) {
+/// The asynchronous door over one replica. Queue wait counts toward the
+/// stall watchdog, so it sits far above any debug-build batch.
+fn async_server(replica: AsyncServerConfig, admission: ServePolicy) -> ShardedServer {
     let model = BertModel::new_synthetic(TransformerConfig::roberta_tiny(), 9);
     let kit = NnLutKit::train_with(16, 9, &TrainConfig::fast());
-    let server = AsyncLutServer::new(
-        model,
-        kit,
+    let config = ShardConfig {
+        replicas: 1,
+        replica,
+        admission,
+        stall_timeout: Duration::from_secs(60),
+        ..ShardConfig::default()
+    };
+    ShardedServer::new(model, kit, config)
+}
+
+fn soak(requests: usize, sketch_capacity: usize) {
+    let server = async_server(
         AsyncServerConfig {
             threads: 2,
             max_in_flight: 2,
@@ -54,13 +66,13 @@ fn soak(requests: usize, sketch_capacity: usize) {
                 max_batch_age: Duration::from_millis(1),
                 deadline_slack: Duration::from_millis(1),
             },
-            admission: ServePolicy::with_max_queue_depth(256),
             sketch_capacity,
             // The flight recorder rides the whole soak: its footprint is
             // asserted flat below, alongside the metrics'.
             trace: TraceConfig::enabled(),
             ..AsyncServerConfig::default()
         },
+        ServePolicy::with_max_queue_depth(256),
     );
 
     // Phase 1: sustained load with bursts. Submissions are loosely paced
@@ -175,11 +187,15 @@ fn soak(requests: usize, sketch_capacity: usize) {
         "the policy has 3 buckets; metrics must not grow past them"
     );
     assert_eq!(m.sketch_capacity(), sketch_capacity);
+    let door = server.shard_metrics();
     assert_eq!(
-        m.overload_rejections(),
+        door.overload_rejections as usize,
         tally.overloaded + gen_tally.overloaded
     );
-    assert_eq!(m.deadline_misses(), tally.deadline + gen_tally.deadline);
+    assert_eq!(
+        door.deadline_misses as usize,
+        tally.deadline + gen_tally.deadline
+    );
     assert_eq!(m.generations_completed(), gen_tally.ok as u64);
     // Each Ok generation contributes exactly one prefill sequence on top
     // of the encodes; an expired generation contributes one iff it
@@ -208,8 +224,8 @@ fn soak(requests: usize, sketch_capacity: usize) {
     }
     let recovered = server.metrics();
     assert_eq!(
-        recovered.overload_rejections(),
-        tally.overloaded,
+        server.shard_metrics().overload_rejections,
+        door.overload_rejections,
         "no new rejections once the queue drained"
     );
     assert_eq!(
@@ -253,11 +269,7 @@ fn soak_10k_requests() {
 /// under the server's lock (they run on the returned copy).
 #[test]
 fn metrics_snapshot_cost_is_independent_of_batches_served() {
-    let model = BertModel::new_synthetic(TransformerConfig::roberta_tiny(), 9);
-    let kit = NnLutKit::train_with(16, 9, &TrainConfig::fast());
-    let server = AsyncLutServer::new(
-        model,
-        kit,
+    let server = async_server(
         AsyncServerConfig {
             sketch_capacity: 32,
             close: ClosePolicy {
@@ -266,6 +278,7 @@ fn metrics_snapshot_cost_is_independent_of_batches_served() {
             },
             ..AsyncServerConfig::default()
         },
+        ServePolicy::unbounded(),
     );
     let first = server.submit(vec![1, 2]);
     first.wait().expect("no deadline");

@@ -10,15 +10,19 @@ use std::time::{Duration, Instant};
 use nn_lut::core::train::TrainConfig;
 use nn_lut::core::NnLutKit;
 use nn_lut::serve::{
-    AsyncLutServer, AsyncServerConfig, FaultPlan, ReplicaHealth, ShardConfig, ShardedServer, Stage,
-    TraceConfig,
+    AsyncServerConfig, FaultPlan, ReplicaHealth, ShardConfig, ShardedServer, Stage, TraceConfig,
 };
 use nn_lut::transformer::{BertModel, TransformerConfig};
 
-fn tiny_async(config: AsyncServerConfig) -> AsyncLutServer {
-    let model = BertModel::new_synthetic(TransformerConfig::roberta_tiny(), 9);
-    let kit = NnLutKit::train_with(16, 9, &TrainConfig::fast());
-    AsyncLutServer::new(model, kit, config)
+/// The asynchronous door over one replica. Queue wait counts toward the
+/// stall watchdog, so it sits far above any debug-build batch.
+fn tiny_async(replica: AsyncServerConfig) -> ShardedServer {
+    tiny_sharded(ShardConfig {
+        replicas: 1,
+        replica,
+        stall_timeout: Duration::from_secs(60),
+        ..ShardConfig::default()
+    })
 }
 
 fn tiny_sharded(config: ShardConfig) -> ShardedServer {
@@ -31,7 +35,8 @@ fn tiny_sharded(config: ShardConfig) -> ShardedServer {
 /// *exactly* (interval attribution is lossless by construction), and the
 /// trace total matches the externally observed end-to-end latency within
 /// clock slack (the trace is born inside `submit`, after our stopwatch
-/// starts, and sealed before `wait` returns).
+/// starts, and sealed before `wait` returns). The door records
+/// `Admitted` and the replica every later stage, each exactly once.
 #[test]
 fn stage_durations_sum_to_end_to_end_latency() {
     let server = tiny_async(AsyncServerConfig {
