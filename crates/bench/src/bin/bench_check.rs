@@ -1,47 +1,29 @@
-//! The CI bench-regression gate.
+//! The CI kernel-ledger gate.
 //!
-//! Two jobs in one small binary:
+//! The committed `BENCH_lut_eval.json` (written by `bench_lut_eval`)
+//! must still carry every section the repo's trajectory claims
+//! (`results`, `simd`, `codebook`); a PR that drops or mangles a section
+//! fails here, not months later. The `simd` kernel rows are gated at a
+//! ≥ 1.5× scalar→AVX2 floor on the 64k-element gelu/exp workloads
+//! (skipped with a note when the recording machine's kernel tier wasn't
+//! AVX2). The `codebook` section gets the same treatment: every row's
+//! relative error vs the exact FP32 GEMM is capped, the
+//! accuracy-per-table-size frontier must slope the right way, and the
+//! FFN-shape speedup floor carries the same recorded-level caveat as the
+//! SIMD gate.
 //!
-//! 1. **Ledger integrity** — the committed `BENCH_lut_eval.json` must
-//!    still carry every section the repo's trajectory claims (`results`,
-//!    `serve.configs`, `serve.admission`, `serve.sustained`,
-//!    `serve.sharded`, `serve.decode`, `serve.codebook`,
-//!    `serve.trace_overhead`, `simd`, `codebook`);
-//!    a PR that drops
-//!    or mangles a section fails here, not months later. The
-//!    trace-overhead section is additionally gated at a fixed ≤ 5%
-//!    ceiling — tracing must stay passive in cost — and the `simd`
-//!    kernel rows at a ≥ 1.5× scalar→AVX2 floor on the 64k-element
-//!    gelu/exp workloads (skipped with a note when the recording
-//!    machine's kernel tier wasn't AVX2). The `codebook` section gets
-//!    the same treatment: every row's relative error vs the exact FP32
-//!    GEMM is capped, the accuracy-per-table-size frontier must slope
-//!    the right way, and the FFN-shape speedup floor carries the same
-//!    recorded-level caveat as the SIMD gate.
-//! 2. **Quick-run regression** — a fresh `bench_serve --quick --out …`
-//!    run is compared against the committed `BENCH_serve_quick.json`
-//!    baseline with a relative tolerance (default 10%): padding
-//!    efficiency (deterministic — a pure function of admission order)
-//!    may not regress by more than the tolerance, the steady-state
-//!    metrics footprint may not grow past it, and the overload door must
-//!    still reopen. Throughput is gated machine-normalized — the
-//!    bucketed/FIFO tokens/sec *ratio* within the fresh run, at the
-//!    wider `--throughput-tolerance` (default 40%) because tiny quick
-//!    walls carry scheduler jitter; absolute tokens/sec against a
-//!    baseline from a different machine is deliberately not gated.
+//! Serving throughput and latency are measured by the end-to-end
+//! benchmark (`benchmark/`, declared by `BENCHMARK.json`); the serving
+//! layer's deterministic properties are pinned by tests.
 //!
 //! Usage (CI runs exactly this):
 //!
 //! ```text
-//! cargo run --release -p nnlut-bench --bin bench_serve -- --quick --out target/bench_serve_quick.json
 //! cargo run --release -p nnlut-bench --bin bench_check
 //! ```
 //!
-//! Flags: `--fresh <path>` (default `target/bench_serve_quick.json`),
-//! `--baseline <path>` (default `BENCH_serve_quick.json`), `--ledger
-//! <path>` (default `BENCH_lut_eval.json`), `--tolerance <percent>`
-//! (default `10`), `--throughput-tolerance <percent>` (default `40`).
-//! Exits non-zero listing every violated check.
+//! Flag: `--ledger <path>` (default `BENCH_lut_eval.json`). Exits
+//! non-zero listing every violated check.
 
 use nnlut_bench::Json;
 
@@ -70,43 +52,13 @@ impl Gate {
     }
 
     /// Asserts `doc.path(path)` exists and is a number; returns it.
-    fn require_num(&mut self, doc: &Json, path: &str, label: &str) -> Option<f64> {
+    fn require_num(&mut self, doc: &Json, path: &str) -> Option<f64> {
         match doc.path(path).and_then(Json::as_f64) {
             Some(v) => Some(v),
             None => {
-                self.fail(format!("{label}: missing numeric `{path}`"));
+                self.fail(format!("ledger: missing numeric `{path}`"));
                 None
             }
-        }
-    }
-
-    /// Fresh may not fall below `baseline × (1 − tol)`.
-    fn check_floor(&mut self, what: &str, fresh: f64, baseline: f64, tol: f64) {
-        let floor = baseline * (1.0 - tol);
-        if fresh >= floor {
-            self.pass(format!(
-                "{what}: {fresh:.4} vs baseline {baseline:.4} (floor {floor:.4})"
-            ));
-        } else {
-            self.fail(format!(
-                "{what} regressed more than {:.0}%: {fresh:.4} < floor {floor:.4} (baseline {baseline:.4})",
-                tol * 100.0
-            ));
-        }
-    }
-
-    /// Fresh may not rise above `baseline × (1 + tol)`.
-    fn check_ceiling(&mut self, what: &str, fresh: f64, baseline: f64, tol: f64) {
-        let ceiling = baseline * (1.0 + tol);
-        if fresh <= ceiling {
-            self.pass(format!(
-                "{what}: {fresh:.1} vs baseline {baseline:.1} (ceiling {ceiling:.1})"
-            ));
-        } else {
-            self.fail(format!(
-                "{what} grew more than {:.0}%: {fresh:.1} > ceiling {ceiling:.1} (baseline {baseline:.1})",
-                tol * 100.0
-            ));
         }
     }
 }
@@ -122,10 +74,10 @@ fn flag(args: &[String], name: &str, default: &str) -> String {
         .unwrap_or_else(|| default.to_string())
 }
 
-fn load(path: &str, label: &str) -> Json {
+fn load(path: &str) -> Json {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read {label} at {path}: {e}"));
-    Json::parse(&text).unwrap_or_else(|e| panic!("{label} at {path} is not valid JSON: {e}"))
+        .unwrap_or_else(|e| panic!("cannot read the ledger at {path}: {e}"));
+    Json::parse(&text).unwrap_or_else(|e| panic!("the ledger at {path} is not valid JSON: {e}"))
 }
 
 /// Structural checks on the committed ledger: every trajectory section
@@ -144,98 +96,8 @@ fn check_ledger(gate: &mut Gate, ledger: &Json) {
         }
         _ => gate.fail("results: missing or empty".into()),
     }
-    match ledger.path("serve.configs").and_then(Json::as_array) {
-        Some(rows) if !rows.is_empty() => gate.pass(format!("serve.configs: {} rows", rows.len())),
-        _ => gate.fail("serve.configs: missing or empty".into()),
-    }
-    let fifo = gate.require_num(ledger, "serve.admission.fifo.padding_efficiency", "ledger");
-    let bucketed = gate.require_num(
-        ledger,
-        "serve.admission.bucketed.padding_efficiency",
-        "ledger",
-    );
-    if let (Some(f), Some(b)) = (fifo, bucketed) {
-        if b >= f {
-            gate.pass(format!("serve.admission: bucketed {b:.3} ≥ fifo {f:.3}"));
-        } else {
-            gate.fail(format!(
-                "serve.admission: bucketed {b:.3} pads worse than fifo {f:.3}"
-            ));
-        }
-    }
-    match ledger
-        .path("serve.sustained.in_flight")
-        .and_then(Json::as_array)
-    {
-        Some(rows) if rows.len() >= 2 => {
-            gate.pass(format!("serve.sustained.in_flight: {} rows", rows.len()))
-        }
-        _ => gate.fail("serve.sustained.in_flight: missing or short".into()),
-    }
-    gate.require_num(ledger, "serve.sustained.metrics_bytes_steady", "ledger");
-    match ledger.path("serve.sustained.overload.recovered") {
-        Some(Json::Bool(true)) => gate.pass("serve.sustained.overload: recovered".into()),
-        Some(_) => gate.fail("serve.sustained.overload: door did not reopen".into()),
-        None => gate.fail("serve.sustained.overload.recovered: missing".into()),
-    }
-    if let Some(b) = gate.require_num(ledger, "serve.sharded.balance", "ledger") {
-        if b > 0.0 && b <= 1.0 {
-            gate.pass(format!("serve.sharded.balance: {b:.3} in (0, 1]"));
-        } else {
-            gate.fail(format!(
-                "serve.sharded.balance: {b:.3} outside (0, 1] — a replica got no traffic"
-            ));
-        }
-    }
-    gate.require_num(ledger, "serve.sharded.failover.recovery_ms", "ledger");
-    match ledger.path("serve.sharded.failover.recovered") {
-        Some(Json::Bool(true)) => gate.pass("serve.sharded.failover: replica re-admitted".into()),
-        Some(_) => gate.fail("serve.sharded.failover: replica never re-admitted".into()),
-        None => gate.fail("serve.sharded.failover.recovered: missing".into()),
-    }
-    if let Some(pct) = gate.require_num(ledger, "serve.trace_overhead.overhead_pct", "ledger") {
-        if pct <= TRACE_OVERHEAD_CEILING_PCT {
-            gate.pass(format!(
-                "serve.trace_overhead: {pct:.2}% ≤ {TRACE_OVERHEAD_CEILING_PCT:.0}%"
-            ));
-        } else {
-            gate.fail(format!(
-                "serve.trace_overhead: {pct:.2}% exceeds the {TRACE_OVERHEAD_CEILING_PCT:.0}% ceiling"
-            ));
-        }
-    }
-    gate.require_num(ledger, "serve.trace_overhead.recorder_bytes", "ledger");
-    check_decode_section(gate, ledger, "serve.decode", "ledger");
-    check_serve_codebook(gate, ledger, "serve.codebook", "ledger");
     check_simd_section(gate, ledger);
     check_codebook_section(gate, ledger);
-}
-
-/// The `serve.codebook` subsection (bench_serve part 7): codebook serving
-/// must be measured, its end-to-end relative error against the F32-served
-/// hidden states must sit under [`CODEBOOK_SERVE_REL_ERR_CEILING`], and
-/// the throughput ratio must be a positive number. The ratio itself is
-/// machine-shaped (one thread on an arbitrary runner) and not floored.
-fn check_serve_codebook(gate: &mut Gate, doc: &Json, prefix: &str, label: &str) {
-    if let Some(err) = gate.require_num(doc, &format!("{prefix}.rel_err_vs_f32"), label) {
-        if err.is_finite() && err <= CODEBOOK_SERVE_REL_ERR_CEILING {
-            gate.pass(format!(
-                "{prefix}.rel_err_vs_f32: {err:.4} ≤ {CODEBOOK_SERVE_REL_ERR_CEILING}"
-            ));
-        } else {
-            gate.fail(format!(
-                "{prefix}.rel_err_vs_f32: {err:.4} exceeds the {CODEBOOK_SERVE_REL_ERR_CEILING} ceiling — \
-                 codebook serving drifted from the F32 reference"
-            ));
-        }
-    }
-    match gate.require_num(doc, &format!("{prefix}.speedup_vs_f32"), label) {
-        Some(s) if s > 0.0 => gate.pass(format!("{prefix}.speedup_vs_f32: {s:.2}x recorded")),
-        Some(s) => gate.fail(format!("{prefix}.speedup_vs_f32: {s} is not positive")),
-        None => {}
-    }
-    gate.require_num(doc, &format!("{prefix}.bake_s"), label);
-    gate.require_num(doc, &format!("{prefix}.table_mib"), label);
 }
 
 /// The `codebook` section of the ledger (written by `bench_lut_eval`):
@@ -334,46 +196,6 @@ fn check_codebook_section(gate: &mut Gate, ledger: &Json) {
     }
 }
 
-/// The `serve.decode` section (bench_serve part 6): the KV-cache context
-/// sweep must carry positive generated-tokens/sec and ordered inter-token
-/// percentiles per context, and the prefill:decode mix sweep must be
-/// present. All checks are within-run (percentile ordering, positivity) —
-/// absolute decode throughput is machine-shaped and not gated.
-fn check_decode_section(gate: &mut Gate, doc: &Json, prefix: &str, label: &str) {
-    let contexts = match doc
-        .path(&format!("{prefix}.contexts"))
-        .and_then(Json::as_array)
-    {
-        Some(rows) if !rows.is_empty() => {
-            gate.pass(format!("{prefix}.contexts: {} rows", rows.len()));
-            rows
-        }
-        _ => {
-            gate.fail(format!("{prefix}.contexts: missing or empty"));
-            return;
-        }
-    };
-    for (i, row) in contexts.iter().enumerate() {
-        let tps = row.get("tokens_per_sec").and_then(Json::as_f64);
-        let p50 = row.get("inter_token_p50_ms").and_then(Json::as_f64);
-        let p95 = row.get("inter_token_p95_ms").and_then(Json::as_f64);
-        match (tps, p50, p95) {
-            (Some(t), Some(p50), Some(p95)) if t > 0.0 && p50 > 0.0 && p95 >= p50 => {
-                gate.pass(format!(
-                    "{prefix}.contexts[{i}]: {t:.1} tok/s · inter-token p50 {p50:.3} ms ≤ p95 {p95:.3} ms"
-                ));
-            }
-            _ => gate.fail(format!(
-                "{label}: {prefix}.contexts[{i}] lacks positive tokens_per_sec / ordered inter-token percentiles"
-            )),
-        }
-    }
-    match doc.path(&format!("{prefix}.mix")).and_then(Json::as_array) {
-        Some(rows) if !rows.is_empty() => gate.pass(format!("{prefix}.mix: {} rows", rows.len())),
-        _ => gate.fail(format!("{prefix}.mix: missing or empty")),
-    }
-}
-
 /// The `simd` section of the ledger (written by `bench_lut_eval`,
 /// explained in docs/PERFORMANCE.md): the recorded kernel tier, the
 /// scalar-oracle-vs-dispatched kernel rows, and the fused LayerNorm row.
@@ -429,7 +251,7 @@ fn check_simd_section(gate: &mut Gate, ledger: &Json) {
         }
     }
     for key in ["speedup", "unfused_ns_per_row", "fused_ns_per_row"] {
-        gate.require_num(ledger, &format!("simd.fused.layernorm.{key}"), "ledger");
+        gate.require_num(ledger, &format!("simd.fused.layernorm.{key}"));
     }
 }
 
@@ -440,11 +262,6 @@ fn check_simd_section(gate: &mut Gate, ledger: &Json) {
 /// tolerating a vectorization regression.
 const SIMD_KERNEL_FLOOR: f64 = 1.5;
 
-/// Observability must stay passive in cost: the recorder-on sustained run
-/// may be at most this much slower than recorder-off (median of paired
-/// runs, measured by `bench_serve` part 5).
-const TRACE_OVERHEAD_CEILING_PCT: f64 = 5.0;
-
 /// Maximum relative (Frobenius) error any `codebook.rows` entry may
 /// record against the exact FP32 product. The k=8 end of the recorded
 /// sweep sits at ~0.65 on the synthetic activations; 0.8 leaves margin
@@ -452,131 +269,18 @@ const TRACE_OVERHEAD_CEILING_PCT: f64 = 5.0;
 /// codebook lands well above 1.0).
 const CODEBOOK_REL_ERR_CEILING: f64 = 0.8;
 
-/// End-to-end ceiling for `serve.codebook.rel_err_vs_f32`. On the
-/// synthetic-weight bench models the recorded drift is ~0.79 (quick,
-/// 4-layer) to ~1.01 (full, 12-layer) — random weights give LayerNorm
-/// no real signal to re-center around, so deep stacks drift more than a
-/// trained model would. The gate is a sanity bound, not an accuracy
-/// claim: a broken bake (wrong site seeds, stale tables) lands at 1.4+.
-const CODEBOOK_SERVE_REL_ERR_CEILING: f64 = 1.5;
-
 /// Minimum codebook-vs-F32 GEMM speedup the FFN-shape (`768x3072`, k=16)
 /// ledger row must record when the recording machine's kernel tier was
 /// AVX2. Recorded ~2.1x; 1.2x leaves the same kind of shared-host margin
 /// as [`SIMD_KERNEL_FLOOR`].
 const CODEBOOK_SPEEDUP_FLOOR: f64 = 1.2;
 
-/// Tolerance comparison of a fresh quick run against the committed quick
-/// baseline.
-///
-/// Only machine-independent quantities are hard-gated at `tol`: padding
-/// efficiency is a pure function of admission order (identical on any
-/// machine). Throughput is gated through the **bucketed/FIFO ratio** —
-/// dividing two measurements from the *same* fresh run cancels the
-/// runner's absolute speed — but a quick run's walls are tens of
-/// milliseconds, so the ratio still carries timing noise; it gets the
-/// wider `tput_tol` (default 40%), enough to catch bucketing collapsing
-/// toward 1× without tripping on scheduler jitter. Absolute tokens/sec
-/// is deliberately NOT gated — the baseline was measured on some other
-/// machine, and CI runners vary well past any useful tolerance.
-fn check_regression(gate: &mut Gate, fresh: &Json, baseline: &Json, tol: f64, tput_tol: f64) {
-    println!("quick-run regression (tolerance {:.0}%):", tol * 100.0);
-    for path in [
-        "admission.fifo.padding_efficiency",
-        "admission.bucketed.padding_efficiency",
-    ] {
-        let f = gate.require_num(fresh, path, "fresh");
-        let b = gate.require_num(baseline, path, "baseline");
-        if let (Some(f), Some(b)) = (f, b) {
-            gate.check_floor(path, f, b, tol);
-        }
-    }
-    let ratio = |doc: &Json, gate: &mut Gate, label| {
-        let bucketed = gate.require_num(doc, "admission.bucketed.tokens_per_sec", label);
-        let fifo = gate.require_num(doc, "admission.fifo.tokens_per_sec", label);
-        match (bucketed, fifo) {
-            (Some(b), Some(f)) if f > 0.0 => Some(b / f),
-            _ => None,
-        }
-    };
-    let f = ratio(fresh, gate, "fresh");
-    let b = ratio(baseline, gate, "baseline");
-    if let (Some(f), Some(b)) = (f, b) {
-        gate.check_floor("bucketed/fifo tokens_per_sec ratio", f, b, tput_tol);
-    }
-    let f = gate.require_num(fresh, "sustained.metrics_bytes_steady", "fresh");
-    let b = gate.require_num(baseline, "sustained.metrics_bytes_steady", "baseline");
-    if let (Some(f), Some(b)) = (f, b) {
-        gate.check_ceiling("sustained.metrics_bytes_steady", f, b, tol);
-    }
-    match fresh.path("sustained.overload.recovered") {
-        Some(Json::Bool(true)) => gate.pass("sustained.overload: recovered".into()),
-        _ => gate.fail("sustained.overload: fresh run's door did not reopen".into()),
-    }
-    // Sharded serving: gate on the fresh run only — balance and recovery
-    // time are timing-shaped, so no cross-machine baseline tolerance.
-    if let Some(b) = gate.require_num(fresh, "sharded.balance", "fresh") {
-        if b > 0.0 && b <= 1.0 {
-            gate.pass(format!("sharded.balance: {b:.3} in (0, 1]"));
-        } else {
-            gate.fail(format!(
-                "sharded.balance: {b:.3} outside (0, 1] — a replica got no traffic"
-            ));
-        }
-    }
-    match fresh.path("sharded.failover.recovered") {
-        Some(Json::Bool(true)) => {
-            gate.pass("sharded.failover: fresh run's replica re-admitted".into())
-        }
-        _ => gate.fail("sharded.failover: fresh run's replica never re-admitted".into()),
-    }
-    // Decode plane: gate the fresh run's section shape and within-run
-    // invariants only — inter-token walls are machine-shaped.
-    check_decode_section(gate, fresh, "decode", "fresh");
-    // Codebook serving: the fresh run must measure it, and its end-to-end
-    // error is deterministic (seeded bake on a seeded workload), so the
-    // same ceiling as the ledger applies; the throughput ratio is
-    // machine-shaped and only checked for positivity.
-    check_serve_codebook(gate, fresh, "codebook", "fresh");
-    // Trace overhead: gate the fresh run at the same ceiling as the
-    // ledger — a quick run's absolute walls are noisy, but the overhead
-    // is a *ratio* of interleaved same-machine runs, so it transfers.
-    if let Some(pct) = gate.require_num(fresh, "trace_overhead.overhead_pct", "fresh") {
-        if pct <= TRACE_OVERHEAD_CEILING_PCT {
-            gate.pass(format!(
-                "trace_overhead: {pct:.2}% ≤ {TRACE_OVERHEAD_CEILING_PCT:.0}%"
-            ));
-        } else {
-            gate.fail(format!(
-                "trace_overhead: {pct:.2}% exceeds the {TRACE_OVERHEAD_CEILING_PCT:.0}% ceiling"
-            ));
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let fresh_path = flag(&args, "--fresh", "target/bench_serve_quick.json");
-    let baseline_path = flag(&args, "--baseline", "BENCH_serve_quick.json");
     let ledger_path = flag(&args, "--ledger", "BENCH_lut_eval.json");
-    let tol = flag(&args, "--tolerance", "10")
-        .parse::<f64>()
-        .expect("--tolerance takes a percentage")
-        / 100.0;
-    let tput_tol = flag(&args, "--throughput-tolerance", "40")
-        .parse::<f64>()
-        .expect("--throughput-tolerance takes a percentage")
-        / 100.0;
 
     let mut gate = Gate::new();
-    check_ledger(&mut gate, &load(&ledger_path, "ledger"));
-    check_regression(
-        &mut gate,
-        &load(&fresh_path, "fresh quick run"),
-        &load(&baseline_path, "quick baseline"),
-        tol,
-        tput_tol,
-    );
+    check_ledger(&mut gate, &load(&ledger_path));
 
     if gate.failures.is_empty() {
         println!("bench_check: all {} checks passed", gate.checks);

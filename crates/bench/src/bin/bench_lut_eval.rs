@@ -339,9 +339,8 @@ fn main() {
     }
 
     // Hand-rolled JSON: the offline workspace has no serde, and the schema
-    // is flat enough that formatting it directly is clearer anyway. Only
-    // this bin's sections are (re)written — `bench_serve` owns the
-    // `serve` section of the same file.
+    // is flat enough that formatting it directly is clearer anyway. This
+    // bin owns every key of the file and renders the whole object.
     let mut results = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
         results.push_str(&format!(
@@ -488,12 +487,9 @@ fn main() {
     }
     codebook_section.push_str("    ]\n  }");
 
-    let existing = std::fs::read_to_string("BENCH_lut_eval.json").unwrap_or_default();
-    let mut json = nnlut_bench::upsert_json_key(&existing, "bench", "\"lut_eval\"");
-    json = nnlut_bench::upsert_json_key(&json, "entries", "16");
-    json = nnlut_bench::upsert_json_key(&json, "results", &results);
-    json = nnlut_bench::upsert_json_key(&json, "simd", &simd_section);
-    json = nnlut_bench::upsert_json_key(&json, "codebook", &codebook_section);
+    let json = format!(
+        "{{\n  \"bench\": \"lut_eval\",\n  \"entries\": 16,\n  \"results\": {results},\n  \"simd\": {simd_section},\n  \"codebook\": {codebook_section}\n}}\n"
+    );
     std::fs::write("BENCH_lut_eval.json", &json).expect("write BENCH_lut_eval.json");
     println!("\nwrote BENCH_lut_eval.json");
 

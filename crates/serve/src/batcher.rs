@@ -895,6 +895,67 @@ mod tests {
         assert_eq!(drain_ids(&mut b), vec![vec![0, 3], vec![1, 4], vec![2]]);
     }
 
+    /// Padding efficiency (real / padded tokens) of draining a burst of
+    /// `requests` requests whose lengths cycle through `lengths`.
+    fn burst_efficiency(policy: BatchPolicy, requests: u64, lengths: &[usize]) -> f64 {
+        let mut b = Batcher::new(policy);
+        for id in 0..requests {
+            b.push(id, vec![1; lengths[id as usize % lengths.len()]]);
+        }
+        let (mut tokens, mut padded) = (0, 0);
+        while let Some((_, batch)) = b.next_batch() {
+            tokens += batch.tokens();
+            padded += batch.padded_tokens();
+        }
+        tokens as f64 / padded as f64
+    }
+
+    /// Drains the burst FIFO and through `edges`: bucketing must pad no
+    /// worse, and each efficiency stays above 0.9x the `(fifo, bucketed)`
+    /// value the burst has always produced.
+    fn check_burst(
+        requests: u64,
+        lengths: &[usize],
+        budget: usize,
+        edges: Vec<usize>,
+        was: (f64, f64),
+    ) {
+        let fifo = burst_efficiency(fifo_policy(8, budget), requests, lengths);
+        let bucketed = burst_efficiency(
+            fifo_policy(8, budget).with_buckets(edges),
+            requests,
+            lengths,
+        );
+        assert!(
+            bucketed >= fifo,
+            "{lengths:?}: bucketed {bucketed:.4} pads worse than fifo {fifo:.4}"
+        );
+        assert!(fifo >= 0.9 * was.0, "{lengths:?}: fifo {fifo:.4}");
+        assert!(
+            bucketed >= 0.9 * was.1,
+            "{lengths:?}: bucketed {bucketed:.4}"
+        );
+    }
+
+    #[test]
+    fn buckets_pad_a_mixed_burst_no_worse_than_fifo() {
+        // A tiny-model burst and a RoBERTa-shape burst.
+        check_burst(
+            16,
+            &[5, 11, 17, 29, 41, 64],
+            512,
+            vec![8, 16, 32],
+            (0.3867, 0.8285),
+        );
+        check_burst(
+            32,
+            &[16, 32, 48, 64, 96, 128],
+            1024,
+            vec![16, 32, 64],
+            (0.4805, 0.8913),
+        );
+    }
+
     #[test]
     fn bucket_index_maps_lengths_to_edges() {
         let p = BatchPolicy::bucketed(vec![4, 16, 64]);

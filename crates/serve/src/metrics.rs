@@ -15,7 +15,7 @@
 //! grows with uptime — the asynchronous server clones under its shared
 //! lock and computes percentiles on the snapshot *outside* it.
 //! [`ServeMetrics::approx_bytes`] is the self-reported footprint the soak
-//! test and `bench_serve`'s `sustained` section pin down.
+//! test and this module's unit tests pin down.
 
 use std::time::Duration;
 
@@ -595,8 +595,8 @@ impl ServeMetrics {
     /// occupy, counting every sketch at full *capacity* (not fill level)
     /// and the per-bucket table at its current length. The figure is a
     /// function of configuration (sketch capacity, bucket count), **not**
-    /// of batches served — the soak test and `bench_serve`'s `sustained`
-    /// section assert exactly that.
+    /// of batches served — the soak test and this module's unit tests
+    /// assert exactly that, and bound it at the default capacity.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.latency_sketch.approx_bytes()
@@ -813,6 +813,43 @@ mod tests {
         // kept only the last 64 latencies.
         assert_eq!(m.latency_sketch.count(), 10_001);
         assert_eq!(m.latency_sketch.len(), 64);
+    }
+
+    /// The footprint of a four-bucket server at the default sketch
+    /// capacity, after a mixed burst has touched every bucket, stays
+    /// within 10% of the 124,848 B it has always reported.
+    #[test]
+    fn bucketed_footprint_at_default_capacity_is_bounded() {
+        use crate::batcher::{BatchPolicy, Batcher};
+
+        let lengths = [5, 11, 17, 29, 41, 64];
+        let mut batcher = Batcher::new(BatchPolicy {
+            max_batch: 8,
+            max_padded_tokens: 512,
+            bucket_edges: vec![8, 16, 32],
+        });
+        for id in 0..16 {
+            batcher.push(id, vec![1; lengths[id as usize % lengths.len()]]);
+        }
+        let mut m = ServeMetrics::with_sketch_capacity(512);
+        while let Some(closed) = batcher.next_closed_batch() {
+            m.record(BatchRecord {
+                sequences: closed.batch.sequences(),
+                tokens: closed.batch.tokens(),
+                padded_tokens: closed.batch.padded_tokens(),
+                queue_depth: 0,
+                latency: Duration::from_millis(1),
+                bucket: closed.bucket,
+                reason: closed.reason,
+                queue_waits: closed.queue_waits,
+            });
+        }
+        assert_eq!(m.per_bucket().len(), 4, "every bucket dispatched");
+        assert!(
+            m.approx_bytes() <= 137_332,
+            "metrics footprint {} B exceeds 137,332 B",
+            m.approx_bytes()
+        );
     }
 
     #[test]

@@ -1956,6 +1956,45 @@ mod tests {
             .all(|s| s.health == ReplicaHealth::Healthy));
     }
 
+    /// Join-shortest-queue spreads a burst over both replicas. Nothing
+    /// closes on age and the burst fills no batch, so no request resolves
+    /// before the drain: every routing decision sees only the area routed
+    /// so far, and the spread does not depend on timing.
+    #[test]
+    fn burst_reaches_every_replica() {
+        let mut server = tiny_sharded(ShardConfig {
+            replicas: 2,
+            replica: AsyncServerConfig {
+                close: untimed(),
+                ..AsyncServerConfig::default()
+            },
+            stall_timeout: Duration::from_secs(60),
+            ..ShardConfig::default()
+        });
+        let tickets: Vec<Ticket> = (0..6).map(|n| server.submit(vec![1; 1 + n])).collect();
+        let routed = || {
+            server
+                .status()
+                .iter()
+                .map(|s| s.routed)
+                .collect::<Vec<u64>>()
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while routed().iter().sum::<u64>() < 6 {
+            assert!(Instant::now() < deadline, "burst never fully routed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let spread = routed();
+        assert!(
+            spread.iter().all(|&r| r > 0),
+            "a replica got no traffic: {spread:?}"
+        );
+        server.shutdown();
+        for t in tickets {
+            t.wait().expect("shutdown drains, it does not abandon");
+        }
+    }
+
     #[test]
     fn rolled_up_door_rejects_fleet_saturation() {
         // An area watermark of 0 admits nothing: replica drain speed
@@ -2037,7 +2076,9 @@ mod tests {
             5,
             "first token comes from the prefill"
         );
-        assert!(served.inter_token_percentile(50.0).is_some());
+        assert!(served
+            .inter_token_percentile(50.0)
+            .is_some_and(|gap| gap > Duration::ZERO));
     }
 
     #[test]

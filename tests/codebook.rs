@@ -8,9 +8,16 @@
 //!   when baked at that tier) must match the scalar oracle
 //!   (`apply_rows_scalar`) bit for bit, including NaN/±inf activations,
 //!   signed zeros, and input widths that do not divide the sub-vector
-//!   length (zero-padded tail groups).
+//!   length (zero-padded tail groups);
+//! * **served drift ceiling** — a seeded bake on a tiny model keeps the
+//!   codebook-served hidden states within a fixed relative error of the
+//!   F32-served ones.
 
 use nn_lut::core::codebook::{kmeans, BakedCodebook, CodebookSpec};
+use nn_lut::core::train::TrainConfig;
+use nn_lut::core::NnLutKit;
+use nn_lut::serve::{BatchPolicy, LutServer, ServerConfig};
+use nn_lut::transformer::{BertModel, MatmulMode, Nonlinearity, TransformerConfig};
 use proptest::prelude::*;
 
 /// A spec kept small enough for property-test throughput while still
@@ -167,4 +174,66 @@ fn tail_groups_are_bit_neutral() {
     for w in &want {
         assert!(w.is_finite(), "tail-group output must stay finite");
     }
+}
+
+/// End-to-end drift of codebook serving: bake the default codebooks onto
+/// the tiny model (calibrated on the served workload itself), serve the
+/// workload in F32 and in Codebook mode, and bound the Frobenius
+/// relative error of the codebook-served hidden states. Bake and serving
+/// are seeded and deterministic, so the error is a fixed number (0.792).
+/// The 1.5 ceiling is a sanity bound, not an accuracy claim: on random
+/// weights the drift nears the size of the signal itself (~1.0 on a
+/// deeper RoBERTa-shape model), and a broken bake (wrong site seeds,
+/// stale tables) lands above it.
+#[test]
+fn served_codebook_drift_stays_under_ceiling() {
+    // The model, kit and bake seed behind the 0.792 figure.
+    const SEED: u64 = 20220712;
+    let config = TransformerConfig::roberta_tiny();
+    let lengths = [5, 11, 17, 29, 41, 64];
+    let workload: Vec<Vec<usize>> = (0..16)
+        .map(|r| {
+            (0..lengths[r % lengths.len()])
+                .map(|i| (i * 31 + r * 7) % config.vocab)
+                .collect()
+        })
+        .collect();
+    let kit = NnLutKit::train_with(16, SEED, &TrainConfig::fast());
+    let mut model = BertModel::new_synthetic(config, SEED);
+    model.bake_codebooks(
+        &CodebookSpec::default(),
+        &workload,
+        &Nonlinearity::exact(),
+        256,
+    );
+    let serve = |mode: MatmulMode| {
+        let mut server = LutServer::new(
+            model.clone(),
+            kit.clone(),
+            ServerConfig {
+                threads: 1,
+                policy: BatchPolicy {
+                    max_batch: 8,
+                    max_padded_tokens: 512,
+                    bucket_edges: Vec::new(),
+                },
+                mode,
+            },
+        );
+        server.serve(workload.clone())
+    };
+    let exact = serve(MatmulMode::F32);
+    let approx = serve(MatmulMode::Codebook);
+    let (mut err, mut norm) = (0.0f64, 0.0f64);
+    for (a, e) in approx.iter().zip(&exact) {
+        for (x, y) in a.hidden.as_slice().iter().zip(e.hidden.as_slice()) {
+            err += f64::from(x - y).powi(2);
+            norm += f64::from(*y).powi(2);
+        }
+    }
+    let rel_err = (err / norm).sqrt();
+    assert!(
+        rel_err.is_finite() && rel_err <= 1.5,
+        "codebook serving drifted {rel_err:.4} from F32, above the 1.5 ceiling"
+    );
 }
