@@ -1,12 +1,13 @@
 //! The asynchronous replica behind [`ShardedServer`](crate::ShardedServer),
 //! and the ticket and error types of the asynchronous door.
 //!
-//! `AsyncLutServer` is crate-private: the shard supervisor is its only
-//! caller. It decouples admission from execution — `enqueue` returns the
-//! request's response slot immediately, and a dedicated background
-//! **dispatcher** thread drains the length-bucketed [`Batcher`] as
-//! batches close. A batch closes when the **first** of three conditions
-//! fires:
+//! `AsyncLutServer` is crate-private: the shard is its only caller. It
+//! decouples admission from execution — `enqueue` returns the request's
+//! replica-local id immediately, a dedicated background **dispatcher**
+//! thread drains the length-bucketed [`Batcher`] as batches close, and
+//! every emitted token and final outcome goes back to the shard as a
+//! [`Report`] on its channel. A batch closes when the **first** of three
+//! conditions fires:
 //!
 //! 1. **area budget** — a bucket can fill the
 //!    [`BatchPolicy`] sequence/padded-area budget
@@ -17,7 +18,7 @@
 //!    [`ClosePolicy::deadline_slack`] ([`CloseReason::Deadline`]).
 //!
 //! Requests whose deadline passes while still queued are never encoded:
-//! their slots resolve to [`ServeError::DeadlineExceeded`]. Deadlines
+//! they are reported as [`ServeError::DeadlineExceeded`]. Deadlines
 //! shape *when* batches close, never the packing order — admission stays
 //! FIFO within a bucket, so the determinism story of the synchronous
 //! server carries over unchanged (and with an FP32/FP16 body the
@@ -32,7 +33,7 @@
 //! Batch *composition* stays a pure function of queue contents at close
 //! time — only the dispatcher, under the shared lock, ever packs a batch.
 //! Completions flow through an **ordered completion queue**: results are
-//! recorded and slots resolved strictly in dispatch order, so a fast
+//! recorded and outcomes reported strictly in dispatch order, so a fast
 //! batch never overtakes a slow earlier one observably, and the
 //! bit-identical-to-serial contract is unchanged (mask-aware attention
 //! makes each response independent of batch composition; see
@@ -42,7 +43,8 @@
 //! **drain**: batches close without waiting for age or deadline timers,
 //! while the replica still accepts the supervisor's retries. Dropping
 //! the replica drains every queued request and waits out every in-flight
-//! batch before the dispatcher exits, so no slot is left unresolved.
+//! batch before the dispatcher exits, so every request gets its final
+//! report.
 //!
 //! # Continuous batching
 //!
@@ -54,8 +56,8 @@
 //! batches with prefill/encode batches under the same padded-area
 //! budget: decode-priority closes keep inter-token latency flat, and
 //! [`ClosePolicy::max_prefill_wait`] bounds how long a queued prefill
-//! can be deferred (the starvation guard). Tokens stream into the slot
-//! as each step resolves; a deadline covers the **whole** generation (a
+//! can be deferred (the starvation guard). Tokens are reported as each
+//! step resolves; a deadline covers the **whole** generation (a
 //! lapsed deadline culls the sequence from whichever plane holds it and
 //! frees its KV cache), a drain *finishes* in-flight generations (the
 //! token budget bounds it), and a panic mid-step fails the generation
@@ -71,6 +73,7 @@
 //! the claim.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -227,9 +230,9 @@ impl Default for AsyncServerConfig {
 /// How a replica is wired into its sharded fleet.
 #[derive(Debug, Clone)]
 pub(crate) struct Wiring {
-    /// Replica id stamped on this server's trace events and journal
-    /// entries.
-    pub(crate) label: Option<usize>,
+    /// Replica index: the first half of every report's key, and the id
+    /// stamped on this server's trace events and journal entries.
+    pub(crate) replica: usize,
     /// Deterministic fault injection hook, consulted by the encoder
     /// threads just before each batch encode (inside the per-batch panic
     /// containment). See [`crate::fault`].
@@ -237,6 +240,9 @@ pub(crate) struct Wiring {
     /// The fleet's shared flight recorder: one ring across every replica
     /// (`None` when tracing is off).
     pub(crate) recorder: Option<Arc<FlightRecorder>>,
+    /// The shard supervisor's channel. Replicas send `Some(report)`;
+    /// `None` is the shard door's own wake-up call.
+    pub(crate) reports: Sender<Option<Report>>,
 }
 
 /// What a submission asks for — the one difference between the two
@@ -267,8 +273,21 @@ impl RequestKind {
 }
 
 /// How a request ended: an encode's response, or `None` for a
-/// generation (its tokens already streamed through the [`Slot`]).
+/// generation (its tokens already streamed one [`Progress::Token`] at a
+/// time).
 pub(crate) type Outcome = Result<Option<EncodeResponse>, ServeError>;
+
+/// What a replica tells the shard about one of its requests.
+#[derive(Debug)]
+pub(crate) enum Progress {
+    /// A generation emitted its next token.
+    Token(usize),
+    /// The request ended; always its last report.
+    Done(Outcome),
+}
+
+/// One replica report, keyed by replica index and replica-local id.
+pub(crate) type Report = (usize, RequestId, Progress);
 
 #[derive(Debug, Default)]
 struct SlotState {
@@ -280,8 +299,8 @@ struct SlotState {
 }
 
 /// The response slot behind every [`Ticket`] and [`GenerateTicket`],
-/// shared between the submitter and the worker (and, in the sharded
-/// layer, between the shard door and its supervisor).
+/// shared between the caller and the shard, which fills it from its
+/// replicas' reports.
 #[derive(Debug)]
 pub(crate) struct Slot {
     state: Mutex<SlotState>,
@@ -315,15 +334,6 @@ impl Slot {
         debug_assert!(state.done.is_none(), "request resolved twice");
         state.done = Some(outcome);
         self.ready.notify_all();
-    }
-
-    /// Tokens emitted at or past `cursor`, plus the terminal outcome if
-    /// the request has ended — *taken*, so only a slot's sole reader (the
-    /// sharded supervisor, polling a replica attempt) may call this.
-    pub(crate) fn harvest(&self, cursor: usize) -> (Vec<usize>, Option<Outcome>) {
-        let mut state = lock(&self.state);
-        let fresh = state.tokens.get(cursor..).unwrap_or_default().to_vec();
-        (fresh, state.done.take())
     }
 
     fn is_resolved(&self) -> bool {
@@ -594,11 +604,11 @@ struct GenState {
     last_emit: Option<Instant>,
 }
 
-/// One unresolved request: its response slot, plus the generation
-/// bookkeeping when it is one.
+/// One unresolved request: the shard request's lifecycle trace, plus
+/// the generation bookkeeping when it is one.
 #[derive(Debug)]
 struct Entry {
-    slot: Arc<Slot>,
+    trace: Arc<RequestTrace>,
     gen: Option<GenState>,
 }
 
@@ -701,6 +711,10 @@ struct State {
     /// Tells idle encoder threads to exit (set once, at the end of the
     /// shutdown drain).
     encoders_exit: bool,
+    /// This replica's index, the first half of every report's key.
+    replica: usize,
+    /// Where reports go (see [`report`]).
+    reports: Sender<Option<Report>>,
 }
 
 #[derive(Debug)]
@@ -719,11 +733,7 @@ struct Shared {
 #[derive(Debug)]
 pub(crate) struct AsyncLutServer {
     shared: Arc<Shared>,
-    /// Kept for door-step validation; the model itself lives on the worker.
-    config: TransformerConfig,
     worker: Option<JoinHandle<()>>,
-    /// Replica id stamped on this server's trace events.
-    label: Option<usize>,
 }
 
 impl AsyncLutServer {
@@ -738,7 +748,6 @@ impl AsyncLutServer {
         config: AsyncServerConfig,
         wiring: Wiring,
     ) -> Self {
-        let model_config = model.config().clone();
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 batcher: Batcher::new(config.policy.clone()),
@@ -753,11 +762,12 @@ impl AsyncLutServer {
                 next_resolve: 0,
                 completions: BTreeMap::new(),
                 encoders_exit: false,
+                replica: wiring.replica,
+                reports: wiring.reports.clone(),
             }),
             work: Condvar::new(),
             encode: Condvar::new(),
         });
-        let label = wiring.label;
         let worker_shared = Arc::clone(&shared);
         let worker = std::thread::Builder::new()
             .name("nnlut-serve-dispatch".into())
@@ -765,40 +775,31 @@ impl AsyncLutServer {
             .expect("spawn serving dispatcher");
         Self {
             shared,
-            config: model_config,
             worker: Some(worker),
-            label,
         }
     }
 
-    /// The one admission path for both request kinds: validate, then
-    /// queue. Admission control is the shard door's job. `trace` is the
-    /// shard request's lifecycle trace: one [`RequestTrace`] per shard
-    /// request, accumulating stages across every failover attempt, while
-    /// each replica submission still gets its own replica-local id.
-    /// `deadline` (measured from now) bounds the time queued — on either
-    /// plane, for a generation; see [`ServeError::DeadlineExceeded`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request is malformed for its kind (see
-    /// [`RequestKind::validate`]).
+    /// Queues one request and returns its replica-local id, the second
+    /// half of the key its reports carry. The shard door has already
+    /// validated and admitted it. `trace` is the shard request's lifecycle
+    /// trace: one [`RequestTrace`] per shard request, accumulating stages
+    /// across every failover attempt. `deadline` (measured from now)
+    /// bounds the time queued — on either plane, for a generation; see
+    /// [`ServeError::DeadlineExceeded`].
     pub(crate) fn enqueue(
         &self,
         tokens: Vec<usize>,
         deadline: Option<Duration>,
         kind: RequestKind,
         trace: Arc<RequestTrace>,
-    ) -> Arc<Slot> {
-        kind.validate(&self.config, &tokens);
+    ) -> RequestId {
         let now = Instant::now();
         let deadline = deadline.map(|d| now + d);
-        let slot = Arc::new(Slot::new(trace));
-        {
+        let id = {
             let mut st = lock(&self.shared.state);
             let id = st.next_id;
             st.next_id += 1;
-            slot.trace.record(Stage::Queued, self.label, None);
+            trace.record(Stage::Queued, Some(st.replica), None);
             let gen = match kind {
                 RequestKind::Encode => None,
                 RequestKind::Generate { max_new } => Some(GenState {
@@ -810,15 +811,12 @@ impl AsyncLutServer {
                     last_emit: None,
                 }),
             };
-            let entry = Entry {
-                slot: Arc::clone(&slot),
-                gen,
-            };
-            st.requests.insert(id, entry);
+            st.requests.insert(id, Entry { trace, gen });
             st.batcher.push_at(id, tokens, now, deadline);
-        }
+            id
+        };
         self.shared.work.notify_one();
-        slot
+        id
     }
 
     /// Stops waiting on batch timers: from now on every batch closes as
@@ -840,8 +838,8 @@ impl AsyncLutServer {
     }
 }
 
-/// Stops admission, drains every queued request (resolving every slot,
-/// waiting out every in-flight batch) and joins the worker.
+/// Stops admission, drains every queued request (reporting every
+/// outcome, waiting out every in-flight batch) and joins the worker.
 ///
 /// If the worker died abnormally (a panic that escaped even the per-batch
 /// containment), every still-unresolved request is failed with
@@ -853,61 +851,52 @@ impl Drop for AsyncLutServer {
         self.shared.work.notify_all();
         if let Some(worker) = self.worker.take() {
             if worker.join().is_err() {
-                fail_all(&mut lock(&self.shared.state), None);
+                fail_all(&mut lock(&self.shared.state));
             }
         }
     }
 }
 
+/// Sends one report to the shard. Replica threads hold only this
+/// replica's lock while they send, never the shard's. A replica drained
+/// after the shard's supervisor exited has no one left to tell, so a
+/// failed send is ignored.
+fn report(st: &State, id: RequestId, progress: Progress) {
+    let _ = st.reports.send(Some((st.replica, id, progress)));
+}
+
 /// The one terminal-failure path, for either request kind: records the
-/// failure stage, folds the stage breakdown into the metrics, resolves
-/// the slot with `err` and drops the entry (a generation's KV cache
-/// included). Called under the shared lock; a no-op if the request
-/// already resolved.
-fn fail_request(
-    st: &mut State,
-    id: RequestId,
-    replica: Option<usize>,
-    note: &'static str,
-    err: ServeError,
-) {
+/// failure stage, folds the stage breakdown into the metrics, reports
+/// `err` and drops the entry (a generation's KV cache included). Called
+/// under the shared lock; a no-op if the request already resolved.
+fn fail_request(st: &mut State, id: RequestId, note: &'static str, err: ServeError) {
     if let Some(entry) = st.requests.remove(&id) {
-        entry.slot.trace.record(Stage::Failed, replica, Some(note));
-        st.metrics.record_stages(&entry.slot.trace.breakdown());
-        entry.slot.resolve(Err(err));
+        entry
+            .trace
+            .record(Stage::Failed, Some(st.replica), Some(note));
+        st.metrics.record_stages(&entry.trace.breakdown());
+        report(st, id, Progress::Done(Err(err)));
     }
 }
 
 /// Fails every unresolved request with [`ServeError::ServerFailed`] —
 /// the sweep that guarantees no ticket is left hanging.
-fn fail_all(st: &mut State, replica: Option<usize>) {
+fn fail_all(st: &mut State) {
     let ids: Vec<RequestId> = st.requests.keys().copied().collect();
     for id in ids {
-        fail_request(
-            st,
-            id,
-            replica,
-            "server-failed",
-            ServeError::ServerFailed { id },
-        );
+        fail_request(st, id, "server-failed", ServeError::ServerFailed { id });
     }
 }
 
-/// Advances one generation by its freshly emitted token: streams the
-/// token to the ticket, records the `decoded` stage and the inter-token
-/// gap, then either finishes the generation (dropping its cache) or
-/// parks the cache and rejoins the decode plane. Called under the shared
-/// lock.
-fn advance_generation(
-    st: &mut State,
-    id: RequestId,
-    cache: KvCache,
-    token: usize,
-    replica: Option<usize>,
-) {
+/// Advances one generation by its freshly emitted token: records the
+/// `decoded` stage and the inter-token gap, reports the token, then
+/// either finishes the generation (dropping its cache) or parks the
+/// cache and rejoins the decode plane. Called under the shared lock.
+fn advance_generation(st: &mut State, id: RequestId, cache: KvCache, token: usize) {
     let now = Instant::now();
+    let replica = Some(st.replica);
     let Some(Entry {
-        slot,
+        trace,
         gen: Some(gen),
     }) = st.requests.get_mut(&id)
     else {
@@ -920,26 +909,29 @@ fn advance_generation(
     gen.last_emit = Some(now);
     gen.emitted += 1;
     gen.next_token = token;
-    slot.trace.record(Stage::Decoded, replica, None);
-    slot.push_token(token);
-    if gen.emitted >= gen.max_new {
-        let entry = st.requests.remove(&id).expect("looked up above");
-        entry.slot.trace.record(Stage::Resolved, replica, None);
-        st.metrics.record_stages(&entry.slot.trace.breakdown());
-        st.metrics.record_generation_complete();
-        entry.slot.resolve(Ok(None));
-        // `entry` (and the cache) drop here — eviction on completion.
-    } else {
+    trace.record(Stage::Decoded, replica, None);
+    let finished = gen.emitted >= gen.max_new;
+    if !finished {
         let context = cache.len();
         gen.cache = Some(cache);
         st.batcher.push_decode(id, context, now, gen.deadline);
     }
+    report(st, id, Progress::Token(token));
+    if finished {
+        let entry = st.requests.remove(&id).expect("looked up above");
+        entry.trace.record(Stage::Resolved, replica, None);
+        st.metrics.record_stages(&entry.trace.breakdown());
+        st.metrics.record_generation_complete();
+        report(st, id, Progress::Done(Ok(None)));
+        // `entry` (and the cache) drop here — eviction on completion.
+    }
 }
 
-/// Resolves the in-order prefix of the completion queue: records metrics
-/// and resolves tickets strictly in dispatch-sequence order, freeing one
+/// Reports the in-order prefix of the completion queue: records metrics
+/// and reports outcomes strictly in dispatch-sequence order, freeing one
 /// in-flight slot per batch. Called under the shared lock.
-fn resolve_ready_completions(st: &mut State, replica: Option<usize>) {
+fn resolve_ready_completions(st: &mut State) {
+    let replica = Some(st.replica);
     while let Some(done) = st.completions.remove(&st.next_resolve) {
         st.next_resolve += 1;
         st.in_flight -= 1;
@@ -961,7 +953,7 @@ fn resolve_ready_completions(st: &mut State, replica: Option<usize>) {
                 outcome: Err(()),
             } => {
                 for id in ids {
-                    fail_request(st, id, replica, "panic", ServeError::ServerFailed { id });
+                    fail_request(st, id, "panic", ServeError::ServerFailed { id });
                 }
             }
             DoneWork::Bucket {
@@ -984,17 +976,18 @@ fn resolve_ready_completions(st: &mut State, replica: Option<usize>) {
                         MemberResult::Encoded(hidden) => {
                             trace.record(Stage::Resolved, replica, None);
                             st.metrics.record_stages(&trace.breakdown());
-                            if let Some(entry) = st.requests.remove(id) {
-                                entry.slot.resolve(Ok(Some(EncodeResponse {
+                            if st.requests.remove(id).is_some() {
+                                let response = EncodeResponse {
                                     id: *id,
                                     tokens: hidden.rows(),
                                     hidden,
                                     latency,
-                                })));
+                                };
+                                report(st, *id, Progress::Done(Ok(Some(response))));
                             }
                         }
                         MemberResult::Prefilled { cache, token } => {
-                            advance_generation(st, *id, cache, token, replica);
+                            advance_generation(st, *id, cache, token);
                         }
                     }
                 }
@@ -1010,7 +1003,7 @@ fn resolve_ready_completions(st: &mut State, replica: Option<usize>) {
                     closed.reason,
                 );
                 for (id, (cache, token)) in closed.ids.iter().zip(stepped) {
-                    advance_generation(st, *id, cache, token, replica);
+                    advance_generation(st, *id, cache, token);
                 }
             }
         }
@@ -1114,10 +1107,9 @@ fn encoder_loop(
     pool: ThreadPool,
     wiring: Wiring,
 ) {
+    let replica = Some(wiring.replica);
     let Wiring {
-        label: replica,
-        fault,
-        recorder,
+        fault, recorder, ..
     } = wiring;
     loop {
         let job = {
@@ -1209,7 +1201,7 @@ fn encoder_loop(
                 traces: job.traces,
             },
         );
-        resolve_ready_completions(&mut st, replica);
+        resolve_ready_completions(&mut st);
         drop(st);
         // A slot may have been freed and the queue may have moved: wake
         // the dispatcher (and any shutdown waiter).
@@ -1241,11 +1233,8 @@ fn dispatcher_loop(
                 .expect("spawn serving encoder")
         })
         .collect();
-    let Wiring {
-        label: replica,
-        recorder,
-        ..
-    } = wiring;
+    let replica = Some(wiring.replica);
+    let recorder = wiring.recorder;
 
     let mut st = lock(&shared.state);
     loop {
@@ -1279,7 +1268,7 @@ fn dispatcher_loop(
                     );
                 }
                 let err = ServeError::DeadlineExceeded { id, waited };
-                fail_request(&mut st, id, replica, "deadline", err);
+                fail_request(&mut st, id, "deadline", err);
             }
             continue; // re-plan against the culled queue
         }
@@ -1345,7 +1334,7 @@ fn dispatcher_loop(
                     .map(|id| {
                         st.requests.get(id).map_or_else(
                             || Arc::new(RequestTrace::new(*id)),
-                            |e| Arc::clone(&e.slot.trace),
+                            |e| Arc::clone(&e.trace),
                         )
                     })
                     .collect();
@@ -1377,7 +1366,7 @@ fn dispatcher_loop(
             // request can be live here (each is always either queued, in
             // flight, or resolved) — but a sweep costs nothing and
             // guarantees no ticket is ever left hanging.
-            fail_all(&mut st, replica);
+            fail_all(&mut st);
             // Tell the idle encoders to exit and join them.
             st.encoders_exit = true;
             drop(st);

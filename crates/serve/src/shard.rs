@@ -3,16 +3,25 @@
 //!
 //! [`ShardedServer`] makes "more traffic" a topology knob: every replica's
 //! encoder threads read the same `Arc`-shared model and backend, so
-//! replica count multiplies *threads*, never *memory*. One **supervisor**
-//! thread owns routing and failure handling:
+//! replica count multiplies *threads*, never *memory*. There is one path
+//! into a replica and one path back:
 //!
-//! * **Routing** is join-shortest-queue by *outstanding padded area*: a
-//!   request goes to the non-quarantined replica with the fewest tokens
-//!   routed-but-unresolved (ties to the lowest index — deterministic
-//!   given a load picture).
+//! * **Routing happens at the door**: `submit` routes the request before
+//!   it returns, join-shortest-queue by *outstanding padded area* — the
+//!   non-quarantined replica with the fewest tokens routed-but-unresolved
+//!   (ties to the lowest index — deterministic given a load picture).
+//!   Only a request admitted while every replica is quarantined waits at
+//!   the shard, *parked*.
+//! * **Replicas report on a channel**: each emitted token and each final
+//!   outcome comes back as a report keyed by `(replica, replica-local
+//!   id)`. One **supervisor** thread consumes them and owns the timers:
+//!   it sleeps until a report arrives or the earliest stall deadline,
+//!   probe time or parked deadline comes due.
+//! * **Lock order** is the shard lock, then a replica's. Replica threads
+//!   never take the shard lock; they only send reports.
 //! * **Backpressure** rolls up into a single door: replicas have no
 //!   admission control of their own, and the shard's [`ServePolicy`] is
-//!   checked against `pending + outstanding` depth/area, so a rejection
+//!   checked against `parked + outstanding` depth/area, so a rejection
 //!   means the *fleet* is saturated, not one unlucky replica.
 //! * **Health** is a per-replica state machine
 //!   `Healthy → Degraded → Quarantined`: batch failures, stall-watchdog
@@ -22,22 +31,22 @@
 //!   single-token batches under exponential backoff
 //!   ([`ShardConfig::probe_backoff`] doubling to
 //!   [`ShardConfig::max_probe_backoff`]).
-//! * **Failover**: a failed or stalled attempt requeues its request at
-//!   the *front* of the pending queue, avoiding the replica that just
-//!   failed it, under a per-request retry budget
+//! * **Failover**: a failed or stalled attempt is routed again at once,
+//!   avoiding the replica that just failed it (parked at the *front* if
+//!   no replica is routable), under a per-request retry budget
 //!   ([`ShardConfig::retry_budget`]); past the budget the ticket resolves
-//!   to [`ServeError::RetriesExhausted`]. A stalled attempt's original
-//!   replica ticket is simply dropped — when the wedged encode eventually
-//!   finishes, its result resolves into a slot nobody reads.
+//!   to [`ServeError::RetriesExhausted`]. A stalled attempt leaves the
+//!   in-flight set, so when the wedged encode eventually finishes, its
+//!   reports carry a key nobody holds and are dropped.
 //! * **Generation failover rebuilds the KV cache**: a generation
 //!   ([`ShardedServer::submit_generate`]) lives on one replica as a
 //!   prefill plus a stream of decode steps, its KV cache held in that
-//!   replica's memory. The supervisor harvests emitted tokens every tick
-//!   (via the replica ticket's shared stream state), so when the replica
-//!   panics or stalls mid-generation the shard re-submits
+//!   replica's memory. The supervisor forwards each reported token to the
+//!   caller and folds it into the request, so when the replica panics or
+//!   stalls mid-generation the shard re-submits
 //!   `prompt ++ tokens-emitted-so-far` with the *remaining* token budget
 //!   to a healthy replica — the retry's prefill rebuilds the cache from
-//!   the harvested prefix, and because decoding is deterministic the
+//!   that prefix, and because decoding is deterministic the
 //!   continuation is bit-identical to one that never failed over. Each
 //!   such rebuild is counted in [`ShardMetrics::cache_rebuilds`].
 //!
@@ -53,17 +62,18 @@
 //!
 //! # Graceful degradation
 //!
-//! With every replica quarantined the shard parks pending work and keeps
+//! With every replica quarantined the shard parks new work and keeps
 //! probing; deadlines and [`Ticket::wait_timeout`] bound the callers.
-//! Shutdown drains: pending work is routed (to quarantined replicas if
+//! Shutdown drains: parked work is routed (to quarantined replicas if
 //! nothing else survives — drain beats purity), every attempt is waited
 //! out — each replica closes its batches without waiting for age or
 //! deadline timers while it does — and if the supervisor itself died
 //! every unresolved ticket is failed with [`ServeError::ServerFailed`]
 //! rather than abandoned.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::mpsc::{self, Receiver};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -72,8 +82,8 @@ use nnlut_core::NnLutKit;
 use nnlut_transformer::{BertModel, Nonlinearity, TransformerConfig};
 
 use crate::async_server::{
-    lock, AsyncLutServer, AsyncServerConfig, GenerateTicket, Outcome, RequestKind, ServeError,
-    Slot, Ticket, Wiring,
+    lock, AsyncLutServer, AsyncServerConfig, GenerateTicket, Outcome, Progress, Report,
+    RequestKind, ServeError, Slot, Ticket, Wiring,
 };
 use crate::batcher::ServePolicy;
 use crate::fault::{FaultInjector, FaultPlan};
@@ -90,7 +100,7 @@ pub struct ShardConfig {
     /// runs one shared flight recorder.
     pub replica: AsyncServerConfig,
     /// The single rolled-up admission door, checked against
-    /// pending + outstanding depth and padded area across the fleet.
+    /// parked + outstanding depth and padded area across the fleet.
     pub admission: ServePolicy,
     /// Retries allowed per request after its first failed attempt.
     /// `2` means a request may be attempted three times in total.
@@ -220,17 +230,17 @@ pub struct ShardMetrics {
     /// Generation requests admitted through the shard door (a subset of
     /// `submitted`).
     pub generations: u64,
-    /// Generation failovers that re-prefilled their harvested prefix on
+    /// Generation failovers that re-prefilled their streamed prefix on
     /// another replica — each one is a KV-cache rebuild.
     pub cache_rebuilds: u64,
 }
 
-/// One admitted request waiting to be routed (or re-routed).
+/// One admitted request, parked or riding a replica.
 #[derive(Debug)]
 struct ShardRequest {
     id: RequestId,
     /// For a generation, across failovers: `prompt ++
-    /// every-token-harvested-so-far`, with `max_new` in `kind` the
+    /// every-token-reported-so-far`, with `max_new` in `kind` the
     /// *remaining* budget — so a retry rebuilds the KV cache by
     /// re-prefilling exactly the prefix the caller already streamed.
     tokens: Vec<usize>,
@@ -247,8 +257,8 @@ struct ShardRequest {
 impl ShardRequest {
     /// The padded-area charge this request puts on the door and the JSQ
     /// signal: its current tokens, plus — for a generation — the decode
-    /// budget it has reserved. Symmetric on admit/route/resolve as long
-    /// as callers charge and discharge through the same call.
+    /// budget it has reserved. Reported tokens move from the budget to
+    /// the tokens, so the area stays put across a generation.
     fn area(&self) -> usize {
         self.tokens.len()
             + match self.kind {
@@ -297,24 +307,6 @@ impl ReplicaCtl {
             next_probe_at: None,
             backoff,
             last_transition: Instant::now(),
-        }
-    }
-
-    fn snapshot(&self, replica: usize) -> ReplicaStatus {
-        ReplicaStatus {
-            replica,
-            health: self.health,
-            consecutive_failures: self.consecutive_failures,
-            routed: self.routed,
-            completed: self.completed,
-            failures: self.failures,
-            stalls: self.stalls,
-            rejections: self.rejections,
-            quarantines: self.quarantines,
-            readmissions: self.readmissions,
-            probes_sent: self.probes_sent,
-            outstanding_tokens: self.outstanding_tokens,
-            last_transition_ms: self.last_transition.elapsed().as_millis() as u64,
         }
     }
 
@@ -376,34 +368,83 @@ fn fail_health(st: &mut ShardState, replica: usize, config: &SupervisorConfig, n
     }
 }
 
-/// Everything the door and the supervisor share, behind one lock.
+/// One point-in-time [`ReplicaStatus`] per replica, indexed by replica —
+/// what [`ShardedServer::status`], `/healthz` and `/metrics` all render.
+fn replica_statuses(st: &ShardState) -> Vec<ReplicaStatus> {
+    st.replicas
+        .iter()
+        .enumerate()
+        .map(|(replica, ctl)| ReplicaStatus {
+            replica,
+            health: ctl.health,
+            consecutive_failures: ctl.consecutive_failures,
+            routed: ctl.routed,
+            completed: ctl.completed,
+            failures: ctl.failures,
+            stalls: ctl.stalls,
+            rejections: ctl.rejections,
+            quarantines: ctl.quarantines,
+            readmissions: ctl.readmissions,
+            probes_sent: ctl.probes_sent,
+            outstanding_tokens: ctl.outstanding_tokens,
+            last_transition_ms: ctl.last_transition.elapsed().as_millis() as u64,
+        })
+        .collect()
+}
+
+/// Everything the door and the supervisor share, behind one lock. Lock
+/// order: this lock, then a replica's.
 #[derive(Debug)]
 struct ShardState {
+    /// Parked requests: admitted, or failed over, while every replica was
+    /// quarantined. Empty whenever a replica is routable.
     pending: VecDeque<ShardRequest>,
-    pending_tokens: usize,
-    /// Attempts currently on replicas (count / padded area) — the other
-    /// half of the rolled-up door signal.
-    outstanding: usize,
-    outstanding_tokens: usize,
+    /// Attempts riding replicas, keyed by `(replica, replica-local id)`
+    /// — the key their reports carry.
+    attempts: BTreeMap<(usize, RequestId), Attempt>,
     /// Every request the shard still owes an answer, encodes and
     /// generations alike.
     requests: HashMap<RequestId, Entry>,
     next_id: RequestId,
     shutdown: bool,
     replicas: Vec<ReplicaCtl>,
+    /// Routing decisions targeting each replica, bounced ones included —
+    /// the fault plan's submission coordinate.
+    routed_to: Vec<u64>,
     metrics: ShardMetrics,
     /// Merged replica metrics frozen at shutdown, so
     /// [`ShardedServer::metrics`] keeps answering after the fleet is gone.
     final_metrics: Option<ServeMetrics>,
+    /// The supervisor's report channel, on which the door sends `None`
+    /// to wake it.
+    reports: mpsc::Sender<Option<Report>>,
+}
+
+impl ShardState {
+    /// The rolled-up door signal: parked + in-flight request count and
+    /// padded area.
+    fn load(&self) -> (usize, usize) {
+        let parked: usize = self.pending.iter().map(ShardRequest::area).sum();
+        let outstanding: usize = self.replicas.iter().map(|c| c.outstanding_tokens).sum();
+        (
+            self.pending.len() + self.attempts.len(),
+            parked + outstanding,
+        )
+    }
+
+    /// Wakes the supervisor so it recomputes its timer. A supervisor
+    /// that already exited needs no wake-up.
+    fn wake(&self) {
+        let _ = self.reports.send(None);
+    }
 }
 
 /// One unresolved shard request.
 #[derive(Debug)]
 struct Entry {
-    /// The state behind the caller's ticket. Tokens harvested from
-    /// whichever replica attempt is current are spliced into a
-    /// generation's slot, so the caller's stream is seamless across
-    /// failovers.
+    /// The state behind the caller's ticket. Tokens reported by whichever
+    /// replica attempt is current are spliced into a generation's slot,
+    /// so the caller's stream is seamless across failovers.
     slot: Arc<Slot>,
     /// Whether the request is a generation (the KV-cache residency
     /// gauge counts these).
@@ -413,13 +454,11 @@ struct Entry {
 #[derive(Debug)]
 struct ShardShared {
     state: Mutex<ShardState>,
-    /// Signalled on arrivals and shutdown — what the supervisor sleeps on
-    /// when it has nothing in flight.
-    work: Condvar,
+    config: SupervisorConfig,
 }
 
-/// The knobs the supervisor thread needs (a copy of the relevant
-/// [`ShardConfig`] fields).
+/// The shard's immutable failure-handling knobs (a copy of the relevant
+/// [`ShardConfig`] fields), read by the door and the supervisor.
 #[derive(Debug, Clone)]
 struct SupervisorConfig {
     retry_budget: u32,
@@ -435,20 +474,8 @@ struct SupervisorConfig {
 #[derive(Debug)]
 struct Attempt {
     req: ShardRequest,
-    replica: usize,
-    /// The replica submission's slot, which the supervisor alone reads
-    /// (tokens land here as the replica decodes).
-    replica_slot: Arc<Slot>,
-    /// The shard-owned slot the caller's ticket reads.
-    sink: Arc<Slot>,
-    /// Tokens already forwarded from `replica_slot` to `sink`.
-    harvested: usize,
-    /// The padded-area charge recorded when this attempt was routed —
-    /// discharged verbatim on resolution (the request's own area may have
-    /// grown since, as harvested tokens fold into `req.tokens`).
-    area: usize,
     /// Last sign of life: resolution progress for encodes is binary, but
-    /// a generation resets this on every harvested token, so the stall
+    /// a generation resets this on every reported token, so the stall
     /// watchdog measures time-without-progress, not total runtime.
     last_progress: Instant,
 }
@@ -482,9 +509,6 @@ pub struct ShardedServer {
     config: TransformerConfig,
     admission: ServePolicy,
     supervisor: Option<JoinHandle<()>>,
-    /// Fleet-wide flight recorder (one ring shared by every replica and
-    /// the supervisor); `None` when tracing is off.
-    recorder: Option<Arc<FlightRecorder>>,
     /// Op-level profiling sink attached to the shared backend when
     /// tracing is on; snapshot exposed over `/metrics`.
     op_counters: Option<Arc<OpCounters>>,
@@ -529,15 +553,17 @@ impl ShardedServer {
         let nl = Arc::new(nl);
         let model_config = model.config().clone();
         let replicas = config.replicas.max(1);
+        let (reports, reports_rx) = mpsc::channel();
         let servers: Vec<AsyncLutServer> = (0..replicas)
-            .map(|r| {
+            .map(|replica| {
                 let wiring = Wiring {
-                    label: Some(r),
+                    replica,
                     fault: config
                         .fault_plan
                         .as_ref()
-                        .map(|plan| FaultInjector::new(Arc::clone(plan), r)),
+                        .map(|plan| FaultInjector::new(Arc::clone(plan), replica)),
                     recorder: recorder.clone(),
+                    reports: reports.clone(),
                 };
                 let (model, nl) = (Arc::clone(&model), Arc::clone(&nl));
                 AsyncLutServer::with_shared(model, nl, config.replica.clone(), wiring)
@@ -547,34 +573,33 @@ impl ShardedServer {
         let shared = Arc::new(ShardShared {
             state: Mutex::new(ShardState {
                 pending: VecDeque::new(),
-                pending_tokens: 0,
-                outstanding: 0,
-                outstanding_tokens: 0,
+                attempts: BTreeMap::new(),
                 requests: HashMap::new(),
                 next_id: 0,
                 shutdown: false,
                 replicas: (0..replicas)
                     .map(|_| ReplicaCtl::new(config.probe_backoff))
                     .collect(),
+                routed_to: vec![0; replicas],
                 metrics: ShardMetrics::default(),
                 final_metrics: None,
+                reports,
             }),
-            work: Condvar::new(),
+            config: SupervisorConfig {
+                retry_budget: config.retry_budget,
+                stall_timeout: config.stall_timeout,
+                quarantine_after: config.quarantine_after.max(1),
+                probe_backoff: config.probe_backoff,
+                max_probe_backoff: config.max_probe_backoff,
+                fault_plan: config.fault_plan,
+                recorder,
+            },
         });
         let sup_shared = Arc::clone(&shared);
         let sup_servers = Arc::clone(&servers);
-        let sup_config = SupervisorConfig {
-            retry_budget: config.retry_budget,
-            stall_timeout: config.stall_timeout,
-            quarantine_after: config.quarantine_after.max(1),
-            probe_backoff: config.probe_backoff,
-            max_probe_backoff: config.max_probe_backoff,
-            fault_plan: config.fault_plan,
-            recorder: recorder.clone(),
-        };
         let supervisor = std::thread::Builder::new()
             .name("nnlut-shard-supervisor".into())
-            .spawn(move || supervisor_loop(sup_shared, sup_servers, sup_config))
+            .spawn(move || supervisor_loop(sup_shared, sup_servers, reports_rx))
             .expect("spawn shard supervisor");
         Self {
             shared,
@@ -582,13 +607,12 @@ impl ShardedServer {
             config: model_config,
             admission: config.admission,
             supervisor: Some(supervisor),
-            recorder,
             op_counters,
             started: Instant::now(),
         }
     }
 
-    /// Enqueues a request with no deadline; the [`Ticket`] resolves when
+    /// Routes a request with no deadline; the [`Ticket`] resolves when
     /// some replica serves it (possibly after failovers).
     ///
     /// # Panics
@@ -599,15 +623,15 @@ impl ShardedServer {
         self.submit_with_deadline(tokens, None)
     }
 
-    /// Enqueues a request whose total time-to-route-and-queue is bounded
+    /// Routes a request whose total time-to-route-and-queue is bounded
     /// by `deadline` (measured from now). The deadline follows the
     /// request across failovers: each retry carries only the *remaining*
-    /// budget to its replica, and a request that expires while pending at
-    /// the shard resolves to [`ServeError::DeadlineExceeded`] without
-    /// being encoded.
+    /// budget to its replica, and a request that expires at the shard (a
+    /// zero deadline, or while parked) resolves to
+    /// [`ServeError::DeadlineExceeded`] without being encoded.
     ///
     /// If admitting the request would push the fleet-wide
-    /// pending + outstanding load past the shard's [`ServePolicy`]
+    /// parked + outstanding load past the shard's [`ServePolicy`]
     /// watermark, the ticket resolves immediately to
     /// [`ServeError::Overloaded`].
     ///
@@ -620,18 +644,19 @@ impl ShardedServer {
         Ticket::new(id, slot)
     }
 
-    /// Enqueues an autoregressive generation: `max_new` greedy tokens
+    /// Routes an autoregressive generation: `max_new` greedy tokens
     /// continuing `prompt`, streamed through the returned
     /// [`GenerateTicket`] as some replica decodes them.
     ///
     /// The generation rides one replica as a prefill plus per-token
     /// decode steps (continuous batching: decode steps share batches with
     /// prefills and encodes, and the stream is bit-identical to
-    /// [`BertModel::generate`]). The supervisor harvests
-    /// emitted tokens every tick, so if the replica panics or stalls
-    /// mid-generation the shard re-submits `prompt ++ harvested-tokens`
-    /// with the remaining budget to a healthy replica: the retry's
-    /// prefill **rebuilds the KV cache** from the harvested prefix and,
+    /// [`BertModel::generate`]). The replica reports each token as it is
+    /// emitted and the supervisor folds it into the request, so if the
+    /// replica panics or stalls mid-generation the shard re-submits
+    /// `prompt ++ streamed-tokens` with the remaining budget to a healthy
+    /// replica: the retry's prefill **rebuilds the KV cache** from that
+    /// prefix and,
     /// decoding being deterministic, the caller's stream continues
     /// bit-identically to a fault-free run. Retries consume the same
     /// [`ShardConfig::retry_budget`] as encodes; past it the ticket
@@ -658,8 +683,8 @@ impl ShardedServer {
 
     /// The one admission path for both request kinds: validate, charge
     /// the request's area (a generation reserves its decode budget)
-    /// against the rolled-up door, then queue it for routing or reject it
-    /// at the door.
+    /// against the rolled-up door, then route it — or park it, or reject
+    /// it at the door — before returning.
     fn enqueue(
         &self,
         tokens: Vec<usize>,
@@ -667,57 +692,58 @@ impl ShardedServer {
         kind: RequestKind,
     ) -> (RequestId, Arc<Slot>) {
         kind.validate(&self.config, &tokens);
+        let servers = self
+            .servers
+            .as_deref()
+            .expect("cannot submit after shutdown");
         let now = Instant::now();
-        let (id, slot, rejected_at_depth) = {
-            let mut st = lock(&self.shared.state);
-            assert!(!st.shutdown, "cannot submit after shutdown");
-            let id = st.next_id;
-            st.next_id += 1;
-            // The trace is born inside the lock so its id matches the
-            // shard ticket; it rides the request across every failover.
-            // `Admitted` covers routing: the replica records `Queued`.
-            let slot = Arc::new(Slot::new(Arc::new(RequestTrace::new(id))));
-            slot.trace.record(Stage::Admitted, None, None);
-            let req = ShardRequest {
-                id,
-                tokens,
-                deadline: deadline.map(|d| now + d),
-                queued_at: now,
-                attempts: 0,
-                avoid: None,
-                kind,
-            };
-            let depth = st.pending.len() + st.outstanding;
-            let area = st.pending_tokens + st.outstanding_tokens;
-            if !self.admission.admits(depth + 1, area + req.area()) {
-                st.metrics.overload_rejections += 1;
-                (id, slot, Some(depth))
-            } else {
-                st.metrics.submitted += 1;
-                let generation = kind != RequestKind::Encode;
-                st.metrics.generations += u64::from(generation);
-                let entry = Entry {
-                    slot: Arc::clone(&slot),
-                    generation,
-                };
-                st.requests.insert(id, entry);
-                st.pending_tokens += req.area();
-                st.pending.push_back(req);
-                (id, slot, None)
-            }
+        let mut st = lock(&self.shared.state);
+        let id = st.next_id;
+        st.next_id += 1;
+        // The trace is born inside the lock so its id matches the shard
+        // ticket; it rides the request across every failover. `Admitted`
+        // covers routing: the replica records `Queued`.
+        let slot = Arc::new(Slot::new(Arc::new(RequestTrace::new(id))));
+        slot.trace.record(Stage::Admitted, None, None);
+        let req = ShardRequest {
+            id,
+            tokens,
+            deadline: deadline.map(|d| now + d),
+            queued_at: now,
+            attempts: 0,
+            avoid: None,
+            kind,
         };
-        // Resolved outside the shared lock; the slot's own lock orders
-        // the handoff.
-        match rejected_at_depth {
-            Some(queue_depth) => {
-                slot.trace.record(Stage::Failed, None, Some("overloaded"));
-                if let Some(rec) = &self.recorder {
-                    rec.record("overload-rejection", None, Some(id), queue_depth as u64);
-                }
-                slot.resolve(Err(ServeError::Overloaded { id, queue_depth }));
+        let (depth, area) = st.load();
+        if !self.admission.admits(depth + 1, area + req.area()) {
+            st.metrics.overload_rejections += 1;
+            drop(st);
+            slot.trace.record(Stage::Failed, None, Some("overloaded"));
+            if let Some(rec) = &self.shared.config.recorder {
+                rec.record("overload-rejection", None, Some(id), depth as u64);
             }
-            None => self.shared.work.notify_all(),
+            let err = ServeError::Overloaded {
+                id,
+                queue_depth: depth,
+            };
+            slot.resolve(Err(err));
+            return (id, slot);
         }
+        st.metrics.submitted += 1;
+        let generation = kind != RequestKind::Encode;
+        st.metrics.generations += u64::from(generation);
+        let entry = Entry {
+            slot: Arc::clone(&slot),
+            generation,
+        };
+        st.requests.insert(id, entry);
+        if let Err(req) = route(&mut st, servers, &self.shared.config, req, now) {
+            st.pending.push_back(req);
+        }
+        // The supervisor recomputes its sleep: routing may have put the
+        // first attempt in flight (a stall deadline), parked a request (its
+        // deadline) or quarantined a bounced replica (a probe time).
+        st.wake();
         (id, slot)
     }
 
@@ -728,26 +754,23 @@ impl ShardedServer {
         st.requests.values().filter(|e| e.generation).count()
     }
 
-    /// Requests admitted but not yet routed to a replica.
+    /// Requests parked at the shard: admitted, or failed over, while
+    /// every replica was quarantined. Every other admitted request is
+    /// routed before `submit` returns, so this is 0 whenever a replica is
+    /// routable.
     pub fn queue_depth(&self) -> usize {
         lock(&self.shared.state).pending.len()
     }
 
-    /// Fleet-wide in-flight load: pending + on-replica padded area — the
+    /// Fleet-wide in-flight load: parked + on-replica padded area — the
     /// signal the rolled-up admission door runs on.
     pub fn queued_tokens(&self) -> usize {
-        let st = lock(&self.shared.state);
-        st.pending_tokens + st.outstanding_tokens
+        lock(&self.shared.state).load().1
     }
 
     /// Per-replica health snapshots, indexed by replica.
     pub fn status(&self) -> Vec<ReplicaStatus> {
-        let st = lock(&self.shared.state);
-        st.replicas
-            .iter()
-            .enumerate()
-            .map(|(r, ctl)| ctl.snapshot(r))
-            .collect()
+        replica_statuses(&lock(&self.shared.state))
     }
 
     /// The shard-level failure-handling counters.
@@ -803,37 +826,35 @@ impl ShardedServer {
         let health_started = self.started;
         let healthz: Arc<dyn Fn() -> crate::http::HttpResponse + Send + Sync> =
             Arc::new(move || {
-                let st = lock(&health_shared.state);
-                let replicas: Vec<String> = st
-                    .replicas
+                let statuses = replica_statuses(&lock(&health_shared.state));
+                let replicas: Vec<String> = statuses
                     .iter()
-                    .enumerate()
-                    .map(|(r, ctl)| {
+                    .map(|s| {
                         format!(
-                            "{{\"replica\":{r},\"health\":\"{}\",\"consecutive_failures\":{},\
+                            "{{\"replica\":{},\"health\":\"{}\",\"consecutive_failures\":{},\
                              \"routed\":{},\"completed\":{},\"failures\":{},\"stalls\":{},\
                              \"rejections\":{},\"quarantines\":{},\"readmissions\":{},\
                              \"probes_sent\":{},\"outstanding_tokens\":{},\
                              \"last_transition_ms\":{}}}",
-                            ctl.health.as_str(),
-                            ctl.consecutive_failures,
-                            ctl.routed,
-                            ctl.completed,
-                            ctl.failures,
-                            ctl.stalls,
-                            ctl.rejections,
-                            ctl.quarantines,
-                            ctl.readmissions,
-                            ctl.probes_sent,
-                            ctl.outstanding_tokens,
-                            ctl.last_transition.elapsed().as_millis(),
+                            s.replica,
+                            s.health.as_str(),
+                            s.consecutive_failures,
+                            s.routed,
+                            s.completed,
+                            s.failures,
+                            s.stalls,
+                            s.rejections,
+                            s.quarantines,
+                            s.readmissions,
+                            s.probes_sent,
+                            s.outstanding_tokens,
+                            s.last_transition_ms,
                         )
                     })
                     .collect();
-                let any_routable = st
-                    .replicas
+                let any_routable = statuses
                     .iter()
-                    .any(|c| c.health != ReplicaHealth::Quarantined);
+                    .any(|s| s.health != ReplicaHealth::Quarantined);
                 let status = if any_routable { 200 } else { 503 };
                 let body = format!(
                     "{{\"status\":\"{}\",\"uptime_ms\":{},\"version\":\"{}\",\"replicas\":[{}]}}\n",
@@ -848,7 +869,7 @@ impl ShardedServer {
         let prom_shared = Arc::clone(&self.shared);
         let prom_servers = self.servers.clone();
         let prom_op = self.op_counters.clone();
-        let prom_recorder = self.recorder.clone();
+        let prom_recorder = self.shared.config.recorder.clone();
         let prom_started = self.started;
         let prometheus: Arc<dyn Fn() -> crate::http::HttpResponse + Send + Sync> =
             Arc::new(move || {
@@ -858,13 +879,7 @@ impl ShardedServer {
                 };
                 let (shard, replicas) = {
                     let st = lock(&prom_shared.state);
-                    let replicas: Vec<ReplicaStatus> = st
-                        .replicas
-                        .iter()
-                        .enumerate()
-                        .map(|(r, ctl)| ctl.snapshot(r))
-                        .collect();
-                    (st.metrics, replicas)
+                    (st.metrics, replica_statuses(&st))
                 };
                 let body = render_prometheus(
                     &merged,
@@ -877,7 +892,7 @@ impl ShardedServer {
                 crate::http::HttpResponse::prometheus(body)
             });
 
-        let trace_recorder = self.recorder.clone();
+        let trace_recorder = self.shared.config.recorder.clone();
         let trace_route: Arc<dyn Fn() -> crate::http::HttpResponse + Send + Sync> =
             Arc::new(move || {
                 let body = match &trace_recorder {
@@ -894,7 +909,7 @@ impl ShardedServer {
                 crate::http::HttpResponse::json(body)
             });
 
-        let incident_recorder = self.recorder.clone();
+        let incident_recorder = self.shared.config.recorder.clone();
         let incident_route: Arc<dyn Fn() -> crate::http::HttpResponse + Send + Sync> =
             Arc::new(move || {
                 let body = match incident_recorder.as_ref().and_then(|r| r.last_incident()) {
@@ -928,7 +943,7 @@ impl ShardedServer {
     /// The fleet-wide flight recorder, when tracing is on (`NNLUT_TRACE=1`
     /// or `trace.recorder` in the replica config).
     pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.recorder.as_ref()
+        self.shared.config.recorder.as_ref()
     }
 
     /// Snapshot of the op-level profile (baked-kernel call counts, rows
@@ -938,13 +953,16 @@ impl ShardedServer {
         self.op_counters.as_deref().map(OpCounters::snapshot)
     }
 
-    /// Stops admission, drains every pending and in-flight request
+    /// Stops admission, drains every parked and in-flight request
     /// (resolving all tickets — success, typed error, never abandonment),
     /// joins the supervisor and shuts every replica down. Idempotent;
     /// also runs on drop.
     pub fn shutdown(&mut self) {
-        lock(&self.shared.state).shutdown = true;
-        self.shared.work.notify_all();
+        {
+            let mut st = lock(&self.shared.state);
+            st.shutdown = true;
+            st.wake();
+        }
         // The supervisor only exits once every attempt resolves, so the
         // replicas must stop waiting on batch timers first.
         for server in self.servers.iter().flat_map(|s| s.iter()) {
@@ -1374,112 +1392,100 @@ fn render_prometheus(
     out
 }
 
-/// How often the supervisor polls in-flight attempts. Replica tickets
-/// have no completion callback by design (the replica layer predates the
-/// shard), so the supervisor ticks; the tick also paces stall detection
-/// and probe scheduling.
-const SUPERVISOR_TICK: Duration = Duration::from_micros(500);
-
 /// Headroom factor for the debug-build stall-margin warning: warn when an
 /// attempt completes slower than `stall_timeout / STALL_WARN_MULTIPLE`.
 #[cfg(debug_assertions)]
 const STALL_WARN_MULTIPLE: u32 = 4;
 
-/// The supervisor: routes pending requests (JSQ over healthy replicas,
-/// with fault-plan admission bounces applied), harvests finished
-/// attempts, trips the stall watchdog, advances the health machines and
-/// probes quarantined replicas back to life.
+/// The supervisor: the one consumer of replica reports and the shard's
+/// timer thread. It forwards reported tokens to the callers, applies
+/// outcomes (failing over at once), trips the stall watchdog, culls and
+/// routes parked requests, and probes quarantined replicas back to life.
+/// Between rounds it sleeps until the next report or the earliest due
+/// time, with no timer at all when nothing is due.
 fn supervisor_loop(
     shared: Arc<ShardShared>,
     servers: Arc<Vec<AsyncLutServer>>,
-    config: SupervisorConfig,
+    reports: Receiver<Option<Report>>,
 ) {
-    let n = servers.len();
-    let mut attempts: Vec<Attempt> = Vec::new();
+    let config = &shared.config;
+    // In-flight probes' replica-local ids, by replica.
+    let mut probes: Vec<Option<RequestId>> = vec![None; servers.len()];
     // One-shot latch for the debug-build stall-margin warning (see
     // `STALL_WARN_MULTIPLE`).
     #[cfg(debug_assertions)]
     let mut stall_margin_warned = false;
-    // In-flight probe slots, by replica.
-    let mut probes: Vec<Option<Arc<Slot>>> = (0..n).map(|_| None).collect();
-    // Routing decisions targeting each replica, including bounced ones —
-    // the fault plan's submission coordinate.
-    let mut routed_to: Vec<u64> = vec![0; n];
+    let mut received = None;
 
     loop {
+        let mut guard = lock(&shared.state);
+        let st = &mut *guard;
         let now = Instant::now();
 
-        // Harvest outside the lock: polling a slot never blocks, and
-        // collecting first keeps the locked section short.
-        let mut finished = Vec::new();
-        let mut stalled = Vec::new();
-        let mut i = 0;
-        while i < attempts.len() {
-            // Poll for progress; fold any freshly decoded tokens into the
-            // caller's stream *and* the request's failover state before
-            // deciding the attempt's fate, so a failure observed in the
-            // same snapshot still rebuilds from the full emitted prefix.
-            let a = &mut attempts[i];
-            let (fresh, done) = a.replica_slot.harvest(a.harvested);
-            if !fresh.is_empty() {
-                a.harvested += fresh.len();
-                for &token in &fresh {
-                    a.sink.push_token(token);
-                }
-                a.last_progress = now;
-                if let RequestKind::Generate { max_new } = &mut a.req.kind {
-                    *max_new = max_new.saturating_sub(fresh.len());
-                }
-                a.req.tokens.extend(fresh);
-            }
-            if let Some(outcome) = done {
-                // Stall-margin check (debug builds, once): an attempt
-                // that *completed* after `stall_timeout / multiple` means
-                // the watchdog is within one bad batch of requeueing
-                // healthy work — a config footgun, not a replica fault.
-                #[cfg(debug_assertions)]
-                if !stall_margin_warned {
-                    let took = now.saturating_duration_since(a.last_progress);
-                    if config.stall_timeout < took * STALL_WARN_MULTIPLE {
-                        stall_margin_warned = true;
-                        eprintln!(
-                            "nnlut-shard warning: an attempt completed in {took:?} but \
-                             stall_timeout is only {:?} (< {STALL_WARN_MULTIPLE}x observed) — \
-                             raise ShardConfig::stall_timeout or spurious stall requeues and \
-                             quarantines will follow under load",
-                            config.stall_timeout,
-                        );
+        // `None` reports are the door's wake-ups: nothing to apply.
+        for (replica, id, progress) in received.into_iter().chain(reports.try_iter()).flatten() {
+            if probes[replica] == Some(id) {
+                // A probe is an encode: its one report is its outcome,
+                // and only a health signal.
+                probes[replica] = None;
+                if matches!(progress, Progress::Done(Ok(_))) {
+                    if st.replicas[replica].on_success(now) {
+                        st.metrics.readmissions += 1;
+                        if let Some(rec) = &config.recorder {
+                            rec.record("readmitted", Some(replica), None, 0);
+                        }
                     }
+                } else {
+                    fail_health(st, replica, config, now);
                 }
-                finished.push((attempts.swap_remove(i), outcome));
-            } else if now.saturating_duration_since(a.last_progress) >= config.stall_timeout {
-                stalled.push(attempts.swap_remove(i));
-            } else {
-                i += 1;
+                continue;
             }
-        }
-        let mut probe_results = Vec::new();
-        for (r, probe) in probes.iter_mut().enumerate() {
-            if let Some(outcome) = probe.as_ref().and_then(|slot| slot.harvest(0).1) {
-                *probe = None;
-                probe_results.push((r, outcome));
+            // A key no longer in flight belongs to an attempt the stall
+            // watchdog already took away: its late reports are dropped.
+            let Some(a) = st.attempts.get_mut(&(replica, id)) else {
+                continue;
+            };
+            let outcome = match progress {
+                Progress::Token(token) => {
+                    // Fold the token into the caller's stream *and* the
+                    // request's failover state, so a later failure
+                    // rebuilds from the full emitted prefix.
+                    a.last_progress = now;
+                    if let RequestKind::Generate { max_new } = &mut a.req.kind {
+                        *max_new = max_new.saturating_sub(1);
+                    }
+                    a.req.tokens.push(token);
+                    if let Some(entry) = st.requests.get(&a.req.id) {
+                        entry.slot.push_token(token);
+                    }
+                    continue;
+                }
+                Progress::Done(outcome) => outcome,
+            };
+            // Stall-margin check (debug builds, once): an attempt that
+            // *completed* after `stall_timeout / multiple` means the
+            // watchdog is within one bad batch of requeueing healthy
+            // work — a config footgun, not a replica fault.
+            #[cfg(debug_assertions)]
+            if !stall_margin_warned {
+                let took = now.saturating_duration_since(a.last_progress);
+                if config.stall_timeout < took * STALL_WARN_MULTIPLE {
+                    stall_margin_warned = true;
+                    eprintln!(
+                        "nnlut-shard warning: an attempt completed in {took:?} but \
+                         stall_timeout is only {:?} (< {STALL_WARN_MULTIPLE}x observed) — \
+                         raise ShardConfig::stall_timeout or spurious stall requeues and \
+                         quarantines will follow under load",
+                        config.stall_timeout,
+                    );
+                }
             }
-        }
-
-        let mut st = lock(&shared.state);
-
-        for (a, outcome) in finished {
-            let Attempt {
-                req, replica, area, ..
-            } = a;
-            st.outstanding -= 1;
-            st.outstanding_tokens -= area;
-            st.replicas[replica].outstanding_tokens -= area;
+            let req = discharge(st, replica, id);
             match outcome {
                 Ok(mut response) => {
                     // Response identity is the shard's: same id whichever
                     // replica (or retry) produced it. A generation's
-                    // tokens were already harvested into the caller's
+                    // tokens were already forwarded to the caller's
                     // stream; ending it is all that's left.
                     if let Some(r) = &mut response {
                         r.id = req.id;
@@ -1487,7 +1493,7 @@ fn supervisor_loop(
                     st.replicas[replica].completed += 1;
                     st.replicas[replica].on_success(now);
                     st.metrics.completed += 1;
-                    resolve(&mut st, req.id, Ok(response));
+                    resolve(st, req.id, Ok(response));
                 }
                 Err(ServeError::DeadlineExceeded { .. }) => {
                     // Expired inside the replica: terminal, not a replica
@@ -1495,7 +1501,7 @@ fn supervisor_loop(
                     st.metrics.deadline_misses += 1;
                     let waited = now.saturating_duration_since(req.queued_at);
                     resolve(
-                        &mut st,
+                        st,
                         req.id,
                         Err(ServeError::DeadlineExceeded { id: req.id, waited }),
                     );
@@ -1506,180 +1512,117 @@ fn supervisor_loop(
                     // replica takes the health hit, the request fails
                     // over. (The replica's encoder already journaled the
                     // panic and froze an incident snapshot.) A failed
-                    // generation requeues with its harvested prefix — the
-                    // retry re-prefills it, rebuilding the KV cache.
+                    // generation fails over with its streamed prefix —
+                    // the retry re-prefills it, rebuilding the KV cache.
                     st.replicas[replica].failures += 1;
-                    fail_health(&mut st, replica, &config, now);
-                    fail_over(&mut st, req, replica, &config, "panic");
+                    fail_health(st, replica, config, now);
+                    fail_over(st, &servers, config, req, replica, "panic", now);
                 }
             }
         }
 
-        for a in stalled {
-            let req = a.req;
-            st.outstanding -= 1;
-            st.outstanding_tokens -= a.area;
-            st.replicas[a.replica].outstanding_tokens -= a.area;
-            st.replicas[a.replica].stalls += 1;
+        // The stall watchdog: an attempt without progress for
+        // `stall_timeout` leaves the in-flight set and fails over.
+        let stalled: Vec<(usize, RequestId)> = st
+            .attempts
+            .iter()
+            .filter(|(_, a)| now.saturating_duration_since(a.last_progress) >= config.stall_timeout)
+            .map(|(&key, _)| key)
+            .collect();
+        for (replica, id) in stalled {
+            let req = discharge(st, replica, id);
+            st.replicas[replica].stalls += 1;
             st.metrics.stalls += 1;
             if let Some(rec) = &config.recorder {
                 rec.record(
                     "stall",
-                    Some(a.replica),
+                    Some(replica),
                     Some(req.id),
                     req.attempts as u64 + 1,
                 );
-                rec.snapshot_incident("stall", Some(a.replica));
+                rec.snapshot_incident("stall", Some(replica));
             }
-            fail_health(&mut st, a.replica, &config, now);
-            fail_over(&mut st, req, a.replica, &config, "stall");
-            // a.replica_slot drops here: when the wedged encode eventually
-            // finishes, its result resolves into a slot nobody reads.
+            fail_health(st, replica, config, now);
+            fail_over(st, &servers, config, req, replica, "stall", now);
         }
 
-        for (r, result) in probe_results {
-            match result {
-                Ok(_) => {
-                    if st.replicas[r].on_success(now) {
-                        st.metrics.readmissions += 1;
-                        if let Some(rec) = &config.recorder {
-                            rec.record("readmitted", Some(r), None, 0);
-                        }
-                    }
-                }
-                Err(_) => {
-                    fail_health(&mut st, r, &config, now);
-                }
-            }
-        }
-
-        // Deadlines are judged by a clock read under the lock, after every
-        // pending request's admission: a zero deadline never reaches a
-        // replica with time to spare.
-        let now = Instant::now();
-
-        // Cull pending requests whose deadline passed while unrouted.
-        if st.pending.iter().any(|req| expired(req, now)) {
-            let mut keep = VecDeque::with_capacity(st.pending.len());
-            let mut culled = Vec::new();
-            for req in st.pending.drain(..) {
-                if expired(&req, now) {
-                    culled.push(req);
-                } else {
-                    keep.push_back(req);
-                }
-            }
-            st.pending = keep;
-            for req in culled {
-                st.pending_tokens -= req.area();
-                st.metrics.deadline_misses += 1;
-                let waited = now.saturating_duration_since(req.queued_at);
-                if let Some(rec) = &config.recorder {
-                    rec.record(
-                        "deadline-miss",
-                        None,
-                        Some(req.id),
-                        waited.as_millis() as u64,
-                    );
-                }
-                fail_terminal(
-                    &mut st,
-                    req.id,
-                    None,
-                    "deadline",
-                    ServeError::DeadlineExceeded { id: req.id, waited },
-                );
-            }
-        }
-
-        // Route as much of the pending queue as current health allows.
-        while let Some(req) = st.pending.pop_front() {
-            st.pending_tokens -= req.area();
-            match route(&mut st, &servers, &mut routed_to, &config, req, now) {
-                Routed::Attempt(a) => attempts.push(a),
-                Routed::Resolved => {}
-                Routed::NoCandidate(req) => {
-                    // Every replica quarantined (and not draining): park
-                    // the request; probes are the way back.
-                    st.pending_tokens += req.area();
-                    st.pending.push_front(req);
-                    break;
-                }
+        // Route parked requests as far as health allows, in order;
+        // `route` also culls the ones whose deadline passed.
+        for req in std::mem::take(&mut st.pending) {
+            if let Err(req) = route(st, &servers, config, req, now) {
+                st.pending.push_back(req);
             }
         }
 
         // Probe quarantined replicas whose backoff has elapsed. Skipped
         // while draining — shutdown routes to quarantined replicas
         // directly rather than waiting out a probe cycle.
-        if !st.shutdown {
-            for (r, slot) in probes.iter_mut().enumerate() {
-                let ctl = &mut st.replicas[r];
-                if ctl.health == ReplicaHealth::Quarantined
-                    && slot.is_none()
-                    && ctl.next_probe_at.is_some_and(|at| now >= at)
-                {
-                    ctl.probes_sent += 1;
-                    let sent = ctl.probes_sent;
-                    ctl.next_probe_at = Some(now + ctl.backoff);
-                    st.metrics.probes_sent += 1;
-                    if let Some(rec) = &config.recorder {
-                        rec.record("probe", Some(r), None, sent);
-                    }
-                    // A minimal in-vocabulary batch; its result is only a
-                    // health signal.
-                    let trace = Arc::new(RequestTrace::new(0));
-                    *slot = Some(servers[r].enqueue(vec![0], None, RequestKind::Encode, trace));
-                }
+        let probe_due = |ctl: &ReplicaCtl, probe: &Option<RequestId>| {
+            (!st.shutdown && probe.is_none()).then_some(ctl.next_probe_at)?
+        };
+        for (r, probe) in probes.iter_mut().enumerate() {
+            if probe_due(&st.replicas[r], probe).is_none_or(|at| now < at) {
+                continue;
             }
+            let ctl = &mut st.replicas[r];
+            ctl.probes_sent += 1;
+            ctl.next_probe_at = Some(now + ctl.backoff);
+            st.metrics.probes_sent += 1;
+            if let Some(rec) = &config.recorder {
+                rec.record("probe", Some(r), None, ctl.probes_sent);
+            }
+            // A minimal in-vocabulary batch; its result is only a
+            // health signal.
+            let trace = Arc::new(RequestTrace::new(0));
+            *probe = Some(servers[r].enqueue(vec![0], None, RequestKind::Encode, trace));
         }
 
-        if st.shutdown && st.pending.is_empty() && attempts.is_empty() {
+        if st.shutdown && st.pending.is_empty() && st.attempts.is_empty() {
             debug_assert!(
                 st.requests.is_empty(),
                 "drained shard still holds unresolved requests"
             );
+            // In-flight probes' reports (if any) find the channel closed
+            // when the replicas drain.
             break;
-            // In-flight probes (if any) are dropped with `probes`; their
-            // results resolve into slots nobody reads when the replicas
-            // drain.
         }
 
-        // Anything time-driven in flight? Tick. Otherwise sleep until an
-        // arrival or shutdown.
-        let time_driven = !attempts.is_empty()
-            || probes.iter().any(Option::is_some)
-            || st
-                .replicas
-                .iter()
-                .any(|c| c.health == ReplicaHealth::Quarantined)
-            || st.pending.iter().any(|req| req.deadline.is_some());
-        if time_driven {
-            let (guard, _) = shared
-                .work
-                .wait_timeout(st, SUPERVISOR_TICK)
-                .unwrap_or_else(PoisonError::into_inner);
-            drop(guard);
-        } else if st.pending.is_empty() && !st.shutdown {
-            let guard = shared.work.wait(st).unwrap_or_else(PoisonError::into_inner);
-            drop(guard);
-        }
-        // (pending non-empty without being time-driven can only mean new
-        // work arrived while routing — loop around immediately.)
+        // Sleep until a report, or the earliest due time: a stall
+        // deadline, a probe, or a parked request's deadline. Every one of
+        // them lies ahead: this round acted on the ones already due.
+        let wake_at = st
+            .attempts
+            .values()
+            .map(|a| a.last_progress + config.stall_timeout)
+            .chain(
+                st.replicas
+                    .iter()
+                    .zip(&probes)
+                    .filter_map(|(ctl, probe)| probe_due(ctl, probe)),
+            )
+            .chain(st.pending.iter().filter_map(|req| req.deadline))
+            .min();
+        drop(guard);
+        // The shard state holds a sender, so the channel outlives this
+        // thread and neither call fails.
+        received = match wake_at {
+            Some(at) => reports
+                .recv_timeout(at.saturating_duration_since(Instant::now()))
+                .ok(),
+            None => reports.recv().ok(),
+        };
     }
 }
 
-fn expired(req: &ShardRequest, now: Instant) -> bool {
-    req.deadline.is_some_and(|d| now >= d)
-}
-
-/// Records a requeue on an unresolved request's trace.
-fn record_requeue(st: &ShardState, id: RequestId, replica: usize, cause: &'static str) {
-    if let Some(entry) = st.requests.get(&id) {
-        entry
-            .slot
-            .trace
-            .record(Stage::Requeued, Some(replica), Some(cause));
-    }
+/// Takes an attempt out of the in-flight set and discharges its padded
+/// area from its replica's JSQ signal.
+fn discharge(st: &mut ShardState, replica: usize, id: RequestId) -> ShardRequest {
+    let a = st
+        .attempts
+        .remove(&(replica, id))
+        .expect("attempt in flight");
+    st.replicas[replica].outstanding_tokens -= a.req.area();
+    a.req
 }
 
 /// Resolves an unresolved request's caller slot and drops its entry; a
@@ -1705,28 +1648,19 @@ fn fail_terminal(
     resolve(st, id, Err(err));
 }
 
-/// Requeues a failed attempt at the front of the pending queue (retry
-/// priority — a victim of a fault should not also lose its place), or
-/// resolves [`ServeError::RetriesExhausted`] past the budget. A
-/// generation requeues with its harvested prefix folded into `tokens`,
-/// so the retry rebuilds the KV cache by re-prefilling it.
-fn fail_over(
+/// Charges one failed attempt on `failed_on` — a panic, stall or
+/// admission bounce — to the request's retry budget. Within budget, the
+/// requeue is recorded on the request's trace and `true` returned;
+/// past it, the request resolves to [`ServeError::RetriesExhausted`].
+fn charge_retry(
     st: &mut ShardState,
-    mut req: ShardRequest,
-    failed_on: usize,
     config: &SupervisorConfig,
+    req: &mut ShardRequest,
+    failed_on: usize,
     cause: &'static str,
-) {
+) -> bool {
     req.attempts += 1;
     req.avoid = Some(failed_on);
-    if let Some(rec) = &config.recorder {
-        rec.record(
-            "failover",
-            Some(failed_on),
-            Some(req.id),
-            req.attempts as u64,
-        );
-    }
     if req.attempts > config.retry_budget {
         st.metrics.retries_exhausted += 1;
         fail_terminal(
@@ -1739,32 +1673,52 @@ fn fail_over(
                 attempts: req.attempts,
             },
         );
-    } else {
-        record_requeue(st, req.id, failed_on, cause);
-        if let RequestKind::Generate { .. } = req.kind {
-            st.metrics.cache_rebuilds += 1;
-            if let Some(rec) = &config.recorder {
-                rec.record(
-                    "cache-rebuild",
-                    Some(failed_on),
-                    Some(req.id),
-                    req.tokens.len() as u64,
-                );
-            }
-        }
-        st.metrics.failovers += 1;
-        st.pending_tokens += req.area();
-        st.pending.push_front(req);
+        return false;
     }
+    if let Some(entry) = st.requests.get(&req.id) {
+        let trace = &entry.slot.trace;
+        trace.record(Stage::Requeued, Some(failed_on), Some(cause));
+    }
+    st.metrics.failovers += 1;
+    true
 }
 
-enum Routed {
-    /// Submitted to a replica.
-    Attempt(Attempt),
-    /// Terminal without touching a replica (deadline, retries exhausted).
-    Resolved,
-    /// Nowhere to send it right now.
-    NoCandidate(ShardRequest),
+/// Routes a failed attempt's request again at once, or parks it at the
+/// *front* if no replica is routable (retry priority — a victim of a
+/// fault should not also lose its place), or resolves
+/// [`ServeError::RetriesExhausted`] past the budget. A generation fails
+/// over with its streamed prefix folded into `tokens`, so the retry
+/// rebuilds the KV cache by re-prefilling it.
+fn fail_over(
+    st: &mut ShardState,
+    servers: &[AsyncLutServer],
+    config: &SupervisorConfig,
+    mut req: ShardRequest,
+    failed_on: usize,
+    cause: &'static str,
+    now: Instant,
+) {
+    if let Some(rec) = &config.recorder {
+        let attempts = req.attempts as u64 + 1;
+        rec.record("failover", Some(failed_on), Some(req.id), attempts);
+    }
+    if !charge_retry(st, config, &mut req, failed_on, cause) {
+        return;
+    }
+    if let RequestKind::Generate { .. } = req.kind {
+        st.metrics.cache_rebuilds += 1;
+        if let Some(rec) = &config.recorder {
+            rec.record(
+                "cache-rebuild",
+                Some(failed_on),
+                Some(req.id),
+                req.tokens.len() as u64,
+            );
+        }
+    }
+    if let Err(req) = route(st, servers, config, req, now) {
+        st.pending.push_front(req);
+    }
 }
 
 /// Routes one request: JSQ by outstanding padded area over non-quarantined
@@ -1772,16 +1726,18 @@ enum Routed {
 /// avoid the replica that just failed it, applying the fault plan's
 /// admission bounces. Bounces consume retry budget like any other
 /// failure, so a fully-bounced request terminates typed, never spins.
+/// `Ok` means the request is on a replica or resolved (deadline, retries
+/// exhausted); `Err` hands it back to be parked, every replica being
+/// quarantined.
 fn route(
     st: &mut ShardState,
     servers: &[AsyncLutServer],
-    routed_to: &mut [u64],
     config: &SupervisorConfig,
     mut req: ShardRequest,
     now: Instant,
-) -> Routed {
+) -> Result<(), ShardRequest> {
     loop {
-        if expired(&req, now) {
+        if req.deadline.is_some_and(|d| now >= d) {
             st.metrics.deadline_misses += 1;
             let waited = now.saturating_duration_since(req.queued_at);
             if let Some(rec) = &config.recorder {
@@ -1799,31 +1755,20 @@ fn route(
                 "deadline",
                 ServeError::DeadlineExceeded { id: req.id, waited },
             );
-            return Routed::Resolved;
+            return Ok(());
         }
-        let candidates: Vec<usize> = (0..servers.len())
-            .filter(|&r| st.shutdown || st.replicas[r].health != ReplicaHealth::Quarantined)
-            .collect();
-        if candidates.is_empty() {
-            return Routed::NoCandidate(req);
-        }
-        let preferred: Vec<usize> = candidates
-            .iter()
-            .copied()
+        let routable =
+            |r: &usize| st.shutdown || st.replicas[*r].health != ReplicaHealth::Quarantined;
+        let Some(target) = (0..servers.len())
+            .filter(routable)
             .filter(|&r| Some(r) != req.avoid)
-            .collect();
-        let pool = if preferred.is_empty() {
-            &candidates
-        } else {
-            &preferred
-        };
-        let target = pool
-            .iter()
-            .copied()
             .min_by_key(|&r| (st.replicas[r].outstanding_tokens, r))
-            .expect("pool is non-empty");
-        let submission = routed_to[target];
-        routed_to[target] += 1;
+            .or_else(|| req.avoid.filter(routable))
+        else {
+            return Err(req);
+        };
+        let submission = st.routed_to[target];
+        st.routed_to[target] += 1;
         let bounced = config
             .fault_plan
             .as_ref()
@@ -1831,71 +1776,44 @@ fn route(
         if bounced {
             st.replicas[target].rejections += 1;
             fail_health(st, target, config, now);
-            req.attempts += 1;
-            req.avoid = Some(target);
             if let Some(rec) = &config.recorder {
                 rec.record("bounce", Some(target), Some(req.id), submission);
             }
-            if req.attempts > config.retry_budget {
-                st.metrics.retries_exhausted += 1;
-                fail_terminal(
-                    st,
-                    req.id,
-                    Some(target),
-                    "retries-exhausted",
-                    ServeError::RetriesExhausted {
-                        id: req.id,
-                        attempts: req.attempts,
-                    },
-                );
-                return Routed::Resolved;
+            if !charge_retry(st, config, &mut req, target, "bounce") {
+                return Ok(());
             }
-            record_requeue(st, req.id, target, "bounce");
-            st.metrics.failovers += 1;
             continue;
         }
-        let Some(sink) = st.requests.get(&req.id).map(|e| Arc::clone(&e.slot)) else {
-            // Already resolved terminally (caller raced a deadline cull)
-            // — nothing left to route.
-            return Routed::Resolved;
+        let Some(trace) = st.requests.get(&req.id).map(|e| Arc::clone(&e.slot.trace)) else {
+            // Already resolved terminally — nothing left to route.
+            return Ok(());
         };
         if req.kind == (RequestKind::Generate { max_new: 0 }) {
-            // Every budgeted token was harvested before the failed
+            // Every budgeted token was streamed before the failed
             // attempt died; the stream just needs its end.
             st.metrics.completed += 1;
-            sink.trace.record(Stage::Resolved, None, None);
+            trace.record(Stage::Resolved, None, None);
             resolve(st, req.id, Ok(None));
-            return Routed::Resolved;
+            return Ok(());
         }
         if req.attempts > 0 {
-            sink.trace.record(Stage::Retried, Some(target), None);
+            trace.record(Stage::Retried, Some(target), None);
         }
         // The shard trace rides into the replica: the attempt's stage
         // events (queued, assembled, dispatched, encoded, …) land on the
         // same journal the shard has been writing since admission. A
-        // generation resubmits prompt ++ harvested prefix, which
+        // generation resubmits prompt ++ streamed prefix, which
         // re-prefills it on the target — the KV-cache rebuild.
         let remaining = req.deadline.map(|d| d.saturating_duration_since(now));
-        let replica_slot = servers[target].enqueue(
-            req.tokens.clone(),
-            remaining,
-            req.kind,
-            Arc::clone(&sink.trace),
-        );
-        let area = req.area();
+        let local = servers[target].enqueue(req.tokens.clone(), remaining, req.kind, trace);
         st.replicas[target].routed += 1;
-        st.replicas[target].outstanding_tokens += area;
-        st.outstanding += 1;
-        st.outstanding_tokens += area;
-        return Routed::Attempt(Attempt {
+        st.replicas[target].outstanding_tokens += req.area();
+        let attempt = Attempt {
             req,
-            replica: target,
-            replica_slot,
-            sink,
-            harvested: 0,
-            area,
             last_progress: now,
-        });
+        };
+        st.attempts.insert((target, local), attempt);
+        return Ok(());
     }
 }
 
@@ -1959,7 +1877,9 @@ mod tests {
     /// Join-shortest-queue spreads a burst over both replicas. Nothing
     /// closes on age and the burst fills no batch, so no request resolves
     /// before the drain: every routing decision sees only the area routed
-    /// so far, and the spread does not depend on timing.
+    /// so far, and the spread does not depend on timing. Routing happens
+    /// at the door, so the burst is fully routed — nothing parked — the
+    /// moment the last `submit` returns.
     #[test]
     fn burst_reaches_every_replica() {
         let mut server = tiny_sharded(ShardConfig {
@@ -1972,19 +1892,13 @@ mod tests {
             ..ShardConfig::default()
         });
         let tickets: Vec<Ticket> = (0..6).map(|n| server.submit(vec![1; 1 + n])).collect();
-        let routed = || {
-            server
-                .status()
-                .iter()
-                .map(|s| s.routed)
-                .collect::<Vec<u64>>()
-        };
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while routed().iter().sum::<u64>() < 6 {
-            assert!(Instant::now() < deadline, "burst never fully routed");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let spread = routed();
+        assert_eq!(server.queue_depth(), 0, "nothing parks on a healthy fleet");
+        let spread: Vec<u64> = server.status().iter().map(|s| s.routed).collect();
+        assert_eq!(
+            spread.iter().sum::<u64>(),
+            6,
+            "routed before submit returned"
+        );
         assert!(
             spread.iter().all(|&r| r > 0),
             "a replica got no traffic: {spread:?}"

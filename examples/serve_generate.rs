@@ -99,10 +99,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     // 3. The sharded fleet, with a fault plan that kills replica 0 while
-    //    this generation is decoding. The supervisor harvests the tokens
-    //    streamed so far, re-prefills `prompt ++ harvested` on replica 1
-    //    (rebuilding the KV cache), and the continuation — being
-    //    deterministic — is bit-identical to the serial loop.
+    //    this generation is decoding. Replica 0 has reported each token
+    //    it emitted; the supervisor re-prefills `prompt ++ those tokens`
+    //    on replica 1 (rebuilding the KV cache), and the continuation —
+    //    being deterministic — is bit-identical to the serial loop.
     let shard = ShardedServer::new(
         model,
         kit,

@@ -478,3 +478,88 @@ fn replica_panic_mid_generation_rebuilds_cache_bit_identically() {
         assert_eq!(server.active_generations(), 0);
     }
 }
+
+/// Replica 0 wedges mid-decode: its batch 1 (a decode step or prefill of
+/// a live generation) stalls 3 s against a 500 ms watchdog. The watchdog
+/// takes every generation stuck behind it away, and each one's cache is
+/// rebuilt on replica 1 from the tokens streamed so far; the stitched
+/// streams equal the fault-free serial decode. The server then outlives
+/// the stall: replica 0 resumes and finishes the generations it was
+/// robbed of, reporting tokens under keys no longer in flight — and
+/// those late tokens change nothing.
+#[test]
+fn stalled_mid_generation_drops_late_tokens() {
+    quiet_injected_panics();
+    let base_kit = tiny_kit();
+    let model = tiny_model();
+    let nl = Nonlinearity::all_lut(&base_kit);
+    let want: Vec<Vec<usize>> = gen_workload()
+        .iter()
+        .map(|(p, n)| model.generate(p, *n, &nl, MatmulMode::F32))
+        .collect();
+    let plan = FaultPlan::new().stall_at(0, 1, Duration::from_secs(3));
+    let server = ShardedServer::new(
+        tiny_model(),
+        base_kit,
+        ShardConfig {
+            replicas: 2,
+            replica: replica_config(2),
+            retry_budget: 4,
+            stall_timeout: Duration::from_millis(500),
+            fault_plan: Some(Arc::new(plan)),
+            ..ShardConfig::default()
+        },
+    );
+    // Tickets stay alive (not consumed by `wait`) so their streams can be
+    // read again after the late tokens arrive.
+    let tickets: Vec<_> = gen_workload()
+        .into_iter()
+        .map(|(p, n)| server.submit_generate(p, n, None))
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !tickets.iter().all(|t| t.is_done()) {
+        assert!(
+            Instant::now() < deadline,
+            "a generation ticket was abandoned"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let streams: Vec<Vec<usize>> = tickets.iter().map(|t| t.tokens_so_far()).collect();
+    assert_eq!(streams, want, "stitched streams equal serial generate");
+    let m = server.shard_metrics();
+    assert_eq!(m.completed, 5, "ledger: {m:?}");
+    assert!(m.stalls >= 1, "the 3 s stall must trip the watchdog: {m:?}");
+    assert!(
+        m.cache_rebuilds >= 1,
+        "the stall must rebuild a cache: {m:?}"
+    );
+
+    // Outlive the stall: each stalled-away generation also completes on
+    // replica 0 once it resumes, so the fleet's replica-side count
+    // reaches 5 + stalls only after every late token has been reported.
+    let late_done = 5 + m.stalls;
+    while server.metrics().generations_completed() < late_done {
+        assert!(Instant::now() < deadline, "replica 0 never resumed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Reports are consumed in order, so once a fresh request resolves the
+    // late tokens have been applied — dropped. It resolving at all also
+    // shows the supervisor survived them: in debug builds a late token
+    // pushed into a finished stream trips `push_token`'s assertion and
+    // kills the supervisor, and nothing would resolve this ticket.
+    let fresh = server
+        .submit(vec![1, 2, 3])
+        .wait_timeout(Duration::from_secs(30))
+        .expect("the fleet still serves after the late tokens");
+    assert_eq!(fresh.tokens, 3);
+    for (ticket, stream) in tickets.iter().zip(&streams) {
+        assert_eq!(&ticket.tokens_so_far(), stream, "a late token leaked");
+    }
+    let after = server.shard_metrics();
+    assert_eq!(
+        after.completed,
+        m.completed + 1,
+        "only the fresh request completed; late outcomes were dropped: {after:?}"
+    );
+    assert_eq!(server.active_generations(), 0);
+}
