@@ -100,7 +100,7 @@ pub fn chunk_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
 /// # Panics
 ///
 /// Panics if the ranges step outside `data` or out of order.
-pub fn split_at_ranges<'a>(data: &'a mut [f32], ranges: &[Range<usize>]) -> Vec<&'a mut [f32]> {
+pub fn split_at_ranges<'a, T>(data: &'a mut [T], ranges: &[Range<usize>]) -> Vec<&'a mut [T]> {
     let mut chunks = Vec::with_capacity(ranges.len());
     let mut rest = data;
     let mut consumed = 0;

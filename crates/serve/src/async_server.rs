@@ -6,7 +6,7 @@
 //! replica-local id immediately, a dedicated background **dispatcher**
 //! thread drains the length-bucketed [`Batcher`] as batches close, and
 //! every emitted token and final outcome goes back to the shard as a
-//! [`Report`] on its channel. A batch closes when the **first** of three
+//! `Report` on its channel. A batch closes when the **first** of three
 //! conditions fires:
 //!
 //! 1. **area budget** — a bucket can fill the

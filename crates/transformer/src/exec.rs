@@ -12,7 +12,8 @@
 //!
 //! Implementations only choose *which lane runs where* — chunk boundaries
 //! are fixed by [`nnlut_core::engine::chunk_ranges`] inside
-//! [`run_row_chunks`] (and the crate's item-level `par_map`, which the
+//! [`run_row_chunks`] (and its new-output form `new_row_chunks`, which the
+//! linear layers use, and the crate's item-level `par_map`, which the
 //! attention and the batched decode entry points use), and every kernel
 //! handed to them is row-local (an output row depends only on its own
 //! input row plus shared read-only state). Together that makes the batch
@@ -25,14 +26,16 @@
 //! assignment is computed before any kernel starts — so profiling cannot
 //! perturb which lane runs which rows, let alone the bits they produce.
 
+use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::sync::Mutex;
 
 use nnlut_core::engine::chunk_ranges;
+use nnlut_tensor::Matrix;
 
 /// One lane's work item: its chunk's first row plus the chunk itself,
 /// behind a take-once mutex (see [`run_row_chunks`]).
-type ChunkSlot<'a> = Mutex<Option<(usize, &'a mut [f32])>>;
+type ChunkSlot<'a, T> = Mutex<Option<(usize, &'a mut [T])>>;
 
 /// Runs a fixed number of independent lanes, possibly concurrently.
 pub trait BatchExecutor: Sync {
@@ -95,6 +98,50 @@ pub fn run_row_chunks(
     cols: usize,
     f: &(dyn Fn(usize, &mut [f32]) + Sync),
 ) {
+    run_chunks(exec, data, rows, cols, f);
+}
+
+/// [`run_row_chunks`] over a new `rows × cols` matrix: each lane
+/// zero-fills its own chunk, then runs `f` on it. A GEMM's output is as
+/// large as its result, so filling it serially before the call would add
+/// a pass that no lane shares.
+pub(crate) fn new_row_chunks(
+    exec: &dyn BatchExecutor,
+    rows: usize,
+    cols: usize,
+    f: &(dyn Fn(usize, &mut [f32]) + Sync),
+) -> Matrix {
+    let len = rows * cols;
+    let mut data = Vec::with_capacity(len);
+    run_chunks(
+        exec,
+        &mut data.spare_capacity_mut()[..len],
+        rows,
+        cols,
+        &|first_row, chunk: &mut [MaybeUninit<f32>]| {
+            chunk.fill(MaybeUninit::new(0.0));
+            // SAFETY: every element was just initialized, and
+            // `MaybeUninit<f32>` has the layout of `f32`.
+            let chunk = unsafe { &mut *(chunk as *mut [MaybeUninit<f32>] as *mut [f32]) };
+            f(first_row, chunk);
+        },
+    );
+    // SAFETY: the chunks partition `0..len`, and `run_chunks` returns only
+    // once every chunk was handed to its lane, which fills it first.
+    unsafe { data.set_len(len) };
+    Matrix::from_vec(rows, cols, data)
+}
+
+/// The body of [`run_row_chunks`], for any element type. Returns only
+/// after every chunk was taken by its lane (it asserts so, rather than
+/// trust the executor's exactly-once contract).
+fn run_chunks<T: Send>(
+    exec: &dyn BatchExecutor,
+    data: &mut [T],
+    rows: usize,
+    cols: usize,
+    f: &(dyn Fn(usize, &mut [T]) + Sync),
+) {
     assert_eq!(data.len(), rows * cols, "row-chunk buffer length mismatch");
     let ranges = chunk_ranges(rows, exec.lanes());
     if ranges.len() <= 1 {
@@ -103,7 +150,7 @@ pub fn run_row_chunks(
         }
         return;
     }
-    let slots: Vec<ChunkSlot<'_>> = split_row_ranges(data, cols, &ranges)
+    let slots: Vec<ChunkSlot<'_, T>> = split_row_ranges(data, cols, &ranges)
         .into_iter()
         .zip(&ranges)
         .map(|(chunk, r)| Mutex::new(Some((r.start, chunk))))
@@ -118,6 +165,10 @@ pub fn run_row_chunks(
             f(first_row, chunk);
         }
     });
+    for slot in &slots {
+        let untaken = slot.lock().expect("row-chunk slot poisoned").is_some();
+        assert!(!untaken, "the executor skipped a lane");
+    }
 }
 
 /// Maps `f` over the items `0..n` with exactly one
@@ -150,11 +201,11 @@ pub(crate) fn par_map<T: Send>(
 /// (which must be contiguous and ascending, as [`chunk_ranges`] produces):
 /// the row ranges scaled to element ranges, carved by the workspace's one
 /// chunk-splitting helper.
-fn split_row_ranges<'a>(
-    data: &'a mut [f32],
+fn split_row_ranges<'a, T>(
+    data: &'a mut [T],
     cols: usize,
     ranges: &[Range<usize>],
-) -> Vec<&'a mut [f32]> {
+) -> Vec<&'a mut [T]> {
     let scaled: Vec<Range<usize>> = ranges
         .iter()
         .map(|r| r.start * cols..r.end * cols)

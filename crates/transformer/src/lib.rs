@@ -46,6 +46,7 @@ pub mod config;
 pub mod decode;
 pub mod eval;
 pub mod exec;
+mod gemm;
 pub mod head;
 pub mod metrics;
 pub mod model;

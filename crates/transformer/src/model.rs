@@ -8,6 +8,7 @@
 //! (the regime paper §3.3.2 motivates input scaling with).
 
 use std::ops::Range;
+use std::sync::Mutex;
 
 use nnlut_core::calibrate::{ActivationCapture, RowCapture};
 use nnlut_core::codebook::CodebookSpec;
@@ -561,14 +562,15 @@ impl BertModel {
             }
             _ => lin.apply_exec(m, mode, exec),
         };
-        // Residual `a + b`, then the block's norm, as two row-local stages.
-        let add_norm = |a: &Matrix, b: &Matrix, affine: &Affine| {
+        // Residual `a + b`, then the block's norm, as two row-local stages,
+        // in `b`'s buffer (the projection output is dead after the add).
+        let add_norm = |a: &Matrix, b: Matrix, affine: &Affine| {
             let (rows, cols) = a.shape();
-            let mut m = Matrix::zeros(rows, cols);
+            let mut m = b;
             run_row_chunks(exec, m.as_mut_slice(), rows, cols, &|first_row, chunk| {
                 let base = first_row * cols;
                 for (i, o) in chunk.iter_mut().enumerate() {
-                    *o = a.as_slice()[base + i] + b.as_slice()[base + i];
+                    *o += a.as_slice()[base + i];
                 }
             });
             let (gamma, beta) = (&affine.gamma, &affine.beta);
@@ -584,7 +586,7 @@ impl BertModel {
         let k = project(&layer.wk, x);
         let v = project(&layer.wv, x);
         let ctx = attend(&q, &k, &v);
-        let x1 = add_norm(x, &project(&layer.wo, &ctx), &layer.norm1);
+        let x1 = add_norm(x, project(&layer.wo, &ctx), &layer.norm1);
 
         let mut hmid = project(&layer.ff1, &x1);
         let (rows, cols) = hmid.shape();
@@ -609,16 +611,17 @@ impl BertModel {
         run_row_chunks(exec, hmid.as_mut_slice(), rows, cols, &|_, chunk| {
             activate(chunk)
         });
-        add_norm(&x1, &project(&layer.ff2, &hmid), &layer.norm2)
+        add_norm(&x1, project(&layer.ff2, &hmid), &layer.norm2)
     }
 
     /// Multi-head attention over the sequences of `len` rows stacked in
     /// `q`/`k`/`v`, parallel over (sequence, head) pairs so even a single
     /// sequence spreads its quadratic stage across the lanes. Each pair
-    /// scores `q·kᵀ/√dh` on its own row block and `finish(seq, scores,
-    /// &v_block)` masks, normalises and applies V; a serial pass then
-    /// assembles the pairs' context blocks. A pair's math is the same on
-    /// whichever lane runs it, so the result is executor-independent.
+    /// scores `q·kᵀ/√dh` on its own row block, `finish(seq, scores,
+    /// &v_block)` masks, normalises and applies V, and the pair writes its
+    /// context block into the shared output inside the same executor call.
+    /// A pair's math is the same on whichever lane runs it and the blocks
+    /// are disjoint, so the result is executor-independent.
     pub(crate) fn attend_pairs(
         &self,
         q: &Matrix,
@@ -632,23 +635,21 @@ impl BertModel {
         let heads = self.config.heads;
         let dh = self.config.head_dim();
         let scale = 1.0 / (dh as f32).sqrt();
-        let parts = par_map(exec, rows / len * heads, |p| {
+        let ctx = Mutex::new(Matrix::zeros(rows, d));
+        par_map(exec, rows / len * heads, |p| {
             let (s, h) = (p / heads, p % heads);
             let (seq_rows, head_cols) = (s * len..(s + 1) * len, h * dh..(h + 1) * dh);
             let pair =
                 |m: &Matrix| copy_block(m.as_slice(), d, seq_rows.clone(), head_cols.clone());
             let mut scores = pair(q).matmul_transpose(&pair(k));
             scores.scale(scale);
-            finish(s, scores, &pair(v))
-        });
-        let mut ctx = Matrix::zeros(rows, d);
-        for (p, part) in parts.iter().enumerate() {
-            let (s, h) = (p / heads, p % heads);
-            for r in 0..len {
-                ctx.row_mut(s * len + r)[h * dh..(h + 1) * dh].copy_from_slice(part.row(r));
+            let part = finish(s, scores, &pair(v));
+            let mut ctx = ctx.lock().expect("attention context poisoned");
+            for (r, part_row) in seq_rows.zip(part.rows_iter()) {
+                ctx.row_mut(r)[head_cols.clone()].copy_from_slice(part_row);
             }
-        }
-        ctx
+        });
+        ctx.into_inner().expect("attention context poisoned")
     }
 
     /// One encoder layer, serially — the independent oracle

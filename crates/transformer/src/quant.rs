@@ -10,10 +10,11 @@ use std::sync::Arc;
 use nnlut_core::calibrate::RowCapture;
 use nnlut_core::codebook::{BakedCodebook, CodebookSpec};
 use nnlut_core::precision::f16_round;
-use nnlut_tensor::quant::quantized_matmul;
+use nnlut_tensor::quant::{quantized_matmul, QuantizedMatrix, Quantizer};
 use nnlut_tensor::Matrix;
 
-use crate::exec::{run_row_chunks, BatchExecutor};
+use crate::exec::{new_row_chunks, BatchExecutor};
+use crate::gemm::PackedWeight;
 
 /// The GEMM precision of the transformer body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -75,15 +76,25 @@ pub fn matmul(a: &Matrix, b: &Matrix, mode: MatmulMode) -> Matrix {
 }
 
 /// A dense layer `y = x·W + b` evaluated under a precision mode.
+///
+/// The frozen weight is stored once, packed into 16-column panels for the
+/// FP32/FP16 GEMM kernel (an AVX2 register tile where the CPU has it, a
+/// scalar panel loop otherwise); every output keeps the exact op order of
+/// [`Matrix::matmul`], so the packing changes no finite bit.
 #[derive(Debug, Clone)]
 pub struct Linear {
-    weight: Matrix,
+    weight: PackedWeight,
     bias: Vec<f32>,
-    /// The f16-rounded weight, cached on first F16-mode use: weights are
-    /// frozen, and `f16_round` is deterministic, so caching the rounded
+    /// The f16-rounded packed weight, cached on first F16-mode use: weights
+    /// are frozen, and `f16_round` is deterministic, so caching the rounded
     /// copy only removes a per-call O(in·out) pass from the serving hot
     /// path — it cannot change a bit of any result.
-    weight_f16: std::sync::OnceLock<Matrix>,
+    weight_f16: std::sync::OnceLock<PackedWeight>,
+    /// The INT8-quantized weight, cached on first INT8-mode use for the
+    /// same reason: [`quantized_matmul`] would re-fit and re-quantize the
+    /// frozen weight on every call, which for a one-row decode projection
+    /// costs far more than the product.
+    weight_i8: std::sync::OnceLock<QuantizedMatrix>,
     /// The baked centroid-codebook engine, stamped by
     /// [`Linear::bake_codebook`] (usually via
     /// [`crate::model::BertModel::bake_codebooks`]). `Arc`-shared so
@@ -91,8 +102,9 @@ pub struct Linear {
     codebook: Option<Arc<BakedCodebook>>,
 }
 
-/// The f16 cache and the codebook are derived state; layer identity is
-/// weights + bias.
+/// The f16 and INT8 caches and the codebook are derived state; layer
+/// identity is weights + bias (the packed weights compare like the
+/// row-major ones).
 impl PartialEq for Linear {
     fn eq(&self, other: &Self) -> bool {
         self.weight == other.weight && self.bias == other.bias
@@ -108,9 +120,10 @@ impl Linear {
     pub fn new(weight: Matrix, bias: Vec<f32>) -> Self {
         assert_eq!(bias.len(), weight.cols(), "bias/weight shape mismatch");
         Self {
-            weight,
+            weight: PackedWeight::new(weight),
             bias,
             weight_f16: std::sync::OnceLock::new(),
+            weight_i8: std::sync::OnceLock::new(),
             codebook: None,
         }
     }
@@ -131,7 +144,7 @@ impl Linear {
             ..*spec
         };
         self.codebook = Some(Arc::new(BakedCodebook::bake(
-            self.weight.as_slice(),
+            self.weight().as_slice(),
             self.in_dim(),
             self.out_dim(),
             &self.bias,
@@ -158,9 +171,24 @@ impl Linear {
         )
     }
 
-    /// The f16-rounded weight (computed once, then cached).
-    fn rounded_weight(&self) -> &Matrix {
+    /// The f16-rounded packed weight (computed once, then cached).
+    fn rounded_weight(&self) -> &PackedWeight {
         self.weight_f16.get_or_init(|| self.weight.map(f16_round))
+    }
+
+    /// The weight quantized as [`quantized_matmul`] quantizes its right
+    /// operand (computed once, then cached).
+    fn quantized_weight(&self) -> &QuantizedMatrix {
+        self.weight_i8.get_or_init(|| {
+            let w = self.weight();
+            Quantizer::fit(&w).quantize(&w)
+        })
+    }
+
+    /// The row-major weight, unpacked — for the readers that are not the
+    /// packed GEMM (the INT8 quantizer and the codebook bake).
+    fn weight(&self) -> Matrix {
+        self.weight.unpack()
     }
 
     /// Input dimension.
@@ -180,14 +208,19 @@ impl Linear {
     /// Panics under [`MatmulMode::Codebook`] if no codebook was baked.
     pub fn apply(&self, x: &Matrix, mode: MatmulMode) -> Matrix {
         let mut out = match mode {
+            MatmulMode::F32 => self.weight.matmul(x),
             // Same op order as `matmul(x, w, F16)`, but with the rounded
             // weight served from the cache.
             MatmulMode::F16 => {
                 let xh = x.map(f16_round);
-                let mut out = xh.matmul(self.rounded_weight());
+                let mut out = self.rounded_weight().matmul(&xh);
                 out.map_inplace(f16_round);
                 out
             }
+            // `quantized_matmul(x, w)`, with the weight side cached.
+            MatmulMode::Int8 => Quantizer::fit(x)
+                .quantize(x)
+                .matmul(self.quantized_weight()),
             // Assignment + gather + add; the baked engine owns the bias
             // (outputs start from it), so return before the bias add.
             MatmulMode::Codebook => {
@@ -197,7 +230,6 @@ impl Linear {
                 cb.apply_rows(x.as_slice(), rows, out.as_mut_slice());
                 return out;
             }
-            _ => matmul(x, &self.weight, mode),
         };
         out.add_row_bias(&self.bias);
         out
@@ -206,8 +238,9 @@ impl Linear {
     /// [`Linear::apply`] with the GEMM split by output row ranges across
     /// `exec` — bit-identical to the serial path for every lane count.
     ///
-    /// * `F32`: each lane runs [`Matrix::matmul_rows_into`] on its rows
-    ///   (fixed k-order per row) and adds the bias.
+    /// * `F32`: each lane runs the packed-panel GEMM on its rows (fixed
+    ///   k-order per row, as [`Matrix::matmul_rows_into`]) and adds the
+    ///   bias.
     /// * `F16`: operands are rounded to binary16 up front (element-local),
     ///   then the rounded GEMM is row-split the same way; the final f16
     ///   rounding of the product happens inside each lane's chunk, and the
@@ -233,14 +266,11 @@ impl Linear {
                 let cb = self.codebook_or_panic();
                 let in_dim = cb.in_dim();
                 let cols = cb.out_dim();
-                let rows = x.rows();
-                let mut out = Matrix::zeros(rows, cols);
-                run_row_chunks(exec, out.as_mut_slice(), rows, cols, &|first_row, chunk| {
+                new_row_chunks(exec, x.rows(), cols, &|first_row, chunk| {
                     let n = chunk.len() / cols;
                     let x_rows = &x.as_slice()[first_row * in_dim..(first_row + n) * in_dim];
                     cb.apply_rows(x_rows, n, chunk);
-                });
-                out
+                })
             }
         }
     }
@@ -250,16 +280,14 @@ impl Linear {
     fn row_split_gemm(
         &self,
         x: &Matrix,
-        w: &Matrix,
+        w: &PackedWeight,
         exec: &dyn BatchExecutor,
         round_f16: bool,
     ) -> Matrix {
         let cols = w.cols();
-        let rows = x.rows();
-        let mut out = Matrix::zeros(rows, cols);
-        run_row_chunks(exec, out.as_mut_slice(), rows, cols, &|first_row, chunk| {
+        new_row_chunks(exec, x.rows(), cols, &|first_row, chunk| {
             let r1 = first_row + chunk.len() / cols;
-            x.matmul_rows_into(w, first_row, r1, chunk);
+            w.matmul_rows_into(x, first_row, r1, chunk);
             if round_f16 {
                 for v in chunk.iter_mut() {
                     *v = f16_round(*v);
@@ -270,8 +298,7 @@ impl Linear {
                     *o += b;
                 }
             }
-        });
-        out
+        })
     }
 }
 
@@ -320,6 +347,43 @@ mod tests {
         assert_eq!(y.row(0), &[2.0, 3.0, 4.0]);
         assert_eq!(l.in_dim(), 3);
         assert_eq!(l.out_dim(), 3);
+    }
+
+    #[test]
+    fn packed_linear_matches_the_row_major_reference_in_every_mode() {
+        // 33 output columns: two full panels and a 1-column tail.
+        let w = normal_matrix(17, 33, 0.7, 21);
+        let bias: Vec<f32> = (0..33).map(|i| 0.03 * i as f32 - 0.5).collect();
+        let layer = Linear::new(w.clone(), bias.clone());
+        for rows in [1, 3, 6] {
+            let x = normal_matrix(rows, 17, 1.1, 22 + rows as u64);
+            for mode in [MatmulMode::F32, MatmulMode::F16, MatmulMode::Int8] {
+                let mut want = matmul(&x, &w, mode);
+                want.add_row_bias(&bias);
+                // Twice: the second call reads the F16/INT8 caches.
+                for _ in 0..2 {
+                    let got = layer.apply(&x, mode);
+                    for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+                        assert_eq!(g.to_bits(), w.to_bits(), "{mode} rows {rows}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn linear_equality_is_weights_and_bias() {
+        let w = normal_matrix(5, 18, 1.0, 31);
+        let bias = vec![0.25; 18];
+        let layer = Linear::new(w.clone(), bias.clone());
+        assert_eq!(layer, Linear::new(w.clone(), bias.clone()));
+        let mut nudged = w.clone();
+        nudged[(4, 17)] += 1.0;
+        assert_ne!(layer, Linear::new(nudged, bias.clone()));
+        assert_ne!(layer, Linear::new(w.clone(), vec![0.5; 18]));
+        // Derived state is not identity.
+        let _ = layer.apply(&normal_matrix(2, 5, 1.0, 32), MatmulMode::F16);
+        assert_eq!(layer, Linear::new(w, bias));
     }
 
     #[test]

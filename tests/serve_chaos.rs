@@ -419,8 +419,9 @@ fn gen_workload() -> Vec<(Vec<usize>, usize)> {
 
 /// Replica 0 dies mid-decode (its batch 1 and 2 — with a generation-only
 /// workload those are decode or prefill batches of live generations).
-/// The supervisor harvests the tokens streamed so far, re-prefills
-/// `prompt ++ harvested` on the survivor — a full KV-cache rebuild — and
+/// The supervisor has received the tokens streamed so far on the report
+/// channel; it re-prefills `prompt ++ tokens` on the survivor — a full
+/// KV-cache rebuild — and
 /// because decoding is deterministic the continued stream is
 /// bit-identical to a fault-free serial [`BertModel::generate`] run.
 #[test]
