@@ -21,8 +21,8 @@
 //! **bit-identical** to [`crate::LookupTable::eval`] for every input,
 //! including NaN, infinities and breakpoint-exact values — the equivalence
 //! is property-tested in `tests/engine_equivalence.rs`, and the batch
-//! kernels ([`BakedLut::eval_slice`], [`BakedLut::eval_to`]) are measured
-//! against the scalar loop in `crates/bench/benches/batch_eval.rs`.
+//! kernel ([`BakedLut::eval_slice`]) is measured against the scalar loop
+//! in `crates/bench/benches/batch_eval.rs`.
 //!
 //! The same construction is repeated at the two reduced precisions
 //! ([`BakedF16Lut`], [`BakedInt32Lut`]), each bit-identical to its
@@ -70,11 +70,11 @@ use std::ops::Range;
 /// ranges come back (and none when `len == 0`).
 ///
 /// This is the canonical chunk map of the whole workspace's determinism
-/// contract: the serving pool, the engines' [`BakedLut::par_eval_slice`]
-/// entry points and the property tests all split work with this one
-/// function, so "parallel" never means "different boundaries" — and since
-/// every kernel's per-element math is independent of its chunk, it never
-/// means "different bits" either.
+/// contract: the serving pool, the transformer's executor seam and the
+/// property tests all split work with this one function, so "parallel"
+/// never means "different boundaries" — and since every kernel's
+/// per-element math is independent of its chunk, it never means
+/// "different bits" either.
 pub fn chunk_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     let parts = parts.max(1).min(len.max(1));
     let base = len / parts;
@@ -94,8 +94,7 @@ pub fn chunk_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
 /// Splits `data` into the disjoint mutable chunks named by `ranges`,
 /// which must be contiguous, ascending and covering (exactly what
 /// [`chunk_ranges`] produces — possibly scaled, e.g. by a row width).
-/// The one chunk-carving loop behind both the engines' parallel entry
-/// points and the transformer's executor seam.
+/// The one chunk-carving loop behind the transformer's executor seam.
 ///
 /// # Panics
 ///
@@ -112,28 +111,6 @@ pub fn split_at_ranges<'a, T>(data: &'a mut [T], ranges: &[Range<usize>]) -> Vec
         rest = tail;
     }
     chunks
-}
-
-/// Evaluates `engine.eval_slice` over `threads` deterministic chunks of
-/// `xs`, each on its own scoped thread. Shared by the three baked engines.
-fn par_eval_with(eval: &(dyn Fn(&mut [f32]) + Sync), xs: &mut [f32], threads: usize) {
-    // Tiny batches are not worth a thread spawn; one chunk also keeps the
-    // `threads <= 1` path free of scope setup.
-    const MIN_PAR_LEN: usize = 1024;
-    if threads <= 1 || xs.len() < MIN_PAR_LEN {
-        eval(xs);
-        return;
-    }
-    let chunks = split_at_ranges(xs, &chunk_ranges(xs.len(), threads));
-    std::thread::scope(|scope| {
-        // The caller's thread takes the first chunk; the rest are spawned.
-        let mut iter = chunks.into_iter();
-        let first = iter.next().expect("non-empty slice yields chunks");
-        for chunk in iter {
-            scope.spawn(move || eval(chunk));
-        }
-        eval(first);
-    });
 }
 
 /// Number of grid cells per breakpoint. More cells mean fewer cells with
@@ -609,50 +586,6 @@ impl BakedLut {
             }
         }
     }
-
-    /// Parallel batched evaluation: splits `xs` into [`chunk_ranges`]
-    /// chunks and runs [`BakedLut::eval_slice`] on each from its own
-    /// scoped thread.
-    ///
-    /// This is the standalone entry point for *raw-LUT* batch workloads —
-    /// callers holding a bare engine and a big buffer (benches, custom
-    /// pipelines) with no executor of their own. The transformer serving
-    /// path does not route through it: there the whole encode stage is
-    /// already row-chunked once across `nnlut_serve`'s pool, and a second
-    /// split inside each lane would only add spawns.
-    ///
-    /// **Bit-identical to [`BakedLut::eval_slice`] for every input and
-    /// every thread count** — the kernel's per-element result depends only
-    /// on that element and the baked table, never on its position within a
-    /// chunk, so chunk boundaries (and therefore thread count) cannot
-    /// change any output bit. `tests/serve_determinism.rs` property-tests
-    /// exactly this claim across thread counts 1/2/4/8, NaN/inf payloads
-    /// and non-dividing lengths.
-    pub fn par_eval_slice(&self, xs: &mut [f32], threads: usize) {
-        par_eval_with(&|chunk| self.eval_slice(chunk), xs, threads);
-    }
-
-    /// Batched out-of-place evaluation: `out[i] = LUT(xs[i])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != xs.len()`.
-    pub fn eval_to(&self, xs: &[f32], out: &mut [f32]) {
-        assert_eq!(xs.len(), out.len(), "eval_to length mismatch");
-        out.copy_from_slice(xs);
-        self.eval_slice(out);
-    }
-
-    /// Batched evaluation of a row-major matrix buffer (`rows × cols`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn eval_matrix(&self, data: &mut [f32], rows: usize, cols: usize) {
-        assert_eq!(data.len(), rows * cols, "matrix buffer length mismatch");
-        // Row-major contiguous: one flat batched pass.
-        self.eval_slice(data);
-    }
 }
 
 impl From<&LookupTable> for BakedLut {
@@ -706,13 +639,6 @@ impl BakedF16Lut {
         for x in xs {
             *x = self.eval(*x);
         }
-    }
-
-    /// Parallel batched evaluation over [`chunk_ranges`] chunks;
-    /// bit-identical to [`BakedF16Lut::eval_slice`] for every thread count
-    /// (see [`BakedLut::par_eval_slice`] for the argument).
-    pub fn par_eval_slice(&self, xs: &mut [f32], threads: usize) {
-        par_eval_with(&|chunk| self.eval_slice(chunk), xs, threads);
     }
 }
 
@@ -794,13 +720,6 @@ impl BakedInt32Lut {
         for x in xs {
             *x = self.eval(*x);
         }
-    }
-
-    /// Parallel batched evaluation over [`chunk_ranges`] chunks;
-    /// bit-identical to [`BakedInt32Lut::eval_slice`] for every thread
-    /// count (see [`BakedLut::par_eval_slice`] for the argument).
-    pub fn par_eval_slice(&self, xs: &mut [f32], threads: usize) {
-        par_eval_with(&|chunk| self.eval_slice(chunk), xs, threads);
     }
 }
 
@@ -987,21 +906,6 @@ mod tests {
                     assert_eq!(o.to_bits(), want, "eval_slice_scalar at {x}");
                 }
             }
-            // Out of place.
-            let mut out = vec![0.0f32; all.len()];
-            baked.eval_to(&all, &mut out);
-            for (&x, &y) in all.iter().zip(&out) {
-                assert_eq!(y.to_bits(), lut.eval(x).to_bits(), "eval_to at {x}");
-            }
-            // Matrix view (row-major buffer).
-            let mut m = all.clone();
-            let cols = 11;
-            let rows = m.len() / cols;
-            m.truncate(rows * cols);
-            baked.eval_matrix(&mut m, rows, cols);
-            for (&x, &y) in all.iter().zip(&m) {
-                assert_eq!(y.to_bits(), lut.eval(x).to_bits(), "eval_matrix at {x}");
-            }
         }
     }
 
@@ -1081,44 +985,5 @@ mod tests {
                 assert!(max - min <= 1, "unbalanced split ({len},{parts})");
             }
         }
-    }
-
-    #[test]
-    fn par_eval_slice_matches_serial_across_thread_counts() {
-        let lut = table(
-            vec![-2.0, -0.5, 0.0, 1.0, 3.0],
-            vec![
-                (0.1, 0.0),
-                (0.2, 0.5),
-                (-0.7, 0.1),
-                (1.0, -1.0),
-                (0.0, 4.0),
-                (2.0, 0.0),
-            ],
-        );
-        let baked = BakedLut::new(lut.clone());
-        // Long enough to cross the parallel threshold, odd length so the
-        // chunks never divide evenly, specials included.
-        let mut xs: Vec<f32> = (0..4099).map(|i| (i as f32 - 2000.0) * 0.013).collect();
-        xs[17] = f32::NAN;
-        xs[1023] = f32::INFINITY;
-        xs[4098] = f32::NEG_INFINITY;
-        let mut want = xs.clone();
-        baked.eval_slice(&mut want);
-        for threads in [1usize, 2, 3, 4, 8, 64] {
-            let mut got = xs.clone();
-            baked.par_eval_slice(&mut got, threads);
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.to_bits(), w.to_bits(), "diverged at {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn eval_matrix_rejects_bad_shape() {
-        let baked = BakedLut::new(table(vec![], vec![(1.0, 0.0)]));
-        let mut data = vec![0.0f32; 5];
-        let result = std::panic::catch_unwind(move || baked.eval_matrix(&mut data, 2, 3));
-        assert!(result.is_err());
     }
 }

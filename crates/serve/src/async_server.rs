@@ -3,10 +3,10 @@
 //!
 //! `AsyncLutServer` is crate-private: the shard is its only caller. It
 //! decouples admission from execution — `enqueue` returns the request's
-//! replica-local id immediately, a dedicated background **dispatcher**
-//! thread drains the length-bucketed [`Batcher`] as batches close, and
-//! every emitted token and final outcome goes back to the shard as a
-//! `Report` on its channel. A batch closes when the **first** of three
+//! replica-local id immediately, the replica's background **workers**
+//! drain the length-bucketed [`Batcher`] as batches close, and every
+//! emitted token and final outcome goes back to the shard as a `Report`
+//! on its channel. A batch closes when the **first** of three
 //! conditions fires:
 //!
 //! 1. **area budget** — a bucket can fill the
@@ -27,24 +27,25 @@
 //!
 //! # Multiple batches in flight
 //!
-//! With [`AsyncServerConfig::max_in_flight`] > 1 the dispatcher hands
-//! closed batches to that many **encoder threads** (each with its own
-//! [`ThreadPool`]), so batch *k+1* encodes while *k* is still running.
-//! Batch *composition* stays a pure function of queue contents at close
-//! time — only the dispatcher, under the shared lock, ever packs a batch.
-//! Completions flow through an **ordered completion queue**: results are
-//! recorded and outcomes reported strictly in dispatch order, so a fast
-//! batch never overtakes a slow earlier one observably, and the
-//! bit-identical-to-serial contract is unchanged (mask-aware attention
-//! makes each response independent of batch composition; see
-//! `docs/ARCHITECTURE.md`).
+//! A replica runs [`AsyncServerConfig::max_in_flight`] identical
+//! **worker threads** (each with its own [`ThreadPool`]), so batch *k+1*
+//! encodes while *k* is still running. Each worker loops over one cycle:
+//! under the replica lock it expires deadlines and closes a batch, runs
+//! the batch with the lock released, then takes the lock back to report
+//! the batch's outcomes — or, with nothing to close, sleeps until the
+//! next batch timer or arrival. Batch *composition* stays a pure function
+//! of queue contents at close time, because a batch is only ever packed
+//! under the lock. Outcomes are reported in **completion order**: a fast
+//! batch never waits behind a slow earlier one, and the
+//! bit-identical-to-serial contract is unchanged, because each response
+//! goes to its own ticket and mask-aware attention makes it independent
+//! of its batch-mates (see `docs/ARCHITECTURE.md`).
 //!
 //! Once the shard starts shutting down it tells each replica to
 //! **drain**: batches close without waiting for age or deadline timers,
 //! while the replica still accepts the supervisor's retries. Dropping
-//! the replica drains every queued request and waits out every in-flight
-//! batch before the dispatcher exits, so every request gets its final
-//! report.
+//! the replica drains every queued request and joins every worker once
+//! its batch has resolved, so every request gets its final report.
 //!
 //! # Continuous batching
 //!
@@ -52,7 +53,7 @@
 //! **prefill**; once prefilled (KV cache populated, first token read
 //! greedily), the sequence rejoins the batcher's **decode plane** after
 //! every emitted token, so many generations advance one token per batch
-//! while prefills keep streaming in. The dispatcher mixes wide decode
+//! while prefills keep streaming in. The workers mix wide decode
 //! batches with prefill/encode batches under the same padded-area
 //! budget: decode-priority closes keep inter-token latency flat, and
 //! [`ClosePolicy::max_prefill_wait`] bounds how long a queued prefill
@@ -72,7 +73,7 @@
 //! thread count and any in-flight depth — `tests/serve_decode.rs` pins
 //! the claim.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -197,7 +198,7 @@ pub struct AsyncServerConfig {
     /// When under-filled batches close anyway.
     pub close: ClosePolicy,
     /// Batches that may encode concurrently (`0` is clamped to `1`).
-    /// Each in-flight slot is one encoder thread with its own
+    /// Each in-flight slot is one worker thread with its own
     /// [`ThreadPool`] of [`AsyncServerConfig::threads`] lanes, so total
     /// encode threads = `max_in_flight × threads`.
     pub max_in_flight: usize,
@@ -233,7 +234,7 @@ pub(crate) struct Wiring {
     /// Replica index: the first half of every report's key, and the id
     /// stamped on this server's trace events and journal entries.
     pub(crate) replica: usize,
-    /// Deterministic fault injection hook, consulted by the encoder
+    /// Deterministic fault injection hook, consulted by the worker
     /// threads just before each batch encode (inside the per-batch panic
     /// containment). See [`crate::fault`].
     pub(crate) fault: Option<FaultInjector>,
@@ -631,6 +632,16 @@ enum JobWork {
     },
 }
 
+impl JobWork {
+    /// The batch's member ids, in member order.
+    fn ids(&self) -> &[RequestId] {
+        match self {
+            JobWork::Bucket { closed, .. } => &closed.ids,
+            JobWork::Decode { closed, .. } => &closed.ids,
+        }
+    }
+}
+
 /// Per-member result of a bucket batch.
 #[derive(Debug)]
 enum MemberResult {
@@ -640,10 +651,10 @@ enum MemberResult {
     Prefilled { cache: KvCache, token: usize },
 }
 
-/// The outcome side of [`JobWork`], parked in the ordered completion
-/// queue. `Err(())` = the encode panicked (contained); members fail (a
-/// decode batch's caches are lost in the unwind — the generation cannot
-/// continue here; the sharded layer rebuilds).
+/// The outcome side of [`JobWork`]. `Err(())` = the encode panicked
+/// (contained); members fail (a decode batch's caches are lost in the
+/// unwind — the generation cannot continue here; the sharded layer
+/// rebuilds).
 #[derive(Debug)]
 enum DoneWork {
     Bucket {
@@ -656,32 +667,8 @@ enum DoneWork {
     },
 }
 
-/// One closed batch on its way to an encoder thread.
-#[derive(Debug)]
-struct EncodeJob {
-    /// Dispatch sequence number — the ordered-completion key.
-    seq: u64,
-    work: JobWork,
-    /// Queue depth at close time (metrics bookkeeping).
-    depth: usize,
-    /// Member traces, parallel to the work's member ids, cloned under
-    /// the lock at dispatch so the encoder records `Encoded` without
-    /// touching the ticket map.
-    traces: Vec<Arc<RequestTrace>>,
-}
-
-/// One encoded batch waiting in the ordered completion queue.
-#[derive(Debug)]
-struct Completion {
-    work: DoneWork,
-    depth: usize,
-    latency: Duration,
-    /// Member traces, parallel to the work's member ids.
-    traces: Vec<Arc<RequestTrace>>,
-}
-
-/// Everything the submitter side, the dispatcher and the encoder threads
-/// share, behind one lock.
+/// Everything the submitter side and the worker threads share, behind
+/// one lock.
 #[derive(Debug)]
 struct State {
     batcher: Batcher,
@@ -697,20 +684,8 @@ struct State {
     draining: bool,
     /// The replica is being dropped: drain, then exit.
     shutdown: bool,
-    /// Closed batches awaiting an encoder, in dispatch order.
-    encode_queue: VecDeque<EncodeJob>,
-    /// Batches dispatched but not yet resolved (queued-for-encode,
-    /// encoding, or parked in `completions` behind an earlier batch).
-    in_flight: usize,
-    /// Next dispatch sequence number.
+    /// Next dispatch sequence number — the fault plan's batch coordinate.
     next_seq: u64,
-    /// Sequence number the ordered resolver will resolve next.
-    next_resolve: u64,
-    /// Out-of-order completions parked until their turn.
-    completions: BTreeMap<u64, Completion>,
-    /// Tells idle encoder threads to exit (set once, at the end of the
-    /// shutdown drain).
-    encoders_exit: bool,
     /// This replica's index, the first half of every report's key.
     replica: usize,
     /// Where reports go (see [`report`]).
@@ -720,12 +695,10 @@ struct State {
 #[derive(Debug)]
 struct Shared {
     state: Mutex<State>,
-    /// Signalled on new arrivals, on shutdown, and whenever a completion
-    /// frees an in-flight slot — everything the dispatcher sleeps on.
+    /// Signalled on new arrivals, on drain and shutdown, and when a
+    /// worker leaves closable work behind — everything an idle worker
+    /// sleeps on.
     work: Condvar,
-    /// Signalled when a job lands in `encode_queue` (and at
-    /// `encoders_exit`) — everything the encoder threads sleep on.
-    encode: Condvar,
 }
 
 /// One asynchronous, deadline-aware batching replica of a
@@ -733,14 +706,14 @@ struct Shared {
 #[derive(Debug)]
 pub(crate) struct AsyncLutServer {
     shared: Arc<Shared>,
-    worker: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl AsyncLutServer {
     /// Builds the replica over **already-shared** model weights and
-    /// backend, and starts its background worker. This is how the shard
-    /// keeps N replicas over one copy of the weights: every replica's
-    /// encoder threads read the same `Arc`s, so replica count is a
+    /// backend, and starts its `max_in_flight` workers. This is how the
+    /// shard keeps N replicas over one copy of the weights: every
+    /// replica's workers read the same `Arc`s, so replica count is a
     /// topology knob, not a memory multiplier.
     pub(crate) fn with_shared(
         model: Arc<BertModel>,
@@ -756,27 +729,26 @@ impl AsyncLutServer {
                 next_id: 0,
                 draining: false,
                 shutdown: false,
-                encode_queue: VecDeque::new(),
-                in_flight: 0,
                 next_seq: 0,
-                next_resolve: 0,
-                completions: BTreeMap::new(),
-                encoders_exit: false,
                 replica: wiring.replica,
                 reports: wiring.reports.clone(),
             }),
             work: Condvar::new(),
-            encode: Condvar::new(),
         });
-        let worker_shared = Arc::clone(&shared);
-        let worker = std::thread::Builder::new()
-            .name("nnlut-serve-dispatch".into())
-            .spawn(move || dispatcher_loop(worker_shared, model, nl, config, wiring))
-            .expect("spawn serving dispatcher");
-        Self {
-            shared,
-            worker: Some(worker),
-        }
+        let workers = (0..config.max_in_flight.max(1))
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                let (model, nl) = (Arc::clone(&model), Arc::clone(&nl));
+                let (close, mode) = (config.close, config.mode);
+                let pool = ThreadPool::new(config.threads);
+                let wiring = wiring.clone();
+                std::thread::Builder::new()
+                    .name(format!("nnlut-serve-worker-{i}"))
+                    .spawn(move || worker_loop(shared, model, nl, close, mode, pool, wiring))
+                    .expect("spawn serving worker")
+            })
+            .collect();
+        Self { shared, workers }
     }
 
     /// Queues one request and returns its replica-local id, the second
@@ -820,9 +792,9 @@ impl AsyncLutServer {
     }
 
     /// Stops waiting on batch timers: from now on every batch closes as
-    /// soon as an in-flight slot is free, and enqueues are still
-    /// accepted. Called once the shard starts shutting down, so its drain
-    /// never waits out a replica's `max_batch_age`.
+    /// soon as a worker is free, and enqueues are still accepted. Called
+    /// once the shard starts shutting down, so its drain never waits out
+    /// a replica's `max_batch_age`.
     pub(crate) fn drain(&self) {
         lock(&self.shared.state).draining = true;
         self.shared.work.notify_all();
@@ -839,21 +811,23 @@ impl AsyncLutServer {
 }
 
 /// Stops admission, drains every queued request (reporting every
-/// outcome, waiting out every in-flight batch) and joins the worker.
+/// outcome, waiting out every in-flight batch) and joins the workers.
 ///
-/// If the worker died abnormally (a panic that escaped even the per-batch
-/// containment), every still-unresolved request is failed with
-/// [`ServeError::ServerFailed`] rather than re-panicking — a drop during
-/// unwinding must never double-panic, and no waiter may be left hanging.
+/// Then every still-unresolved request is failed with
+/// [`ServeError::ServerFailed`]. After a clean drain there is none; after
+/// a worker died abnormally (a panic that escaped even the per-batch
+/// containment) the sweep stands in for its report, so no waiter is left
+/// hanging — and a drop during unwinding never double-panics.
 impl Drop for AsyncLutServer {
     fn drop(&mut self) {
         lock(&self.shared.state).shutdown = true;
         self.shared.work.notify_all();
-        if let Some(worker) = self.worker.take() {
-            if worker.join().is_err() {
-                fail_all(&mut lock(&self.shared.state));
-            }
+        for worker in self.workers.drain(..) {
+            // A worker that panicked left its batch unreported: the sweep
+            // below resolves it.
+            let _ = worker.join();
         }
+        fail_all(&mut lock(&self.shared.state));
     }
 }
 
@@ -927,84 +901,79 @@ fn advance_generation(st: &mut State, id: RequestId, cache: KvCache, token: usiz
     }
 }
 
-/// Reports the in-order prefix of the completion queue: records metrics
-/// and reports outcomes strictly in dispatch-sequence order, freeing one
-/// in-flight slot per batch. Called under the shared lock.
-fn resolve_ready_completions(st: &mut State) {
+/// Reports one finished batch: records its metrics and stages and
+/// reports every member's outcome at once. Called under the shared lock.
+fn resolve_batch(
+    st: &mut State,
+    work: DoneWork,
+    depth: usize,
+    latency: Duration,
+    traces: &[Arc<RequestTrace>],
+) {
     let replica = Some(st.replica);
-    while let Some(done) = st.completions.remove(&st.next_resolve) {
-        st.next_resolve += 1;
-        st.in_flight -= 1;
-        let Completion {
-            work,
-            depth,
-            latency,
-            traces,
-        } = done;
-        match work {
-            // The unwind consumed a decode batch's caches: these
-            // generations cannot continue on this server.
-            DoneWork::Bucket {
-                closed: ClosedBatch { ids, .. },
-                outcome: Err(()),
+    match work {
+        // The unwind consumed a decode batch's caches: these
+        // generations cannot continue on this server.
+        DoneWork::Bucket {
+            closed: ClosedBatch { ids, .. },
+            outcome: Err(()),
+        }
+        | DoneWork::Decode {
+            closed: ClosedDecodeBatch { ids, .. },
+            outcome: Err(()),
+        } => {
+            for id in ids {
+                fail_request(st, id, "panic", ServeError::ServerFailed { id });
             }
-            | DoneWork::Decode {
-                closed: ClosedDecodeBatch { ids, .. },
-                outcome: Err(()),
-            } => {
-                for id in ids {
-                    fail_request(st, id, "panic", ServeError::ServerFailed { id });
-                }
-            }
-            DoneWork::Bucket {
-                closed,
-                outcome: Ok(results),
-            } => {
-                st.metrics.record(BatchRecord {
-                    sequences: closed.batch.sequences(),
-                    tokens: closed.batch.tokens(),
-                    padded_tokens: closed.batch.padded_tokens(),
-                    queue_depth: depth,
-                    latency,
-                    bucket: closed.bucket,
-                    reason: closed.reason,
-                    queue_waits: closed.queue_waits,
-                });
-                for ((id, result), trace) in closed.ids.iter().zip(results).zip(&traces) {
-                    trace.record(Stage::Reordered, replica, None);
-                    match result {
-                        MemberResult::Encoded(hidden) => {
-                            trace.record(Stage::Resolved, replica, None);
-                            st.metrics.record_stages(&trace.breakdown());
-                            if st.requests.remove(id).is_some() {
-                                let response = EncodeResponse {
-                                    id: *id,
-                                    tokens: hidden.rows(),
-                                    hidden,
-                                    latency,
-                                };
-                                report(st, *id, Progress::Done(Ok(Some(response))));
-                            }
+        }
+        DoneWork::Bucket {
+            closed,
+            outcome: Ok(results),
+        } => {
+            st.metrics.record(BatchRecord {
+                sequences: closed.batch.sequences(),
+                tokens: closed.batch.tokens(),
+                padded_tokens: closed.batch.padded_tokens(),
+                queue_depth: depth,
+                latency,
+                bucket: closed.bucket,
+                reason: closed.reason,
+                queue_waits: closed.queue_waits,
+            });
+            for ((id, result), trace) in closed.ids.iter().zip(results).zip(traces) {
+                trace.record(Stage::Reordered, replica, None);
+                match result {
+                    MemberResult::Encoded(hidden) => {
+                        trace.record(Stage::Resolved, replica, None);
+                        st.metrics.record_stages(&trace.breakdown());
+                        if st.requests.remove(id).is_some() {
+                            let response = EncodeResponse {
+                                id: *id,
+                                tokens: hidden.rows(),
+                                hidden,
+                                latency,
+                            };
+                            report(st, *id, Progress::Done(Ok(Some(response))));
                         }
-                        MemberResult::Prefilled { cache, token } => {
-                            advance_generation(st, *id, cache, token);
-                        }
+                    }
+                    MemberResult::Prefilled { cache, token } => {
+                        advance_generation(st, *id, cache, token);
                     }
                 }
             }
-            DoneWork::Decode {
-                closed,
-                outcome: Ok(stepped),
-            } => {
-                st.metrics.record_decode_batch(
-                    closed.ids.len(),
-                    closed.context_tokens,
-                    latency,
-                    closed.reason,
-                );
-                for (id, (cache, token)) in closed.ids.iter().zip(stepped) {
-                    advance_generation(st, *id, cache, token);
-                }
+        }
+        DoneWork::Decode {
+            closed,
+            outcome: Ok(stepped),
+        } => {
+            st.metrics.record_decode_batch(
+                closed.ids.len(),
+                closed.context_tokens,
+                latency,
+                closed.reason,
+            );
+            for (id, (cache, token)) in closed.ids.iter().zip(stepped) {
+                advance_generation(st, *id, cache, token);
             }
         }
     }
@@ -1096,13 +1065,65 @@ fn run_decode(
         .collect()
 }
 
-/// One encoder thread: pop a job, encode it (the only expensive step —
-/// outside the lock), park the result in the ordered completion queue and
-/// resolve whatever prefix is ready.
-fn encoder_loop(
+/// Closes the planned batch under the shared lock. A decode batch moves
+/// each member's parked KV cache into the job for the step.
+fn close_batch(st: &mut State, target: CloseTarget, reason: CloseReason, now: Instant) -> JobWork {
+    match target {
+        CloseTarget::Bucket(bucket) => {
+            let closed = st.batcher.close_bucket(bucket, now, reason);
+            let is_gen = closed
+                .ids
+                .iter()
+                .map(|id| st.requests.get(id).is_some_and(|e| e.gen.is_some()))
+                .collect();
+            JobWork::Bucket { closed, is_gen }
+        }
+        CloseTarget::Decode => {
+            let closed = st.batcher.close_decode(now, reason);
+            let steps = closed
+                .ids
+                .iter()
+                .map(|id| {
+                    let gen = st
+                        .requests
+                        .get_mut(id)
+                        .and_then(|e| e.gen.as_mut())
+                        .expect("queued decode step belongs to a live generation");
+                    let cache = gen
+                        .cache
+                        .take()
+                        .expect("cache parked while the step queued");
+                    (cache, gen.next_token)
+                })
+                .collect();
+            JobWork::Decode { closed, steps }
+        }
+    }
+}
+
+/// Runs one batch's work inside the per-batch panic containment, after
+/// the fault plan's hook for dispatch sequence number `seq`. `Err(())`
+/// means the work panicked.
+fn contain<R>(fault: Option<&FaultInjector>, seq: u64, run: impl FnOnce() -> R) -> Result<R, ()> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        if let Some(injector) = fault {
+            injector.before_encode(seq);
+        }
+        run()
+    }))
+    .map_err(|_| ())
+}
+
+/// One replica worker, `max_in_flight` of them per replica. Under the
+/// shared lock: expire deadlines, close a batch, and otherwise sleep
+/// until the next timed event or arrival. Then run the batch with the
+/// lock released (the only expensive step) and take the lock back to
+/// report its outcomes at once.
+fn worker_loop(
     shared: Arc<Shared>,
     model: Arc<BertModel>,
     nl: Arc<Nonlinearity>,
+    close: ClosePolicy,
     mode: MatmulMode,
     pool: ThreadPool,
     wiring: Wiring,
@@ -1111,131 +1132,7 @@ fn encoder_loop(
     let Wiring {
         fault, recorder, ..
     } = wiring;
-    loop {
-        let job = {
-            let mut st = lock(&shared.state);
-            loop {
-                if let Some(job) = st.encode_queue.pop_front() {
-                    break job;
-                }
-                if st.encoders_exit {
-                    return;
-                }
-                st = shared
-                    .encode
-                    .wait(st)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        // The expensive part, lock released: submitters keep admitting and
-        // the dispatcher keeps closing batches for the other encoders. A
-        // panic here is contained (submit validates at the door, so none
-        // is expected): the batch's tickets resolve to `ServerFailed`
-        // instead of leaving waiters hanging, and the server lives on.
-        // Nothing is mutated across the unwind boundary — the model,
-        // backends and pool are all shared-immutable — so
-        // `AssertUnwindSafe` is honest.
-        // Injected faults fire here too — inside the containment, keyed
-        // on the dispatch sequence number (the replica-local batch
-        // coordinate) — so a chaos plan exercises the exact same failure
-        // path a real encode panic takes.
-        let start = Instant::now();
-        let seq = job.seq;
-        let work = match job.work {
-            JobWork::Bucket { closed, is_gen } => {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if let Some(injector) = &fault {
-                        injector.before_encode(seq);
-                    }
-                    run_bucket(&model, &closed, &is_gen, &nl, mode, &pool)
-                }));
-                DoneWork::Bucket {
-                    closed,
-                    outcome: outcome.map_err(|_| ()),
-                }
-            }
-            JobWork::Decode { closed, steps } => {
-                // `steps` moves into the closure: a panic consumes the
-                // caches in the unwind, which is exactly the failure
-                // contract (the generations cannot continue here).
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if let Some(injector) = &fault {
-                        injector.before_encode(seq);
-                    }
-                    run_decode(&model, steps, &nl, mode, &pool)
-                }));
-                DoneWork::Decode {
-                    closed,
-                    outcome: outcome.map_err(|_| ()),
-                }
-            }
-        };
-        let latency = start.elapsed();
-        // Stage recording and journaling happen outside the lock — the
-        // traces were cloned into the job at dispatch.
-        let (panicked, members) = match &work {
-            DoneWork::Bucket { closed, outcome } => (outcome.is_err(), closed.ids.len()),
-            DoneWork::Decode { closed, outcome } => (outcome.is_err(), closed.ids.len()),
-        };
-        let note = panicked.then_some("panic");
-        for trace in &job.traces {
-            trace.record(Stage::Encoded, replica, note);
-        }
-        if let Some(rec) = &recorder {
-            if panicked {
-                rec.record("batch-panic", replica, None, members as u64);
-                // The incident freezes the ring *as of the panic* —
-                // before later traffic wraps past the lead-up events.
-                rec.snapshot_incident("batch-panic", replica);
-            } else {
-                rec.record("batch-encoded", replica, None, members as u64);
-            }
-        }
-        let mut st = lock(&shared.state);
-        st.completions.insert(
-            seq,
-            Completion {
-                work,
-                depth: job.depth,
-                latency,
-                traces: job.traces,
-            },
-        );
-        resolve_ready_completions(&mut st);
-        drop(st);
-        // A slot may have been freed and the queue may have moved: wake
-        // the dispatcher (and any shutdown waiter).
-        shared.work.notify_all();
-    }
-}
-
-/// The background dispatcher: expire deadlines, close batches, hand them
-/// to the encoder threads, sleep until the next timed event or arrival.
-fn dispatcher_loop(
-    shared: Arc<Shared>,
-    model: Arc<BertModel>,
-    nl: Arc<Nonlinearity>,
-    config: AsyncServerConfig,
-    wiring: Wiring,
-) {
-    let (close, mode) = (config.close, config.mode);
-    let max_in_flight = config.max_in_flight.max(1);
-    let encoders: Vec<JoinHandle<()>> = (0..max_in_flight)
-        .map(|i| {
-            let shared = Arc::clone(&shared);
-            let model = Arc::clone(&model);
-            let nl = Arc::clone(&nl);
-            let pool = ThreadPool::new(config.threads);
-            let wiring = wiring.clone();
-            std::thread::Builder::new()
-                .name(format!("nnlut-serve-encode-{i}"))
-                .spawn(move || encoder_loop(shared, model, nl, mode, pool, wiring))
-                .expect("spawn serving encoder")
-        })
-        .collect();
-    let replica = Some(wiring.replica);
-    let recorder = wiring.recorder;
-
+    let fault = fault.as_ref();
     let mut st = lock(&shared.state);
     loop {
         let now = Instant::now();
@@ -1258,7 +1155,7 @@ fn dispatcher_loop(
         if !expired.is_empty() {
             for (id, queued_at) in expired {
                 let waited = now.saturating_duration_since(queued_at);
-                st.metrics.record_deadline_miss(waited);
+                st.metrics.record_deadline_miss();
                 if let Some(rec) = &recorder {
                     rec.record(
                         "deadline-miss",
@@ -1272,139 +1169,129 @@ fn dispatcher_loop(
             }
             continue; // re-plan against the culled queue
         }
-        // Dispatch while an in-flight slot is free and a close fires.
-        if st.in_flight < max_in_flight {
-            let plan = if st.draining || st.shutdown {
-                // Flush: ignore timers. The decode plane drains first —
-                // in-flight generations *finish* under shutdown (their
-                // token budget bounds the drain), and their steps are
-                // the cheapest way to retire queued work.
-                if st.batcher.decode_depth() > 0 {
-                    Some((CloseTarget::Decode, CloseReason::Drain))
-                } else {
-                    st.batcher
-                        .plan_drain()
-                        .map(|b| (CloseTarget::Bucket(b), CloseReason::Drain))
-                }
+        let plan = if st.draining || st.shutdown {
+            // Flush: ignore timers. The decode plane drains first —
+            // in-flight generations *finish* under shutdown (their token
+            // budget bounds the drain), and their steps are the cheapest
+            // way to retire queued work.
+            if st.batcher.decode_depth() > 0 {
+                Some((CloseTarget::Decode, CloseReason::Drain))
             } else {
-                st.batcher.plan_close(now, &close)
-            };
-            if let Some((target, reason)) = plan {
-                let depth = st.batcher.queue_depth();
-                let (work, member_ids) = match target {
-                    CloseTarget::Bucket(bucket) => {
-                        let closed = st.batcher.close_bucket(bucket, now, reason);
-                        let is_gen: Vec<bool> = closed
-                            .ids
-                            .iter()
-                            .map(|id| st.requests.get(id).is_some_and(|e| e.gen.is_some()))
-                            .collect();
-                        let ids = closed.ids.clone();
-                        (JobWork::Bucket { closed, is_gen }, ids)
-                    }
-                    CloseTarget::Decode => {
-                        let closed = st.batcher.close_decode(now, reason);
-                        let steps: Vec<(KvCache, usize)> = closed
-                            .ids
-                            .iter()
-                            .map(|id| {
-                                let gen = st
-                                    .requests
-                                    .get_mut(id)
-                                    .and_then(|e| e.gen.as_mut())
-                                    .expect("queued decode step belongs to a live generation");
-                                let cache = gen
-                                    .cache
-                                    .take()
-                                    .expect("cache parked while the step queued");
-                                (cache, gen.next_token)
-                            })
-                            .collect();
-                        let ids = closed.ids.clone();
-                        (JobWork::Decode { closed, steps }, ids)
-                    }
-                };
-                let seq = st.next_seq;
-                st.next_seq += 1;
-                st.in_flight += 1;
-                // Clone the members' traces now, under the lock: the
-                // encoder then records on them lock-free.
-                let traces: Vec<Arc<RequestTrace>> = member_ids
-                    .iter()
-                    .map(|id| {
-                        st.requests.get(id).map_or_else(
-                            || Arc::new(RequestTrace::new(*id)),
-                            |e| Arc::clone(&e.trace),
-                        )
-                    })
-                    .collect();
-                let is_decode = matches!(work, JobWork::Decode { .. });
-                for trace in &traces {
-                    // A decode step skips `Assembled` — there is no
-                    // packing phase; it keeps per-token event volume down
-                    // (traces cap at `RequestTrace::MAX_EVENTS`).
-                    if !is_decode {
-                        trace.record(Stage::Assembled, None, None);
-                    }
-                    trace.record(Stage::Dispatched, replica, None);
-                }
-                if let Some(rec) = &recorder {
-                    rec.record("batch-dispatched", replica, None, member_ids.len() as u64);
-                }
-                st.encode_queue.push_back(EncodeJob {
-                    seq,
-                    work,
-                    depth,
-                    traces,
-                });
-                shared.encode.notify_one();
-                continue; // a further slot may be free
+                st.batcher
+                    .plan_drain()
+                    .map(|b| (CloseTarget::Bucket(b), CloseReason::Drain))
             }
-        }
-        if st.shutdown && st.batcher.is_empty() && st.in_flight == 0 {
-            // Queue drained, every batch resolved, admission closed. No
-            // request can be live here (each is always either queued, in
-            // flight, or resolved) — but a sweep costs nothing and
-            // guarantees no ticket is ever left hanging.
-            fail_all(&mut st);
-            // Tell the idle encoders to exit and join them.
-            st.encoders_exit = true;
-            drop(st);
-            shared.encode.notify_all();
-            break;
-        }
-        // With a free slot, wake for the next close *or* deadline event.
-        // Saturated (every in-flight slot busy), an elapsed close timer
-        // can't be acted on — sleeping on it would spin at the floor
-        // duration for the whole encode — so only deadline expiry keeps a
-        // timer; a completion wakes the dispatcher through `work`.
-        let timer = if st.in_flight < max_in_flight {
-            st.batcher.next_event(&close)
         } else {
-            st.batcher.earliest_deadline()
+            st.batcher.plan_close(now, &close)
         };
-        st = match timer {
-            Some(at) => {
-                // Floor the sleep so a just-elapsed timer cannot spin the
-                // loop at zero-duration waits.
-                let wait = at
-                    .saturating_duration_since(now)
-                    .max(Duration::from_micros(50));
-                shared
-                    .work
-                    .wait_timeout(st, wait)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0
+        let Some((target, reason)) = plan else {
+            if st.shutdown && st.batcher.is_empty() {
+                // Drained with admission closed. A peer still running a
+                // batch closes whatever that batch feeds back itself.
+                return;
             }
-            None => shared.work.wait(st).unwrap_or_else(PoisonError::into_inner),
+            st = match st.batcher.next_event(&close) {
+                Some(at) => {
+                    // Floor the sleep so a just-elapsed timer cannot spin
+                    // the loop at zero-duration waits.
+                    let wait = at
+                        .saturating_duration_since(now)
+                        .max(Duration::from_micros(50));
+                    shared
+                        .work
+                        .wait_timeout(st, wait)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+                None => shared.work.wait(st).unwrap_or_else(PoisonError::into_inner),
+            };
+            continue;
         };
-    }
-    for handle in encoders {
-        if handle.join().is_err() {
-            // An encoder died outside the per-batch containment. Propagate
-            // so the drop's sweep fails the orphaned tickets instead of
-            // leaving waiters hanging.
-            panic!("serving encoder thread panicked");
+        let depth = st.batcher.queue_depth();
+        let work = close_batch(&mut st, target, reason, now);
+        let seq = st.next_seq;
+        st.next_seq += 1;
+        // Clone the members' traces now, under the lock: the run then
+        // records on them lock-free.
+        let traces: Vec<Arc<RequestTrace>> = work
+            .ids()
+            .iter()
+            .map(|id| {
+                st.requests.get(id).map_or_else(
+                    || Arc::new(RequestTrace::new(*id)),
+                    |e| Arc::clone(&e.trace),
+                )
+            })
+            .collect();
+        let is_decode = matches!(work, JobWork::Decode { .. });
+        for trace in &traces {
+            // A decode step skips `Assembled` — there is no packing
+            // phase; it keeps per-token event volume down (traces cap at
+            // `RequestTrace::MAX_EVENTS`).
+            if !is_decode {
+                trace.record(Stage::Assembled, None, None);
+            }
+            trace.record(Stage::Dispatched, replica, None);
         }
+        if let Some(rec) = &recorder {
+            rec.record("batch-dispatched", replica, None, traces.len() as u64);
+        }
+        if !st.batcher.is_empty() {
+            // Work is left behind: an idle peer may close it.
+            shared.work.notify_one();
+        }
+        drop(st);
+
+        // The expensive part, lock released: submitters keep admitting
+        // and the peers keep closing and reporting their own batches. A
+        // panic here is contained (submit validates at the door, so none
+        // is expected): the batch's tickets resolve to `ServerFailed`
+        // instead of leaving waiters hanging, and the replica lives on.
+        // Nothing is mutated across the unwind boundary — the model,
+        // backends and pool are all shared-immutable — so
+        // `AssertUnwindSafe` is honest. Injected faults fire here too —
+        // inside the containment, keyed on the dispatch sequence number
+        // (the replica-local batch coordinate) — so a chaos plan
+        // exercises the exact same failure path a real encode panic
+        // takes.
+        let start = Instant::now();
+        let done = match work {
+            JobWork::Bucket { closed, is_gen } => DoneWork::Bucket {
+                outcome: contain(fault, seq, || {
+                    run_bucket(&model, &closed, &is_gen, &nl, mode, &pool)
+                }),
+                closed,
+            },
+            // `steps` moves into the closure: a panic consumes the caches
+            // in the unwind, which is exactly the failure contract (the
+            // generations cannot continue here).
+            JobWork::Decode { closed, steps } => DoneWork::Decode {
+                outcome: contain(fault, seq, || run_decode(&model, steps, &nl, mode, &pool)),
+                closed,
+            },
+        };
+        let latency = start.elapsed();
+        // Stage recording and journaling happen outside the lock.
+        let panicked = match &done {
+            DoneWork::Bucket { outcome, .. } => outcome.is_err(),
+            DoneWork::Decode { outcome, .. } => outcome.is_err(),
+        };
+        let note = panicked.then_some("panic");
+        for trace in &traces {
+            trace.record(Stage::Encoded, replica, note);
+        }
+        if let Some(rec) = &recorder {
+            let members = traces.len() as u64;
+            if panicked {
+                rec.record("batch-panic", replica, None, members);
+                // The incident freezes the ring *as of the panic* —
+                // before later traffic wraps past the lead-up events.
+                rec.snapshot_incident("batch-panic", replica);
+            } else {
+                rec.record("batch-encoded", replica, None, members);
+            }
+        }
+        st = lock(&shared.state);
+        resolve_batch(&mut st, done, depth, latency, &traces);
     }
 }

@@ -29,7 +29,7 @@
 //! `FaultInjector`: one per replica, handed to each replica the
 //! [`ShardedServer`](crate::ShardedServer) builds from
 //! [`ShardConfig::fault_plan`](crate::ShardConfig::fault_plan), consulted
-//! by the encoder thread *inside* its panic-containment boundary.
+//! by the replica worker *inside* its panic-containment boundary.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -226,8 +226,8 @@ impl FaultPlan {
 /// hooks use it to keep chaos-run stderr quiet without hiding real bugs.
 pub const INJECTED_PANIC_PREFIX: &str = "injected fault:";
 
-/// One replica's view of a [`FaultPlan`]: the hook the replica's encoder
-/// consults just before encoding each dispatched batch. Cheap to clone
+/// One replica's view of a [`FaultPlan`]: the hook the replica's workers
+/// consult just before encoding each dispatched batch. Cheap to clone
 /// (the plan is shared behind an `Arc`).
 #[derive(Debug, Clone)]
 pub(crate) struct FaultInjector {
@@ -241,10 +241,10 @@ impl FaultInjector {
         Self { plan, replica }
     }
 
-    /// Called by the encoder just before encoding its `batch`-th
-    /// dispatched batch, *inside* the per-batch panic containment:
-    /// panics for [`Fault::Panic`], sleeps for [`Fault::Stall`], returns
-    /// immediately otherwise.
+    /// Called by a replica worker just before encoding the replica's
+    /// `batch`-th dispatched batch, *inside* the per-batch panic
+    /// containment: panics for [`Fault::Panic`], sleeps for
+    /// [`Fault::Stall`], returns immediately otherwise.
     pub(crate) fn before_encode(&self, batch: u64) {
         match self.plan.batch_fault(self.replica, batch) {
             Some(BatchFault::Panic) => panic!(

@@ -30,10 +30,10 @@
 //! * [`server`] — the synchronous [`LutServer`], the serial oracle: the
 //!   caller's thread drives `submit`/`step`/`drain`.
 //! * [`async_server`] — the crate-private replica behind the shard door:
-//!   a background dispatcher drains the queue into up to
-//!   `max_in_flight` concurrent encoder threads (ordered completion
-//!   queue), requests carry optional deadlines, and under-filled batches
-//!   close on age or deadline pressure. Encodes and generations share one
+//!   `max_in_flight` identical worker threads each close, run and report
+//!   one batch at a time (outcomes in completion order), requests carry
+//!   optional deadlines, and under-filled batches close on age or
+//!   deadline pressure. Encodes and generations share one
 //!   admission path and one table of unresolved requests, so expiry,
 //!   failure and the shutdown sweep each have one code path. The module
 //!   also holds the door's public types: [`Ticket`], [`GenerateTicket`],

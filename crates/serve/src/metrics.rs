@@ -252,7 +252,6 @@ pub struct ServeMetrics {
     deadline_misses: usize,
     latency_sketch: QuantileSketch,
     queue_wait_sketch: QuantileSketch,
-    missed_wait_sketch: QuantileSketch,
     /// Per-lifecycle-stage latency sketches, indexed like
     /// [`Stage::ALL`], fed from resolved requests' [`TraceBreakdown`]s.
     stage_sketches: [QuantileSketch; Stage::COUNT],
@@ -306,7 +305,6 @@ impl ServeMetrics {
             deadline_misses: 0,
             latency_sketch: QuantileSketch::new(capacity),
             queue_wait_sketch: QuantileSketch::new(capacity),
-            missed_wait_sketch: QuantileSketch::new(capacity),
             stage_sketches: std::array::from_fn(|_| QuantileSketch::new(capacity)),
             stage_totals: [Duration::ZERO; Stage::COUNT],
             decode_batches: 0,
@@ -398,11 +396,9 @@ impl ServeMetrics {
         }
     }
 
-    /// Records one request expired unserved at its deadline, after
-    /// waiting `waited` in the queue.
-    pub fn record_deadline_miss(&mut self, waited: Duration) {
+    /// Records one request expired unserved at its deadline.
+    pub fn record_deadline_miss(&mut self) {
         self.deadline_misses += 1;
-        self.missed_wait_sketch.observe(waited);
     }
 
     /// Batches dispatched so far.
@@ -488,27 +484,14 @@ impl ServeMetrics {
 
     /// Queue-wait percentile over the most recent *dispatched* requests'
     /// time in queue (sliding window, see [`QuantileSketch`]); `None`
-    /// before any request was served. Expired requests' waits are tracked
-    /// separately — see [`ServeMetrics::missed_wait_percentile`].
+    /// before any request was served. Expired requests never count here;
+    /// [`ServeMetrics::deadline_misses`] counts them.
     ///
     /// # Panics
     ///
     /// Panics if `p` is outside `0.0..=100.0`.
     pub fn queue_wait_percentile(&self, p: f64) -> Option<Duration> {
         self.queue_wait_sketch.percentile(p)
-    }
-
-    /// How long recently expired requests had waited when they were
-    /// culled (sliding-window nearest-rank percentile); `None` before any
-    /// deadline miss. The gap between this and
-    /// [`ServeMetrics::queue_wait_percentile`] tells an operator whether
-    /// deadlines die to backlog or to tight budgets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `0.0..=100.0`.
-    pub fn missed_wait_percentile(&self, p: f64) -> Option<Duration> {
-        self.missed_wait_sketch.percentile(p)
     }
 
     /// Per-stage latency percentile over recently resolved requests that
@@ -601,7 +584,6 @@ impl ServeMetrics {
         std::mem::size_of::<Self>()
             + self.latency_sketch.approx_bytes()
             + self.queue_wait_sketch.approx_bytes()
-            + self.missed_wait_sketch.approx_bytes()
             + self.inter_token_sketch.approx_bytes()
             + self
                 .stage_sketches
@@ -651,7 +633,6 @@ impl ServeMetrics {
         self.deadline_misses += other.deadline_misses;
         self.latency_sketch.merge(&other.latency_sketch);
         self.queue_wait_sketch.merge(&other.queue_wait_sketch);
-        self.missed_wait_sketch.merge(&other.missed_wait_sketch);
         for (mine, theirs) in self.stage_sketches.iter_mut().zip(&other.stage_sketches) {
             mine.merge(theirs);
         }
@@ -785,13 +766,8 @@ mod tests {
             ..rec(4, 4, 1)
         });
         m.record(rec(4, 4, 1));
-        m.record_deadline_miss(Duration::from_millis(7));
+        m.record_deadline_miss();
         assert_eq!(m.deadline_misses(), 1);
-        assert_eq!(
-            m.missed_wait_percentile(50.0),
-            Some(Duration::from_millis(7))
-        );
-        assert_eq!(ServeMetrics::new().missed_wait_percentile(95.0), None);
         assert_eq!(m.closes_for(CloseReason::Aged), 1);
         assert_eq!(m.closes_for(CloseReason::Drain), 1);
         assert_eq!(m.closes_for(CloseReason::Full), 0);
@@ -804,7 +780,7 @@ mod tests {
         let steady = m.approx_bytes();
         for ms in 0..10_000u64 {
             m.record(rec(1, 2, ms % 97));
-            m.record_deadline_miss(Duration::from_millis(ms % 13));
+            m.record_deadline_miss();
         }
         assert_eq!(m.batches_served(), 10_001);
         assert_eq!(m.approx_bytes(), steady, "footprint grew with batches");
@@ -896,7 +872,7 @@ mod tests {
             reason: CloseReason::Aged,
             ..rec(30, 30, 50)
         });
-        b.record_deadline_miss(Duration::from_millis(3));
+        b.record_deadline_miss();
         a.merge(&b);
         assert_eq!(a.batches_served(), 2);
         assert_eq!(a.total_tokens(), 40);

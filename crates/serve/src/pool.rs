@@ -21,7 +21,7 @@
 //! Both front doors drive this pool: the synchronous
 //! [`LutServer`](crate::LutServer) from the caller's thread, each replica
 //! of the asynchronous [`ShardedServer`](crate::ShardedServer) from its
-//! encoder threads — one parallel region per encoded batch either way.
+//! worker threads — one parallel region per encoded batch either way.
 
 use nnlut_transformer::BatchExecutor;
 

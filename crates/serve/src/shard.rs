@@ -2,7 +2,7 @@
 //! weights, behind one door — the crate's only asynchronous front door.
 //!
 //! [`ShardedServer`] makes "more traffic" a topology knob: every replica's
-//! encoder threads read the same `Arc`-shared model and backend, so
+//! worker threads read the same `Arc`-shared model and backend, so
 //! replica count multiplies *threads*, never *memory*. There is one path
 //! into a replica and one path back:
 //!
@@ -1510,7 +1510,7 @@ fn supervisor_loop(
                     // ServerFailed (a contained batch panic — possibly
                     // injected) or any other replica-side failure: the
                     // replica takes the health hit, the request fails
-                    // over. (The replica's encoder already journaled the
+                    // over. (The replica's worker already journaled the
                     // panic and froze an incident snapshot.) A failed
                     // generation fails over with its streamed prefix —
                     // the retry re-prefills it, rebuilding the KV cache.

@@ -52,11 +52,13 @@ pub enum Stage {
     Queued,
     /// Chosen into a concrete padded batch.
     Assembled,
-    /// Batch handed to a replica's encode queue.
+    /// Batch closed by a replica worker, about to run.
     Dispatched,
     /// Encode finished on the replica (success or panic — see the note).
     Encoded,
-    /// Passed the ordered-completion gate.
+    /// The finished batch is back under the replica lock, about to
+    /// report. Outcomes are reported in completion order, so this spans
+    /// only the wait for that lock.
     Reordered,
     /// Response delivered to the ticket.
     Resolved,
@@ -476,7 +478,7 @@ impl FlightRecorder {
 
     /// Freezes the current ring into the `last_incident` slot and
     /// returns a copy. Called by the supervisor on health transitions
-    /// and stall trips, and by encoders on batch panics.
+    /// and stall trips, and by replica workers on batch panics.
     pub fn snapshot_incident(
         &self,
         trigger: &'static str,

@@ -162,13 +162,6 @@ impl PackedWeight {
         self.cols
     }
 
-    /// `x · W`.
-    pub(crate) fn matmul(&self, x: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(x.rows(), self.cols);
-        self.matmul_rows_into(x, 0, x.rows(), out.as_mut_slice());
-        out
-    }
-
     /// Rows `[r0, r1)` of `x · W` into `out`, a `(r1 - r0) × n` row-major
     /// buffer — [`Matrix::matmul_rows_into`]'s contract, on the panels.
     ///

@@ -13,7 +13,7 @@ use nnlut_core::precision::f16_round;
 use nnlut_tensor::quant::{quantized_matmul, QuantizedMatrix, Quantizer};
 use nnlut_tensor::Matrix;
 
-use crate::exec::{new_row_chunks, BatchExecutor};
+use crate::exec::{new_row_chunks, BatchExecutor, SerialExecutor};
 use crate::gemm::PackedWeight;
 
 /// The GEMM precision of the transformer body.
@@ -201,38 +201,14 @@ impl Linear {
         self.weight.cols()
     }
 
-    /// Applies the layer to a `(seq × in)` activation matrix.
+    /// Applies the layer to a `(seq × in)` activation matrix on the
+    /// calling thread: [`Linear::apply_exec`] under [`SerialExecutor`].
     ///
     /// # Panics
     ///
     /// Panics under [`MatmulMode::Codebook`] if no codebook was baked.
     pub fn apply(&self, x: &Matrix, mode: MatmulMode) -> Matrix {
-        let mut out = match mode {
-            MatmulMode::F32 => self.weight.matmul(x),
-            // Same op order as `matmul(x, w, F16)`, but with the rounded
-            // weight served from the cache.
-            MatmulMode::F16 => {
-                let xh = x.map(f16_round);
-                let mut out = self.rounded_weight().matmul(&xh);
-                out.map_inplace(f16_round);
-                out
-            }
-            // `quantized_matmul(x, w)`, with the weight side cached.
-            MatmulMode::Int8 => Quantizer::fit(x)
-                .quantize(x)
-                .matmul(self.quantized_weight()),
-            // Assignment + gather + add; the baked engine owns the bias
-            // (outputs start from it), so return before the bias add.
-            MatmulMode::Codebook => {
-                let cb = self.codebook_or_panic();
-                let rows = x.rows();
-                let mut out = Matrix::zeros(rows, cb.out_dim());
-                cb.apply_rows(x.as_slice(), rows, out.as_mut_slice());
-                return out;
-            }
-        };
-        out.add_row_bias(&self.bias);
-        out
+        self.apply_exec(x, mode, &SerialExecutor)
     }
 
     /// [`Linear::apply`] with the GEMM split by output row ranges across
@@ -261,7 +237,13 @@ impl Linear {
                 let xh = x.map(f16_round);
                 self.row_split_gemm(&xh, self.rounded_weight(), exec, true)
             }
-            MatmulMode::Int8 => self.apply(x, mode),
+            MatmulMode::Int8 => {
+                let mut out = Quantizer::fit(x)
+                    .quantize(x)
+                    .matmul(self.quantized_weight());
+                out.add_row_bias(&self.bias);
+                out
+            }
             MatmulMode::Codebook => {
                 let cb = self.codebook_or_panic();
                 let in_dim = cb.in_dim();
@@ -394,7 +376,7 @@ mod tests {
 
     #[test]
     fn apply_exec_matches_apply_bitwise_in_every_mode() {
-        use crate::exec::SerialExecutor;
+        use crate::exec::tests::FakeLanes;
         let w = normal_matrix(16, 9, 0.8, 7);
         let bias: Vec<f32> = (0..9).map(|i| 0.1 * i as f32 - 0.3).collect();
         let mut layer = Linear::new(w, bias);
@@ -409,7 +391,8 @@ mod tests {
             MatmulMode::Codebook,
         ] {
             let want = layer.apply(&x, mode);
-            let got = layer.apply_exec(&x, mode, &SerialExecutor);
+            // Three lanes over five rows: chunks that do not divide evenly.
+            let got = layer.apply_exec(&x, mode, &FakeLanes(3));
             for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
                 assert_eq!(g.to_bits(), w.to_bits(), "{mode} diverged");
             }

@@ -4,14 +4,15 @@
 //! and the bucketed async pipeline reproduces the serial synchronous
 //! server bit for bit across thread counts.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nn_lut::core::precision::Precision;
 use nn_lut::core::train::TrainConfig;
 use nn_lut::core::NnLutKit;
 use nn_lut::serve::{
-    AsyncServerConfig, BatchPolicy, ClosePolicy, CloseReason, LutServer, ServeError, ServerConfig,
-    ShardConfig, ShardedServer, Stage,
+    AsyncServerConfig, BatchPolicy, ClosePolicy, CloseReason, FaultPlan, LutServer, ServeError,
+    ServerConfig, ShardConfig, ShardedServer, Stage,
 };
 use nn_lut::transformer::{BertModel, TransformerConfig};
 
@@ -281,4 +282,48 @@ fn drop_resolves_every_outstanding_ticket() {
     for t in tickets {
         t.wait().expect("shutdown drains, it does not abandon");
     }
+}
+
+/// With two batches in flight, a batch that finishes is reported at once,
+/// not held behind an earlier batch that is still running: B's encode
+/// resolves while A's batch sleeps in an injected 3 s stall.
+#[test]
+fn finished_batch_is_not_held_behind_a_stalled_one() {
+    let server = ShardedServer::new(
+        tiny_model(),
+        tiny_kit(),
+        ShardConfig {
+            fault_plan: Some(Arc::new(FaultPlan::new().stall_at(
+                0,
+                0,
+                Duration::from_secs(3),
+            ))),
+            ..one_replica(AsyncServerConfig {
+                max_in_flight: 2,
+                close: ClosePolicy {
+                    max_batch_age: Duration::ZERO,
+                    ..ClosePolicy::default_policy()
+                },
+                ..AsyncServerConfig::default()
+            })
+        },
+    );
+    let a = server.submit(vec![1, 2, 3]);
+    let dispatched_by = Instant::now() + Duration::from_secs(10);
+    while a.last_stage() != Some(Stage::Dispatched) {
+        assert!(Instant::now() < dispatched_by, "A was never dispatched");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // A's batch (dispatch sequence 0) is now stalled on one worker.
+    let b = server.submit(vec![4, 5, 6]);
+    let got = b
+        .wait_timeout(Duration::from_secs(2))
+        .expect("B's finished batch is reported without waiting for A's");
+    assert_eq!(got.tokens, 3);
+    assert_eq!(
+        a.wait()
+            .expect("the stall delays A, it does not fail it")
+            .tokens,
+        3
+    );
 }

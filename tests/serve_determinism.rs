@@ -1,19 +1,13 @@
 //! Property tests of the serving layer's determinism contract: pooled
-//! evaluation must be **bit-identical** to serial evaluation —
-//!
-//! * at the engine level, for all three baked precisions
-//!   (`par_eval_slice` vs `eval_slice`), across thread counts 1/2/4/8,
-//!   with NaN/inf payloads and lengths that don't divide evenly;
-//! * at the server level, where a pooled `LutServer` must reproduce the
-//!   serial server's responses bit for bit at FP32/FP16/INT32 kit
-//!   precisions.
+//! evaluation must be **bit-identical** to serial evaluation. A pooled
+//! `LutServer` must reproduce the serial server's responses bit for bit
+//! at FP32/FP16/INT32 kit precisions.
 
 use std::time::Duration;
 
 use nn_lut::core::codebook::CodebookSpec;
-use nn_lut::core::engine::{chunk_ranges, BakedF16Lut, BakedInt32Lut, BakedLut};
-use nn_lut::core::lut::{LookupTable, Segment};
-use nn_lut::core::precision::{input_scale_for_domain, F16Lut, Int32Lut, Precision};
+use nn_lut::core::engine::chunk_ranges;
+use nn_lut::core::precision::Precision;
 use nn_lut::core::train::TrainConfig;
 use nn_lut::core::NnLutKit;
 use nn_lut::serve::{
@@ -25,134 +19,8 @@ use proptest::prelude::*;
 mod common;
 use common::thread_counts;
 
-/// Random valid tables (same construction as `engine_equivalence.rs`).
-fn arb_table() -> impl Strategy<Value = LookupTable> {
-    (
-        proptest::collection::vec(
-            (-50.0f32..50.0, -8.0f32..8.0, -20.0f32..20.0, 0u8..8),
-            0..16,
-        ),
-        (-8.0f32..8.0, -20.0f32..20.0),
-    )
-        .prop_map(|(elems, last)| {
-            let mut bps = Vec::new();
-            let mut segs = Vec::new();
-            for (d, s, t, dup) in elems {
-                bps.push(d);
-                segs.push(Segment::new(s, t));
-                if dup == 0 {
-                    bps.push(d);
-                    segs.push(Segment::new(t * 0.25, s));
-                }
-            }
-            bps.sort_by(f32::total_cmp);
-            segs.push(Segment::new(last.0, last.1));
-            LookupTable::new(bps, segs).expect("constructed table is valid")
-        })
-}
-
-/// A batch long enough to cross the engines' parallel threshold, with an
-/// odd (never evenly dividing) length and specials scattered through it.
-fn adversarial_batch(random: Vec<f32>, extra_len: usize) -> Vec<f32> {
-    let mut xs = random;
-    let n = 3001 + extra_len; // odd, > the 1024 parallel threshold
-    while xs.len() < n {
-        let i = xs.len();
-        xs.push((i as f32 - 1500.0) * 0.037);
-    }
-    let specials = [
-        f32::NAN,
-        f32::from_bits(0x7fc0_0001), // payload-carrying NaNs
-        f32::from_bits(0xffc0_0001),
-        f32::INFINITY,
-        f32::NEG_INFINITY,
-        f32::MAX,
-        f32::MIN,
-        -0.0,
-        1e-38,
-    ];
-    let len = xs.len();
-    for (k, s) in specials.into_iter().enumerate() {
-        // Spread specials so every chunk of every split sees some.
-        xs[(k * len / specials.len() + k) % len] = s;
-    }
-    xs
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// FP32 engine: pooled == serial, bit for bit, at every thread count.
-    #[test]
-    fn par_eval_f32_is_bit_identical(
-        lut in arb_table(),
-        random in proptest::collection::vec(-200.0f32..200.0, 0..64),
-        extra in 0usize..512,
-    ) {
-        let baked = BakedLut::new(lut);
-        let xs = adversarial_batch(random, extra);
-        let mut want = xs.clone();
-        baked.eval_slice(&mut want);
-        for threads in thread_counts() {
-            let mut got = xs.clone();
-            baked.par_eval_slice(&mut got, threads);
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                prop_assert_eq!(
-                    g.to_bits(), w.to_bits(),
-                    "f32 diverged at index {} with {} threads", i, threads
-                );
-            }
-        }
-    }
-
-    /// FP16 engine: pooled == serial, bit for bit, at every thread count.
-    #[test]
-    fn par_eval_f16_is_bit_identical(
-        lut in arb_table(),
-        random in proptest::collection::vec(-200.0f32..200.0, 0..64),
-        extra in 0usize..512,
-    ) {
-        let baked = BakedF16Lut::new(F16Lut::from_lut(&lut).expect("params fit binary16"));
-        let xs = adversarial_batch(random, extra);
-        let mut want = xs.clone();
-        baked.eval_slice(&mut want);
-        for threads in thread_counts() {
-            let mut got = xs.clone();
-            baked.par_eval_slice(&mut got, threads);
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                prop_assert_eq!(
-                    g.to_bits(), w.to_bits(),
-                    "f16 diverged at index {} with {} threads", i, threads
-                );
-            }
-        }
-    }
-
-    /// INT32 engine: pooled == serial, bit for bit, at every thread count.
-    #[test]
-    fn par_eval_int32_is_bit_identical(
-        lut in arb_table(),
-        random in proptest::collection::vec(-200.0f32..200.0, 0..64),
-        extra in 0usize..512,
-    ) {
-        let baked = BakedInt32Lut::new(Int32Lut::from_lut(
-            &lut,
-            input_scale_for_domain((-60.0, 60.0)),
-        ));
-        let xs = adversarial_batch(random, extra);
-        let mut want = xs.clone();
-        baked.eval_slice(&mut want);
-        for threads in thread_counts() {
-            let mut got = xs.clone();
-            baked.par_eval_slice(&mut got, threads);
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                prop_assert_eq!(
-                    g.to_bits(), w.to_bits(),
-                    "int32 diverged at index {} with {} threads", i, threads
-                );
-            }
-        }
-    }
 
     /// The canonical chunk map covers any length exactly once for any part
     /// count — the boundary-correctness half of the determinism contract.
