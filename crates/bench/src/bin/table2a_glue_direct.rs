@@ -14,7 +14,7 @@ use nnlut_transformer::Nonlinearity;
 
 fn main() {
     println!("== Table 2(a): direct approximation on FP32 RoBERTa-like body ==");
-    println!("   (synthetic GLUE-like tasks; see DESIGN.md §3 for the substitution)\n");
+    println!("   (synthetic GLUE-like tasks; see nnlut_transformer::tasks for the substitution)\n");
 
     let nn = paper_kit();
     let lin = linear_kit();

@@ -1,6 +1,6 @@
 //! **T4** — Table 4 reproduction: arithmetic-unit cost comparison from the
-//! 7 nm-class component cost model (see `nnlut-hw` and DESIGN.md §3 for the
-//! synthesis-flow substitution).
+//! 7 nm-class component cost model (see `nnlut-hw` for the synthesis-flow
+//! substitution).
 //!
 //! Run: `cargo run --release -p nnlut-bench --bin table4_hw`
 

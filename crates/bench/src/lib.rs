@@ -1,9 +1,9 @@
 //! # nnlut-bench
 //!
 //! The benchmark harness regenerating every table and figure of the NN-LUT
-//! paper. One binary per artifact (see `src/bin/`), plus Criterion
-//! micro-benchmarks (see `benches/`). DESIGN.md §4 maps each paper
-//! artifact to its binary; EXPERIMENTS.md records paper-vs-measured.
+//! paper, one binary per artifact (see `src/bin/`). Kernel timings are
+//! recorded only by `bench_lut_eval` into the `BENCH_lut_eval.json` ledger,
+//! which `bench_check` gates; docs/ARCHITECTURE.md maps the crates.
 //!
 //! This library crate holds the pieces the binaries share: paper-config kit
 //! construction, the RoBERTa bench shape, small table-formatting helpers,
@@ -76,9 +76,8 @@ pub fn fmt_header(label: &str, names: &[&str]) -> String {
     format!("{label:<28}{}", cells.join(" "))
 }
 
-/// Deterministic GELU-domain inputs shared by the `batch_eval` criterion
-/// bench and the `bench_lut_eval` trajectory bin, so the two measurement
-/// paths always time the same workload.
+/// Deterministic GELU-domain inputs the `bench_lut_eval` trajectory bin
+/// times, so every ledger re-record measures the same workload.
 pub fn gelu_inputs(n: usize) -> Vec<f32> {
     (0..n)
         .map(|i| ((i * 37) % 1024) as f32 / 64.0 - 8.0)

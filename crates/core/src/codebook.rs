@@ -347,26 +347,6 @@ impl BakedCodebook {
         self.tables.len() * core::mem::size_of::<f32>()
     }
 
-    /// Nearest-centroid code of every group of one row — the assignment
-    /// half of the kernel, exposed for tests and diagnostics.
-    pub fn assign_row(&self, row: &[f32], codes: &mut [usize]) {
-        assert_eq!(row.len(), self.in_dim, "codebook: row width");
-        assert_eq!(codes.len(), self.groups, "codebook: codes width");
-        let mut dist = vec![0.0f32; self.k];
-        for (g, code) in codes.iter_mut().enumerate() {
-            self.group_distances_scalar(row, g, &mut dist);
-            let mut best = f32::INFINITY;
-            let mut best_c = 0usize;
-            for (c, &d) in dist.iter().enumerate() {
-                if d < best {
-                    best = d;
-                    best_c = c;
-                }
-            }
-            *code = best_c;
-        }
-    }
-
     /// All `k` squared distances of row sub-vector `g`, in the oracle's
     /// op order: for each centroid, `j`-sequential `mul` + `add` over the
     /// zero-extended sub-vector.

@@ -22,7 +22,7 @@
 //! including NaN, infinities and breakpoint-exact values — the equivalence
 //! is property-tested in `tests/engine_equivalence.rs`, and the batch
 //! kernel ([`BakedLut::eval_slice`]) is measured against the scalar loop
-//! in `crates/bench/benches/batch_eval.rs`.
+//! by the `bench_lut_eval` bin (the `results` rows of `BENCH_lut_eval.json`).
 //!
 //! The same construction is repeated at the two reduced precisions
 //! ([`BakedF16Lut`], [`BakedInt32Lut`]), each bit-identical to its

@@ -263,16 +263,6 @@ impl NnLutKit {
             .expect("FP32 assembly of valid tables cannot fail")
     }
 
-    /// Builds a kit from explicit tables (advanced use: custom training
-    /// pipelines, deserialized tables).
-    ///
-    /// # Errors
-    ///
-    /// Propagates conversion errors when `precision` is not FP32.
-    pub fn from_tables(tables: KitTables, precision: Precision) -> Result<Self, CoreError> {
-        Self::assemble(tables, None, precision)
-    }
-
     fn assemble(
         tables: KitTables,
         nets: Option<KitNets>,
@@ -336,15 +326,6 @@ impl NnLutKit {
     /// In-place GELU over a slice (batch kernel).
     pub fn gelu_slice(&self, xs: &mut [f32]) {
         self.gelu_op.eval_slice(xs);
-    }
-
-    /// In-place `exp` over a slice (batch kernel), with the same
-    /// non-negativity clamp as [`NnLutKit::exp`].
-    pub fn exp_slice(&self, xs: &mut [f32]) {
-        self.exp_op.eval_slice(xs);
-        for x in xs {
-            *x = x.max(0.0);
-        }
     }
 
     /// `exp(x)` via the EXP LUT, clamped to be non-negative (a free output

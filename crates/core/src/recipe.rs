@@ -1,10 +1,8 @@
 //! The Table-1 training recipes: input ranges, initialization, and the
 //! one-call training entry points used throughout the reproduction.
 
-use crate::convert::nn_to_lut;
 use crate::funcs::TargetFunction;
 use crate::init::{init_for_seed, InitStrategy};
-use crate::lut::LookupTable;
 use crate::nn::ApproxNet;
 use crate::train::{train, Dataset, SamplingMode, TrainConfig, TrainReport};
 
@@ -135,19 +133,10 @@ pub fn train_for_fast(func: TargetFunction, entries: usize, seed: u64) -> Approx
     train_recipe(&recipe_for(func), entries, &TrainConfig::fast(), seed).0
 }
 
-/// Convenience: train with the paper configuration and convert straight to
-/// a lookup table.
-///
-/// # Panics
-///
-/// Panics if `entries < 2`.
-pub fn train_lut(func: TargetFunction, entries: usize, seed: u64) -> LookupTable {
-    nn_to_lut(&train_for(func, entries, seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convert::nn_to_lut;
     use crate::metrics::mean_abs_error;
 
     #[test]

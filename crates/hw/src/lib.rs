@@ -12,8 +12,8 @@
 //!   divider, and a web of muxes/registers realizing the multi-step
 //!   integer algorithms (i-GELU 3 cycles, i-exp 4, i-sqrt 5).
 //!
-//! We cannot run a commercial synthesis flow, so this crate *simulates* it
-//! (see DESIGN.md §3): each unit is composed from a component library
+//! We cannot run a commercial synthesis flow, so this crate *simulates* it:
+//! each unit is composed from a component library
 //! ([`component`]) whose per-component area/power/delay constants are
 //! calibrated to public 7 nm-class data, and unit totals are derived by
 //! composition ([`datapath`]). What this preserves — and what Table 4

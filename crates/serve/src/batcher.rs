@@ -294,8 +294,6 @@ pub struct DecodeStep {
 pub struct ClosedDecodeBatch {
     /// Member generation ids.
     pub ids: Vec<RequestId>,
-    /// Member deadlines, parallel to `ids`.
-    pub deadlines: Vec<Option<Instant>>,
     /// Queue wait of each step at close time, parallel to `ids`.
     pub queue_waits: Vec<Duration>,
     /// Total attention area of the batch: `Σ (context_len + 1)` — the
@@ -320,8 +318,6 @@ pub enum CloseTarget {
 pub struct ClosedBatch {
     /// Member request ids, in FIFO (arrival) order.
     pub ids: Vec<RequestId>,
-    /// Member deadlines, parallel to `ids`.
-    pub deadlines: Vec<Option<Instant>>,
     /// Queue wait of each member at close time, parallel to `ids`.
     pub queue_waits: Vec<Duration>,
     /// The packed, padded batch.
@@ -710,7 +706,6 @@ impl Batcher {
         let (count, budget_limited) = self.pack_plan(bucket);
         assert!(count > 0, "cannot close an empty bucket {bucket}");
         let mut ids = Vec::with_capacity(count);
-        let mut deadlines = Vec::with_capacity(count);
         let mut queue_waits = Vec::with_capacity(count);
         let mut seqs: Vec<Vec<usize>> = Vec::with_capacity(count);
         for _ in 0..count {
@@ -718,13 +713,11 @@ impl Batcher {
                 .pop_front()
                 .expect("pack_plan counted it");
             ids.push(req.id);
-            deadlines.push(req.deadline);
             queue_waits.push(now.saturating_duration_since(req.queued_at));
             seqs.push(req.tokens);
         }
         ClosedBatch {
             ids,
-            deadlines,
             queue_waits,
             batch: PaddedBatch::pack(&seqs),
             bucket,
@@ -770,7 +763,6 @@ impl Batcher {
         let (count, budget_limited) = self.decode_pack_plan();
         assert!(count > 0, "cannot close an empty decode plane");
         let mut ids = Vec::with_capacity(count);
-        let mut deadlines = Vec::with_capacity(count);
         let mut queue_waits = Vec::with_capacity(count);
         let mut context_tokens = 0usize;
         for _ in 0..count {
@@ -780,12 +772,10 @@ impl Batcher {
                 .expect("decode_pack_plan counted it");
             context_tokens += step.context_len + 1;
             ids.push(step.id);
-            deadlines.push(step.deadline);
             queue_waits.push(now.saturating_duration_since(step.queued_at));
         }
         ClosedDecodeBatch {
             ids,
-            deadlines,
             queue_waits,
             context_tokens,
             reason: if budget_limited {

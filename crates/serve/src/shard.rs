@@ -89,7 +89,7 @@ use crate::batcher::ServePolicy;
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::metrics::ServeMetrics;
 use crate::server::RequestId;
-use crate::trace::{FlightEvent, FlightRecorder, RequestTrace, Stage};
+use crate::trace::{FlightEvent, FlightRecorder, RequestTrace, Stage, DEFAULT_RECORDER_CAPACITY};
 
 /// Construction knobs for the sharded server.
 #[derive(Debug, Clone)]
@@ -542,7 +542,7 @@ impl ShardedServer {
         // shard's recent history, not one replica's.
         let recorder = trace_cfg
             .recorder
-            .then(|| Arc::new(FlightRecorder::new(trace_cfg.recorder_capacity)));
+            .then(|| Arc::new(FlightRecorder::new(DEFAULT_RECORDER_CAPACITY)));
         // Attach the op-profiling sink when tracing is on (and the caller
         // didn't wire their own) — relaxed counters, read only by /metrics.
         let mut nl = nl;
@@ -944,13 +944,6 @@ impl ShardedServer {
     /// or `trace.recorder` in the replica config).
     pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
         self.shared.config.recorder.as_ref()
-    }
-
-    /// Snapshot of the op-level profile (baked-kernel call counts, rows
-    /// and elapsed time) accumulated by the shared backend since startup;
-    /// `None` when tracing is off and no sink was pre-attached.
-    pub fn op_profile(&self) -> Option<OpProfile> {
-        self.op_counters.as_deref().map(OpCounters::snapshot)
     }
 
     /// Stops admission, drains every parked and in-flight request

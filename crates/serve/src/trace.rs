@@ -276,17 +276,15 @@ pub struct TraceConfig {
     /// Whether to run a flight recorder (per-request traces are always
     /// on — they are part of the ticket contract).
     pub recorder: bool,
-    /// Ring capacity, in events, of the flight recorder.
-    pub recorder_capacity: usize,
 }
 
-/// Default flight-recorder ring capacity (events).
+/// Flight-recorder ring capacity (events).
 pub const DEFAULT_RECORDER_CAPACITY: usize = 256;
 
 impl TraceConfig {
     /// Reads `NNLUT_TRACE` from the environment: `1` or `true` enables
-    /// the flight recorder at [`DEFAULT_RECORDER_CAPACITY`]; anything
-    /// else (or unset) disables it.
+    /// the flight recorder (a ring of [`DEFAULT_RECORDER_CAPACITY`]
+    /// events); anything else (or unset) disables it.
     pub fn from_env() -> Self {
         let on = std::env::var("NNLUT_TRACE")
             .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
@@ -298,20 +296,14 @@ impl TraceConfig {
         }
     }
 
-    /// Recorder on at the default capacity.
+    /// Recorder on.
     pub fn enabled() -> Self {
-        Self {
-            recorder: true,
-            recorder_capacity: DEFAULT_RECORDER_CAPACITY,
-        }
+        Self { recorder: true }
     }
 
     /// Recorder off (per-request traces still run).
     pub fn disabled() -> Self {
-        Self {
-            recorder: false,
-            recorder_capacity: DEFAULT_RECORDER_CAPACITY,
-        }
+        Self { recorder: false }
     }
 }
 
@@ -631,10 +623,6 @@ mod tests {
     fn trace_config_modes() {
         assert!(TraceConfig::enabled().recorder);
         assert!(!TraceConfig::disabled().recorder);
-        assert_eq!(
-            TraceConfig::enabled().recorder_capacity,
-            DEFAULT_RECORDER_CAPACITY
-        );
     }
 
     #[test]

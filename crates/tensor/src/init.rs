@@ -1,7 +1,7 @@
 //! Deterministic, seedable weight initializers.
 //!
-//! Every matrix the reproduction creates is seeded, so all tables in
-//! `EXPERIMENTS.md` are exactly regenerable. Normal sampling is implemented
+//! Every matrix the reproduction creates is seeded, so every table the
+//! bench binaries print is exactly regenerable. Normal sampling is implemented
 //! with Box–Muller on top of [`rand`]'s uniform source to avoid an extra
 //! dependency.
 

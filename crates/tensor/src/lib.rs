@@ -6,8 +6,9 @@
 //!
 //! * [`Matrix`] — an owned, row-major `f32` matrix with blocked matrix
 //!   multiplication, transposition, and row/column iteration.
-//! * [`quant`] — symmetric INT8 quantization with i32 accumulation, mirroring
-//!   the I-BERT-style quantized matmul used in the paper's Table 2(b).
+//! * [`quant`] — symmetric INT8 quantization and an INT8-operand matmul
+//!   for the paper's Table 2(b) body (products are summed in f32, not i32;
+//!   see ROADMAP item 6).
 //! * [`init`] — deterministic, seedable weight initializers (uniform, normal
 //!   via Box–Muller, Xavier).
 //! * [`stats`] — the reductions the evaluation harness needs (mean, variance,

@@ -1,14 +1,16 @@
-//! Symmetric INT8 quantization with i32 accumulation.
+//! Symmetric INT8 quantization and an INT8-operand matmul.
 //!
 //! The paper's Table 2(b) evaluates NN-LUT inside an INT8-quantized RoBERTa
 //! (the I-BERT code base): matrix multiplications run on INT8 operands with
 //! INT32 accumulators, while non-linear ops receive de-quantized (or
-//! scale-carrying) values. This module reproduces that arithmetic:
+//! scale-carrying) values. This module reproduces the INT8 operands; its
+//! matmul still sums the de-quantized products in f32 rather than in an
+//! INT32 accumulator (ROADMAP item 6 tracks the integer kernel):
 //!
 //! * [`Quantizer`] derives a symmetric per-tensor scale from the max-abs value.
 //! * [`QuantizedMatrix`] stores `i8` values plus their scale.
-//! * [`QuantizedMatrix::matmul`] multiplies in integer domain and returns the
-//!   de-quantized `f32` result (output scale = product of input scales).
+//! * [`QuantizedMatrix::matmul`] multiplies i8 pairs exactly and sums the
+//!   de-quantized products in `f32` (output scale = product of input scales).
 
 use crate::Matrix;
 
@@ -120,10 +122,10 @@ impl QuantizedMatrix {
         Matrix::from_vec(self.rows, self.cols, data)
     }
 
-    /// Integer matmul: INT8 × INT8 → INT32 accumulate → de-quantized `f32`.
-    ///
-    /// The output scale is `self.scale * rhs.scale`, exactly as in
-    /// I-BERT's quantized GEMM.
+    /// INT8 × INT8 matmul with an f32 sum: each exact integer product is
+    /// scaled by `self.scale * rhs.scale` (I-BERT's output scale) and
+    /// added in f32, in i-k-j order. I-BERT accumulates in INT32 and
+    /// de-quantizes once; ROADMAP item 6 tracks that kernel.
     ///
     /// # Panics
     ///
@@ -145,9 +147,8 @@ impl QuantizedMatrix {
                 let rhs_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
                 let out_row = &mut out.as_mut_slice()[i * rhs.cols..(i + 1) * rhs.cols];
                 for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                    // i32 accumulation happens in f32 space here only at the
-                    // final store; the product a*b fits in i16 range so no
-                    // overflow is possible before conversion.
+                    // The product a*b fits in i16, so it is exact; the
+                    // sum, though, is in f32, not i32.
                     *o += (a * b as i32) as f32 * out_scale;
                 }
             }

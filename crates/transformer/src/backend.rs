@@ -265,59 +265,22 @@ impl Nonlinearity {
         gamma: &[f32],
         beta: &[f32],
         eps: f32,
-        mut capture: Option<&mut ActivationCapture>,
+        capture: Option<&mut ActivationCapture>,
     ) {
-        assert_eq!(gamma.len(), m.cols(), "gamma length mismatch");
-        assert_eq!(beta.len(), m.cols(), "beta length mismatch");
-        if capture.is_none() {
-            // The capture-free path is the chunk kernel over the whole
-            // buffer — one code path for serial and pooled execution.
-            let cols = m.cols();
-            self.layer_norm_chunk(m.as_mut_slice(), cols, gamma, beta, eps);
-            return;
-        }
-        // Resolve the backend once, not per row: the row loop then runs
-        // the selected batch kernel back-to-back over the matrix buffer.
-        let rows = m.rows();
-        profiled(self.profile.as_deref(), OpKind::LayerNorm, rows, || {
-            match &self.layernorm {
-                OpImpl::Exact | OpImpl::Softermax => {
-                    for row in m.rows_iter_mut() {
-                        let var = exact_layer_norm(row, eps);
-                        if let Some(cap) = capture.as_deref_mut() {
-                            cap.record(var);
-                        }
-                        affine_row(row, gamma, beta);
-                    }
-                }
-                OpImpl::Lut(kit) => {
-                    for row in m.rows_iter_mut() {
-                        let var = kit.layer_norm(row, eps);
-                        if let Some(cap) = capture.as_deref_mut() {
-                            cap.record(var);
-                        }
-                        affine_row(row, gamma, beta);
-                    }
-                }
-                OpImpl::IBert => {
-                    for row in m.rows_iter_mut() {
-                        if let Some(cap) = capture.as_deref_mut() {
-                            // Record the same signal for parity even though the
-                            // I-BERT path is not calibratable.
-                            let n = row.len() as f32;
-                            let mean = row.iter().sum::<f32>() / n;
-                            let var = row.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / n;
-                            cap.record(var + eps);
-                        }
-                        i_layernorm_f32(row);
-                        affine_row(row, gamma, beta);
-                    }
-                }
+        if let Some(cap) = capture {
+            // The exact and LUT backends feed their 1/√x step the input
+            // row's two-pass variance plus `eps` (I-BERT records the same
+            // value for parity), so it is read off the rows before they
+            // are normalized in place.
+            for row in m.rows_iter() {
+                cap.record(row_variance(row) + eps);
             }
-        });
+        }
+        let cols = m.cols();
+        self.layer_norm_chunk(m.as_mut_slice(), cols, gamma, beta, eps);
     }
 
-    /// Row-chunk LayerNorm + affine, the capture-free batch-path kernel:
+    /// Row-chunk LayerNorm + affine, the one LayerNorm kernel:
     /// `data` is a row-major `… × cols` buffer. LayerNorm is row-local
     /// (mean/variance of one row only), so running disjoint chunks on any
     /// executor is bit-identical to one serial pass.
@@ -352,10 +315,7 @@ impl Nonlinearity {
                 OpImpl::Lut(kit) => {
                     // Fused norm+affine: bit-identical to the
                     // `layer_norm` + `affine_row` pair in fewer row
-                    // passes. The capture path above keeps the unfused
-                    // pair (it needs nothing the fused kernel lacks, but
-                    // staying split keeps `kit.layer_norm` integration-
-                    // exercised on a real serving path).
+                    // passes.
                     for row in data.chunks_exact_mut(cols) {
                         kit.layer_norm_fused_affine(row, eps, gamma, beta);
                     }
@@ -438,6 +398,14 @@ pub fn exact_softmax(row: &mut [f32]) {
     for v in row.iter_mut() {
         *v /= sum;
     }
+}
+
+/// Two-pass population variance of one row: `Σ(x − mean)² / n`, the
+/// exact arithmetic every LayerNorm backend feeds (plus `eps`) to 1/√x.
+fn row_variance(row: &[f32]) -> f32 {
+    let n = row.len() as f32;
+    let mean = row.iter().sum::<f32>() / n;
+    row.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / n
 }
 
 /// Reference FP32 LayerNorm (no affine, in place); returns the variance+eps
@@ -594,6 +562,49 @@ mod tests {
             nl.layer_norm_chunk(bottom, 8, &gamma, &beta, 1e-5);
             for (got, want) in chunked.as_slice().iter().zip(whole.as_slice()) {
                 assert_eq!(got.to_bits(), want.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn capture_changes_no_bit_and_records_what_each_backend_feeds() {
+        use nnlut_core::precision::Precision;
+        let (rows, cols, eps) = (5, 24, 1e-5);
+        let gamma: Vec<f32> = (0..cols).map(|i| 0.7 + 0.03 * i as f32).collect();
+        let beta: Vec<f32> = (0..cols).map(|i| 0.02 * i as f32 - 0.2).collect();
+        let base = Matrix::from_vec(
+            rows,
+            cols,
+            (0..rows * cols)
+                .map(|i| (i as f32 * 0.61).sin() * (1 + i / cols) as f32 * 1.7)
+                .collect(),
+        );
+        let kit = kit();
+        let mut backends = vec![
+            (Nonlinearity::exact(), None),
+            (Nonlinearity::all_ibert(), None),
+        ];
+        for p in [Precision::F32, Precision::F16, Precision::Int32] {
+            let k = kit.with_precision(p).unwrap();
+            backends.push((Nonlinearity::all_lut(&k), Some(k)));
+        }
+        for (nl, lut) in &backends {
+            let mut off = base.clone();
+            nl.apply_layer_norm_rows(&mut off, &gamma, &beta, eps, None);
+            let mut on = base.clone();
+            let mut cap = ActivationCapture::new(rows, 0);
+            nl.apply_layer_norm_rows(&mut on, &gamma, &beta, eps, Some(&mut cap));
+            for (got, want) in on.as_slice().iter().zip(off.as_slice()) {
+                assert_eq!(got.to_bits(), want.to_bits());
+            }
+            assert_eq!(cap.len(), rows);
+            for (r, &sample) in cap.samples().iter().enumerate() {
+                let mut row = base.row(r).to_vec();
+                let fed = match lut {
+                    Some(k) => k.layer_norm(&mut row, eps),
+                    None => exact_layer_norm(&mut row, eps),
+                };
+                assert_eq!(sample.to_bits(), fed.to_bits(), "row {r}");
             }
         }
     }

@@ -30,7 +30,7 @@
 //! * [`quant`] — FP32 / FP16 / INT8 matrix-multiply modes (Table 2(b) runs
 //!   the body in INT8; Table 3 in FP16).
 //! * [`tasks`] — synthetic GLUE-like classification/regression tasks and a
-//!   SQuAD-like span-extraction task (see DESIGN.md §3 for why these
+//!   SQuAD-like span-extraction task (the module docs say why these
 //!   substitute for the real datasets).
 //! * [`head`] — frozen-body head training (the "fine-tuned downstream
 //!   model" of the paper, with all Transformer parameters frozen).

@@ -22,8 +22,9 @@ pub enum MatmulMode {
     /// FP32 reference GEMM.
     #[default]
     F32,
-    /// Symmetric per-tensor INT8 GEMM with INT32 accumulation (I-BERT
-    /// style fake quantization at every layer boundary).
+    /// Symmetric per-tensor INT8 GEMM (I-BERT style fake quantization at
+    /// every layer boundary). The i8×i8 products are summed in f32, not
+    /// in an INT32 accumulator; ROADMAP item 6 tracks the integer kernel.
     Int8,
     /// Binary16 GEMM: operands rounded to half, FP32 accumulation, result
     /// rounded to half (tensor-core semantics).

@@ -3,7 +3,7 @@
 //! The paper evaluates on GLUE (8 tasks) and SQuAD v1.1. Those datasets
 //! need real pre-trained language models to be meaningful; this
 //! reproduction substitutes *synthetic* tasks whose labels are learnably
-//! encoded in token statistics (see DESIGN.md §3). What the substitution
+//! encoded in token statistics. What the substitution
 //! preserves — and what the paper's claim is actually about — is the
 //! sensitivity of a frozen feature extractor + trained head to
 //! approximation error injected at the non-linear ops.
