@@ -984,8 +984,8 @@ fn resolve_batch(
 /// prefills splits by member kind — encodes re-pack and run wide,
 /// prefills run through [`BertModel::prefill_batch`] (per-sequence
 /// serial inside its lane, so results are composition-independent
-/// bitwise) with the first token read greedily. Results return in member
-/// order.
+/// bitwise), and every first token is read in one
+/// [`BertModel::greedy_tokens`] pass. Results return in member order.
 fn run_bucket(
     model: &BertModel,
     closed: &ClosedBatch,
@@ -1027,11 +1027,13 @@ fn run_bucket(
     let pre_idx: Vec<usize> = (0..seqs.len()).filter(|&i| is_gen[i]).collect();
     if !pre_idx.is_empty() {
         let pre_seqs: Vec<Vec<usize>> = pre_idx.iter().map(|&i| seqs[i].clone()).collect();
-        for (&i, (cache, hidden)) in pre_idx
-            .iter()
-            .zip(model.prefill_batch(&pre_seqs, nl, mode, pool))
-        {
-            let token = model.greedy_token(&hidden);
+        let (caches, hiddens): (Vec<KvCache>, Vec<Vec<f32>>) = model
+            .prefill_batch(&pre_seqs, nl, mode, pool)
+            .into_iter()
+            .unzip();
+        let hidden = Matrix::from_vec(hiddens.len(), model.config().hidden, hiddens.concat());
+        let tokens = model.greedy_tokens(&hidden, pool);
+        for ((&i, cache), token) in pre_idx.iter().zip(caches).zip(tokens) {
             out[i] = Some(MemberResult::Prefilled { cache, token });
         }
     }
@@ -1040,10 +1042,11 @@ fn run_bucket(
         .collect()
 }
 
-/// Runs one closed decode batch: every sequence advances one token
-/// ([`BertModel::decode_batch`], lane-split, bit-identical to stepping
-/// alone) and its next token is read greedily. Caches return with their
-/// new K/V rows appended.
+/// Runs one closed decode batch: every sequence advances one token in one
+/// B-row block ([`BertModel::decode_batch`], bit-identical to stepping
+/// alone) and all next tokens are read in one pass over the LM head
+/// ([`BertModel::greedy_tokens`]). Caches return with their new K/V rows
+/// appended.
 fn run_decode(
     model: &BertModel,
     mut steps: Vec<(KvCache, usize)>,
@@ -1051,17 +1054,15 @@ fn run_decode(
     mode: MatmulMode,
     pool: &ThreadPool,
 ) -> Vec<(KvCache, usize)> {
-    let hiddens = {
+    let hidden = {
         let mut refs: Vec<(&mut KvCache, usize)> = steps.iter_mut().map(|(c, t)| (c, *t)).collect();
         model.decode_batch(&mut refs, nl, mode, pool)
     };
+    let tokens = model.greedy_tokens(&hidden, pool);
     steps
         .into_iter()
-        .zip(hiddens)
-        .map(|((cache, _), hidden)| {
-            let token = model.greedy_token(&hidden);
-            (cache, token)
-        })
+        .zip(tokens)
+        .map(|((cache, _), token)| (cache, token))
         .collect()
 }
 

@@ -19,7 +19,19 @@
 //! head (appending every position's K/V to the cache first), and
 //! `decode_step` dots its one query row against the cache. The decode
 //! step's attention stays its own code: it is the step-at-a-time oracle
-//! `prefill` is tested against.
+//! `prefill` and the batched forms are tested against.
+//!
+//! Serving batches both halves of a token's cost across the sequences of
+//! a decode batch. [`BertModel::decode_batch`] runs the block **once over
+//! all B rows** per layer, each row attending against its own cache, so
+//! every weight streams once per batch. [`BertModel::greedy_tokens`]
+//! reads all B next tokens in **one pass over the tied LM head**: the
+//! token embedding is stored once as `Eᵀ` in the packed GEMM's 16-column
+//! panels (the crate's `gemm` module), and the pass folds each register tile's
+//! logits into a running per-row argmax, split across the executor's
+//! lanes by panel range. At the bench shape (50,265 × 768) that pass is
+//! most of a token's time, and reading the 154 MB of panels once for B
+//! rows instead of B times is the batching gain.
 //!
 //! # Determinism contract (extended to decode)
 //!
@@ -44,15 +56,16 @@
 //! 1. `prefill(prompt)` produces bit-identical hidden states and cache
 //!    contents to feeding the prompt through [`BertModel::decode_step`]
 //!    one token at a time (cached attention == full recompute);
-//! 2. [`BertModel::decode_batch`] over any mix of sequences equals each
-//!    sequence decoded alone, at any lane count — continuous batching
+//! 2. [`BertModel::decode_batch`] over any mix of sequences, at any mix
+//!    of cache depths, equals each sequence decoded alone, and
+//!    [`BertModel::greedy_tokens`] equals the serial first-max loop over
+//!    the row-major embedding, at any lane count — continuous batching
 //!    never changes a generated token;
 //! 3. rebuilding a lost cache by re-prefilling `prompt ++ generated` and
 //!    continuing yields the same remaining tokens as the uninterrupted
 //!    run (the sharded layer's failover-with-cache-rebuild leans on 1).
 
-use std::sync::Mutex;
-
+use nnlut_core::engine::chunk_ranges;
 use nnlut_tensor::Matrix;
 
 use crate::backend::Nonlinearity;
@@ -270,29 +283,53 @@ impl BertModel {
         x.into_vec()
     }
 
-    /// Greedy next-token readout: logits are the dot of the hidden row
-    /// with every (tied) token embedding, computed in FP32 in a fixed
-    /// order; ties break to the lowest id. Deterministic and row-local —
-    /// batch composition can never change the chosen token.
+    /// Greedy next-token readout of one hidden row: the one-row,
+    /// [`SerialExecutor`] case of [`BertModel::greedy_tokens`].
     ///
     /// # Panics
     ///
     /// Panics if `hidden` is not `hidden`-dim wide.
     pub fn greedy_token(&self, hidden: &[f32]) -> usize {
-        assert_eq!(hidden.len(), self.config.hidden, "hidden width mismatch");
-        let mut best = 0usize;
-        let mut best_logit = f32::NEG_INFINITY;
-        for t in 0..self.config.vocab {
-            let mut logit = 0.0f32;
-            for (c, &h) in hidden.iter().enumerate() {
-                logit += h * self.token_embedding[(t, c)];
-            }
-            if logit > best_logit {
-                best_logit = logit;
-                best = t;
+        let row = Matrix::from_vec(1, hidden.len(), hidden.to_vec());
+        self.greedy_tokens(&row, &SerialExecutor)[0]
+    }
+
+    /// Greedy next-token readout of every row of `hidden` in one pass over
+    /// the tied LM head. Row `i`'s logit for token `t` is its dot with
+    /// token `t`'s embedding, in FP32: `0.0`, then `+= h[c]·E[t][c]` for
+    /// `c` ascending, no FMA. Its token is the first `t` whose logit is
+    /// strictly greater than every earlier one (from `−inf`), so ties go
+    /// to the lowest id, NaN logits never win, and a row with no logit
+    /// above `−inf` reads token 0.
+    ///
+    /// The embedding's panels are split across `exec` lanes, and each lane
+    /// runs the packed GEMM tile over its panels for up to four rows at a
+    /// time, folding each tile's logits into a running per-row best — no
+    /// `rows × vocab` logits buffer is built, and each panel is read once
+    /// per call, not once per row. The lanes' bests merge in lane order
+    /// under the same strict `>`, so the tokens equal the serial fold at
+    /// any lane count and are row-local: batch composition never changes
+    /// a chosen token.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hidden` is not `hidden`-dim wide.
+    pub fn greedy_tokens(&self, hidden: &Matrix, exec: &dyn BatchExecutor) -> Vec<usize> {
+        assert_eq!(hidden.cols(), self.config.hidden, "hidden width mismatch");
+        let head = &self.token_embedding;
+        let ranges = chunk_ranges(head.panel_count(), exec.lanes());
+        let lanes = par_map(exec, ranges.len(), |lane| {
+            head.argmax_cols(hidden.as_slice(), hidden.rows(), ranges[lane].clone())
+        });
+        let mut best = vec![(0usize, f32::NEG_INFINITY); hidden.rows()];
+        for lane in lanes {
+            for (b, (id, logit)) in best.iter_mut().zip(lane) {
+                if logit > b.1 {
+                    *b = (id, logit);
+                }
             }
         }
-        best
+        best.into_iter().map(|(id, _)| id).collect()
     }
 
     /// Prefills many prompts concurrently — one fresh cache per prompt,
@@ -319,29 +356,80 @@ impl BertModel {
 
     /// Advances many sequences by one token each — the continuous-batching
     /// workhorse. `steps` pairs each sequence's cache with the token to
-    /// feed it; sequences are split across `exec` lanes
-    /// ([`nnlut_core::engine::chunk_ranges`] assignment) and each step
-    /// runs the serial [`BertModel::decode_step`] inside its lane.
-    /// Returns each sequence's new hidden row, in input order.
+    /// feed it. Returns the new hidden states as a `B × hidden` matrix,
+    /// row `i` for step `i`.
     ///
-    /// Bit-identical to stepping each sequence alone, at any lane count
-    /// and under any batch composition — the property
-    /// `tests/serve_decode.rs` pins across precisions and thread counts.
+    /// All `B` rows run as one block per layer at per-row scope, so every
+    /// weight streams once per batch rather than once per sequence. Row
+    /// `i` is embedded at its own cache depth; the attention pushes row
+    /// `i`'s K/V to cache `i`, then attends row `i` against cache `i` alone,
+    /// one `(row, head)` pair per item across `exec`'s lanes, with the ops
+    /// [`BertModel::decode_step`] runs. Every other stage is row-local at
+    /// this scope (the INT8 quantizer and the I-BERT GELU scale are taken
+    /// per row, as a decode step takes them), so each row is bit-identical
+    /// to stepping its sequence alone, at any lane count and under any
+    /// batch composition — the property the tests here and
+    /// `tests/serve_decode.rs` pin across precisions and thread counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `steps` is empty, or on any step [`BertModel::decode_step`]
+    /// would panic on.
     pub fn decode_batch(
         &self,
         steps: &mut [(&mut KvCache, usize)],
         nl: &Nonlinearity,
         mode: MatmulMode,
         exec: &dyn BatchExecutor,
-    ) -> Vec<Vec<f32>> {
+    ) -> Matrix {
         assert!(!steps.is_empty(), "cannot decode an empty batch");
-        let steps: Vec<Mutex<&mut (&mut KvCache, usize)>> =
-            steps.iter_mut().map(Mutex::new).collect();
-        par_map(exec, steps.len(), |i| {
-            let mut step = steps[i].lock().expect("decode step poisoned");
-            let (cache, token) = &mut **step;
-            self.decode_step(cache, *token, nl, mode)
-        })
+        let b = steps.len();
+        let d = self.config.hidden;
+        let heads = self.config.heads;
+        let dh = self.config.head_dim();
+        let scale = 1.0 / (dh as f32).sqrt();
+        let mut x = Matrix::zeros(b, d);
+        for ((cache, token), row) in steps.iter().zip(x.rows_iter_mut()) {
+            assert!(
+                !cache.is_full(),
+                "KV cache is full ({} positions)",
+                cache.capacity
+            );
+            self.check_cache(cache);
+            self.embed_into(*token, cache.len, row);
+        }
+
+        for (l, layer) in self.layers.iter().enumerate() {
+            x = self.block(layer, &x, nl, mode, Scope::Row, exec, |q, k, v| {
+                for (i, (cache, _)) in steps.iter_mut().enumerate() {
+                    cache.push(l, k.row(i), v.row(i));
+                }
+                let steps = &*steps;
+                let parts = par_map(exec, b * heads, |pair| {
+                    let (i, h) = (pair / heads, pair % heads);
+                    let cache = &steps[i].0;
+                    let p = cache.len;
+                    let (lo, hi) = (h * dh, (h + 1) * dh);
+                    let kh = copy_block(&cache.k[l], d, 0..p + 1, lo..hi);
+                    let vh = copy_block(&cache.v[l], d, 0..p + 1, lo..hi);
+                    let qh = Matrix::from_vec(1, dh, q.row(i)[lo..hi].to_vec());
+                    let mut scores = qh.matmul_transpose(&kh);
+                    scores.scale(scale);
+                    nl.apply_softmax_rows_masked(&mut scores, &[p + 1]);
+                    crate::quant::matmul(&scores, &vh, mode)
+                });
+                let mut ctx = Matrix::zeros(b, d);
+                for (pair, ctx_h) in parts.iter().enumerate() {
+                    let (i, h) = (pair / heads, pair % heads);
+                    ctx.row_mut(i)[h * dh..(h + 1) * dh].copy_from_slice(ctx_h.row(0));
+                }
+                ctx
+            });
+        }
+        for (cache, _) in steps.iter_mut() {
+            cache.len += 1;
+        }
+        x
     }
 
     /// Serial greedy generation — the step-at-a-time oracle the serving
@@ -529,31 +617,169 @@ mod tests {
         assert!(r.is_err(), "a full cache must refuse another step");
     }
 
-    /// decode_batch == each sequence stepped alone, at several lane
-    /// counts, with a non-dividing sequence count.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The B-row decode block == each sequence stepped alone by
+    /// `decode_step`, bit for bit — hidden rows, greedy tokens and caches —
+    /// at every matmul mode and backend and one to four lanes, over several
+    /// consecutive steps of a batch whose members sit at different cache
+    /// depths and whose composition changes between steps.
     #[test]
     fn decode_batch_matches_serial_per_sequence() {
-        let m = tiny_model();
-        let kit = NnLutKit::train_with(16, 9, &TrainConfig::fast());
-        let nl = Nonlinearity::all_lut(&kit);
+        let mut m = tiny_model();
+        let calib: Vec<Vec<usize>> = (0..4).map(|s| prompt(5 + s, s)).collect();
+        m.bake_codebooks(
+            &CodebookSpec::default(),
+            &calib,
+            &Nonlinearity::exact(),
+            128,
+        );
         let prompts: Vec<Vec<usize>> = (0..5).map(|s| prompt(3 + s * 2, s)).collect();
-        // Oracle: each sequence alone.
-        let mut want = Vec::new();
-        for p in &prompts {
-            let mut cache = m.new_cache();
-            m.prefill(p, &mut cache, &nl, MatmulMode::F32, &SerialExecutor);
-            let h = m.decode_step(&mut cache, 7, &nl, MatmulMode::F32);
-            want.push(h.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        let modes = [
+            MatmulMode::F32,
+            MatmulMode::F16,
+            MatmulMode::Int8,
+            MatmulMode::Codebook,
+        ];
+        for (backend, nl) in ["exact", "LUT", "I-BERT"].into_iter().zip(backends()) {
+            for mode in modes {
+                for lanes in 1..=4 {
+                    let exec = FakeLanes(lanes);
+                    let mut oracle: Vec<(KvCache, usize)> = Vec::new();
+                    let mut batched: Vec<(KvCache, usize)> = Vec::new();
+                    for p in &prompts {
+                        let mut cache = m.new_cache();
+                        let h = m.prefill(p, &mut cache, &nl, mode, &SerialExecutor);
+                        let token = m.greedy_token(&h);
+                        oracle.push((cache.clone(), token));
+                        batched.push((cache, token));
+                    }
+                    for step in 0..4 {
+                        // Step 0 runs everyone; later steps leave out a
+                        // rotating member, so depths diverge further.
+                        let members: Vec<usize> = (0..prompts.len())
+                            .filter(|&i| step == 0 || i % 4 != step)
+                            .collect();
+                        let mut want = Vec::new();
+                        for &i in &members {
+                            let (cache, token) = &mut oracle[i];
+                            let h = m.decode_step(cache, *token, &nl, mode);
+                            *token = m.greedy_token(&h);
+                            want.push(bits(&h));
+                        }
+                        let mut refs: Vec<(&mut KvCache, usize)> = batched
+                            .iter_mut()
+                            .enumerate()
+                            .filter(|(i, _)| members.contains(i))
+                            .map(|(_, (cache, token))| (cache, *token))
+                            .collect();
+                        let hidden = m.decode_batch(&mut refs, &nl, mode, &exec);
+                        let tokens = m.greedy_tokens(&hidden, &exec);
+                        for (j, &i) in members.iter().enumerate() {
+                            let what =
+                                format!("{backend} {mode} {lanes} lanes step {step} seq {i}");
+                            assert_eq!(bits(hidden.row(j)), want[j], "{what}: hidden");
+                            assert_eq!(tokens[j], oracle[i].1, "{what}: token");
+                            batched[i].1 = tokens[j];
+                        }
+                    }
+                    for ((got, _), (want, _)) in batched.iter().zip(&oracle) {
+                        assert_eq!(got.len(), want.len());
+                        for l in 0..got.layers() {
+                            assert_eq!(bits(&got.k[l]), bits(&want.k[l]), "{mode} K layer {l}");
+                            assert_eq!(bits(&got.v[l]), bits(&want.v[l]), "{mode} V layer {l}");
+                        }
+                    }
+                }
+            }
         }
-        // Batched: prefill_batch + one decode_batch.
-        let mut states = m.prefill_batch(&prompts, &nl, MatmulMode::F32, &SerialExecutor);
-        let mut steps: Vec<(&mut KvCache, usize)> = states
-            .iter_mut()
-            .map(|(cache, _)| (cache, 7usize))
-            .collect();
-        let got = m.decode_batch(&mut steps, &nl, MatmulMode::F32, &SerialExecutor);
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(&g.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), w);
+    }
+
+    /// `greedy_tokens` at one to four lanes == `greedy_token` row by row ==
+    /// a first-max loop over the row-major embedding, for B = 1…9 and
+    /// vocabularies that leave a partial last panel. The rows include one
+    /// whose logits are all negative and greatest in the last panel (its
+    /// zero padding must not win), an all-zero row (every logit ties: id
+    /// 0), and rows holding NaN and ±inf.
+    #[test]
+    fn greedy_tokens_match_the_serial_first_max() {
+        for vocab in [37usize, 128, 129] {
+            let cfg = TransformerConfig {
+                vocab,
+                ..TransformerConfig::roberta_tiny()
+            };
+            let d = cfg.hidden;
+            let mut m = BertModel::new_synthetic(cfg, 4);
+            // Column 0 positive and smallest at the last id, so the row
+            // (−1, 0, …) reads only negative logits, the greatest at vocab−1.
+            let mut e = m.token_embedding.unpack().transposed();
+            for (t, row) in e.rows_iter_mut().enumerate() {
+                row[0] = 1.0 + (vocab - 1 - t) as f32 / 256.0;
+            }
+            m.token_embedding = crate::gemm::PackedWeight::transposed(e.clone());
+            let mut negative = vec![0.0f32; d];
+            negative[0] = -1.0;
+            let mut pool = vec![negative, vec![0.0; d]];
+            for (c, special) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+                .into_iter()
+                .enumerate()
+            {
+                let mut row = m.embed(&[c + 5]).into_vec();
+                row[c + 1] = special;
+                pool.push(row);
+            }
+            pool.extend((0..4).map(|s| m.embed(&prompt(1, 11 * s)).into_vec()));
+            let first_max = |h: &[f32]| {
+                let mut best = (0usize, f32::NEG_INFINITY);
+                for (t, e_row) in e.rows_iter().enumerate() {
+                    let mut logit = 0.0f32;
+                    for (&hv, &ev) in h.iter().zip(e_row) {
+                        logit += hv * ev;
+                    }
+                    if logit > best.1 {
+                        best = (t, logit);
+                    }
+                }
+                best.0
+            };
+            assert_eq!(first_max(&pool[0]), vocab - 1);
+            for b in 1..=9usize {
+                let rows: Vec<f32> = (0..b)
+                    .flat_map(|i| pool[(i + b) % pool.len()].clone())
+                    .collect();
+                let hidden = Matrix::from_vec(b, d, rows);
+                let want: Vec<usize> = hidden.rows_iter().map(first_max).collect();
+                let one: Vec<usize> = hidden.rows_iter().map(|h| m.greedy_token(h)).collect();
+                assert_eq!(one, want, "vocab {vocab} B {b}: greedy_token");
+                for lanes in 1..=4 {
+                    let got = m.greedy_tokens(&hidden, &FakeLanes(lanes));
+                    assert_eq!(got, want, "vocab {vocab} B {b} at {lanes} lanes");
+                }
+            }
+        }
+    }
+
+    /// Stored as Eᵀ panels, the embedding still reads back E's rows plus
+    /// the position rows, bit for bit, through `embed` and `embed_into`.
+    #[test]
+    fn embedding_reads_back_token_plus_position_rows() {
+        let m = tiny_model();
+        let e = m.token_embedding.unpack().transposed();
+        let tokens = prompt(20, 3);
+        let x = m.embed(&tokens);
+        for (pos, &t) in tokens.iter().enumerate() {
+            let want: Vec<f32> = e
+                .row(t)
+                .iter()
+                .zip(m.pos_embedding.row(pos))
+                .map(|(&a, &b)| a + b)
+                .collect();
+            assert_eq!(bits(x.row(pos)), bits(&want), "embed pos {pos}");
+            let mut row = vec![f32::NAN; 64];
+            m.embed_into(t, pos, &mut row);
+            assert_eq!(bits(&row), bits(&want), "embed_into pos {pos}");
         }
     }
 

@@ -10,6 +10,13 @@
 //! The row-major i-k-j loop ([`Matrix::matmul_rows_into`]) re-streams
 //! every weight row for each output row instead.
 //!
+//! The tied token embedding `E` (`vocab × hidden`) is the LM head's weight
+//! `Eᵀ`, and is stored the same way ([`PackedWeight::transposed`]): a
+//! 16-row block of `E` is exactly one panel of `Eᵀ`. The greedy readout
+//! ([`PackedWeight::argmax_cols`]) runs the same tiles and folds each
+//! tile's outputs straight into a running per-row maximum, so no
+//! `rows × vocab` logits buffer exists.
+//!
 //! # Dispatch
 //!
 //! The kernel is chosen **once, at pack time**, by the rule the LUT engine
@@ -41,6 +48,8 @@
 //! products disagree on most of theirs. Finite results, infinities,
 //! signed zeros and NaN-ness are exact. (The LUT engines keep their full
 //! bitwise contract, payloads included; see docs/PERFORMANCE.md.)
+
+use std::ops::Range;
 
 use nnlut_core::engine::simd::{self, SimdLevel};
 use nnlut_tensor::Matrix;
@@ -132,6 +141,37 @@ impl PackedWeight {
         }
     }
 
+    /// Packs `Wᵀ` for the running CPU's kernel, given the row-major `w`
+    /// (`n × k`): row `j` of `w` becomes column `j` of the packed weight.
+    ///
+    /// A 16-row block of `w` is contiguous and holds exactly the values of
+    /// one panel, in the panel's own place, so each block is transposed in
+    /// place through a 16-row scratch: linear time, and no second copy of a
+    /// large weight. Only the last panel's zero rows are appended.
+    pub(crate) fn transposed(w: Matrix) -> Self {
+        let (cols, rows) = w.shape();
+        let block = rows * PANEL;
+        let mut panels = w.into_vec();
+        panels.resize(cols.div_ceil(PANEL) * block, 0.0);
+        let mut scratch = vec![0.0f32; block];
+        for panel in panels.chunks_exact_mut(block.max(1)) {
+            scratch.copy_from_slice(panel);
+            // `scratch` holds up to 16 rows of `w` (zeros past `n`); `w[j][r]`
+            // belongs at panel entry `r·16 + j`.
+            for (j, w_row) in scratch.chunks_exact(rows).enumerate() {
+                for (r, &v) in w_row.iter().enumerate() {
+                    panel[r * PANEL + j] = v;
+                }
+            }
+        }
+        Self {
+            rows,
+            cols,
+            panels,
+            level: simd::detect(),
+        }
+    }
+
     /// The row-major weight, bit for bit.
     pub(crate) fn unpack(&self) -> Matrix {
         let mut w = Matrix::zeros(self.rows, self.cols);
@@ -160,6 +200,107 @@ impl PackedWeight {
     /// Output dimension `n`.
     pub(crate) fn cols(&self) -> usize {
         self.cols
+    }
+
+    /// Number of 16-column panels, `⌈n/16⌉`.
+    pub(crate) fn panel_count(&self) -> usize {
+        self.cols.div_ceil(PANEL)
+    }
+
+    /// Column `j`, top to bottom: a stride-16 walk down its panel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= n`.
+    pub(crate) fn col(&self, j: usize) -> impl Iterator<Item = f32> + '_ {
+        assert!(j < self.cols, "column {j} out of {}", self.cols);
+        let at = (j / PANEL) * self.rows * PANEL + j % PANEL;
+        self.panels
+            .iter()
+            .skip(at)
+            .step_by(PANEL)
+            .take(self.rows)
+            .copied()
+    }
+
+    /// For each of the `m` rows of `a` (`m × k`, row-major), the
+    /// `(column, output)` of the row's greatest `x·W` output over the
+    /// columns of `panels`: a fold from `(0, −inf)` over those columns in
+    /// ascending order that takes a column only when its output is
+    /// strictly `>` the best so far. So ties keep the lowest column, NaN
+    /// outputs never win, and a row with nothing above `−inf` keeps
+    /// `(0, −inf)`. Only the real columns count: a padding column's output
+    /// is `0.0` and would otherwise beat an all-negative row. The outputs
+    /// are the GEMM's, bit for bit (see the module docs), one tile of up to
+    /// four rows and one panel at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != m·k` or a panel is out of range.
+    pub(crate) fn argmax_cols(
+        &self,
+        a: &[f32],
+        m: usize,
+        panels: Range<usize>,
+    ) -> Vec<(usize, f32)> {
+        let k = self.rows;
+        assert_eq!(a.len(), m * k, "argmax input length mismatch");
+        assert!(
+            panels.end <= self.panel_count(),
+            "panel range out of bounds"
+        );
+        let mut best = vec![(0usize, f32::NEG_INFINITY); m];
+        let mut tile = [0.0f32; 4 * PANEL];
+        for p in panels {
+            let c0 = p * PANEL;
+            let width = (self.cols - c0).min(PANEL);
+            for (i, best) in best.chunks_mut(4).enumerate() {
+                let out = &mut tile[..best.len() * PANEL];
+                self.panel_tile(&a[4 * i * k..(4 * i + best.len()) * k], p, out);
+                for (b, logits) in best.iter_mut().zip(out.chunks_exact(PANEL)) {
+                    for (j, &v) in logits[..width].iter().enumerate() {
+                        if v > b.1 {
+                            *b = (c0 + j, v);
+                        }
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    /// Up to four rows of `a` times panel `p`: all 16 columns, padding
+    /// included, into `out` (`rows × 16`).
+    fn panel_tile(&self, a: &[f32], p: usize, out: &mut [f32]) {
+        let k = self.rows;
+        let rows = out.len() / PANEL;
+        assert!(
+            rows <= 4 && out.len() == rows * PANEL && a.len() == rows * k,
+            "panel tile shape mismatch"
+        );
+        let panel = &self.panels[p * k * PANEL..(p + 1) * k * PANEL];
+        match self.level {
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            // SAFETY: `level` is `Avx2` only when the CPU has AVX2 (see
+            // `matmul_rows_into`); the assert above sizes `a` and `out` to
+            // `rows ≤ 4` rows, and `panel` is one whole `k × 16` panel.
+            SimdLevel::Avx2 => unsafe {
+                avx2::tile_rows(
+                    rows,
+                    a.as_ptr(),
+                    k,
+                    panel.as_ptr(),
+                    out.as_mut_ptr(),
+                    PANEL,
+                    PANEL,
+                )
+            },
+            _ => {
+                for (r, acc) in out.chunks_exact_mut(PANEL).enumerate() {
+                    scalar_row(&a[r * k..(r + 1) * k], panel, acc);
+                }
+            }
+        }
     }
 
     /// Rows `[r0, r1)` of `x · W` into `out`, a `(r1 - r0) × n` row-major
@@ -202,15 +343,21 @@ impl PackedWeight {
             let c0 = p * PANEL;
             let width = (n - c0).min(PANEL);
             for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
-                let a_row = &a[i * k..(i + 1) * k];
                 let mut acc = [0.0f32; PANEL];
-                for (&av, w) in a_row.iter().zip(panel.chunks_exact(PANEL)) {
-                    for (o, &wv) in acc.iter_mut().zip(w) {
-                        *o += av * wv;
-                    }
-                }
+                scalar_row(&a[i * k..(i + 1) * k], panel, &mut acc);
                 out_row[c0..c0 + width].copy_from_slice(&acc[..width]);
             }
+        }
+    }
+}
+
+/// One row of `k` times one `k × 16` panel into `acc`: each output from
+/// `0.0`, adding in k order.
+fn scalar_row(a_row: &[f32], panel: &[f32], acc: &mut [f32]) {
+    acc.fill(0.0);
+    for (&av, w) in a_row.iter().zip(panel.chunks_exact(PANEL)) {
+        for (o, &wv) in acc.iter_mut().zip(w) {
+            *o += av * wv;
         }
     }
 }
@@ -241,14 +388,33 @@ mod avx2 {
             while i < m {
                 let a = a.as_ptr().add(i * k);
                 let o = out.as_mut_ptr().add(i * n + p * PANEL);
-                match m - i {
-                    1 => tile::<1>(a, k, panel, o, n, width),
-                    2 => tile::<2>(a, k, panel, o, n, width),
-                    3 => tile::<3>(a, k, panel, o, n, width),
-                    _ => tile::<4>(a, k, panel, o, n, width),
-                }
+                tile_rows(m - i, a, k, panel, o, n, width);
                 i += 4;
             }
+        }
+    }
+
+    /// [`tile`] for `min(rows, 4)` rows.
+    ///
+    /// # Safety
+    ///
+    /// As [`tile`], for `min(rows, 4)` rows.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn tile_rows(
+        rows: usize,
+        a: *const f32,
+        k: usize,
+        panel: *const f32,
+        out: *mut f32,
+        n: usize,
+        width: usize,
+    ) {
+        match rows {
+            0 => {}
+            1 => tile::<1>(a, k, panel, out, n, width),
+            2 => tile::<2>(a, k, panel, out, n, width),
+            3 => tile::<3>(a, k, panel, out, n, width),
+            _ => tile::<4>(a, k, panel, out, n, width),
         }
     }
 
@@ -416,6 +582,115 @@ mod tests {
             assert_eq!(back.shape(), w.shape());
             for (b, o) in back.as_slice().iter().zip(w.as_slice()) {
                 assert_eq!(b.to_bits(), o.to_bits(), "{k}x{n}");
+            }
+        }
+    }
+
+    fn bits(v: impl IntoIterator<Item = f32>) -> Vec<u32> {
+        v.into_iter().map(f32::to_bits).collect()
+    }
+
+    /// `transposed` packs exactly what the general pack makes of `Wᵀ`,
+    /// padding included, and reads its columns back as `w`'s rows.
+    #[test]
+    fn transposed_pack_is_the_pack_of_the_transpose() {
+        let mut rng = Mix(11);
+        for (n, k) in [
+            (0, 3),
+            (3, 0),
+            (1, 1),
+            (15, 17),
+            (16, 17),
+            (37, 5),
+            (129, 64),
+        ] {
+            let w = rng.matrix(n, k, 0.3);
+            let packed = PackedWeight::transposed(w.clone());
+            let general = PackedWeight::new(w.transposed());
+            assert_eq!((packed.rows(), packed.cols()), (k, n));
+            assert_eq!(
+                bits(packed.panels.iter().copied()),
+                bits(general.panels.iter().copied()),
+                "{n}x{k}"
+            );
+            for j in 0..n {
+                assert_eq!(
+                    bits(packed.col(j)),
+                    bits(w.row(j).iter().copied()),
+                    "{n}x{k} col {j}"
+                );
+            }
+        }
+    }
+
+    /// The greedy fold over `E·h` against a row-major loop over `E`: every
+    /// logit bit for bit (NaN-ness for NaN), and the first strict maximum
+    /// from `(0, −inf)`, on both kernels. Vocabularies leave a partial last
+    /// panel; the rows include one whose logits are all negative and
+    /// greatest in that panel (a padding column's `0.0` must not win), an
+    /// all-zero row (every logit ties: id 0), and NaN and ±inf rows.
+    #[test]
+    fn argmax_matches_the_row_major_first_max() {
+        let mut rng = Mix(0xA4);
+        let k = 24;
+        for n in [1usize, 15, 16, 17, 37, 129] {
+            // Column 0 is positive and smallest at the last id, so the row
+            // (−1, 0, …) has only negative logits, the greatest at n − 1.
+            let mut e = rng.matrix(n, k, 0.0);
+            for (t, row) in e.rows_iter_mut().enumerate() {
+                row[0] = 1.0 + (n - 1 - t) as f32 / 64.0;
+            }
+            let mut negative = vec![0.0f32; k];
+            negative[0] = -1.0;
+            let mut pool = vec![negative, vec![0.0; k]];
+            for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut row = rng.matrix(1, k, 0.0).into_vec();
+                row[1] = special;
+                pool.push(row);
+            }
+            pool.extend((0..4).map(|_| rng.matrix(1, k, 0.0).into_vec()));
+            for level in levels() {
+                let packed = PackedWeight {
+                    level,
+                    ..PackedWeight::transposed(e.clone())
+                };
+                for m in 0..=9usize {
+                    let rows: Vec<f32> = (0..m)
+                        .flat_map(|i| pool[(i + m) % pool.len()].clone())
+                        .collect();
+                    let x = Matrix::from_vec(m, k, rows);
+                    let mut got = vec![0.0f32; m * n];
+                    packed.matmul_rows_into(&x, 0, m, &mut got);
+                    let best = packed.argmax_cols(x.as_slice(), m, 0..packed.panel_count());
+                    for (i, h) in x.rows_iter().enumerate() {
+                        let mut want = (0usize, f32::NEG_INFINITY);
+                        for (t, e_row) in e.rows_iter().enumerate() {
+                            let mut logit = 0.0f32;
+                            for (&hv, &ev) in h.iter().zip(e_row) {
+                                logit += hv * ev;
+                            }
+                            let g = got[i * n + t];
+                            assert!(
+                                if logit.is_nan() {
+                                    g.is_nan()
+                                } else {
+                                    g.to_bits() == logit.to_bits()
+                                },
+                                "{} n {n} row {i} logit {t}: {g:e} != {logit:e}",
+                                level.name()
+                            );
+                            if logit > want.1 {
+                                want = (t, logit);
+                            }
+                        }
+                        assert_eq!(
+                            (best[i].0, best[i].1.to_bits()),
+                            (want.0, want.1.to_bits()),
+                            "{} n {n} m {m} row {i}",
+                            level.name()
+                        );
+                    }
+                }
             }
         }
     }

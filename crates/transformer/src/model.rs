@@ -20,6 +20,7 @@ use rand::{Rng, SeedableRng};
 use crate::backend::Nonlinearity;
 use crate::config::{Activation, NormKind, TransformerConfig};
 use crate::exec::{par_map, run_row_chunks, BatchExecutor};
+use crate::gemm::PackedWeight;
 use crate::quant::{Linear, MatmulMode};
 
 /// One encoder layer's codebook-calibration taps: a [`RowCapture`]
@@ -196,7 +197,11 @@ pub(crate) enum Scope {
 #[derive(Debug, Clone)]
 pub struct BertModel {
     pub(crate) config: TransformerConfig,
-    pub(crate) token_embedding: Matrix,
+    /// The token embedding `E` (`vocab × hidden`), stored once as the tied
+    /// LM head's weight `Eᵀ` in 16-column panels: token `t`'s row is
+    /// column `t`, read with stride 16 by [`BertModel::embed_into`] and
+    /// scanned panel by panel by [`BertModel::greedy_tokens`].
+    pub(crate) token_embedding: PackedWeight,
     pub(crate) pos_embedding: Matrix,
     pub(crate) layers: Vec<EncoderLayer>,
     pub(crate) eps: f32,
@@ -291,7 +296,7 @@ impl BertModel {
             }
         }
         Self {
-            token_embedding,
+            token_embedding: PackedWeight::transposed(token_embedding),
             pos_embedding: normal_matrix(config.max_seq, d, 0.3, seed ^ 0xf0f0),
             config,
             layers,
@@ -315,8 +320,8 @@ impl BertModel {
             token < self.config.vocab,
             "token id {token} out of vocabulary"
         );
-        let (tok, at) = (self.token_embedding.row(token), self.pos_embedding.row(pos));
-        for ((v, &t), &p) in row.iter_mut().zip(tok).zip(at) {
+        let (tok, at) = (self.token_embedding.col(token), self.pos_embedding.row(pos));
+        for ((v, t), &p) in row.iter_mut().zip(tok).zip(at) {
             *v = t + p;
         }
     }
