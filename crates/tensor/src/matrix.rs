@@ -203,9 +203,10 @@ impl Matrix {
     ///
     /// This is the reference GEMM: every output is `0.0`, then
     /// `+= self[i][k]·rhs[k][j]` for k ascending, one multiply and one add
-    /// each. The serving model's frozen-weight linear layers run a packed
-    /// kernel that keeps exactly this per-element order (and is tested
-    /// against it); this loop still runs the dynamic attention matmuls.
+    /// each. The serving model's linear layers, LM head and batched
+    /// attention run a packed kernel that keeps exactly this per-element
+    /// order and is tested against it; serial `BertModel::encode` still
+    /// runs this loop, as the oracle.
     ///
     /// # Panics
     ///
@@ -273,9 +274,14 @@ impl Matrix {
         }
     }
 
-    /// `self * rhs.T` without materializing the transpose.
+    /// `self * rhs.T` without materializing the transpose: every output is
+    /// `0.0`, then `+= self[i][k]·rhs[j][k]` for k ascending, one multiply
+    /// and one add each, in one serial dot chain per output.
     ///
-    /// Attention computes `Q·Kᵀ`; this saves the transpose copy.
+    /// This is the attention oracle for `Q·Kᵀ`. The serving model's
+    /// batched and cached attention score on a packed kernel over Kᵀ
+    /// panels that keeps exactly this per-element order and is tested
+    /// against it; serial `BertModel::encode` still runs this loop.
     ///
     /// # Panics
     ///

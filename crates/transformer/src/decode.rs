@@ -17,9 +17,15 @@
 //! attention handed to it differs. `encode_batch` attends bidirectionally
 //! over each sequence's valid rows, `prefill` over a causal prefix per
 //! head (appending every position's K/V to the cache first), and
-//! `decode_step` dots its one query row against the cache. The decode
-//! step's attention stays its own code: it is the step-at-a-time oracle
-//! `prefill` and the batched forms are tested against.
+//! `decode_step` scores its one query row against the cache. The decode
+//! step is the step-at-a-time oracle `prefill` and the batched forms are
+//! tested against.
+//!
+//! The cache keeps each layer's keys as Kᵀ blocks of 16 positions, the
+//! packed GEMM tile's panels, and its values row-major. A step's attention
+//! (`q·Kᵀ`, then the probabilities times V) runs the one-row tile over
+//! both where they lie, with no per-head copy of the cache; `decode_step`
+//! and `decode_batch` share that code, one (row, head) pair at a time.
 //!
 //! Serving batches both halves of a token's cost across the sequences of
 //! a decode batch. [`BertModel::decode_batch`] runs the block **once over
@@ -44,8 +50,11 @@
 //! * the causal softmax evaluates exactly the `p + 1` cached scores with
 //!   the same per-row kernel as the masked batch path
 //!   ([`Nonlinearity::softmax_chunk_masked`]'s valid-prefix property);
-//! * context accumulation sums cached V rows in ascending position order,
-//!   identical for the wide and incremental paths;
+//! * scores and context keep the reference loops' per-element order
+//!   (`0.0`, then `+=` over ascending channels or positions, no FMA) on
+//!   the packed tile, identical for the wide and incremental paths — a
+//!   prefill row `p` sums its context over its own prefix `0..=p`, as the
+//!   step at position `p` does;
 //! * per-tensor reductions that would couple rows — the INT8 activation
 //!   quantizer and the I-BERT GELU scale — are taken **per token row** on
 //!   this path (exactly what a step-at-a-time decoder does on real
@@ -65,12 +74,15 @@
 //!    continuing yields the same remaining tokens as the uninterrupted
 //!    run (the sharded layer's failover-with-cache-rebuild leans on 1).
 
+use std::sync::Mutex;
+
 use nnlut_core::engine::chunk_ranges;
 use nnlut_tensor::Matrix;
 
 use crate::backend::Nonlinearity;
 use crate::exec::{par_map, BatchExecutor, SerialExecutor};
-use crate::model::{copy_block, BertModel, Scope};
+use crate::gemm::{key_block_floats, key_panels, push_key, Panels};
+use crate::model::{copy_block, BertModel, Mask, Scope};
 use crate::quant::MatmulMode;
 
 /// One sequence's appended K/V rows for every layer — the state a
@@ -78,13 +90,18 @@ use crate::quant::MatmulMode;
 ///
 /// Append-only: position `p`'s K/V rows are written once (by
 /// [`BertModel::prefill`] or [`BertModel::decode_step`]) and never
-/// mutated. Buffers are reserved to `capacity` rows up front, so the heap
-/// footprint is a function of `(layers, hidden, capacity)` from the first
-/// token — [`KvCache::approx_bytes`] reports that bound and the unit
-/// tests pin that it never moves as the cache grows.
+/// mutated. Keys are stored as Kᵀ blocks of 16 positions, the packed
+/// tile's panels, so a step scores its query against them in place; values
+/// stay row-major, which the tile reads in place too. Buffers are reserved
+/// to `capacity` positions (keys: rounded up to whole blocks) up front, so
+/// the heap footprint is a function of `(layers, hidden, capacity)` from
+/// the first token — [`KvCache::approx_bytes`] reports that bound and the
+/// unit tests pin that it never moves as the cache grows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvCache {
-    /// Per layer: appended key rows, `len × hidden` row-major.
+    /// Per layer: appended keys as Kᵀ blocks of 16 positions, each
+    /// `hidden × 16` (the `gemm` module's `push_key` layout), zero past
+    /// the last position.
     k: Vec<Vec<f32>>,
     /// Per layer: appended value rows, `len × hidden` row-major.
     v: Vec<Vec<f32>>,
@@ -102,7 +119,7 @@ impl KvCache {
     pub(crate) fn new(layers: usize, hidden: usize, capacity: usize) -> Self {
         Self {
             k: (0..layers)
-                .map(|_| Vec::with_capacity(capacity * hidden))
+                .map(|_| Vec::with_capacity(key_block_floats(hidden, capacity)))
                 .collect(),
             v: (0..layers)
                 .map(|_| Vec::with_capacity(capacity * hidden))
@@ -141,19 +158,77 @@ impl KvCache {
 
     /// The heap bound this cache can ever occupy: every layer's K and V
     /// buffer at full *capacity* (reserved at construction), independent
-    /// of how many positions are currently cached.
+    /// of how many positions are currently cached. At a capacity that is a
+    /// multiple of 16 the key blocks hold no padding, and the bound is that
+    /// of `capacity` row-major K and V rows.
     pub fn approx_bytes(&self) -> usize {
+        let floats = key_block_floats(self.hidden, self.capacity) + self.capacity * self.hidden;
         std::mem::size_of::<Self>()
             + self.k.len() * 2 * (std::mem::size_of::<Vec<f32>>())
-            + self.k.len() * 2 * self.capacity * self.hidden * std::mem::size_of::<f32>()
+            + self.k.len() * floats * std::mem::size_of::<f32>()
+    }
+
+    /// Positions `layer` holds (the current step's included, once pushed).
+    fn positions(&self, layer: usize) -> usize {
+        self.v[layer].len() / self.hidden
     }
 
     /// Appends one position's K/V rows for `layer`.
     fn push(&mut self, layer: usize, k_row: &[f32], v_row: &[f32]) {
         debug_assert_eq!(k_row.len(), self.hidden);
         debug_assert_eq!(v_row.len(), self.hidden);
-        self.k[layer].extend_from_slice(k_row);
+        let pos = self.positions(layer);
+        push_key(&mut self.k[layer], pos, k_row);
         self.v[layer].extend_from_slice(v_row);
+    }
+
+    /// Attends one query row's head `h` (`q_h`, `dh` wide) against every
+    /// position `layer` holds, into `out` (`dh` wide): `q·Kᵀ/√dh` as a
+    /// one-row tile over the Kᵀ blocks, the masked softmax over those
+    /// positions, then the probabilities times V — a one-row tile over the
+    /// V rows where they lie for F32 and Codebook bodies, and
+    /// [`crate::quant::matmul`] on a copy of the head's V block for F16
+    /// and INT8. The tiles keep the reference loops' per-element order.
+    fn attend(
+        &self,
+        layer: usize,
+        h: usize,
+        q_h: &[f32],
+        nl: &Nonlinearity,
+        mode: MatmulMode,
+        out: &mut [f32],
+    ) {
+        let (d, dh) = (self.hidden, q_h.len());
+        let n = self.positions(layer);
+        let head_cols = h * dh..(h + 1) * dh;
+        let mut scores = Matrix::zeros(1, n);
+        key_panels(&self.k[layer], d, n, head_cols.clone()).product(
+            q_h,
+            dh,
+            1,
+            false,
+            scores.as_mut_slice(),
+            n,
+        );
+        scores.scale(1.0 / (dh as f32).sqrt());
+        nl.apply_softmax_rows_masked(&mut scores, &[n]);
+        let v = &self.v[layer];
+        match mode {
+            MatmulMode::F32 | MatmulMode::Codebook => {
+                Panels::row_major(&v[h * dh..], n, dh, d).product(
+                    scores.as_slice(),
+                    n,
+                    1,
+                    false,
+                    out,
+                    dh,
+                );
+            }
+            MatmulMode::F16 | MatmulMode::Int8 => {
+                let vh = copy_block(v, d, 0..n, head_cols);
+                out.copy_from_slice(crate::quant::matmul(&scores, &vh, mode).row(0));
+            }
+        }
     }
 }
 
@@ -203,29 +278,14 @@ impl BertModel {
         assert!(cache.is_empty(), "prefill requires an empty cache");
         self.check_cache(cache);
         let n = tokens.len();
-        let dh = self.config.head_dim();
         for (l, layer) in self.layers.iter().enumerate() {
             x = self.block(layer, &x, nl, mode, Scope::Row, exec, |q, k, v| {
                 for p in 0..n {
                     cache.push(l, k.row(p), v.row(p));
                 }
-                // Causal attention: query row `p` sees keys `0..=p`. The
-                // masked softmax evaluates exactly that prefix, and row p's
-                // context is its probs times the V prefix, in the same
-                // shape (and the same per-row INT8 quantization) as a
-                // decode step's 1 × (p+1) product.
-                self.attend_pairs(q, k, v, n, exec, |_, mut scores, vh| {
-                    let valid: Vec<usize> = (1..=n).collect();
-                    nl.apply_softmax_rows_masked(&mut scores, &valid);
-                    let mut ctx_h = Matrix::zeros(n, dh);
-                    for p in 0..n {
-                        let probs = Matrix::from_vec(1, p + 1, scores.row(p)[..p + 1].to_vec());
-                        let vh_pre = Matrix::from_vec(p + 1, dh, vh.row_block(0, p + 1).to_vec());
-                        let row = crate::quant::matmul(&probs, &vh_pre, mode);
-                        ctx_h.row_mut(p).copy_from_slice(row.row(0));
-                    }
-                    ctx_h
-                })
+                // Causal attention: query row `p` sees keys `0..=p`, as a
+                // decode step at position `p` does.
+                self.attend_pairs(q, k, v, n, Mask::Causal, nl, mode, exec)
             });
         }
         cache.len = n;
@@ -257,7 +317,6 @@ impl BertModel {
         let p = cache.len;
         let d = self.config.hidden;
         let dh = self.config.head_dim();
-        let scale = 1.0 / (dh as f32).sqrt();
         let exec = &SerialExecutor;
         let mut x = Matrix::zeros(1, d);
         self.embed_into(token, p, x.row_mut(0));
@@ -266,15 +325,13 @@ impl BertModel {
             x = self.block(layer, &x, nl, mode, Scope::Row, exec, |q, k, v| {
                 cache.push(l, k.row(0), v.row(0));
                 let mut ctx = Matrix::zeros(1, d);
-                for h in 0..self.config.heads {
-                    let (lo, hi) = (h * dh, (h + 1) * dh);
-                    let kh = copy_block(&cache.k[l], d, 0..p + 1, lo..hi);
-                    let vh = copy_block(&cache.v[l], d, 0..p + 1, lo..hi);
-                    let mut scores = q.col_slice(lo, hi).matmul_transpose(&kh);
-                    scores.scale(scale);
-                    nl.apply_softmax_rows_masked(&mut scores, &[p + 1]);
-                    let ctx_h = crate::quant::matmul(&scores, &vh, mode);
-                    ctx.row_mut(0)[lo..hi].copy_from_slice(ctx_h.row(0));
+                for (h, (q_h, out)) in q
+                    .row(0)
+                    .chunks_exact(dh)
+                    .zip(ctx.row_mut(0).chunks_exact_mut(dh))
+                    .enumerate()
+                {
+                    cache.attend(l, h, q_h, nl, mode, out);
                 }
                 ctx
             });
@@ -363,13 +420,14 @@ impl BertModel {
     /// weight streams once per batch rather than once per sequence. Row
     /// `i` is embedded at its own cache depth; the attention pushes row
     /// `i`'s K/V to cache `i`, then attends row `i` against cache `i` alone,
-    /// one `(row, head)` pair per item across `exec`'s lanes, with the ops
-    /// [`BertModel::decode_step`] runs. Every other stage is row-local at
-    /// this scope (the INT8 quantizer and the I-BERT GELU scale are taken
-    /// per row, as a decode step takes them), so each row is bit-identical
-    /// to stepping its sequence alone, at any lane count and under any
-    /// batch composition — the property the tests here and
-    /// `tests/serve_decode.rs` pin across precisions and thread counts.
+    /// one `(row, head)` pair per item across `exec`'s lanes, with the code
+    /// [`BertModel::decode_step`] runs; each pair writes its context block
+    /// into the shared output inside the same executor call. Every other
+    /// stage is row-local at this scope (the INT8 quantizer and the I-BERT
+    /// GELU scale are taken per row, as a decode step takes them), so each
+    /// row is bit-identical to stepping its sequence alone, at any lane
+    /// count and under any batch composition — the property the tests here
+    /// and `tests/serve_decode.rs` pin across precisions and thread counts.
     ///
     /// # Panics
     ///
@@ -387,7 +445,6 @@ impl BertModel {
         let d = self.config.hidden;
         let heads = self.config.heads;
         let dh = self.config.head_dim();
-        let scale = 1.0 / (dh as f32).sqrt();
         let mut x = Matrix::zeros(b, d);
         for ((cache, token), row) in steps.iter().zip(x.rows_iter_mut()) {
             assert!(
@@ -405,25 +462,18 @@ impl BertModel {
                     cache.push(l, k.row(i), v.row(i));
                 }
                 let steps = &*steps;
-                let parts = par_map(exec, b * heads, |pair| {
+                let ctx = Mutex::new(Matrix::zeros(b, d));
+                par_map(exec, b * heads, |pair| {
                     let (i, h) = (pair / heads, pair % heads);
-                    let cache = &steps[i].0;
-                    let p = cache.len;
-                    let (lo, hi) = (h * dh, (h + 1) * dh);
-                    let kh = copy_block(&cache.k[l], d, 0..p + 1, lo..hi);
-                    let vh = copy_block(&cache.v[l], d, 0..p + 1, lo..hi);
-                    let qh = Matrix::from_vec(1, dh, q.row(i)[lo..hi].to_vec());
-                    let mut scores = qh.matmul_transpose(&kh);
-                    scores.scale(scale);
-                    nl.apply_softmax_rows_masked(&mut scores, &[p + 1]);
-                    crate::quant::matmul(&scores, &vh, mode)
+                    let head_cols = h * dh..(h + 1) * dh;
+                    let mut part = vec![0.0f32; dh];
+                    steps[i]
+                        .0
+                        .attend(l, h, &q.row(i)[head_cols.clone()], nl, mode, &mut part);
+                    let mut ctx = ctx.lock().expect("decode context poisoned");
+                    ctx.row_mut(i)[head_cols].copy_from_slice(&part);
                 });
-                let mut ctx = Matrix::zeros(b, d);
-                for (pair, ctx_h) in parts.iter().enumerate() {
-                    let (i, h) = (pair / heads, pair % heads);
-                    ctx.row_mut(i)[h * dh..(h + 1) * dh].copy_from_slice(ctx_h.row(0));
-                }
-                ctx
+                ctx.into_inner().expect("decode context poisoned")
             });
         }
         for (cache, _) in steps.iter_mut() {
@@ -483,6 +533,13 @@ mod tests {
         BertModel::new_synthetic(TransformerConfig::roberta_tiny(), 9)
     }
 
+    impl KvCache {
+        /// `layer`'s cached keys, `positions × hidden` row-major.
+        fn keys(&self, layer: usize) -> Vec<f32> {
+            crate::gemm::key_rows(&self.k[layer], self.hidden, self.positions(layer))
+        }
+    }
+
     fn backends() -> Vec<Nonlinearity> {
         let kit = NnLutKit::train_with(16, 9, &TrainConfig::fast());
         vec![
@@ -534,8 +591,8 @@ mod tests {
                     assert_eq!(pre.len(), t);
                     for l in 0..pre.layers() {
                         assert_eq!(
-                            pre.k[l].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                            inc.k[l][..t * 64]
+                            pre.keys(l).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                            inc.keys(l)[..t * 64]
                                 .iter()
                                 .map(|v| v.to_bits())
                                 .collect::<Vec<_>>(),
@@ -587,8 +644,8 @@ mod tests {
         m.prefill(&extended, &mut long, &nl, MatmulMode::F32, &SerialExecutor);
         for l in 0..short.layers() {
             assert_eq!(
-                short.k[l],
-                long.k[l][..short.k[l].len()],
+                short.keys(l),
+                long.keys(l)[..short.keys(l).len()],
                 "suffix tokens leaked into prefix keys at layer {l}"
             );
         }
@@ -615,6 +672,52 @@ mod tests {
             m.decode_step(&mut cache, 1, &nl, MatmulMode::F32)
         }));
         assert!(r.is_err(), "a full cache must refuse another step");
+    }
+
+    /// Kᵀ blocks cost nothing over row-major keys when the capacity is a
+    /// whole number of 16-position blocks (the bench model's `max_seq` is
+    /// 640): `approx_bytes` is the row-major bound, and a cache filled to
+    /// capacity — prefilled, then stepped across block edges — never
+    /// outgrows the reservation it started with.
+    #[test]
+    fn cache_bytes_match_the_row_major_bound() {
+        use std::mem::size_of;
+        for (layers, hidden, capacity) in [(4usize, 64usize, 64usize), (2, 768, 640)] {
+            let cache = KvCache::new(layers, hidden, capacity);
+            let row_major = size_of::<KvCache>()
+                + layers * 2 * size_of::<Vec<f32>>()
+                + layers * 2 * capacity * hidden * size_of::<f32>();
+            assert_eq!(
+                cache.approx_bytes(),
+                row_major,
+                "{layers}x{hidden}x{capacity}"
+            );
+            for (k, v) in cache.k.iter().zip(&cache.v) {
+                assert_eq!(
+                    (k.capacity(), v.capacity()),
+                    (capacity * hidden, capacity * hidden)
+                );
+            }
+        }
+        let m = tiny_model();
+        let nl = Nonlinearity::exact();
+        let mut cache = m.new_cache();
+        let reserved: Vec<usize> = cache.k.iter().map(Vec::capacity).collect();
+        m.prefill(
+            &prompt(40, 2),
+            &mut cache,
+            &nl,
+            MatmulMode::F32,
+            &SerialExecutor,
+        );
+        while !cache.is_full() {
+            m.decode_step(&mut cache, 3, &nl, MatmulMode::F32);
+        }
+        assert_eq!(
+            cache.k.iter().map(Vec::capacity).collect::<Vec<_>>(),
+            reserved
+        );
+        assert!(cache.k.iter().all(|k| k.len() == 64 * 64));
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {
@@ -688,7 +791,11 @@ mod tests {
                     for ((got, _), (want, _)) in batched.iter().zip(&oracle) {
                         assert_eq!(got.len(), want.len());
                         for l in 0..got.layers() {
-                            assert_eq!(bits(&got.k[l]), bits(&want.k[l]), "{mode} K layer {l}");
+                            assert_eq!(
+                                bits(&got.keys(l)),
+                                bits(&want.keys(l)),
+                                "{mode} K layer {l}"
+                            );
                             assert_eq!(bits(&got.v[l]), bits(&want.v[l]), "{mode} V layer {l}");
                         }
                     }

@@ -1,5 +1,5 @@
 //! The packed-panel GEMM behind every FP32/FP16 [`crate::quant::Linear`]
-//! site.
+//! site, the LM head and both attention products.
 //!
 //! A frozen `(k × n)` weight is stored once as 16-column *panels*: panel
 //! `p` holds every k row of columns `16p … 16p+15`, row after row, with
@@ -17,27 +17,49 @@
 //! tile's outputs straight into a running per-row maximum, so no
 //! `rows × vocab` logits buffer exists.
 //!
+//! # Attention
+//!
+//! The tile reads any operand laid out as 16-column panels ([`Panels`]:
+//! a panel stride and a row stride), so attention's two
+//! activation·activation products run on it without a frozen weight:
+//!
+//! * **Q·Kᵀ.** Kᵀ of a (sequence, head) pair is packed as *Kᵀ blocks*:
+//!   16 positions per block, each block one `dh × 16` panel
+//!   ([`pack_keys`], inside the lane that owns the pair). The decode
+//!   KV cache stores each layer's keys the same way, all heads' channels
+//!   in one `hidden × 16` block ([`push_key`], growing one whole block at
+//!   a time inside the cache's reservation), and a head's Kᵀ is a view of
+//!   its channels ([`key_panels`]).
+//! * **scores·V.** A V row already holds a head's columns as runs of 16,
+//!   so V is read where it lies ([`Panels::row_major`], row stride
+//!   `hidden`), in a projection's output or the cache. A causal product
+//!   sums row `p` over its own prefix `0..=p` only.
+//!
 //! # Dispatch
 //!
-//! The kernel is chosen **once, at pack time**, by the rule the LUT engine
-//! follows ([`nnlut_core::engine::simd`]):
+//! The kernel is chosen **once, at pack time** for a weight (and per
+//! product for an attention operand), by the rule the LUT engine follows
+//! ([`nnlut_core::engine::simd`]):
 //!
 //! * **AVX2 tile** ([`SimdLevel::Avx2`]): a `#[target_feature(enable =
 //!   "avx2")]` tile holding two 8-lane accumulators per row, specialised
 //!   for 1, 2, 3 and 4 rows, so a 1-row decode step computes no dead rows.
 //! * **Scalar panel loop** ([`SimdLevel::Scalar`]): the same panels, one
 //!   row at a time with a 16-float accumulator. Non-x86-64 targets, CPUs
-//!   without AVX2 and `--no-default-features` builds always take it.
+//!   without AVX2 and `--no-default-features` builds always take it. So
+//!   does a partial last panel read in place whose 16-float rows would run
+//!   off the end of the buffer.
 //!
 //! # The bit-identity contract
 //!
 //! Every output is `0.0`, then `+= x[i][k]·w[k][j]` for k ascending, as
 //! an IEEE multiply followed by an IEEE add (no FMA) — the per-element
-//! order of [`Matrix::matmul_rows_into`], which stays the oracle. So both
-//! paths equal the oracle bit for bit on every output that is not NaN,
-//! and are NaN exactly where it is NaN; and any split of the row range
-//! across threads reproduces the serial bits, because each output depends
-//! on one `x` row and one weight column only.
+//! order of [`Matrix::matmul_rows_into`] and, for Q·Kᵀ, of
+//! [`Matrix::matmul_transpose`], which stay the oracles. So both paths
+//! equal the oracle bit for bit on every output that is not NaN, and are
+//! NaN exactly where it is NaN; and any split of the row range across
+//! threads reproduces the serial bits, because each output depends on one
+//! `x` row and one weight column only.
 //!
 //! **NaN payloads are not part of the contract.** IEEE 754 leaves the
 //! payload of an operation on two NaN operands unspecified, and x86
@@ -230,9 +252,9 @@ impl PackedWeight {
     /// strictly `>` the best so far. So ties keep the lowest column, NaN
     /// outputs never win, and a row with nothing above `−inf` keeps
     /// `(0, −inf)`. Only the real columns count: a padding column's output
-    /// is `0.0` and would otherwise beat an all-negative row. The outputs
-    /// are the GEMM's, bit for bit (see the module docs), one tile of up to
-    /// four rows and one panel at a time.
+    /// would otherwise beat an all-negative row. The outputs are the
+    /// GEMM's, bit for bit (see the module docs), one tile of up to four
+    /// rows and one panel at a time.
     ///
     /// # Panics
     ///
@@ -249,15 +271,17 @@ impl PackedWeight {
             panels.end <= self.panel_count(),
             "panel range out of bounds"
         );
+        let view = self.view();
         let mut best = vec![(0usize, f32::NEG_INFINITY); m];
         let mut tile = [0.0f32; 4 * PANEL];
         for p in panels {
             let c0 = p * PANEL;
             let width = (self.cols - c0).min(PANEL);
             for (i, best) in best.chunks_mut(4).enumerate() {
-                let out = &mut tile[..best.len() * PANEL];
-                self.panel_tile(&a[4 * i * k..(4 * i + best.len()) * k], p, out);
-                for (b, logits) in best.iter_mut().zip(out.chunks_exact(PANEL)) {
+                let rows = best.len();
+                view.panel(p)
+                    .product(&a[4 * i * k..], k, rows, false, &mut tile, PANEL);
+                for (b, logits) in best.iter_mut().zip(tile.chunks_exact(PANEL)) {
                     for (j, &v) in logits[..width].iter().enumerate() {
                         if v > b.1 {
                             *b = (c0 + j, v);
@@ -267,40 +291,6 @@ impl PackedWeight {
             }
         }
         best
-    }
-
-    /// Up to four rows of `a` times panel `p`: all 16 columns, padding
-    /// included, into `out` (`rows × 16`).
-    fn panel_tile(&self, a: &[f32], p: usize, out: &mut [f32]) {
-        let k = self.rows;
-        let rows = out.len() / PANEL;
-        assert!(
-            rows <= 4 && out.len() == rows * PANEL && a.len() == rows * k,
-            "panel tile shape mismatch"
-        );
-        let panel = &self.panels[p * k * PANEL..(p + 1) * k * PANEL];
-        match self.level {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            // SAFETY: `level` is `Avx2` only when the CPU has AVX2 (see
-            // `matmul_rows_into`); the assert above sizes `a` and `out` to
-            // `rows ≤ 4` rows, and `panel` is one whole `k × 16` panel.
-            SimdLevel::Avx2 => unsafe {
-                avx2::tile_rows(
-                    rows,
-                    a.as_ptr(),
-                    k,
-                    panel.as_ptr(),
-                    out.as_mut_ptr(),
-                    PANEL,
-                    PANEL,
-                )
-            },
-            _ => {
-                for (r, acc) in out.chunks_exact_mut(PANEL).enumerate() {
-                    scalar_row(&a[r * k..(r + 1) * k], panel, acc);
-                }
-            }
-        }
     }
 
     /// Rows `[r0, r1)` of `x · W` into `out`, a `(r1 - r0) × n` row-major
@@ -326,128 +316,317 @@ impl PackedWeight {
             (r1 - r0) * self.cols,
             "output buffer length mismatch"
         );
-        match self.level {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            // SAFETY: `level` is `Avx2` only when `simd::detect()` found
-            // AVX2 (or a test that checked it); the shapes are asserted.
-            SimdLevel::Avx2 => unsafe { avx2::gemm(self, a, out) },
-            _ => self.gemm_scalar(a, out),
+        self.view()
+            .product(a, self.rows, r1 - r0, false, out, self.cols);
+    }
+
+    /// The panels as a [`Panels`] operand, with this weight's kernel.
+    fn view(&self) -> Panels<'_> {
+        Panels {
+            data: &self.panels,
+            k: self.rows,
+            n: self.cols,
+            panel_stride: self.rows * PANEL,
+            row_stride: PANEL,
+            level: self.level,
+        }
+    }
+}
+
+/// A `k × n` right-hand operand read as 16-column panels where it lies:
+/// row `r` of panel `p` is the (up to) 16 floats that start at
+/// `data[p·panel_stride + r·row_stride]`. A [`PackedWeight`] is one (rows
+/// 16 apart, panels `k·16` apart); so are the Kᵀ blocks of [`push_key`]
+/// (panels a whole block apart); and so is a row-major matrix read in
+/// place, such as an attention head's V (rows its row stride apart,
+/// panels 16 apart).
+#[derive(Clone, Copy)]
+pub(crate) struct Panels<'a> {
+    data: &'a [f32],
+    k: usize,
+    n: usize,
+    panel_stride: usize,
+    row_stride: usize,
+    level: SimdLevel,
+}
+
+impl<'a> Panels<'a> {
+    /// The operand `data` holds at the given strides, for the strongest
+    /// kernel the running CPU supports.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an element of the operand lies past the end of `data`.
+    fn new(data: &'a [f32], k: usize, n: usize, panel_stride: usize, row_stride: usize) -> Self {
+        let panels = n.div_ceil(PANEL);
+        // One past panel `p`'s last element; the last two panels bound all.
+        let end = |p: usize| p * panel_stride + (k - 1) * row_stride + (n - p * PANEL).min(PANEL);
+        assert!(
+            k == 0
+                || n == 0
+                || (end(panels - 1) <= data.len() && (panels < 2 || end(panels - 2) <= data.len())),
+            "panel operand out of bounds"
+        );
+        Self {
+            data,
+            k,
+            n,
+            panel_stride,
+            row_stride,
+            level: simd::detect(),
         }
     }
 
-    /// The scalar panel loop: one row at a time, 16 accumulators.
-    fn gemm_scalar(&self, a: &[f32], out: &mut [f32]) {
-        let (k, n) = (self.rows, self.cols);
-        for p in 0..n.div_ceil(PANEL) {
-            let panel = &self.panels[p * k * PANEL..(p + 1) * k * PANEL];
-            let c0 = p * PANEL;
-            let width = (n - c0).min(PANEL);
-            for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+    /// The `k × n` row-major matrix at the start of `data`, its rows `ld`
+    /// floats apart, read where it lies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix runs past the end of `data`.
+    pub(crate) fn row_major(data: &'a [f32], k: usize, n: usize, ld: usize) -> Self {
+        Self::new(data, k, n, PANEL, ld)
+    }
+
+    /// Panel `p` alone, as a `k × width` operand.
+    fn panel(&self, p: usize) -> Self {
+        Self {
+            data: &self.data[p * self.panel_stride..],
+            n: (self.n - p * PANEL).min(PANEL),
+            ..*self
+        }
+    }
+
+    /// `m` rows of `a` (row `i` from `a[i·lda]` on) times this operand,
+    /// into `n` columns of `m` rows of `out` (row `i` from `out[i·ldo]`
+    /// on). Output `(i, j)` is `0.0`, then `+= a[i][kk]·w[kk][j]` for `kk`
+    /// ascending, an IEEE multiply then an IEEE add (no FMA), over every
+    /// `kk < k` — or, when `causal`, over row `i`'s own prefix `kk ≤ i`.
+    /// Panel by panel, up to four rows at a time, so each panel stays hot
+    /// in cache across every row block of the call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `out` is too short for its rows, or if `causal`
+    /// and `m > k`.
+    pub(crate) fn product(
+        &self,
+        a: &[f32],
+        lda: usize,
+        m: usize,
+        causal: bool,
+        out: &mut [f32],
+        ldo: usize,
+    ) {
+        if m == 0 || self.n == 0 {
+            return;
+        }
+        assert!(!causal || m <= self.k, "causal rows outrun the depth");
+        // Row offsets and depths only grow with the row, so the last row
+        // bounds every read of `a` and every write of `out`.
+        let deepest = if causal { m } else { self.k };
+        assert!(
+            (m - 1) * lda + deepest <= a.len() && (m - 1) * ldo + self.n <= out.len(),
+            "product operand too short"
+        );
+        let panels = self.n.div_ceil(PANEL);
+        let simd = match self.level {
+            // The tile loads whole 16-float panel rows. Every panel but a
+            // partial last one read in place has them; that one has them
+            // only if its rows' tails stay inside the buffer.
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            SimdLevel::Avx2 => {
+                let end = (panels - 1) * self.panel_stride + (self.k.max(1) - 1) * self.row_stride;
+                let fits = end + PANEL <= self.data.len();
+                let simd = if fits { panels } else { panels - 1 };
+                // SAFETY: `level` is `Avx2` only when `simd::detect()` found
+                // AVX2 (or a test that checked it). The asserts above bound
+                // the rows of `a` read and of `out` written; `new` bounds the
+                // operand's elements (a packed weight's panels are whole by
+                // construction), and the panels `0..simd` have whole panel
+                // rows: every panel before the last is 16 columns wide, and
+                // the last one passed `fits`.
+                unsafe { avx2::product(self, a, lda, m, causal, out, ldo, simd) };
+                simd
+            }
+            _ => 0,
+        };
+        for p in simd..panels {
+            let w = &self.data[p * self.panel_stride..];
+            let width = (self.n - p * PANEL).min(PANEL);
+            for i in 0..m {
+                let depth = if causal { i + 1 } else { self.k };
                 let mut acc = [0.0f32; PANEL];
-                scalar_row(&a[i * k..(i + 1) * k], panel, &mut acc);
-                out_row[c0..c0 + width].copy_from_slice(&acc[..width]);
+                for (kk, &av) in a[i * lda..i * lda + depth].iter().enumerate() {
+                    let w_row = &w[kk * self.row_stride..kk * self.row_stride + width];
+                    for (o, &wv) in acc.iter_mut().zip(w_row) {
+                        *o += av * wv;
+                    }
+                }
+                let at = i * ldo + p * PANEL;
+                out[at..at + width].copy_from_slice(&acc[..width]);
             }
         }
     }
 }
 
-/// One row of `k` times one `k × 16` panel into `acc`: each output from
-/// `0.0`, adding in k order.
-fn scalar_row(a_row: &[f32], panel: &[f32], acc: &mut [f32]) {
-    acc.fill(0.0);
-    for (&av, w) in a_row.iter().zip(panel.chunks_exact(PANEL)) {
-        for (o, &wv) in acc.iter_mut().zip(w) {
-            *o += av * wv;
-        }
+/// Floats in the Kᵀ blocks of `positions` keys `width` channels wide:
+/// whole blocks of 16 positions.
+pub(crate) fn key_block_floats(width: usize, positions: usize) -> usize {
+    positions.div_ceil(PANEL) * PANEL * width
+}
+
+/// Appends the key of position `pos` (its `row.len()` channels) to
+/// `blocks`, a growing sequence's keys stored as Kᵀ blocks of 16 positions:
+/// block `b` is one panel of `row.len() × 16` floats, whose entry `c·16 +
+/// j` is channel `c` of position `16b + j`. A new block is appended whole,
+/// zero-filled, by the position that starts it, so a buffer reserved to
+/// [`key_block_floats`] never reallocates.
+///
+/// # Panics
+///
+/// Panics unless `blocks` ends in the block `pos` belongs to.
+pub(crate) fn push_key(blocks: &mut Vec<f32>, pos: usize, row: &[f32]) {
+    let block = row.len() * PANEL;
+    if pos.is_multiple_of(PANEL) {
+        blocks.resize(blocks.len() + block, 0.0);
     }
+    assert_eq!(
+        blocks.len(),
+        (pos / PANEL + 1) * block,
+        "key {pos} is not the next position"
+    );
+    let slots = &mut blocks[(pos / PANEL) * block + pos % PANEL..];
+    for (slot, &v) in slots.iter_mut().step_by(PANEL).zip(row) {
+        *slot = v;
+    }
+}
+
+/// The Kᵀ blocks of rows `rows` of a row-major key buffer (rows `ld`
+/// apart), restricted to channels `cols`: what [`push_key`] grows from
+/// those keys one at a time.
+pub(crate) fn pack_keys(k: &[f32], ld: usize, rows: Range<usize>, cols: Range<usize>) -> Vec<f32> {
+    let mut blocks = Vec::with_capacity(key_block_floats(cols.len(), rows.len()));
+    for (pos, r) in rows.enumerate() {
+        push_key(&mut blocks, pos, &k[r * ld + cols.start..r * ld + cols.end]);
+    }
+    blocks
+}
+
+/// Kᵀ of channels `cols` over the first `n` positions of `blocks`, keys
+/// `width` channels wide: the `cols.len() × n` operand of `q·Kᵀ`.
+///
+/// # Panics
+///
+/// Panics if `cols` runs past `width` or `blocks` holds fewer than `n`
+/// positions.
+pub(crate) fn key_panels(blocks: &[f32], width: usize, n: usize, cols: Range<usize>) -> Panels<'_> {
+    assert!(cols.end <= width, "key channels out of range");
+    let at = (cols.start * PANEL).min(blocks.len());
+    Panels::new(&blocks[at..], cols.len(), n, width * PANEL, PANEL)
+}
+
+/// The first `n` keys of `blocks` (keys `width` channels wide) back as
+/// `n × width` row-major rows.
+#[cfg(test)]
+pub(crate) fn key_rows(blocks: &[f32], width: usize, n: usize) -> Vec<f32> {
+    let block = width * PANEL;
+    (0..n)
+        .flat_map(|pos| {
+            (0..width).map(move |c| blocks[(pos / PANEL) * block + c * PANEL + pos % PANEL])
+        })
+        .collect()
 }
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod avx2 {
     use core::arch::x86_64::*;
 
-    use super::{PackedWeight, PANEL};
+    use super::{Panels, PANEL};
 
-    /// Every panel, then every block of up to four rows: the panel is
-    /// read from memory once per call and reused across the row blocks.
+    /// The panels `0..panels` of [`Panels::product`], each for every block
+    /// of up to four rows: the panel is read from memory once per call and
+    /// reused across the row blocks.
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX2; `a` holds `out.len() / n` rows of `k`.
+    /// AVX2; `a` and `out` hold the product's `m` rows at their strides,
+    /// and each of the panels has whole 16-float rows down to the deepest
+    /// row's depth.
+    #[allow(clippy::too_many_arguments)] // `Panels::product`'s arguments, and the panel count
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gemm(w: &PackedWeight, a: &[f32], out: &mut [f32]) {
-        let (k, n) = (w.rows, w.cols);
-        if n == 0 {
-            return;
-        }
-        let m = out.len() / n;
-        for p in 0..n.div_ceil(PANEL) {
-            let panel = w.panels.as_ptr().add(p * k * PANEL);
-            let width = (n - p * PANEL).min(PANEL);
-            let mut i = 0;
-            while i < m {
-                let a = a.as_ptr().add(i * k);
-                let o = out.as_mut_ptr().add(i * n + p * PANEL);
-                tile_rows(m - i, a, k, panel, o, n, width);
-                i += 4;
-            }
-        }
-    }
-
-    /// [`tile`] for `min(rows, 4)` rows.
-    ///
-    /// # Safety
-    ///
-    /// As [`tile`], for `min(rows, 4)` rows.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn tile_rows(
-        rows: usize,
-        a: *const f32,
-        k: usize,
-        panel: *const f32,
-        out: *mut f32,
-        n: usize,
-        width: usize,
+    pub(super) unsafe fn product(
+        w: &Panels,
+        a: &[f32],
+        lda: usize,
+        m: usize,
+        causal: bool,
+        out: &mut [f32],
+        ldo: usize,
+        panels: usize,
     ) {
-        match rows {
-            0 => {}
-            1 => tile::<1>(a, k, panel, out, n, width),
-            2 => tile::<2>(a, k, panel, out, n, width),
-            3 => tile::<3>(a, k, panel, out, n, width),
-            _ => tile::<4>(a, k, panel, out, n, width),
+        for p in 0..panels {
+            let panel = w.data.as_ptr().add(p * w.panel_stride);
+            let width = (w.n - p * PANEL).min(PANEL);
+            for i in (0..m).step_by(4) {
+                let depths: [usize; 4] =
+                    core::array::from_fn(|r| if causal { i + r + 1 } else { w.k });
+                let a = a.as_ptr().add(i * lda);
+                let o = out.as_mut_ptr().add(i * ldo + p * PANEL);
+                let (row_stride, depths) = (w.row_stride, &depths[..(m - i).min(4)]);
+                match depths.len() {
+                    1 => tile::<1>(a, lda, depths, panel, row_stride, o, ldo, width),
+                    2 => tile::<2>(a, lda, depths, panel, row_stride, o, ldo, width),
+                    3 => tile::<3>(a, lda, depths, panel, row_stride, o, ldo, width),
+                    _ => tile::<4>(a, lda, depths, panel, row_stride, o, ldo, width),
+                }
+            }
         }
     }
 
     /// `R` rows × one panel: `R × 2` accumulators from `+0.0`, then per k
     /// row one panel-row load pair, shared by every row's broadcast
-    /// multiply and add (no FMA). Stores `width` columns per row.
+    /// multiply and add (no FMA), down to the rows' common depth; then each
+    /// deeper row's own tail, alone. Stores `width` columns per row.
     ///
     /// # Safety
     ///
-    /// AVX2; `a` points at `R` rows of `k` floats, `panel` at `k × 16`
-    /// floats, `out` at `R` rows (stride `n`) with `width` writable floats.
+    /// AVX2; `a` points at `R` rows `lda` apart, row `r` with `depths[r]`
+    /// readable floats; `w` at `max(depths)` panel rows `ldw` apart, each
+    /// with 16 readable floats; `out` at `R` rows `ldo` apart, each with
+    /// `width` writable floats.
+    #[allow(clippy::too_many_arguments)] // a strided tile: three pointers, their strides, its shape
     #[target_feature(enable = "avx2")]
     unsafe fn tile<const R: usize>(
         a: *const f32,
-        k: usize,
-        panel: *const f32,
+        lda: usize,
+        depths: &[usize],
+        w: *const f32,
+        ldw: usize,
         out: *mut f32,
-        n: usize,
+        ldo: usize,
         width: usize,
     ) {
+        let common = depths[..R].iter().copied().min().unwrap_or(0);
         let mut lo = [_mm256_setzero_ps(); R];
         let mut hi = [_mm256_setzero_ps(); R];
-        for kk in 0..k {
-            let w_lo = _mm256_loadu_ps(panel.add(kk * PANEL));
-            let w_hi = _mm256_loadu_ps(panel.add(kk * PANEL + 8));
+        for kk in 0..common {
+            let w_lo = _mm256_loadu_ps(w.add(kk * ldw));
+            let w_hi = _mm256_loadu_ps(w.add(kk * ldw + 8));
             for r in 0..R {
-                let av = _mm256_set1_ps(*a.add(r * k + kk));
+                let av = _mm256_set1_ps(*a.add(r * lda + kk));
                 lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(av, w_lo));
                 hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(av, w_hi));
             }
         }
         for r in 0..R {
-            let o = out.add(r * n);
+            for kk in common..depths[r] {
+                let av = _mm256_set1_ps(*a.add(r * lda + kk));
+                let w_lo = _mm256_loadu_ps(w.add(kk * ldw));
+                let w_hi = _mm256_loadu_ps(w.add(kk * ldw + 8));
+                lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(av, w_lo));
+                hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(av, w_hi));
+            }
+            let o = out.add(r * ldo);
             if width == PANEL {
                 _mm256_storeu_ps(o, lo[r]);
                 _mm256_storeu_ps(o.add(8), hi[r]);
@@ -690,6 +869,174 @@ mod tests {
                             level.name()
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// Bitwise equality, except that NaN only has to meet NaN.
+    fn assert_same(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (j, (g, o)) in got.iter().zip(want).enumerate() {
+            let ok = if o.is_nan() {
+                g.is_nan()
+            } else {
+                g.to_bits() == o.to_bits()
+            };
+            assert!(ok, "{what}, output {j}: {g:e} != {o:e}");
+        }
+    }
+
+    /// Attention lengths: one position, a block's tail, edge and overrun,
+    /// two blocks and a bit, and many blocks.
+    const LENGTHS: [usize; 6] = [1, 15, 16, 17, 33, 129];
+
+    /// Q·Kᵀ on the Kᵀ blocks == `Matrix::matmul_transpose`, on both
+    /// kernels: the second sequence and both heads of a two-head row
+    /// layout (so q and k are read at an offset, rows `2·dh` apart), head
+    /// widths of one panel, one and a half (a partial panel) and four, at
+    /// every length in [`LENGTHS`], over normal values and dense ±inf,
+    /// −0.0, ±1e38 and NaN.
+    #[test]
+    fn key_panel_scores_match_matmul_transpose() {
+        let mut rng = Mix(0x0A77);
+        for dh in [16usize, 24, 64] {
+            let d = 2 * dh;
+            for len in LENGTHS {
+                let special = [0.0, 0.3][rng.below(2)];
+                let q = rng.matrix(2 * len, d, special);
+                let k = rng.matrix(2 * len, d, special);
+                for h in 0..2 {
+                    let cols = h * dh..(h + 1) * dh;
+                    let rows = len..2 * len;
+                    let pick = |m: &Matrix| {
+                        Matrix::from_vec(
+                            len,
+                            dh,
+                            crate::model::copy_block(m.as_slice(), d, rows.clone(), cols.clone())
+                                .into_vec(),
+                        )
+                    };
+                    let want = pick(&q).matmul_transpose(&pick(&k));
+                    let kt = pack_keys(k.as_slice(), d, rows.clone(), cols.clone());
+                    for level in levels() {
+                        let view = Panels {
+                            level,
+                            ..key_panels(&kt, dh, len, 0..dh)
+                        };
+                        let mut got = vec![f32::from_bits(0x7fc0_dead); len * len];
+                        view.product(
+                            &q.as_slice()[len * d + h * dh..],
+                            d,
+                            len,
+                            false,
+                            &mut got,
+                            len,
+                        );
+                        let what = format!("{} dh {dh} L {len} head {h}", level.name());
+                        assert_same(&got, want.as_slice(), &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// scores·V with V read where it lies == `Matrix::matmul` over the
+    /// full depth, and, causally, == the per-row oracle a prefill row
+    /// stands for: `1 × (p+1)` probabilities times the `(p+1) × dh` V
+    /// prefix. Both kernels, both heads of a two-head layout (the second
+    /// head's partial panel at `dh = 24` ends the buffer, so its whole-row
+    /// loads would run off it), every length in [`LENGTHS`], specials
+    /// mixed in.
+    #[test]
+    fn in_place_v_matches_matmul_and_the_prefix_oracle() {
+        let mut rng = Mix(0x0B0B);
+        for dh in [16usize, 24, 64] {
+            let d = 2 * dh;
+            for len in LENGTHS {
+                let special = [0.0, 0.3][rng.below(2)];
+                let scores = rng.matrix(len, len, special);
+                let v = rng.matrix(len, d, special);
+                for h in 0..2 {
+                    let vh = v.col_slice(h * dh, (h + 1) * dh);
+                    let full = scores.matmul(&vh);
+                    let mut prefix = Matrix::zeros(len, dh);
+                    for p in 0..len {
+                        let probs = Matrix::from_vec(1, p + 1, scores.row(p)[..p + 1].to_vec());
+                        let vh_pre = Matrix::from_vec(p + 1, dh, vh.row_block(0, p + 1).to_vec());
+                        prefix
+                            .row_mut(p)
+                            .copy_from_slice(probs.matmul(&vh_pre).row(0));
+                    }
+                    for level in levels() {
+                        let view = Panels {
+                            level,
+                            ..Panels::row_major(&v.as_slice()[h * dh..], len, dh, d)
+                        };
+                        for (causal, want) in [(false, &full), (true, &prefix)] {
+                            let mut got = vec![f32::from_bits(0x7fc0_dead); len * dh];
+                            view.product(scores.as_slice(), len, len, causal, &mut got, dh);
+                            let what = format!(
+                                "{} dh {dh} L {len} head {h} causal {causal}",
+                                level.name()
+                            );
+                            assert_same(&got, want.as_slice(), &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A decode cache's keys, grown one position at a time across the
+    /// 16- and 32-position block edges inside one reservation: after every
+    /// push the blocks read back as the row-major keys, never reallocate,
+    /// and a one-row step (q·Kᵀ over the blocks, then the probabilities
+    /// times the V rows in place) equals the reference loops, per head, on
+    /// both kernels, specials mixed in.
+    #[test]
+    fn key_blocks_grow_across_block_edges() {
+        let mut rng = Mix(0xCA5E);
+        let (heads, dh, max) = (3usize, 16usize, 40usize);
+        let d = heads * dh;
+        let keys = rng.matrix(max, d, 0.05);
+        let values = rng.matrix(max, d, 0.05);
+        let mut blocks = Vec::with_capacity(key_block_floats(d, max));
+        let reserved = blocks.capacity();
+        for n in 1..=max {
+            push_key(&mut blocks, n - 1, keys.row(n - 1));
+            assert_eq!(blocks.len(), key_block_floats(d, n));
+            assert_eq!(blocks.capacity(), reserved, "reallocated at {n}");
+            assert_same(
+                &key_rows(&blocks, d, n),
+                keys.row_block(0, n),
+                "keys read back",
+            );
+            let q = rng.matrix(1, d, 0.05);
+            for h in 0..heads {
+                let (lo, hi) = (h * dh, (h + 1) * dh);
+                let k_rows = Matrix::from_vec(n, d, keys.row_block(0, n).to_vec());
+                let v_rows = Matrix::from_vec(n, d, values.row_block(0, n).to_vec());
+                let scores = q
+                    .col_slice(lo, hi)
+                    .matmul_transpose(&k_rows.col_slice(lo, hi));
+                let want = scores.matmul(&v_rows.col_slice(lo, hi));
+                for level in levels() {
+                    let what = format!("{} n {n} head {h}", level.name());
+                    let kt = Panels {
+                        level,
+                        ..key_panels(&blocks, d, n, lo..hi)
+                    };
+                    let mut got = vec![0.0f32; n];
+                    kt.product(&q.row(0)[lo..hi], dh, 1, false, &mut got, n);
+                    assert_same(&got, scores.as_slice(), &format!("{what} scores"));
+                    let v = Panels {
+                        level,
+                        ..Panels::row_major(&values.as_slice()[lo..], n, dh, d)
+                    };
+                    let mut ctx = vec![0.0f32; dh];
+                    v.product(scores.as_slice(), n, 1, false, &mut ctx, dh);
+                    assert_same(&ctx, want.as_slice(), &format!("{what} context"));
                 }
             }
         }

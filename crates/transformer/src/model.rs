@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use crate::backend::Nonlinearity;
 use crate::config::{Activation, NormKind, TransformerConfig};
 use crate::exec::{par_map, run_row_chunks, BatchExecutor};
-use crate::gemm::PackedWeight;
+use crate::gemm::{key_panels, pack_keys, PackedWeight, Panels};
 use crate::quant::{Linear, MatmulMode};
 
 /// One encoder layer's codebook-calibration taps: a [`RowCapture`]
@@ -180,6 +180,16 @@ pub(crate) enum Scope {
     /// Per token row, as a step-at-a-time decoder takes them — so a
     /// prefill row equals the same row fed through one decode step.
     Row,
+}
+
+/// Which keys a query row of [`BertModel::attend_pairs`] sees.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Mask<'a> {
+    /// Every valid row of its own sequence, whose valid length is
+    /// `lens[sequence]`; pad rows see nothing ([`BertModel::encode_batch`]).
+    Padded(&'a [usize]),
+    /// Row `p` sees positions `0..=p` ([`BertModel::prefill`]).
+    Causal,
 }
 
 /// A BERT-style encoder with embeddings.
@@ -511,15 +521,7 @@ impl BertModel {
         });
         for layer in &self.layers {
             x = self.block(layer, &x, nl, mode, Scope::Matrix, exec, |q, k, v| {
-                self.attend_pairs(q, k, v, l, exec, |s, mut scores, vh| {
-                    // Valid key-prefix length per query row; 0 for pad rows
-                    // (their softmax output is all-zero, keeping them
-                    // finite). The mask keeps pad rows out of real ones.
-                    let len = batch.lens()[s];
-                    let valid: Vec<usize> = (0..l).map(|r| if r < len { len } else { 0 }).collect();
-                    nl.apply_softmax_rows_masked(&mut scores, &valid);
-                    crate::quant::matmul(&scores, vh, mode)
-                })
+                self.attend_pairs(q, k, v, l, Mask::Padded(batch.lens()), nl, mode, exec)
             });
         }
         // Unpack: keep only each sequence's valid rows.
@@ -622,33 +624,93 @@ impl BertModel {
     /// Multi-head attention over the sequences of `len` rows stacked in
     /// `q`/`k`/`v`, parallel over (sequence, head) pairs so even a single
     /// sequence spreads its quadratic stage across the lanes. Each pair
-    /// scores `q·kᵀ/√dh` on its own row block, `finish(seq, scores,
-    /// &v_block)` masks, normalises and applies V, and the pair writes its
-    /// context block into the shared output inside the same executor call.
-    /// A pair's math is the same on whichever lane runs it and the blocks
-    /// are disjoint, so the result is executor-independent.
+    /// packs its K block as Kᵀ panels and scores `q·Kᵀ/√dh` on the packed
+    /// tile, masks and normalises the scores per `mask`, applies V, and
+    /// writes its context block into the shared output inside the same
+    /// executor call. F32 and Codebook bodies apply V on the tile too,
+    /// reading the pair's V block where it lies (a causal row `p` over its
+    /// first `p + 1` positions); F16 and INT8 keep [`crate::quant::matmul`].
+    /// Both tile products keep the reference loops' per-element order, so
+    /// the result equals serial `encode`'s. A pair's math is the same on
+    /// whichever lane runs it and the blocks are disjoint, so the result is
+    /// executor-independent.
+    #[allow(clippy::too_many_arguments)] // every argument is an input of the attention
     pub(crate) fn attend_pairs(
         &self,
         q: &Matrix,
         k: &Matrix,
         v: &Matrix,
         len: usize,
+        mask: Mask<'_>,
+        nl: &Nonlinearity,
+        mode: MatmulMode,
         exec: &dyn BatchExecutor,
-        finish: impl Fn(usize, Matrix, &Matrix) -> Matrix + Sync,
     ) -> Matrix {
         let (rows, d) = q.shape();
         let heads = self.config.heads;
         let dh = self.config.head_dim();
         let scale = 1.0 / (dh as f32).sqrt();
+        let causal = matches!(mask, Mask::Causal);
         let ctx = Mutex::new(Matrix::zeros(rows, d));
-        par_map(exec, rows / len * heads, |p| {
-            let (s, h) = (p / heads, p % heads);
+        par_map(exec, rows / len * heads, |pair| {
+            let (s, h) = (pair / heads, pair % heads);
             let (seq_rows, head_cols) = (s * len..(s + 1) * len, h * dh..(h + 1) * dh);
-            let pair =
-                |m: &Matrix| copy_block(m.as_slice(), d, seq_rows.clone(), head_cols.clone());
-            let mut scores = pair(q).matmul_transpose(&pair(k));
+            // The pair's blocks of q and v start here, rows `d` apart.
+            let at = s * len * d + h * dh;
+            let kt = pack_keys(k.as_slice(), d, seq_rows.clone(), head_cols.clone());
+            let mut scores = Matrix::zeros(len, len);
+            key_panels(&kt, dh, len, 0..dh).product(
+                &q.as_slice()[at..],
+                d,
+                len,
+                false,
+                scores.as_mut_slice(),
+                len,
+            );
             scores.scale(scale);
-            let part = finish(s, scores, &pair(v));
+            let valid: Vec<usize> = match mask {
+                // Pad query rows (`r ≥ lens[s]`) get 0: their softmax output is
+                // all-zero, keeping them finite. The mask keeps pad rows out
+                // of real ones.
+                Mask::Padded(lens) => (0..len)
+                    .map(|r| if r < lens[s] { lens[s] } else { 0 })
+                    .collect(),
+                Mask::Causal => (1..=len).collect(),
+            };
+            nl.apply_softmax_rows_masked(&mut scores, &valid);
+            let part = match mode {
+                MatmulMode::F32 | MatmulMode::Codebook => {
+                    let mut part = Matrix::zeros(len, dh);
+                    Panels::row_major(&v.as_slice()[at..], len, dh, d).product(
+                        scores.as_slice(),
+                        len,
+                        len,
+                        causal,
+                        part.as_mut_slice(),
+                        dh,
+                    );
+                    part
+                }
+                MatmulMode::F16 | MatmulMode::Int8 => {
+                    let vh = copy_block(v.as_slice(), d, seq_rows.clone(), head_cols.clone());
+                    if !causal {
+                        crate::quant::matmul(&scores, &vh, mode)
+                    } else {
+                        // Row `p`'s context is its probs times the V prefix,
+                        // in the same shape (and the same per-row INT8
+                        // quantization) as a decode step's 1 × (p+1) product.
+                        let mut part = Matrix::zeros(len, dh);
+                        for p in 0..len {
+                            let probs = Matrix::from_vec(1, p + 1, scores.row(p)[..p + 1].to_vec());
+                            let vh_pre =
+                                Matrix::from_vec(p + 1, dh, vh.row_block(0, p + 1).to_vec());
+                            let row = crate::quant::matmul(&probs, &vh_pre, mode);
+                            part.row_mut(p).copy_from_slice(row.row(0));
+                        }
+                        part
+                    }
+                }
+            };
             let mut ctx = ctx.lock().expect("attention context poisoned");
             for (r, part_row) in seq_rows.zip(part.rows_iter()) {
                 ctx.row_mut(r)[head_cols.clone()].copy_from_slice(part_row);
@@ -662,7 +724,10 @@ impl BertModel {
     /// optional LayerNorm capture and codebook-calibration taps
     /// recording the rows entering each linear site (see
     /// [`BertModel::bake_codebooks`]). The taps are passive: the returned
-    /// activations are bit-identical with them on or off.
+    /// activations are bit-identical with them on or off. Its attention
+    /// runs the row-major reference loops ([`Matrix::matmul_transpose`],
+    /// [`crate::quant::matmul`]), which the packed tile of
+    /// [`BertModel::attend_pairs`] must equal.
     fn encode_layer_tapped(
         &self,
         layer: &EncoderLayer,
