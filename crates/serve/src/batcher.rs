@@ -80,12 +80,6 @@ impl BatchPolicy {
         }
     }
 
-    /// Replaces the bucket layout, keeping the area budget.
-    pub fn with_buckets(mut self, edges: Vec<usize>) -> Self {
-        self.bucket_edges = edges;
-        self
-    }
-
     /// Number of buckets (always `bucket_edges.len() + 1`; the last is
     /// the overflow bucket).
     pub fn bucket_count(&self) -> usize {
@@ -438,11 +432,6 @@ impl Batcher {
     /// Number of requests waiting across all buckets.
     pub fn queue_depth(&self) -> usize {
         self.buckets.iter().map(VecDeque::len).sum()
-    }
-
-    /// Requests waiting per bucket (length `policy.bucket_count()`).
-    pub fn bucket_depths(&self) -> Vec<usize> {
-        self.buckets.iter().map(VecDeque::len).collect()
     }
 
     /// Enqueues one generation decode step (the sequence rejoining the
@@ -880,7 +869,7 @@ mod tests {
         b.push(2, vec![1; 30]); // long (overflow bucket)
         b.push(3, vec![1; 4]); // short
         b.push(4, vec![1; 16]); // medium
-        assert_eq!(b.bucket_depths(), vec![2, 2, 1]);
+
         // Oldest front first: short (id 0), then medium (id 1), then long.
         assert_eq!(drain_ids(&mut b), vec![vec![0, 3], vec![1, 4], vec![2]]);
     }
@@ -912,7 +901,10 @@ mod tests {
     ) {
         let fifo = burst_efficiency(fifo_policy(8, budget), requests, lengths);
         let bucketed = burst_efficiency(
-            fifo_policy(8, budget).with_buckets(edges),
+            BatchPolicy {
+                bucket_edges: edges,
+                ..fifo_policy(8, budget)
+            },
             requests,
             lengths,
         );

@@ -8,7 +8,7 @@
 //!
 //! A long-lived server dispatches millions of batches, so [`ServeMetrics`]
 //! keeps **O(sketch capacity) memory, not O(batches served)**: every
-//! aggregate is a streaming count/sum/min/max counter, and percentiles
+//! aggregate is a streaming count/sum/peak counter, and percentiles
 //! come from fixed-capacity [`QuantileSketch`] ring buffers over the most
 //! recent observations. Recording a batch is O(members); taking a
 //! snapshot ([`ServeMetrics::clone`]) copies a fixed-size struct and never
@@ -242,8 +242,6 @@ pub struct ServeMetrics {
     tokens: usize,
     padded_tokens: usize,
     total_latency: Duration,
-    min_latency: Option<Duration>,
-    max_latency: Option<Duration>,
     peak_queue_depth: usize,
     close_counts: [u64; 5],
     /// Indexed by bucket; extends to the highest bucket that has
@@ -297,8 +295,6 @@ impl ServeMetrics {
             tokens: 0,
             padded_tokens: 0,
             total_latency: Duration::ZERO,
-            min_latency: None,
-            max_latency: None,
             peak_queue_depth: 0,
             close_counts: [0; 5],
             per_bucket: Vec::new(),
@@ -371,14 +367,6 @@ impl ServeMetrics {
         self.tokens += record.tokens;
         self.padded_tokens += record.padded_tokens;
         self.total_latency += record.latency;
-        self.min_latency = Some(
-            self.min_latency
-                .map_or(record.latency, |m| m.min(record.latency)),
-        );
-        self.max_latency = Some(
-            self.max_latency
-                .map_or(record.latency, |m| m.max(record.latency)),
-        );
         self.peak_queue_depth = self.peak_queue_depth.max(record.queue_depth);
         self.close_counts[reason_index(record.reason)] += 1;
         if record.bucket >= self.per_bucket.len() {
@@ -424,16 +412,6 @@ impl ServeMetrics {
     /// Total wall-clock time spent encoding.
     pub fn total_latency(&self) -> Duration {
         self.total_latency
-    }
-
-    /// Fastest batch encode so far (`None` before any batch).
-    pub fn min_latency(&self) -> Option<Duration> {
-        self.min_latency
-    }
-
-    /// Slowest batch encode so far (`None` before any batch).
-    pub fn max_latency(&self) -> Option<Duration> {
-        self.max_latency
     }
 
     /// End-to-end throughput in real tokens per second (0 before any
@@ -595,7 +573,7 @@ impl ServeMetrics {
 
     /// Folds another server's metrics into this one — the cross-replica
     /// rollup the sharded layer's `/metrics` endpoint reports. Counters,
-    /// totals and per-bucket tables add; min/max/peak combine; percentile
+    /// totals and per-bucket tables add; peaks combine; percentile
     /// sketches merge **approximately** (each replica's retained window is
     /// replayed into this one, so recency interleaving is by replay order,
     /// not true arrival time — see [`QuantileSketch::merge`]). Note that
@@ -608,14 +586,6 @@ impl ServeMetrics {
         self.tokens += other.tokens;
         self.padded_tokens += other.padded_tokens;
         self.total_latency += other.total_latency;
-        self.min_latency = match (self.min_latency, other.min_latency) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max_latency = match (self.max_latency, other.max_latency) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
         self.peak_queue_depth = self.peak_queue_depth.max(other.peak_queue_depth);
         for (mine, theirs) in self.close_counts.iter_mut().zip(other.close_counts) {
             *mine += theirs;
@@ -697,8 +667,6 @@ mod tests {
         assert_eq!(m.peak_queue_depth(), 0);
         assert_eq!(m.deadline_misses(), 0);
         assert_eq!(m.batches_served(), 0);
-        assert_eq!(m.min_latency(), None);
-        assert_eq!(m.max_latency(), None);
         assert!(m.per_bucket().is_empty());
     }
 
@@ -713,8 +681,6 @@ mod tests {
         assert_eq!(m.total_sequences(), 4);
         assert_eq!(m.peak_queue_depth(), 5);
         assert_eq!(m.batches_served(), 2);
-        assert_eq!(m.min_latency(), Some(Duration::from_millis(500)));
-        assert_eq!(m.max_latency(), Some(Duration::from_millis(500)));
     }
 
     #[test]
@@ -877,8 +843,6 @@ mod tests {
         assert_eq!(a.batches_served(), 2);
         assert_eq!(a.total_tokens(), 40);
         assert_eq!(a.total_sequences(), 4);
-        assert_eq!(a.min_latency(), Some(Duration::from_millis(5)));
-        assert_eq!(a.max_latency(), Some(Duration::from_millis(50)));
         assert_eq!(a.deadline_misses(), 1);
         assert_eq!(a.closes_for(CloseReason::Drain), 1);
         assert_eq!(a.closes_for(CloseReason::Aged), 1);
@@ -888,9 +852,6 @@ mod tests {
         assert_eq!(buckets[1].batches, 1);
         // Merged sketches see both windows (max = b's 50 ms batch).
         assert_eq!(a.latency_percentile(100.0), Some(Duration::from_millis(50)));
-        // Merging an empty snapshot is a no-op on extremes.
-        a.merge(&ServeMetrics::new());
-        assert_eq!(a.min_latency(), Some(Duration::from_millis(5)));
     }
 
     #[test]

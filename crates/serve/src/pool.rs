@@ -53,11 +53,6 @@ impl ThreadPool {
         }
     }
 
-    /// A single-lane pool: runs everything inline, spawning nothing.
-    pub fn serial() -> Self {
-        Self::new(1)
-    }
-
     /// Number of worker lanes.
     pub fn threads(&self) -> usize {
         self.threads
@@ -112,7 +107,6 @@ mod tests {
     #[test]
     fn zero_threads_clamps_to_one() {
         assert_eq!(ThreadPool::new(0).lanes(), 1);
-        assert_eq!(ThreadPool::serial().lanes(), 1);
     }
 
     #[test]

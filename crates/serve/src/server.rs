@@ -83,8 +83,9 @@ pub(crate) fn validate_request(cfg: &TransformerConfig, tokens: &[usize]) {
 }
 
 /// [`validate_request`] for a generation's prompt, plus its token
-/// budget: every generated position must fit the KV cache. Checked at
-/// the asynchronous door and again on the replica it routes to.
+/// budget: every generated position must fit the KV cache. Checked once,
+/// at the sharded door ([`crate::ShardedServer`]) before it routes the
+/// request; a replica trusts what the door hands it.
 ///
 /// # Panics
 ///
@@ -186,11 +187,6 @@ impl LutServer {
     /// Requests waiting in the queue.
     pub fn queue_depth(&self) -> usize {
         self.batcher.queue_depth()
-    }
-
-    /// Requests waiting per length bucket.
-    pub fn bucket_depths(&self) -> Vec<usize> {
-        self.batcher.bucket_depths()
     }
 
     /// Metrics accumulated over every batch served so far.

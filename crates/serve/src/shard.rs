@@ -73,7 +73,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::mpsc::{self, Receiver};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -812,12 +812,13 @@ impl ShardedServer {
     ///   frozen by a health transition, batch panic or stall trip;
     ///   `{"incident":null}` if none has fired.
     ///
-    /// The listener holds snapshots' sources (`Arc`s), not the server:
-    /// dropping the [`HttpHandle`](crate::http::HttpHandle) stops it
-    /// independently of the serving fleet, and it must be dropped before
-    /// (or simply not outlive) meaningful shutdown reporting is needed —
-    /// after [`ShardedServer::shutdown`] it reports the frozen final
-    /// snapshot.
+    /// The listener holds snapshots' sources, not the server: the shared
+    /// state and recorder (`Arc`s) and only a `Weak` to the replicas.
+    /// Dropping the [`HttpHandle`](crate::http::HttpHandle) stops it
+    /// independently of the serving fleet, and a live listener never keeps
+    /// the replicas alive: [`ShardedServer::shutdown`] still joins them,
+    /// and `/metrics` then reports the frozen final snapshot, as
+    /// [`ShardedServer::metrics`] does.
     pub fn serve_http(
         &self,
         addr: impl std::net::ToSocketAddrs,
@@ -867,15 +868,18 @@ impl ShardedServer {
             });
 
         let prom_shared = Arc::clone(&self.shared);
-        let prom_servers = self.servers.clone();
+        let prom_servers = self.servers.as_ref().map(Arc::downgrade);
         let prom_op = self.op_counters.clone();
         let prom_recorder = self.shared.config.recorder.clone();
         let prom_started = self.started;
         let prometheus: Arc<dyn Fn() -> crate::http::HttpResponse + Send + Sync> =
             Arc::new(move || {
-                let merged = match &prom_servers {
-                    Some(servers) => merged_metrics(servers),
-                    None => ServeMetrics::default(),
+                let merged = match prom_servers.as_ref().and_then(Weak::upgrade) {
+                    Some(servers) => merged_metrics(&servers),
+                    None => lock(&prom_shared.state)
+                        .final_metrics
+                        .clone()
+                        .unwrap_or_default(),
                 };
                 let (shard, replicas) = {
                     let st = lock(&prom_shared.state);
@@ -2185,5 +2189,30 @@ mod tests {
     #[should_panic(expected = "out of vocabulary")]
     fn shard_door_validates() {
         tiny_sharded(ShardConfig::default()).submit(vec![10_000]);
+    }
+
+    /// A live `/metrics` listener holds only a `Weak` to the replicas:
+    /// `shutdown` still drops the last strong reference, joining every
+    /// replica, and the listener then serves the frozen final snapshot.
+    #[test]
+    fn shutdown_releases_the_replicas_while_metrics_is_served() {
+        let mut server = tiny_sharded(ShardConfig::default());
+        server
+            .submit(vec![2; 5])
+            .wait()
+            .expect("no faults, no deadline");
+        let replicas = Arc::downgrade(server.servers.as_ref().expect("serving"));
+        let http = server.serve_http("127.0.0.1:0").expect("bind");
+        server.shutdown();
+        assert!(
+            replicas.upgrade().is_none(),
+            "the /metrics listener kept the replicas alive"
+        );
+        let (status, body) = crate::http::get(http.addr(), "/metrics").expect("scrape");
+        assert_eq!(status, 200);
+        assert!(
+            body.lines().any(|l| l == "nnlut_serve_sequences_total 1"),
+            "/metrics lost the final snapshot:\n{body}"
+        );
     }
 }

@@ -7,25 +7,28 @@
 //! before it. This module adds the decoder-serving shape the repo's
 //! `ext_decoder` analysis models: a per-sequence [`KvCache`] holding each
 //! layer's appended K/V rows, a causal [`BertModel::prefill`] that
-//! populates the cache from a prompt in wide row-parallel passes, and a
-//! single-token [`BertModel::decode_step`] that attends over the cached
-//! context — all through the same baked LUT kernels and the
-//! [`BatchExecutor`] seam the serving layer
-//! already drives.
+//! populates the cache from a prompt in wide row-parallel passes, and
+//! [`BertModel::decode_batch`] and [`BertModel::decode_step`], which feed
+//! one token per sequence — all through the same baked LUT kernels and
+//! the [`BatchExecutor`] seam the serving layer already drives.
 //!
-//! Both run the one transformer block `encode_batch` runs; only the
-//! attention handed to it differs. `encode_batch` attends bidirectionally
-//! over each sequence's valid rows, `prefill` over a causal prefix per
-//! head (appending every position's K/V to the cache first), and
-//! `decode_step` scores its one query row against the cache. The decode
-//! step is the step-at-a-time oracle `prefill` and the batched forms are
-//! tested against.
+//! All three are one decoder forward (the private `BertModel::extend`):
+//! it embeds each sequence's new tokens at its cache depth, then per
+//! layer runs the one transformer block `encode_batch` runs over all the
+//! new rows, handing it one causal attention that reads only the cache.
+//! That attention pushes the new rows' K/V, then attends every (sequence,
+//! head) pair from its cache in one executor call. `prefill` is the
+//! forward on one empty cache, `decode_batch` with one token per
+//! sequence, and `decode_step` is `decode_batch`'s one-row
+//! [`SerialExecutor`] case — the step-at-a-time oracle the wide and
+//! batched forms are tested against. `encode_batch` keeps its own
+//! bidirectional attention over each sequence's valid rows.
 //!
 //! The cache keeps each layer's keys as Kᵀ blocks of 16 positions, the
-//! packed GEMM tile's panels, and its values row-major. A step's attention
-//! (`q·Kᵀ`, then the probabilities times V) runs the one-row tile over
-//! both where they lie, with no per-head copy of the cache; `decode_step`
-//! and `decode_batch` share that code, one (row, head) pair at a time.
+//! packed GEMM tile's panels, and its values row-major. A pair's attention
+//! (`q·Kᵀ`, then the probabilities times V) runs the tile over both where
+//! they lie, its query rows taken as the cache's last positions: a
+//! prompt's keys are packed once, into the cache, and no head copies it.
 //!
 //! Serving batches both halves of a token's cost across the sequences of
 //! a decode batch. [`BertModel::decode_batch`] runs the block **once over
@@ -47,14 +50,15 @@
 //! * projections run one token row at a time in a fixed k-order
 //!   ([`nnlut_tensor::Matrix::matmul_rows_into`] semantics), so row `r`
 //!   of a wide prefill GEMM equals the same row computed alone;
-//! * the causal softmax evaluates exactly the `p + 1` cached scores with
-//!   the same per-row kernel as the masked batch path
-//!   ([`Nonlinearity::softmax_chunk_masked`]'s valid-prefix property);
+//! * the causal softmax of a row at position `p` evaluates exactly its
+//!   `p + 1` cached scores with the same per-row kernel as the masked
+//!   batch path ([`Nonlinearity::softmax_chunk_masked`]'s valid-prefix
+//!   property);
 //! * scores and context keep the reference loops' per-element order
 //!   (`0.0`, then `+=` over ascending channels or positions, no FMA) on
-//!   the packed tile, identical for the wide and incremental paths — a
-//!   prefill row `p` sums its context over its own prefix `0..=p`, as the
-//!   step at position `p` does;
+//!   the packed tile — a row at position `p` sums its context over its
+//!   own prefix `0..=p`, whether it arrives in a wide prefill or alone in
+//!   a step (F16 and INT8 run each row's `1 × (p+1)` product on its own);
 //! * per-tensor reductions that would couple rows — the INT8 activation
 //!   quantizer and the I-BERT GELU scale — are taken **per token row** on
 //!   this path (exactly what a step-at-a-time decoder does on real
@@ -82,17 +86,18 @@ use nnlut_tensor::Matrix;
 use crate::backend::Nonlinearity;
 use crate::exec::{par_map, BatchExecutor, SerialExecutor};
 use crate::gemm::{key_block_floats, key_panels, push_key, Panels};
-use crate::model::{copy_block, BertModel, Mask, Scope};
+use crate::model::{copy_block, BertModel, Scope};
 use crate::quant::MatmulMode;
 
 /// One sequence's appended K/V rows for every layer — the state a
 /// generation carries between decode steps.
 ///
-/// Append-only: position `p`'s K/V rows are written once (by
-/// [`BertModel::prefill`] or [`BertModel::decode_step`]) and never
-/// mutated. Keys are stored as Kᵀ blocks of 16 positions, the packed
-/// tile's panels, so a step scores its query against them in place; values
-/// stay row-major, which the tile reads in place too. Buffers are reserved
+/// Append-only: position `p`'s K/V rows are written once, by the decoder
+/// forward behind [`BertModel::prefill`] and [`BertModel::decode_batch`],
+/// and never mutated. Keys are stored as Kᵀ blocks of 16 positions, the
+/// packed tile's panels, so the new rows score their queries against them
+/// in place; values stay row-major, which the tile reads in place too.
+/// The cache is the only place the decoder's attention reads K and V. Buffers are reserved
 /// to `capacity` positions (keys: rounded up to whole blocks) up front, so
 /// the heap footprint is a function of `(layers, hidden, capacity)` from
 /// the first token — [`KvCache::approx_bytes`] reports that bound and the
@@ -182,53 +187,66 @@ impl KvCache {
         self.v[layer].extend_from_slice(v_row);
     }
 
-    /// Attends one query row's head `h` (`q_h`, `dh` wide) against every
-    /// position `layer` holds, into `out` (`dh` wide): `q·Kᵀ/√dh` as a
-    /// one-row tile over the Kᵀ blocks, the masked softmax over those
-    /// positions, then the probabilities times V — a one-row tile over the
-    /// V rows where they lie for F32 and Codebook bodies, and
-    /// [`crate::quant::matmul`] on a copy of the head's V block for F16
-    /// and INT8. The tiles keep the reference loops' per-element order.
+    /// Attends head `h` of the last `rows` positions `layer` holds, whose
+    /// query rows start at `q` (`hidden` apart), against every position up
+    /// to each row's own: `q·Kᵀ/√dh` as a tile over the Kᵀ blocks, a
+    /// masked softmax over each row's prefix, then the probabilities times
+    /// V — the causal tile over the V rows where they lie for F32 and
+    /// Codebook bodies, and per row a `1 × (p+1)` [`crate::quant::matmul`]
+    /// on a copy of the head's V prefix for F16 and INT8. Returns the
+    /// `rows × dh` context. The tiles keep the reference loops'
+    /// per-element order, so a row's context depends only on its own
+    /// prefix: the same whether it arrives alone or with others.
+    #[allow(clippy::too_many_arguments)] // the pair, its queries, and the attention's inputs
     fn attend(
         &self,
         layer: usize,
         h: usize,
-        q_h: &[f32],
+        dh: usize,
+        q: &[f32],
+        rows: usize,
         nl: &Nonlinearity,
         mode: MatmulMode,
-        out: &mut [f32],
-    ) {
-        let (d, dh) = (self.hidden, q_h.len());
+    ) -> Matrix {
+        let d = self.hidden;
         let n = self.positions(layer);
         let head_cols = h * dh..(h + 1) * dh;
-        let mut scores = Matrix::zeros(1, n);
+        let mut scores = Matrix::zeros(rows, n);
         key_panels(&self.k[layer], d, n, head_cols.clone()).product(
-            q_h,
-            dh,
-            1,
+            &q[h * dh..],
+            d,
+            rows,
             false,
             scores.as_mut_slice(),
             n,
         );
         scores.scale(1.0 / (dh as f32).sqrt());
-        nl.apply_softmax_rows_masked(&mut scores, &[n]);
+        let depths: Vec<usize> = (n + 1 - rows..=n).collect();
+        nl.apply_softmax_rows_masked(&mut scores, &depths);
         let v = &self.v[layer];
+        let mut part = Matrix::zeros(rows, dh);
         match mode {
             MatmulMode::F32 | MatmulMode::Codebook => {
                 Panels::row_major(&v[h * dh..], n, dh, d).product(
                     scores.as_slice(),
                     n,
-                    1,
-                    false,
-                    out,
+                    rows,
+                    true,
+                    part.as_mut_slice(),
                     dh,
                 );
             }
             MatmulMode::F16 | MatmulMode::Int8 => {
-                let vh = copy_block(v, d, 0..n, head_cols);
-                out.copy_from_slice(crate::quant::matmul(&scores, &vh, mode).row(0));
+                for ((probs, out), depth) in
+                    scores.rows_iter().zip(part.rows_iter_mut()).zip(depths)
+                {
+                    let probs = Matrix::from_vec(1, depth, probs[..depth].to_vec());
+                    let vh = copy_block(v, d, 0..depth, head_cols.clone());
+                    out.copy_from_slice(crate::quant::matmul(&probs, &vh, mode).row(0));
+                }
             }
         }
+        part
     }
 }
 
@@ -252,10 +270,85 @@ impl BertModel {
         );
     }
 
-    /// Causal prefill: runs the prompt through the decoder-mode body in
-    /// wide row-parallel passes, populates `cache` with every layer's K/V
-    /// rows, and returns the final hidden state of the **last** prompt
-    /// position — the row the first generated token is read from.
+    /// The one decoder forward: feeds each sequence's new `tokens` after
+    /// the positions its cache already holds, appends their K/V rows to
+    /// every layer, and returns their final hidden states stacked in input
+    /// order (`Σ tokens.len() × hidden`).
+    ///
+    /// Each token is embedded at its own cache depth, serially. Each layer
+    /// then runs the shared block over all the new rows at per-row scope,
+    /// pushes the rows' K/V to their caches, and attends every (sequence,
+    /// head) pair from its cache ([`KvCache::attend`]) in one executor
+    /// call, each pair writing its context block into the shared output.
+    /// A row's math reads only its own row and its cache's prefix, so it
+    /// is the same at any lane count, under any batch composition and
+    /// however a sequence's tokens are split across calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cache is shaped for a different model or would outgrow
+    /// its capacity, or if a token is outside the vocabulary.
+    fn extend(
+        &self,
+        seqs: &mut [(&mut KvCache, &[usize])],
+        nl: &Nonlinearity,
+        mode: MatmulMode,
+        exec: &dyn BatchExecutor,
+    ) -> Matrix {
+        let d = self.config.hidden;
+        let (heads, dh) = (self.config.heads, self.config.head_dim());
+        // Each sequence's first row in the stacked activations.
+        let mut starts = Vec::with_capacity(seqs.len());
+        let mut rows = 0;
+        for (cache, tokens) in seqs.iter() {
+            self.check_cache(cache);
+            assert!(
+                cache.len + tokens.len() <= cache.capacity,
+                "KV cache is full ({} positions)",
+                cache.capacity
+            );
+            starts.push(rows);
+            rows += tokens.len();
+        }
+        let mut x = Matrix::zeros(rows, d);
+        for ((cache, tokens), &start) in seqs.iter().zip(&starts) {
+            for (i, &token) in tokens.iter().enumerate() {
+                self.embed_into(token, cache.len + i, x.row_mut(start + i));
+            }
+        }
+
+        for (l, layer) in self.layers.iter().enumerate() {
+            x = self.block(layer, &x, nl, mode, Scope::Row, exec, |q, k, v| {
+                for ((cache, tokens), &start) in seqs.iter_mut().zip(&starts) {
+                    for r in start..start + tokens.len() {
+                        cache.push(l, k.row(r), v.row(r));
+                    }
+                }
+                let seqs = &*seqs;
+                let ctx = Mutex::new(Matrix::zeros(rows, d));
+                par_map(exec, seqs.len() * heads, |pair| {
+                    let (s, h) = (pair / heads, pair % heads);
+                    let (cache, tokens) = &seqs[s];
+                    let q_rows = &q.as_slice()[starts[s] * d..];
+                    let part = cache.attend(l, h, dh, q_rows, tokens.len(), nl, mode);
+                    let mut ctx = ctx.lock().expect("decode context poisoned");
+                    for (r, part_row) in part.rows_iter().enumerate() {
+                        ctx.row_mut(starts[s] + r)[h * dh..(h + 1) * dh].copy_from_slice(part_row);
+                    }
+                });
+                ctx.into_inner().expect("decode context poisoned")
+            });
+        }
+        for (cache, tokens) in seqs.iter_mut() {
+            cache.len += tokens.len();
+        }
+        x
+    }
+
+    /// Causal prefill: runs the prompt through the decoder forward on an
+    /// empty `cache`, populating it with every layer's K/V rows, and
+    /// returns the final hidden state of the **last** prompt position —
+    /// the row the first generated token is read from.
     ///
     /// Bit-identical to feeding the prompt through
     /// [`BertModel::decode_step`] one token at a time (see the module
@@ -274,28 +367,17 @@ impl BertModel {
         mode: MatmulMode,
         exec: &dyn BatchExecutor,
     ) -> Vec<f32> {
-        let mut x = self.embed(tokens);
+        self.check_len(tokens.len());
         assert!(cache.is_empty(), "prefill requires an empty cache");
-        self.check_cache(cache);
-        let n = tokens.len();
-        for (l, layer) in self.layers.iter().enumerate() {
-            x = self.block(layer, &x, nl, mode, Scope::Row, exec, |q, k, v| {
-                for p in 0..n {
-                    cache.push(l, k.row(p), v.row(p));
-                }
-                // Causal attention: query row `p` sees keys `0..=p`, as a
-                // decode step at position `p` does.
-                self.attend_pairs(q, k, v, n, Mask::Causal, nl, mode, exec)
-            });
-        }
-        cache.len = n;
-        x.row(n - 1).to_vec()
+        let x = self.extend(&mut [(cache, tokens)], nl, mode, exec);
+        x.row(tokens.len() - 1).to_vec()
     }
 
     /// One incremental decode step: embeds `token` at position
     /// `cache.len()`, appends its K/V rows to every layer, attends over
     /// the cached context, and returns the new position's final hidden
-    /// state.
+    /// state — the one-row, [`SerialExecutor`] case of
+    /// [`BertModel::decode_batch`].
     ///
     /// # Panics
     ///
@@ -308,36 +390,8 @@ impl BertModel {
         nl: &Nonlinearity,
         mode: MatmulMode,
     ) -> Vec<f32> {
-        assert!(
-            !cache.is_full(),
-            "KV cache is full ({} positions)",
-            cache.capacity
-        );
-        self.check_cache(cache);
-        let p = cache.len;
-        let d = self.config.hidden;
-        let dh = self.config.head_dim();
-        let exec = &SerialExecutor;
-        let mut x = Matrix::zeros(1, d);
-        self.embed_into(token, p, x.row_mut(0));
-
-        for (l, layer) in self.layers.iter().enumerate() {
-            x = self.block(layer, &x, nl, mode, Scope::Row, exec, |q, k, v| {
-                cache.push(l, k.row(0), v.row(0));
-                let mut ctx = Matrix::zeros(1, d);
-                for (h, (q_h, out)) in q
-                    .row(0)
-                    .chunks_exact(dh)
-                    .zip(ctx.row_mut(0).chunks_exact_mut(dh))
-                    .enumerate()
-                {
-                    cache.attend(l, h, q_h, nl, mode, out);
-                }
-                ctx
-            });
-        }
-        cache.len = p + 1;
-        x.into_vec()
+        self.decode_batch(&mut [(cache, token)], nl, mode, &SerialExecutor)
+            .into_vec()
     }
 
     /// Greedy next-token readout of one hidden row: the one-row,
@@ -416,23 +470,20 @@ impl BertModel {
     /// feed it. Returns the new hidden states as a `B × hidden` matrix,
     /// row `i` for step `i`.
     ///
-    /// All `B` rows run as one block per layer at per-row scope, so every
-    /// weight streams once per batch rather than once per sequence. Row
-    /// `i` is embedded at its own cache depth; the attention pushes row
-    /// `i`'s K/V to cache `i`, then attends row `i` against cache `i` alone,
-    /// one `(row, head)` pair per item across `exec`'s lanes, with the code
-    /// [`BertModel::decode_step`] runs; each pair writes its context block
-    /// into the shared output inside the same executor call. Every other
-    /// stage is row-local at this scope (the INT8 quantizer and the I-BERT
-    /// GELU scale are taken per row, as a decode step takes them), so each
-    /// row is bit-identical to stepping its sequence alone, at any lane
-    /// count and under any batch composition — the property the tests here
-    /// and `tests/serve_decode.rs` pin across precisions and thread counts.
+    /// The decoder forward with one token per sequence: all `B` rows run
+    /// as one block per layer at per-row scope, so every weight streams
+    /// once per batch rather than once per sequence, and each row attends
+    /// against its own cache alone. Every other stage is row-local at this
+    /// scope (the INT8 quantizer and the I-BERT GELU scale are taken per
+    /// row), so each row is bit-identical to stepping its sequence alone,
+    /// at any lane count and under any batch composition — the property
+    /// the tests here and `tests/serve_decode.rs` pin across precisions
+    /// and thread counts.
     ///
     /// # Panics
     ///
-    /// Panics if `steps` is empty, or on any step [`BertModel::decode_step`]
-    /// would panic on.
+    /// Panics if `steps` is empty, or if a cache is full or shaped for a
+    /// different model, or a token is outside the vocabulary.
     pub fn decode_batch(
         &self,
         steps: &mut [(&mut KvCache, usize)],
@@ -441,45 +492,11 @@ impl BertModel {
         exec: &dyn BatchExecutor,
     ) -> Matrix {
         assert!(!steps.is_empty(), "cannot decode an empty batch");
-        let b = steps.len();
-        let d = self.config.hidden;
-        let heads = self.config.heads;
-        let dh = self.config.head_dim();
-        let mut x = Matrix::zeros(b, d);
-        for ((cache, token), row) in steps.iter().zip(x.rows_iter_mut()) {
-            assert!(
-                !cache.is_full(),
-                "KV cache is full ({} positions)",
-                cache.capacity
-            );
-            self.check_cache(cache);
-            self.embed_into(*token, cache.len, row);
-        }
-
-        for (l, layer) in self.layers.iter().enumerate() {
-            x = self.block(layer, &x, nl, mode, Scope::Row, exec, |q, k, v| {
-                for (i, (cache, _)) in steps.iter_mut().enumerate() {
-                    cache.push(l, k.row(i), v.row(i));
-                }
-                let steps = &*steps;
-                let ctx = Mutex::new(Matrix::zeros(b, d));
-                par_map(exec, b * heads, |pair| {
-                    let (i, h) = (pair / heads, pair % heads);
-                    let head_cols = h * dh..(h + 1) * dh;
-                    let mut part = vec![0.0f32; dh];
-                    steps[i]
-                        .0
-                        .attend(l, h, &q.row(i)[head_cols.clone()], nl, mode, &mut part);
-                    let mut ctx = ctx.lock().expect("decode context poisoned");
-                    ctx.row_mut(i)[head_cols].copy_from_slice(&part);
-                });
-                ctx.into_inner().expect("decode context poisoned")
-            });
-        }
-        for (cache, _) in steps.iter_mut() {
-            cache.len += 1;
-        }
-        x
+        let mut seqs: Vec<(&mut KvCache, &[usize])> = steps
+            .iter_mut()
+            .map(|(cache, token)| (&mut **cache, std::slice::from_ref(token)))
+            .collect();
+        self.extend(&mut seqs, nl, mode, exec)
     }
 
     /// Serial greedy generation — the step-at-a-time oracle the serving

@@ -23,9 +23,9 @@
 //! a panel stride and a row stride), so attention's two
 //! activation·activation products run on it without a frozen weight:
 //!
-//! * **Q·Kᵀ.** Kᵀ of a (sequence, head) pair is packed as *Kᵀ blocks*:
-//!   16 positions per block, each block one `dh × 16` panel
-//!   ([`pack_keys`], inside the lane that owns the pair). The decode
+//! * **Q·Kᵀ.** Kᵀ of an encode batch's (sequence, head) pair is packed as
+//!   *Kᵀ blocks*: 16 positions per block, each block one `dh × 16` panel
+//!   ([`pack_keys`], inside the lane that owns the pair). The decoder's
 //!   KV cache stores each layer's keys the same way, all heads' channels
 //!   in one `hidden × 16` block ([`push_key`], growing one whole block at
 //!   a time inside the cache's reservation), and a head's Kᵀ is a view of
@@ -33,7 +33,8 @@
 //! * **scores·V.** A V row already holds a head's columns as runs of 16,
 //!   so V is read where it lies ([`Panels::row_major`], row stride
 //!   `hidden`), in a projection's output or the cache. A causal product
-//!   sums row `p` over its own prefix `0..=p` only.
+//!   takes its rows as the last of the cache's positions and sums each
+//!   over its own prefix only.
 //!
 //! # Dispatch
 //!
@@ -400,9 +401,10 @@ impl<'a> Panels<'a> {
     /// into `n` columns of `m` rows of `out` (row `i` from `out[i·ldo]`
     /// on). Output `(i, j)` is `0.0`, then `+= a[i][kk]·w[kk][j]` for `kk`
     /// ascending, an IEEE multiply then an IEEE add (no FMA), over every
-    /// `kk < k` — or, when `causal`, over row `i`'s own prefix `kk ≤ i`.
-    /// Panel by panel, up to four rows at a time, so each panel stays hot
-    /// in cache across every row block of the call.
+    /// `kk < k` — or, when `causal`, over row `i`'s own prefix: the `m`
+    /// rows are the last `m` of `k` positions, so row `i` sums its first
+    /// `k − m + i + 1`. Panel by panel, up to four rows at a time, so each
+    /// panel stays hot in cache across every row block of the call.
     ///
     /// # Panics
     ///
@@ -421,11 +423,10 @@ impl<'a> Panels<'a> {
             return;
         }
         assert!(!causal || m <= self.k, "causal rows outrun the depth");
-        // Row offsets and depths only grow with the row, so the last row
-        // bounds every read of `a` and every write of `out`.
-        let deepest = if causal { m } else { self.k };
+        // Row offsets and depths only grow with the row, and the last row
+        // is `k` deep, so it bounds every read of `a` and write of `out`.
         assert!(
-            (m - 1) * lda + deepest <= a.len() && (m - 1) * ldo + self.n <= out.len(),
+            (m - 1) * lda + self.k <= a.len() && (m - 1) * ldo + self.n <= out.len(),
             "product operand too short"
         );
         let panels = self.n.div_ceil(PANEL);
@@ -454,7 +455,7 @@ impl<'a> Panels<'a> {
             let w = &self.data[p * self.panel_stride..];
             let width = (self.n - p * PANEL).min(PANEL);
             for i in 0..m {
-                let depth = if causal { i + 1 } else { self.k };
+                let depth = if causal { self.k - m + i + 1 } else { self.k };
                 let mut acc = [0.0f32; PANEL];
                 for (kk, &av) in a[i * lda..i * lda + depth].iter().enumerate() {
                     let w_row = &w[kk * self.row_stride..kk * self.row_stride + width];
@@ -569,7 +570,7 @@ mod avx2 {
             let width = (w.n - p * PANEL).min(PANEL);
             for i in (0..m).step_by(4) {
                 let depths: [usize; 4] =
-                    core::array::from_fn(|r| if causal { i + r + 1 } else { w.k });
+                    core::array::from_fn(|r| if causal { w.k - m + i + r + 1 } else { w.k });
                 let a = a.as_ptr().add(i * lda);
                 let o = out.as_mut_ptr().add(i * ldo + p * PANEL);
                 let (row_stride, depths) = (w.row_stride, &depths[..(m - i).min(4)]);
@@ -942,12 +943,12 @@ mod tests {
     }
 
     /// scores·V with V read where it lies == `Matrix::matmul` over the
-    /// full depth, and, causally, == the per-row oracle a prefill row
+    /// full depth, and, causally, == the per-row oracle a cached row
     /// stands for: `1 × (p+1)` probabilities times the `(p+1) × dh` V
-    /// prefix. Both kernels, both heads of a two-head layout (the second
-    /// head's partial panel at `dh = 24` ends the buffer, so its whole-row
-    /// loads would run off it), every length in [`LENGTHS`], specials
-    /// mixed in.
+    /// prefix, for the last `m` of `L` positions (`m` of 1, ⌈L/2⌉ and L).
+    /// Both kernels, both heads of a two-head layout (the second head's
+    /// partial panel at `dh = 24` ends the buffer, so its whole-row loads
+    /// would run off it), every length in [`LENGTHS`], specials mixed in.
     #[test]
     fn in_place_v_matches_matmul_and_the_prefix_oracle() {
         let mut rng = Mix(0x0B0B);
@@ -973,14 +974,16 @@ mod tests {
                             level,
                             ..Panels::row_major(&v.as_slice()[h * dh..], len, dh, d)
                         };
-                        for (causal, want) in [(false, &full), (true, &prefix)] {
-                            let mut got = vec![f32::from_bits(0x7fc0_dead); len * dh];
-                            view.product(scores.as_slice(), len, len, causal, &mut got, dh);
-                            let what = format!(
-                                "{} dh {dh} L {len} head {h} causal {causal}",
-                                level.name()
-                            );
-                            assert_same(&got, want.as_slice(), &what);
+                        let what = format!("{} dh {dh} L {len} head {h}", level.name());
+                        let mut got = vec![f32::from_bits(0x7fc0_dead); len * dh];
+                        view.product(scores.as_slice(), len, len, false, &mut got, dh);
+                        assert_same(&got, full.as_slice(), &what);
+                        for m in [1, len.div_ceil(2), len] {
+                            let mut got = vec![f32::from_bits(0x7fc0_dead); m * dh];
+                            let last = &scores.as_slice()[(len - m) * len..];
+                            view.product(last, len, m, true, &mut got, dh);
+                            let want = prefix.row_block(len - m, len);
+                            assert_same(&got, want, &format!("{what} last {m}"));
                         }
                     }
                 }

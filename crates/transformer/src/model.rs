@@ -182,16 +182,6 @@ pub(crate) enum Scope {
     Row,
 }
 
-/// Which keys a query row of [`BertModel::attend_pairs`] sees.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Mask<'a> {
-    /// Every valid row of its own sequence, whose valid length is
-    /// `lens[sequence]`; pad rows see nothing ([`BertModel::encode_batch`]).
-    Padded(&'a [usize]),
-    /// Row `p` sees positions `0..=p` ([`BertModel::prefill`]).
-    Causal,
-}
-
 /// A BERT-style encoder with embeddings.
 ///
 /// # Examples
@@ -336,6 +326,17 @@ impl BertModel {
         }
     }
 
+    /// Panics unless a sequence of `n` tokens fits the model: non-empty
+    /// and at most `max_seq` long.
+    pub(crate) fn check_len(&self, n: usize) {
+        assert!(n > 0, "cannot embed an empty sequence");
+        assert!(
+            n <= self.config.max_seq,
+            "sequence length {n} exceeds max_seq {}",
+            self.config.max_seq
+        );
+    }
+
     /// The `(len × d)` embedding of one sequence, computed serially.
     ///
     /// # Panics
@@ -344,12 +345,7 @@ impl BertModel {
     /// id outside the vocabulary.
     pub(crate) fn embed(&self, tokens: &[usize]) -> Matrix {
         let n = tokens.len();
-        assert!(n > 0, "cannot embed an empty sequence");
-        assert!(
-            n <= self.config.max_seq,
-            "sequence length {n} exceeds max_seq {}",
-            self.config.max_seq
-        );
+        self.check_len(n);
         let mut x = Matrix::zeros(n, self.config.hidden);
         for (pos, (&t, row)) in tokens.iter().zip(x.rows_iter_mut()).enumerate() {
             self.embed_into(t, pos, row);
@@ -468,8 +464,8 @@ impl BertModel {
     /// Runs the encoder over a whole padded batch, returning one
     /// `(len × d)` hidden-state matrix per sequence (pad rows stripped).
     ///
-    /// Each layer is the one transformer block `prefill` and `decode_step`
-    /// also run (q/k/v, attention, wo, residual, norm, FFN, activation,
+    /// Each layer is the one transformer block the decoder also runs
+    /// (q/k/v, attention, wo, residual, norm, FFN, activation,
     /// FFN, residual, norm); only the attention differs — here it is
     /// bidirectional over each sequence's valid rows. Every stage works on
     /// the packed `(sequences·max_len) × d` activation buffer through
@@ -505,11 +501,7 @@ impl BertModel {
         let b = batch.sequences();
         let l = batch.max_len();
         assert!(b > 0, "cannot encode an empty batch");
-        assert!(
-            l <= self.config.max_seq,
-            "sequence length {l} exceeds max_seq {}",
-            self.config.max_seq
-        );
+        self.check_len(l);
         let d = self.config.hidden;
         // Embedding: row-local (token + position), parallel over all rows.
         let mut x = Matrix::zeros(b * l, d);
@@ -521,7 +513,7 @@ impl BertModel {
         });
         for layer in &self.layers {
             x = self.block(layer, &x, nl, mode, Scope::Matrix, exec, |q, k, v| {
-                self.attend_pairs(q, k, v, l, Mask::Padded(batch.lens()), nl, mode, exec)
+                self.attend_pairs(q, k, v, batch.lens(), nl, mode, exec)
             });
         }
         // Unpack: keep only each sequence's valid rows.
@@ -533,8 +525,8 @@ impl BertModel {
             .collect()
     }
 
-    /// One transformer block over the rows of `x` — the body `encode_batch`,
-    /// `prefill` and `decode_step` all run. It projects q/k/v, hands them
+    /// One transformer block over the rows of `x` — the body `encode_batch`
+    /// and the decoder both run. It projects q/k/v, hands them
     /// to the caller's `attend(&q, &k, &v) -> ctx`, then runs wo →
     /// residual → norm1 → FFN1 → activation → FFN2 → residual → norm2.
     /// The stages run through `exec` in that order, one call each — except
@@ -621,38 +613,38 @@ impl BertModel {
         add_norm(&x1, project(&layer.ff2, &hmid), &layer.norm2)
     }
 
-    /// Multi-head attention over the sequences of `len` rows stacked in
-    /// `q`/`k`/`v`, parallel over (sequence, head) pairs so even a single
-    /// sequence spreads its quadratic stage across the lanes. Each pair
-    /// packs its K block as Kᵀ panels and scores `q·Kᵀ/√dh` on the packed
-    /// tile, masks and normalises the scores per `mask`, applies V, and
-    /// writes its context block into the shared output inside the same
-    /// executor call. F32 and Codebook bodies apply V on the tile too,
-    /// reading the pair's V block where it lies (a causal row `p` over its
-    /// first `p + 1` positions); F16 and INT8 keep [`crate::quant::matmul`].
-    /// Both tile products keep the reference loops' per-element order, so
-    /// the result equals serial `encode`'s. A pair's math is the same on
-    /// whichever lane runs it and the blocks are disjoint, so the result is
-    /// executor-independent.
+    /// Bidirectional multi-head attention over a padded batch: one
+    /// sequence per `lens` entry, each `rows / lens.len()` rows of
+    /// `q`/`k`/`v` with its first `lens[s]` valid. Parallel over (sequence,
+    /// head) pairs so even a single sequence spreads its quadratic stage
+    /// across the lanes. Each pair packs its K block as Kᵀ panels and
+    /// scores `q·Kᵀ/√dh` on the packed tile, softmaxes each valid row over
+    /// the valid keys (a pad row's output is all-zero, keeping it finite),
+    /// applies V, and writes its context block into the shared output
+    /// inside the same executor call. F32 and Codebook bodies apply V on
+    /// the tile too, reading the pair's V block where it lies; F16 and INT8
+    /// keep [`crate::quant::matmul`]. Both tile products keep the reference
+    /// loops' per-element order, so the result equals serial `encode`'s. A
+    /// pair's math is the same on whichever lane runs it and the blocks are
+    /// disjoint, so the result is executor-independent.
     #[allow(clippy::too_many_arguments)] // every argument is an input of the attention
     pub(crate) fn attend_pairs(
         &self,
         q: &Matrix,
         k: &Matrix,
         v: &Matrix,
-        len: usize,
-        mask: Mask<'_>,
+        lens: &[usize],
         nl: &Nonlinearity,
         mode: MatmulMode,
         exec: &dyn BatchExecutor,
     ) -> Matrix {
         let (rows, d) = q.shape();
+        let len = rows / lens.len();
         let heads = self.config.heads;
         let dh = self.config.head_dim();
         let scale = 1.0 / (dh as f32).sqrt();
-        let causal = matches!(mask, Mask::Causal);
         let ctx = Mutex::new(Matrix::zeros(rows, d));
-        par_map(exec, rows / len * heads, |pair| {
+        par_map(exec, lens.len() * heads, |pair| {
             let (s, h) = (pair / heads, pair % heads);
             let (seq_rows, head_cols) = (s * len..(s + 1) * len, h * dh..(h + 1) * dh);
             // The pair's blocks of q and v start here, rows `d` apart.
@@ -668,15 +660,9 @@ impl BertModel {
                 len,
             );
             scores.scale(scale);
-            let valid: Vec<usize> = match mask {
-                // Pad query rows (`r ≥ lens[s]`) get 0: their softmax output is
-                // all-zero, keeping them finite. The mask keeps pad rows out
-                // of real ones.
-                Mask::Padded(lens) => (0..len)
-                    .map(|r| if r < lens[s] { lens[s] } else { 0 })
-                    .collect(),
-                Mask::Causal => (1..=len).collect(),
-            };
+            let valid: Vec<usize> = (0..len)
+                .map(|r| if r < lens[s] { lens[s] } else { 0 })
+                .collect();
             nl.apply_softmax_rows_masked(&mut scores, &valid);
             let part = match mode {
                 MatmulMode::F32 | MatmulMode::Codebook => {
@@ -685,7 +671,7 @@ impl BertModel {
                         scores.as_slice(),
                         len,
                         len,
-                        causal,
+                        false,
                         part.as_mut_slice(),
                         dh,
                     );
@@ -693,22 +679,7 @@ impl BertModel {
                 }
                 MatmulMode::F16 | MatmulMode::Int8 => {
                     let vh = copy_block(v.as_slice(), d, seq_rows.clone(), head_cols.clone());
-                    if !causal {
-                        crate::quant::matmul(&scores, &vh, mode)
-                    } else {
-                        // Row `p`'s context is its probs times the V prefix,
-                        // in the same shape (and the same per-row INT8
-                        // quantization) as a decode step's 1 × (p+1) product.
-                        let mut part = Matrix::zeros(len, dh);
-                        for p in 0..len {
-                            let probs = Matrix::from_vec(1, p + 1, scores.row(p)[..p + 1].to_vec());
-                            let vh_pre =
-                                Matrix::from_vec(p + 1, dh, vh.row_block(0, p + 1).to_vec());
-                            let row = crate::quant::matmul(&probs, &vh_pre, mode);
-                            part.row_mut(p).copy_from_slice(row.row(0));
-                        }
-                        part
-                    }
+                    crate::quant::matmul(&scores, &vh, mode)
                 }
             };
             let mut ctx = ctx.lock().expect("attention context poisoned");
