@@ -66,7 +66,16 @@
 //! rebuilds it on a healthy replica by re-prefilling the prompt plus the
 //! tokens already emitted.
 //!
-//! Because every decode step is row-local in the token dimension
+//! Both planes run the same way. Each batch member is either an encode
+//! or a generation's **extend** — a fresh KV cache with its prompt, or
+//! its parked cache with its last token — and a batch runs its encodes
+//! through one [`BertModel::encode_batch`] call, every extend through one
+//! [`BertModel::extend`] call, and reads each generation's next token
+//! from its last new row in one [`BertModel::greedy_tokens`] pass. The
+//! two planes differ only in how a finished batch is recorded in the
+//! metrics.
+//!
+//! Because every decoder row is row-local in the token dimension
 //! (masked attention over a per-sequence cache, per-row quantization on
 //! the INT8 paths), a continuously-batched generation is **bit-identical
 //! to serial step-at-a-time decoding** at all three precisions, any
@@ -587,7 +596,7 @@ impl Iterator for GenerateTicket {
 }
 
 /// Worker-side bookkeeping of one live generation. The KV cache parks
-/// here between steps and **moves into the decode job** while a step is
+/// here between steps and **moves into the batch** while a step is
 /// in flight — one step per sequence at a time, by construction.
 #[derive(Debug)]
 struct GenState {
@@ -613,58 +622,32 @@ struct Entry {
     gen: Option<GenState>,
 }
 
-/// What a dispatched batch actually runs: a length-bucket batch (pure
-/// encodes, or encodes mixed with generation prefills) or a decode-plane
-/// batch advancing many generations one token each.
+/// What one batch member runs.
 #[derive(Debug)]
-enum JobWork {
-    /// A closed length-bucket batch. `is_gen[i]` marks member `i` as a
-    /// generation prefill.
-    Bucket {
-        closed: ClosedBatch,
-        is_gen: Vec<bool>,
-    },
-    /// A closed decode batch: each member's cache and input token, moved
-    /// out of its [`GenState`] for the duration of the step.
-    Decode {
-        closed: ClosedDecodeBatch,
-        steps: Vec<(KvCache, usize)>,
-    },
+enum Work {
+    /// An encode of these tokens.
+    Encode(Vec<usize>),
+    /// A generation's tokens fed after its KV cache: a fresh cache and
+    /// the prompt for a bucket member, the parked cache and the last
+    /// emitted token for a decode step. The cache grows in place.
+    Extend(KvCache, Vec<usize>),
 }
 
-impl JobWork {
+/// The plane a batch closed on — all that differs in reporting it.
+#[derive(Debug)]
+enum Closed {
+    Bucket(ClosedBatch),
+    Decode(ClosedDecodeBatch),
+}
+
+impl Closed {
     /// The batch's member ids, in member order.
     fn ids(&self) -> &[RequestId] {
         match self {
-            JobWork::Bucket { closed, .. } => &closed.ids,
-            JobWork::Decode { closed, .. } => &closed.ids,
+            Closed::Bucket(closed) => &closed.ids,
+            Closed::Decode(closed) => &closed.ids,
         }
     }
-}
-
-/// Per-member result of a bucket batch.
-#[derive(Debug)]
-enum MemberResult {
-    /// An encode member's hidden states.
-    Encoded(Matrix),
-    /// A generation prefill: populated cache + greedily-read first token.
-    Prefilled { cache: KvCache, token: usize },
-}
-
-/// The outcome side of [`JobWork`]. `Err(())` = the encode panicked
-/// (contained); members fail (a decode batch's caches are lost in the
-/// unwind — the generation cannot continue here; the sharded layer
-/// rebuilds).
-#[derive(Debug)]
-enum DoneWork {
-    Bucket {
-        closed: ClosedBatch,
-        outcome: Result<Vec<MemberResult>, ()>,
-    },
-    Decode {
-        closed: ClosedDecodeBatch,
-        outcome: Result<Vec<(KvCache, usize)>, ()>,
-    },
 }
 
 /// Everything the submitter side and the worker threads share, behind
@@ -903,33 +886,26 @@ fn advance_generation(st: &mut State, id: RequestId, cache: KvCache, token: usiz
 
 /// Reports one finished batch: records its metrics and stages and
 /// reports every member's outcome at once. Called under the shared lock.
+/// After a panic every member fails, and the generations' caches drop
+/// here: they cannot continue on this replica (the shard rebuilds them).
 fn resolve_batch(
     st: &mut State,
-    work: DoneWork,
+    closed: Closed,
+    work: Vec<Work>,
+    outcome: Result<(Vec<Matrix>, Vec<usize>), ()>,
     depth: usize,
     latency: Duration,
     traces: &[Arc<RequestTrace>],
 ) {
     let replica = Some(st.replica);
-    match work {
-        // The unwind consumed a decode batch's caches: these
-        // generations cannot continue on this server.
-        DoneWork::Bucket {
-            closed: ClosedBatch { ids, .. },
-            outcome: Err(()),
+    let Ok((hidden, tokens)) = outcome else {
+        for &id in closed.ids() {
+            fail_request(st, id, "panic", ServeError::ServerFailed { id });
         }
-        | DoneWork::Decode {
-            closed: ClosedDecodeBatch { ids, .. },
-            outcome: Err(()),
-        } => {
-            for id in ids {
-                fail_request(st, id, "panic", ServeError::ServerFailed { id });
-            }
-        }
-        DoneWork::Bucket {
-            closed,
-            outcome: Ok(results),
-        } => {
+        return;
+    };
+    let (ids, bucket) = match closed {
+        Closed::Bucket(closed) => {
             st.metrics.record(BatchRecord {
                 sequences: closed.batch.sequences(),
                 tokens: closed.batch.tokens(),
@@ -940,148 +916,127 @@ fn resolve_batch(
                 reason: closed.reason,
                 queue_waits: closed.queue_waits,
             });
-            for ((id, result), trace) in closed.ids.iter().zip(results).zip(traces) {
-                trace.record(Stage::Reordered, replica, None);
-                match result {
-                    MemberResult::Encoded(hidden) => {
-                        trace.record(Stage::Resolved, replica, None);
-                        st.metrics.record_stages(&trace.breakdown());
-                        if st.requests.remove(id).is_some() {
-                            let response = EncodeResponse {
-                                id: *id,
-                                tokens: hidden.rows(),
-                                hidden,
-                                latency,
-                            };
-                            report(st, *id, Progress::Done(Ok(Some(response))));
-                        }
-                    }
-                    MemberResult::Prefilled { cache, token } => {
-                        advance_generation(st, *id, cache, token);
-                    }
-                }
-            }
+            (closed.ids, true)
         }
-        DoneWork::Decode {
-            closed,
-            outcome: Ok(stepped),
-        } => {
+        Closed::Decode(closed) => {
             st.metrics.record_decode_batch(
                 closed.ids.len(),
                 closed.context_tokens,
                 latency,
                 closed.reason,
             );
-            for (id, (cache, token)) in closed.ids.iter().zip(stepped) {
-                advance_generation(st, *id, cache, token);
+            (closed.ids, false)
+        }
+    };
+    let (mut hidden, mut tokens) = (hidden.into_iter(), tokens.into_iter());
+    for ((id, work), trace) in ids.into_iter().zip(work).zip(traces) {
+        if bucket {
+            trace.record(Stage::Reordered, replica, None);
+        }
+        match work {
+            Work::Encode(_) => {
+                let hidden = hidden.next().expect("one result per encode");
+                trace.record(Stage::Resolved, replica, None);
+                st.metrics.record_stages(&trace.breakdown());
+                if st.requests.remove(&id).is_some() {
+                    let response = EncodeResponse {
+                        id,
+                        tokens: hidden.rows(),
+                        hidden,
+                        latency,
+                    };
+                    report(st, id, Progress::Done(Ok(Some(response))));
+                }
+            }
+            Work::Extend(cache, _) => {
+                let token = tokens.next().expect("one token per generation");
+                advance_generation(st, id, cache, token);
             }
         }
     }
 }
 
-/// Runs one closed bucket batch: the pure-encode fast path is the
-/// original [`BertModel::encode_batch`] call; a batch with generation
-/// prefills splits by member kind — encodes re-pack and run wide,
-/// prefills run through [`BertModel::prefill_batch`] (per-sequence
-/// serial inside its lane, so results are composition-independent
-/// bitwise), and every first token is read in one
-/// [`BertModel::greedy_tokens`] pass. Results return in member order.
-fn run_bucket(
+/// Runs one closed batch: the encodes in one [`BertModel::encode_batch`]
+/// call, every generation member — prefills and decode steps alike —
+/// through one [`BertModel::extend`] call, and each generation's next
+/// token from its last new row in one [`BertModel::greedy_tokens`] pass.
+/// Returns the encodes' hidden states and the generations' next tokens,
+/// each in member order. Every member's result is bit-identical to
+/// running it alone (see `docs/ARCHITECTURE.md`).
+fn run(
     model: &BertModel,
-    closed: &ClosedBatch,
-    is_gen: &[bool],
+    work: &mut [Work],
     nl: &Nonlinearity,
     mode: MatmulMode,
     pool: &ThreadPool,
-) -> Vec<MemberResult> {
-    if !is_gen.contains(&true) {
-        return model
-            .encode_batch(&closed.batch, nl, mode, pool)
-            .into_iter()
-            .map(MemberResult::Encoded)
-            .collect();
-    }
-    // Recover each member's tokens from the padded storage (the batcher
-    // does not keep the originals past packing).
-    let ids = closed.batch.ids();
-    let max_len = closed.batch.max_len();
-    let seqs: Vec<Vec<usize>> = closed
-        .batch
-        .lens()
+) -> (Vec<Matrix>, Vec<usize>) {
+    let encodes: Vec<Vec<usize>> = work
         .iter()
-        .enumerate()
-        .map(|(i, &len)| ids[i * max_len..i * max_len + len].to_vec())
+        .filter_map(|w| match w {
+            Work::Encode(tokens) => Some(tokens.clone()),
+            Work::Extend(..) => None,
+        })
         .collect();
-    let mut out: Vec<Option<MemberResult>> = (0..seqs.len()).map(|_| None).collect();
-    let enc_idx: Vec<usize> = (0..seqs.len()).filter(|&i| !is_gen[i]).collect();
-    if !enc_idx.is_empty() {
-        let enc_seqs: Vec<Vec<usize>> = enc_idx.iter().map(|&i| seqs[i].clone()).collect();
-        let batch = PaddedBatch::pack(&enc_seqs);
-        for (&i, hidden) in enc_idx
-            .iter()
-            .zip(model.encode_batch(&batch, nl, mode, pool))
-        {
-            out[i] = Some(MemberResult::Encoded(hidden));
-        }
-    }
-    let pre_idx: Vec<usize> = (0..seqs.len()).filter(|&i| is_gen[i]).collect();
-    if !pre_idx.is_empty() {
-        let pre_seqs: Vec<Vec<usize>> = pre_idx.iter().map(|&i| seqs[i].clone()).collect();
-        let (caches, hiddens): (Vec<KvCache>, Vec<Vec<f32>>) = model
-            .prefill_batch(&pre_seqs, nl, mode, pool)
-            .into_iter()
-            .unzip();
-        let hidden = Matrix::from_vec(hiddens.len(), model.config().hidden, hiddens.concat());
-        let tokens = model.greedy_tokens(&hidden, pool);
-        for ((&i, cache), token) in pre_idx.iter().zip(caches).zip(tokens) {
-            out[i] = Some(MemberResult::Prefilled { cache, token });
-        }
-    }
-    out.into_iter()
-        .map(|r| r.expect("every member computed"))
-        .collect()
-}
-
-/// Runs one closed decode batch: every sequence advances one token in one
-/// B-row block ([`BertModel::decode_batch`], bit-identical to stepping
-/// alone) and all next tokens are read in one pass over the LM head
-/// ([`BertModel::greedy_tokens`]). Caches return with their new K/V rows
-/// appended.
-fn run_decode(
-    model: &BertModel,
-    mut steps: Vec<(KvCache, usize)>,
-    nl: &Nonlinearity,
-    mode: MatmulMode,
-    pool: &ThreadPool,
-) -> Vec<(KvCache, usize)> {
-    let hidden = {
-        let mut refs: Vec<(&mut KvCache, usize)> = steps.iter_mut().map(|(c, t)| (c, *t)).collect();
-        model.decode_batch(&mut refs, nl, mode, pool)
+    let hidden = if encodes.is_empty() {
+        Vec::new()
+    } else {
+        model.encode_batch(&PaddedBatch::pack(&encodes), nl, mode, pool)
     };
-    let tokens = model.greedy_tokens(&hidden, pool);
-    steps
-        .into_iter()
-        .zip(tokens)
-        .map(|((cache, _), token)| (cache, token))
-        .collect()
+    let mut seqs: Vec<(&mut KvCache, &[usize])> = work
+        .iter_mut()
+        .filter_map(|w| match w {
+            Work::Extend(cache, tokens) => Some((cache, tokens.as_slice())),
+            Work::Encode(_) => None,
+        })
+        .collect();
+    if seqs.is_empty() {
+        return (hidden, Vec::new());
+    }
+    let rows = model.extend(&mut seqs, nl, mode, pool);
+    let mut last = Matrix::zeros(seqs.len(), rows.cols());
+    let mut end = 0;
+    for ((_, tokens), row) in seqs.iter().zip(last.rows_iter_mut()) {
+        end += tokens.len();
+        row.copy_from_slice(rows.row(end - 1));
+    }
+    (hidden, model.greedy_tokens(&last, pool))
 }
 
-/// Closes the planned batch under the shared lock. A decode batch moves
-/// each member's parked KV cache into the job for the step.
-fn close_batch(st: &mut State, target: CloseTarget, reason: CloseReason, now: Instant) -> JobWork {
+/// Closes the planned batch under the shared lock. A bucket batch gives
+/// each generation a fresh KV cache for its prompt; a decode batch moves
+/// each member's parked cache into the job for the step.
+fn close_batch(
+    st: &mut State,
+    model: &BertModel,
+    target: CloseTarget,
+    reason: CloseReason,
+    now: Instant,
+) -> (Closed, Vec<Work>) {
     match target {
         CloseTarget::Bucket(bucket) => {
             let closed = st.batcher.close_bucket(bucket, now, reason);
-            let is_gen = closed
+            // The batcher keeps each member's tokens only in the padded
+            // batch.
+            let (padded, max_len) = (closed.batch.ids(), closed.batch.max_len());
+            let work = closed
                 .ids
                 .iter()
-                .map(|id| st.requests.get(id).is_some_and(|e| e.gen.is_some()))
+                .zip(closed.batch.lens())
+                .enumerate()
+                .map(|(i, (id, &len))| {
+                    let tokens = padded[i * max_len..i * max_len + len].to_vec();
+                    if st.requests.get(id).is_some_and(|e| e.gen.is_some()) {
+                        Work::Extend(model.new_cache(), tokens)
+                    } else {
+                        Work::Encode(tokens)
+                    }
+                })
                 .collect();
-            JobWork::Bucket { closed, is_gen }
+            (Closed::Bucket(closed), work)
         }
         CloseTarget::Decode => {
             let closed = st.batcher.close_decode(now, reason);
-            let steps = closed
+            let work = closed
                 .ids
                 .iter()
                 .map(|id| {
@@ -1094,10 +1049,10 @@ fn close_batch(st: &mut State, target: CloseTarget, reason: CloseReason, now: In
                         .cache
                         .take()
                         .expect("cache parked while the step queued");
-                    (cache, gen.next_token)
+                    Work::Extend(cache, vec![gen.next_token])
                 })
                 .collect();
-            JobWork::Decode { closed, steps }
+            (Closed::Decode(closed), work)
         }
     }
 }
@@ -1141,18 +1096,7 @@ fn worker_loop(
         // packed, whatever else this wakeup does. Both planes: a queued
         // prefill (generation or encode) and a queued decode step die
         // the same way.
-        let expired: Vec<(RequestId, Instant)> = st
-            .batcher
-            .take_expired(now)
-            .into_iter()
-            .map(|req| (req.id, req.queued_at))
-            .chain(
-                st.batcher
-                    .take_expired_decode(now)
-                    .into_iter()
-                    .map(|step| (step.id, step.queued_at)),
-            )
-            .collect();
+        let expired = st.batcher.take_expired(now);
         if !expired.is_empty() {
             for (id, queued_at) in expired {
                 let waited = now.saturating_duration_since(queued_at);
@@ -1209,12 +1153,12 @@ fn worker_loop(
             continue;
         };
         let depth = st.batcher.queue_depth();
-        let work = close_batch(&mut st, target, reason, now);
+        let (closed, mut work) = close_batch(&mut st, &model, target, reason, now);
         let seq = st.next_seq;
         st.next_seq += 1;
         // Clone the members' traces now, under the lock: the run then
         // records on them lock-free.
-        let traces: Vec<Arc<RequestTrace>> = work
+        let traces: Vec<Arc<RequestTrace>> = closed
             .ids()
             .iter()
             .map(|id| {
@@ -1224,7 +1168,7 @@ fn worker_loop(
                 )
             })
             .collect();
-        let is_decode = matches!(work, JobWork::Decode { .. });
+        let is_decode = matches!(closed, Closed::Decode(_));
         for trace in &traces {
             // A decode step skips `Assembled` — there is no packing
             // phase; it keeps per-token event volume down (traces cap at
@@ -1248,35 +1192,18 @@ fn worker_loop(
         // panic here is contained (submit validates at the door, so none
         // is expected): the batch's tickets resolve to `ServerFailed`
         // instead of leaving waiters hanging, and the replica lives on.
-        // Nothing is mutated across the unwind boundary — the model,
-        // backends and pool are all shared-immutable — so
-        // `AssertUnwindSafe` is honest. Injected faults fire here too —
-        // inside the containment, keyed on the dispatch sequence number
-        // (the replica-local batch coordinate) — so a chaos plan
-        // exercises the exact same failure path a real encode panic
-        // takes.
+        // Only the members' caches are mutated across the unwind boundary
+        // — the model, backends and pool are all shared-immutable — and a
+        // panicked batch's caches are only dropped, so `AssertUnwindSafe`
+        // is honest. Injected faults fire here too — inside the
+        // containment, keyed on the dispatch sequence number (the
+        // replica-local batch coordinate) — so a chaos plan exercises the
+        // exact same failure path a real encode panic takes.
         let start = Instant::now();
-        let done = match work {
-            JobWork::Bucket { closed, is_gen } => DoneWork::Bucket {
-                outcome: contain(fault, seq, || {
-                    run_bucket(&model, &closed, &is_gen, &nl, mode, &pool)
-                }),
-                closed,
-            },
-            // `steps` moves into the closure: a panic consumes the caches
-            // in the unwind, which is exactly the failure contract (the
-            // generations cannot continue here).
-            JobWork::Decode { closed, steps } => DoneWork::Decode {
-                outcome: contain(fault, seq, || run_decode(&model, steps, &nl, mode, &pool)),
-                closed,
-            },
-        };
+        let outcome = contain(fault, seq, || run(&model, &mut work, &nl, mode, &pool));
         let latency = start.elapsed();
         // Stage recording and journaling happen outside the lock.
-        let panicked = match &done {
-            DoneWork::Bucket { outcome, .. } => outcome.is_err(),
-            DoneWork::Decode { outcome, .. } => outcome.is_err(),
-        };
+        let panicked = outcome.is_err();
         let note = panicked.then_some("panic");
         for trace in &traces {
             trace.record(Stage::Encoded, replica, note);
@@ -1293,6 +1220,6 @@ fn worker_loop(
             }
         }
         st = lock(&shared.state);
-        resolve_batch(&mut st, done, depth, latency, &traces);
+        resolve_batch(&mut st, closed, work, outcome, depth, latency, &traces);
     }
 }

@@ -248,38 +248,38 @@ impl std::fmt::Display for CloseReason {
 }
 
 /// One queued encode request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingRequest {
+#[derive(Debug, Clone)]
+struct PendingRequest {
     /// The id handed back to the submitter.
-    pub id: RequestId,
+    id: RequestId,
     /// The token sequence to encode.
-    pub tokens: Vec<usize>,
+    tokens: Vec<usize>,
     /// When the request entered the queue (queue-wait metrics run off
     /// this).
-    pub queued_at: Instant,
+    queued_at: Instant,
     /// Absolute completion deadline, if the submitter set one. Expired
     /// requests are culled by [`Batcher::take_expired`], never encoded.
-    pub deadline: Option<Instant>,
+    deadline: Option<Instant>,
 }
 
 /// One queued single-token decode step — the scheduling record of a
 /// generation rejoining the queue after emitting a token. The serving
 /// layer owns the sequence's KV cache and next token; the batcher only
 /// decides *when* the step runs and with which batch-mates.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeStep {
+#[derive(Debug, Clone)]
+struct DecodeStep {
     /// The generation request this step advances.
-    pub id: RequestId,
+    id: RequestId,
     /// Cached positions the step's attention spans — its compute-cost
     /// signal. The step contributes `context_len + 1` to the decode
     /// batch's area (the new row attends over the context plus itself).
-    pub context_len: usize,
+    context_len: usize,
     /// When the step rejoined the queue (inter-token latency runs off
     /// this).
-    pub queued_at: Instant,
+    queued_at: Instant,
     /// The generation's absolute deadline, if any. A lapsed deadline
-    /// culls the step via [`Batcher::take_expired_decode`].
-    pub deadline: Option<Instant>,
+    /// culls the step via [`Batcher::take_expired`].
+    deadline: Option<Instant>,
 }
 
 /// One closed batch of decode steps, as produced by
@@ -463,59 +463,28 @@ impl Batcher {
         self.buckets.iter().all(VecDeque::is_empty) && self.decode.is_empty()
     }
 
-    /// Removes and returns every queued request whose deadline is at or
-    /// before `now`, in arrival order. The caller resolves them with a
-    /// timeout error; they are never encoded.
-    pub fn take_expired(&mut self, now: Instant) -> Vec<PendingRequest> {
+    /// Removes every queued request and decode step whose deadline is at
+    /// or before `now` and returns their `(id, queued_at)`: the length
+    /// buckets' in arrival order, then the decode plane's in rejoin order.
+    /// The caller resolves them with a timeout error (freeing a
+    /// generation's KV cache); they never run.
+    pub fn take_expired(&mut self, now: Instant) -> Vec<(RequestId, Instant)> {
         // Fast path: the worker calls this on every wakeup, so a queue
-        // with no lapsed deadline must not pay the rebuild below.
-        let bucket_earliest = self
-            .buckets
-            .iter()
-            .flatten()
-            .filter_map(|r| r.deadline)
-            .min();
-        if bucket_earliest.is_none_or(|d| d > now) {
+        // with no lapsed deadline must not pay the scans below.
+        if self.earliest_deadline().is_none_or(|d| d > now) {
             return Vec::new();
         }
+        let lapsed = |deadline: Option<Instant>| deadline.is_some_and(|d| d <= now);
         let mut expired = Vec::new();
         for bucket in &mut self.buckets {
-            let mut keep = VecDeque::with_capacity(bucket.len());
-            for req in bucket.drain(..) {
-                match req.deadline {
-                    Some(d) if d <= now => expired.push(req),
-                    _ => keep.push_back(req),
-                }
-            }
-            *bucket = keep;
+            let culled = bucket.iter().filter(|r| lapsed(r.deadline));
+            expired.extend(culled.map(|r| (r.id, r.queued_at)));
+            bucket.retain(|r| !lapsed(r.deadline));
         }
-        expired.sort_by_key(|r| (r.queued_at, r.id));
-        expired
-    }
-
-    /// Removes and returns every queued decode step whose generation
-    /// deadline is at or before `now`, in rejoin order. The caller
-    /// resolves the generation with a timeout error (and frees its KV
-    /// cache); the step is never run.
-    pub fn take_expired_decode(&mut self, now: Instant) -> Vec<DecodeStep> {
-        if self
-            .decode
-            .iter()
-            .filter_map(|s| s.deadline)
-            .min()
-            .is_none_or(|d| d > now)
-        {
-            return Vec::new();
-        }
-        let mut expired = Vec::new();
-        let mut keep = VecDeque::with_capacity(self.decode.len());
-        for step in self.decode.drain(..) {
-            match step.deadline {
-                Some(d) if d <= now => expired.push(step),
-                _ => keep.push_back(step),
-            }
-        }
-        self.decode = keep;
+        expired.sort_by_key(|&(id, queued_at)| (queued_at, id));
+        let culled = self.decode.iter().filter(|s| lapsed(s.deadline));
+        expired.extend(culled.map(|s| (s.id, s.queued_at)));
+        self.decode.retain(|s| !lapsed(s.deadline));
         expired
     }
 
@@ -961,7 +930,7 @@ mod tests {
         b.push_at(2, vec![1; 8], t0, Some(soon));
         b.push_at(3, vec![1; 2], t0, None);
         let expired = b.take_expired(t0 + Duration::from_millis(5));
-        let ids: Vec<RequestId> = expired.iter().map(|r| r.id).collect();
+        let ids: Vec<RequestId> = expired.iter().map(|&(id, _)| id).collect();
         assert_eq!(ids, vec![0, 2]);
         assert_eq!(b.queue_depth(), 2);
         assert_eq!(b.earliest_deadline(), Some(late));
@@ -1211,14 +1180,12 @@ mod tests {
             "a decode deadline inside slack closes with Deadline, not Decode"
         );
         // …and a lapsed deadline culls the step without running it.
-        let expired = b.take_expired_decode(t0 + Duration::from_millis(7));
+        let expired = b.take_expired(t0 + Duration::from_millis(7));
         assert_eq!(expired.len(), 1);
-        assert_eq!(expired[0].id, 100);
+        assert_eq!(expired[0].0, 100);
         assert_eq!(b.decode_depth(), 0);
         assert!(b.is_empty());
-        assert!(b
-            .take_expired_decode(t0 + Duration::from_secs(1))
-            .is_empty());
+        assert!(b.take_expired(t0 + Duration::from_secs(1)).is_empty());
     }
 
     #[test]

@@ -6,21 +6,30 @@
 //! caller-provided handlers — enough for `/healthz` and `/metrics`
 //! scrapers, and nothing more. One accept thread handles connections
 //! serially (an ops endpoint is scraped a few times a second, not load
-//! tested); malformed requests get `400`, unknown paths `404`, and every
-//! response carries `Content-Length` + `Connection: close` so plain
-//! `curl` and probe scripts work unmodified.
+//! tested); a request head is capped at [`MAX_HEAD`] bytes and must
+//! arrive within [`HEAD_DEADLINE`], so no client holds that thread for
+//! long; malformed or oversized requests get `400`, unknown paths `404`,
+//! and every response carries `Content-Length` + `Connection: close` so
+//! plain `curl` and probe scripts work unmodified.
 //!
 //! The integration with the sharded server lives in
 //! [`ShardedServer::serve_http`](crate::ShardedServer::serve_http);
 //! this module knows nothing about serving — handlers are opaque
 //! closures, so tests drive the listener with plain canned responses.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// The most bytes of request head (request line and headers) the listener
+/// reads; a longer head gets `400`.
+pub const MAX_HEAD: usize = 8 * 1024;
+
+/// How long a client has to send its whole request head.
+pub const HEAD_DEADLINE: Duration = Duration::from_secs(1);
 
 /// One response from a route handler.
 #[derive(Debug, Clone)]
@@ -137,25 +146,43 @@ fn accept_loop(listener: TcpListener, routes: Vec<Route>, stop: Arc<AtomicBool>)
             break;
         }
         let Ok(stream) = stream else { continue };
-        // A stuck client must not wedge the ops plane.
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+        // A stuck client must not wedge the ops plane: its head is capped
+        // and has one deadline (`read_head`), and the reply 500 ms.
         let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
         let _ = serve_one(stream, &routes);
     }
 }
 
-fn serve_one(stream: TcpStream, routes: &[Route]) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain the headers; this listener ignores them (GET has no body).
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
-            break;
+/// Reads the request head through the blank line that ends it (or to
+/// EOF): its text, or `None` once it outgrows [`MAX_HEAD`]. The whole
+/// head shares one [`HEAD_DEADLINE`] — each read waits only for what is
+/// left of it — so a client trickling bytes cannot hold the accept thread.
+fn read_head(stream: &TcpStream) -> std::io::Result<Option<String>> {
+    let deadline = Instant::now() + HEAD_DEADLINE;
+    let mut limited = stream.take(MAX_HEAD as u64 + 1);
+    let (mut head, mut chunk) = (Vec::new(), [0u8; 1024]);
+    let ended =
+        |h: &[u8]| h.windows(2).any(|w| w == b"\n\n") || h.windows(3).any(|w| w == b"\n\r\n");
+    while !ended(&head) {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
+        match limited.read(&mut chunk)? {
+            0 => break,
+            n => head.extend_from_slice(&chunk[..n]),
         }
     }
-    let response = match parse_get_path(&request_line) {
+    Ok((head.len() <= MAX_HEAD).then(|| String::from_utf8_lossy(&head).into_owned()))
+}
+
+fn serve_one(mut stream: TcpStream, routes: &[Route]) -> std::io::Result<()> {
+    // The headers are ignored (GET has no body); only the request line
+    // routes.
+    let head = read_head(&stream)?;
+    let request_line = head.as_deref().and_then(|head| head.lines().next());
+    let response = match request_line.and_then(parse_get_path) {
         Some(path) => match routes.iter().find(|(p, _)| p == &path) {
             Some((_, handler)) => handler(),
             None => HttpResponse {
@@ -170,7 +197,6 @@ fn serve_one(stream: TcpStream, routes: &[Route]) -> std::io::Result<()> {
             body: "only GET <path> HTTP/1.x is served here\n".into(),
         },
     };
-    let mut stream = reader.into_inner();
     write!(
         stream,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
@@ -270,6 +296,55 @@ mod tests {
         let mut reply = String::new();
         std::io::Read::read_to_string(&mut BufReader::new(stream), &mut reply).expect("read");
         assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+    }
+
+    /// A head past the cap is refused at the cap: a 64 KiB request line
+    /// gets `400` at once, not a read of all of it and a wait for more.
+    #[test]
+    fn oversized_head_gets_400_promptly() {
+        let handle = canned(vec![("/x", 200, "{}")]);
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("set timeout");
+        let start = Instant::now();
+        // The listener may close before taking it all; only the reply counts.
+        let _ = write!(stream, "GET /{} HTTP/1.1", "a".repeat(64 * 1024));
+        let mut reply = Vec::new();
+        // A reset after the reply (the rest of the line went unread) ends
+        // the read; what arrived before it is kept.
+        let _ = stream.read_to_end(&mut reply);
+        let reply = String::from_utf8_lossy(&reply);
+        assert!(reply.starts_with("HTTP/1.1 400"), "{reply:?}");
+        assert!(start.elapsed() < HEAD_DEADLINE, "{:?}", start.elapsed());
+    }
+
+    /// A client sending one header line every 400 ms loses the accept
+    /// thread when its head's deadline passes, so a scrape queued behind
+    /// it is still served (within `get`'s 2 s read timeout).
+    #[test]
+    fn trickling_client_cannot_hold_the_listener() {
+        let handle = canned(vec![("/healthz", 200, "{\"ok\":true}")]);
+        let mut slow = TcpStream::connect(handle.addr()).expect("connect");
+        write!(slow, "GET /healthz HTTP/1.1\r\n").expect("write");
+        let stop = Arc::new(AtomicBool::new(false));
+        let trickle = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) && write!(slow, "X-Slow: 1\r\n").is_ok() {
+                    std::thread::sleep(Duration::from_millis(400));
+                }
+            })
+        };
+        // The accept queue is FIFO: the trickler, connected first, is
+        // accepted first, and the scrape waits behind it.
+        let start = Instant::now();
+        let served = get(handle.addr(), "/healthz");
+        stop.store(true, Ordering::SeqCst);
+        trickle.join().expect("trickler");
+        let (status, body) = served.expect("healthz served while a client trickles");
+        assert_eq!((status, body.as_str()), (200, "{\"ok\":true}"));
+        assert!(start.elapsed() < 2 * HEAD_DEADLINE, "{:?}", start.elapsed());
     }
 
     #[test]

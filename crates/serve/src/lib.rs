@@ -26,7 +26,8 @@
 //!   dedicated **decode plane**: live generations' single-token steps
 //!   queue separately and close into wide [`ClosedDecodeBatch`]es under
 //!   the same area budget, decode-priority but with prefill
-//!   anti-starvation.
+//!   anti-starvation. One expiry call culls lapsed deadlines from both
+//!   planes.
 //! * [`server`] — the synchronous [`LutServer`], the serial oracle: the
 //!   caller's thread drives `submit`/`step`/`drain`.
 //! * [`async_server`] — the crate-private replica behind the shard door:
@@ -35,7 +36,12 @@
 //!   optional deadlines, and under-filled batches close on age or
 //!   deadline pressure. Encodes and generations share one
 //!   admission path and one table of unresolved requests, so expiry,
-//!   failure and the shutdown sweep each have one code path. The module
+//!   failure and the shutdown sweep each have one code path. A batch of
+//!   either plane runs one way: its encodes through
+//!   [`BertModel::encode_batch`](nnlut_transformer::BertModel::encode_batch),
+//!   its generation members — prompts and decode steps alike — through
+//!   one [`BertModel::extend`](nnlut_transformer::BertModel::extend)
+//!   call, and their next tokens through one LM-head pass. The module
 //!   also holds the door's public types: [`Ticket`], [`GenerateTicket`],
 //!   [`ServeError`] and the per-replica [`AsyncServerConfig`].
 //! * [`metrics`] — bounded streaming aggregates (O(sketch capacity), not
@@ -127,7 +133,7 @@ pub mod trace;
 pub use async_server::{AsyncServerConfig, GenerateResponse, GenerateTicket, ServeError, Ticket};
 pub use batcher::{
     BatchPolicy, Batcher, ClosePolicy, CloseReason, CloseTarget, ClosedBatch, ClosedDecodeBatch,
-    DecodeStep, PendingRequest, ServePolicy,
+    ServePolicy,
 };
 pub use fault::{BatchFault, Fault, FaultPlan, INJECTED_PANIC_PREFIX};
 pub use http::{HttpHandle, HttpResponse};

@@ -12,17 +12,19 @@
 //! one token per sequence — all through the same baked LUT kernels and
 //! the [`BatchExecutor`] seam the serving layer already drives.
 //!
-//! All three are one decoder forward (the private `BertModel::extend`):
-//! it embeds each sequence's new tokens at its cache depth, then per
-//! layer runs the one transformer block `encode_batch` runs over all the
-//! new rows, handing it one causal attention that reads only the cache.
-//! That attention pushes the new rows' K/V, then attends every (sequence,
-//! head) pair from its cache in one executor call. `prefill` is the
-//! forward on one empty cache, `decode_batch` with one token per
-//! sequence, and `decode_step` is `decode_batch`'s one-row
-//! [`SerialExecutor`] case — the step-at-a-time oracle the wide and
-//! batched forms are tested against. `encode_batch` keeps its own
-//! bidirectional attention over each sequence's valid rows.
+//! All three are thin callers of one public decoder forward,
+//! [`BertModel::extend`], which is also the serving replica's only way to
+//! feed tokens into caches: it takes any mix of sequences, each with its
+//! new tokens (a prompt on a fresh cache, the last emitted token on a
+//! parked one), embeds them at their cache depths, then per layer runs
+//! the one transformer block `encode_batch` runs over all the new rows.
+//! Its attention pushes the new rows' K/V, then attends every (sequence,
+//! head) pair from its cache in one executor call — the model's one pair
+//! attention, which `encode_batch` runs too, bidirectionally over each
+//! sequence's valid rows. `prefill` is the forward on one empty cache,
+//! `decode_batch` with one token per sequence, and `decode_step` is
+//! `decode_batch`'s one-row [`SerialExecutor`] case — the step-at-a-time
+//! oracle the wide and batched forms are tested against.
 //!
 //! The cache keeps each layer's keys as Kᵀ blocks of 16 positions, the
 //! packed GEMM tile's panels, and its values row-major. A pair's attention
@@ -78,26 +80,24 @@
 //!    continuing yields the same remaining tokens as the uninterrupted
 //!    run (the sharded layer's failover-with-cache-rebuild leans on 1).
 
-use std::sync::Mutex;
-
 use nnlut_core::engine::chunk_ranges;
 use nnlut_tensor::Matrix;
 
 use crate::backend::Nonlinearity;
 use crate::exec::{par_map, BatchExecutor, SerialExecutor};
-use crate::gemm::{key_block_floats, key_panels, push_key, Panels};
-use crate::model::{copy_block, BertModel, Scope};
+use crate::gemm::{key_block_floats, push_key};
+use crate::model::{BertModel, Scope, Span};
 use crate::quant::MatmulMode;
 
 /// One sequence's appended K/V rows for every layer — the state a
 /// generation carries between decode steps.
 ///
 /// Append-only: position `p`'s K/V rows are written once, by the decoder
-/// forward behind [`BertModel::prefill`] and [`BertModel::decode_batch`],
-/// and never mutated. Keys are stored as Kᵀ blocks of 16 positions, the
-/// packed tile's panels, so the new rows score their queries against them
-/// in place; values stay row-major, which the tile reads in place too.
-/// The cache is the only place the decoder's attention reads K and V. Buffers are reserved
+/// forward [`BertModel::extend`], and never mutated. Keys are stored as
+/// Kᵀ blocks of 16 positions, the packed tile's panels, so the new rows
+/// score their queries against them in place; values stay row-major,
+/// which the tile reads in place too. The cache is the only place the
+/// decoder's attention reads K and V. Buffers are reserved
 /// to `capacity` positions (keys: rounded up to whole blocks) up front, so
 /// the heap footprint is a function of `(layers, hidden, capacity)` from
 /// the first token — [`KvCache::approx_bytes`] reports that bound and the
@@ -186,68 +186,6 @@ impl KvCache {
         push_key(&mut self.k[layer], pos, k_row);
         self.v[layer].extend_from_slice(v_row);
     }
-
-    /// Attends head `h` of the last `rows` positions `layer` holds, whose
-    /// query rows start at `q` (`hidden` apart), against every position up
-    /// to each row's own: `q·Kᵀ/√dh` as a tile over the Kᵀ blocks, a
-    /// masked softmax over each row's prefix, then the probabilities times
-    /// V — the causal tile over the V rows where they lie for F32 and
-    /// Codebook bodies, and per row a `1 × (p+1)` [`crate::quant::matmul`]
-    /// on a copy of the head's V prefix for F16 and INT8. Returns the
-    /// `rows × dh` context. The tiles keep the reference loops'
-    /// per-element order, so a row's context depends only on its own
-    /// prefix: the same whether it arrives alone or with others.
-    #[allow(clippy::too_many_arguments)] // the pair, its queries, and the attention's inputs
-    fn attend(
-        &self,
-        layer: usize,
-        h: usize,
-        dh: usize,
-        q: &[f32],
-        rows: usize,
-        nl: &Nonlinearity,
-        mode: MatmulMode,
-    ) -> Matrix {
-        let d = self.hidden;
-        let n = self.positions(layer);
-        let head_cols = h * dh..(h + 1) * dh;
-        let mut scores = Matrix::zeros(rows, n);
-        key_panels(&self.k[layer], d, n, head_cols.clone()).product(
-            &q[h * dh..],
-            d,
-            rows,
-            false,
-            scores.as_mut_slice(),
-            n,
-        );
-        scores.scale(1.0 / (dh as f32).sqrt());
-        let depths: Vec<usize> = (n + 1 - rows..=n).collect();
-        nl.apply_softmax_rows_masked(&mut scores, &depths);
-        let v = &self.v[layer];
-        let mut part = Matrix::zeros(rows, dh);
-        match mode {
-            MatmulMode::F32 | MatmulMode::Codebook => {
-                Panels::row_major(&v[h * dh..], n, dh, d).product(
-                    scores.as_slice(),
-                    n,
-                    rows,
-                    true,
-                    part.as_mut_slice(),
-                    dh,
-                );
-            }
-            MatmulMode::F16 | MatmulMode::Int8 => {
-                for ((probs, out), depth) in
-                    scores.rows_iter().zip(part.rows_iter_mut()).zip(depths)
-                {
-                    let probs = Matrix::from_vec(1, depth, probs[..depth].to_vec());
-                    let vh = copy_block(v, d, 0..depth, head_cols.clone());
-                    out.copy_from_slice(crate::quant::matmul(&probs, &vh, mode).row(0));
-                }
-            }
-        }
-        part
-    }
 }
 
 impl BertModel {
@@ -273,22 +211,26 @@ impl BertModel {
     /// The one decoder forward: feeds each sequence's new `tokens` after
     /// the positions its cache already holds, appends their K/V rows to
     /// every layer, and returns their final hidden states stacked in input
-    /// order (`Σ tokens.len() × hidden`).
+    /// order (`Σ tokens.len() × hidden`). Sequences may mix any token
+    /// counts and cache depths — a fresh cache with its prompt beside a
+    /// parked one with its last token — and each row equals the same token
+    /// fed alone through [`BertModel::decode_step`].
     ///
     /// Each token is embedded at its own cache depth, serially. Each layer
     /// then runs the shared block over all the new rows at per-row scope,
     /// pushes the rows' K/V to their caches, and attends every (sequence,
-    /// head) pair from its cache ([`KvCache::attend`]) in one executor
-    /// call, each pair writing its context block into the shared output.
-    /// A row's math reads only its own row and its cache's prefix, so it
-    /// is the same at any lane count, under any batch composition and
-    /// however a sequence's tokens are split across calls.
+    /// head) pair from its cache in one executor call (the model's one
+    /// pair attention, each row over its own prefix). A row's math reads
+    /// only its own row and its cache's prefix, so it is the same at any
+    /// lane count, under any batch composition and however a sequence's
+    /// tokens are split across calls.
     ///
     /// # Panics
     ///
-    /// Panics if a cache is shaped for a different model or would outgrow
-    /// its capacity, or if a token is outside the vocabulary.
-    fn extend(
+    /// Panics if no sequence brings a token, if a cache is shaped for a
+    /// different model or would outgrow its capacity, or if a token is
+    /// outside the vocabulary.
+    pub fn extend(
         &self,
         seqs: &mut [(&mut KvCache, &[usize])],
         nl: &Nonlinearity,
@@ -296,7 +238,6 @@ impl BertModel {
         exec: &dyn BatchExecutor,
     ) -> Matrix {
         let d = self.config.hidden;
-        let (heads, dh) = (self.config.heads, self.config.head_dim());
         // Each sequence's first row in the stacked activations.
         let mut starts = Vec::with_capacity(seqs.len());
         let mut rows = 0;
@@ -310,6 +251,7 @@ impl BertModel {
             starts.push(rows);
             rows += tokens.len();
         }
+        assert!(rows > 0, "nothing to extend");
         let mut x = Matrix::zeros(rows, d);
         for ((cache, tokens), &start) in seqs.iter().zip(&starts) {
             for (i, &token) in tokens.iter().enumerate() {
@@ -324,19 +266,22 @@ impl BertModel {
                         cache.push(l, k.row(r), v.row(r));
                     }
                 }
-                let seqs = &*seqs;
-                let ctx = Mutex::new(Matrix::zeros(rows, d));
-                par_map(exec, seqs.len() * heads, |pair| {
-                    let (s, h) = (pair / heads, pair % heads);
-                    let (cache, tokens) = &seqs[s];
-                    let q_rows = &q.as_slice()[starts[s] * d..];
-                    let part = cache.attend(l, h, dh, q_rows, tokens.len(), nl, mode);
-                    let mut ctx = ctx.lock().expect("decode context poisoned");
-                    for (r, part_row) in part.rows_iter().enumerate() {
-                        ctx.row_mut(starts[s] + r)[h * dh..(h + 1) * dh].copy_from_slice(part_row);
-                    }
-                });
-                ctx.into_inner().expect("decode context poisoned")
+                // A sequence that brings no token has nothing to attend.
+                let spans: Vec<Span> = seqs
+                    .iter()
+                    .zip(&starts)
+                    .filter(|((_, tokens), _)| !tokens.is_empty())
+                    .map(|((cache, tokens), &row)| {
+                        let n = cache.positions(l);
+                        Span {
+                            row,
+                            depths: (n + 1 - tokens.len()..=n).collect(),
+                            keys: &cache.k[l],
+                            values: &cache.v[l],
+                        }
+                    })
+                    .collect();
+                self.attend_pairs(q, &spans, Scope::Row, nl, mode, exec)
             });
         }
         for (cache, tokens) in seqs.iter_mut() {
@@ -441,28 +386,6 @@ impl BertModel {
             }
         }
         best.into_iter().map(|(id, _)| id).collect()
-    }
-
-    /// Prefills many prompts concurrently — one fresh cache per prompt,
-    /// sequences split across `exec` lanes, each prefilled serially inside
-    /// its lane. Returns `(cache, last hidden)` per prompt in input order.
-    ///
-    /// Per-sequence results are bit-identical to [`BertModel::prefill`]
-    /// called alone: nothing about a sequence's math depends on its
-    /// batch-mates.
-    pub fn prefill_batch(
-        &self,
-        prompts: &[Vec<usize>],
-        nl: &Nonlinearity,
-        mode: MatmulMode,
-        exec: &dyn BatchExecutor,
-    ) -> Vec<(KvCache, Vec<f32>)> {
-        assert!(!prompts.is_empty(), "cannot prefill an empty batch");
-        par_map(exec, prompts.len(), |i| {
-            let mut cache = self.new_cache();
-            let hidden = self.prefill(&prompts[i], &mut cache, nl, mode, &SerialExecutor);
-            (cache, hidden)
-        })
     }
 
     /// Advances many sequences by one token each — the continuous-batching
@@ -815,6 +738,83 @@ mod tests {
                             );
                             assert_eq!(bits(&got.v[l]), bits(&want.v[l]), "{mode} V layer {l}");
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// One `extend` call == each sequence fed alone, bit for bit — every
+    /// hidden row and every cache — at every backend and matmul mode,
+    /// serially and on three lanes. Round one feeds prompts of different
+    /// lengths (one of none) to fresh caches, each last row checked against
+    /// the sequence's own `prefill`; round two feeds a mix of multi-token
+    /// chunks, single tokens and a prompt on a fresh cache. Every row is
+    /// checked against `decode_step` over the same tokens.
+    #[test]
+    fn extend_matches_each_sequence_alone() {
+        let mut m = tiny_model();
+        let calib: Vec<Vec<usize>> = (0..4).map(|s| prompt(5 + s, s)).collect();
+        m.bake_codebooks(
+            &CodebookSpec::default(),
+            &calib,
+            &Nonlinearity::exact(),
+            128,
+        );
+        let rounds: Vec<Vec<Vec<usize>>> = [[1usize, 7, 16, 17, 3, 0], [3, 1, 5, 1, 2, 4]]
+            .iter()
+            .enumerate()
+            .map(|(r, lens)| {
+                lens.iter()
+                    .enumerate()
+                    .map(|(s, &len)| prompt(len, 10 * r + s))
+                    .collect()
+            })
+            .collect();
+        let modes = [
+            MatmulMode::F32,
+            MatmulMode::F16,
+            MatmulMode::Int8,
+            MatmulMode::Codebook,
+        ];
+        let execs: [&dyn BatchExecutor; 2] = [&SerialExecutor, &FakeLanes(3)];
+        for (backend, nl) in ["exact", "LUT", "I-BERT"].into_iter().zip(backends()) {
+            for (mode, exec) in modes.into_iter().flat_map(|m| execs.map(|e| (m, e))) {
+                let what = format!("{backend} {mode} on {} lanes", exec.lanes());
+                let mut oracle: Vec<KvCache> = rounds[0].iter().map(|_| m.new_cache()).collect();
+                let mut caches = oracle.clone();
+                for (r, round) in rounds.iter().enumerate() {
+                    let mut seqs: Vec<(&mut KvCache, &[usize])> = caches
+                        .iter_mut()
+                        .zip(round)
+                        .map(|(cache, tokens)| (cache, tokens.as_slice()))
+                        .collect();
+                    let hidden = m.extend(&mut seqs, &nl, mode, exec);
+                    let mut rows = hidden.rows_iter();
+                    for (s, (cache, tokens)) in oracle.iter_mut().zip(round).enumerate() {
+                        let got: Vec<&[f32]> = rows.by_ref().take(tokens.len()).collect();
+                        let what = format!("{what}: round {r} seq {s}");
+                        if let (0, Some(last)) = (r, got.last()) {
+                            let mut alone = m.new_cache();
+                            let h = m.prefill(tokens, &mut alone, &nl, mode, &SerialExecutor);
+                            assert_eq!(bits(last), bits(&h), "{what}: prefill");
+                        }
+                        for (&t, got) in tokens.iter().zip(got) {
+                            let want = m.decode_step(cache, t, &nl, mode);
+                            assert_eq!(bits(got), bits(&want), "{what}: step");
+                        }
+                    }
+                    assert!(rows.next().is_none());
+                }
+                for (s, (got, want)) in caches.iter().zip(&oracle).enumerate() {
+                    assert_eq!(got.len(), want.len(), "{what}: seq {s} length");
+                    for l in 0..got.layers() {
+                        assert_eq!(
+                            bits(&got.keys(l)),
+                            bits(&want.keys(l)),
+                            "{what}: seq {s} K {l}"
+                        );
+                        assert_eq!(bits(&got.v[l]), bits(&want.v[l]), "{what}: seq {s} V {l}");
                     }
                 }
             }

@@ -182,6 +182,21 @@ pub(crate) enum Scope {
     Row,
 }
 
+/// One sequence of [`BertModel::attend_pairs`]: its query rows and the
+/// positions they attend over.
+pub(crate) struct Span<'a> {
+    /// Its first row of `q` and of the context.
+    pub(crate) row: usize,
+    /// Each query row's softmax depth: the positions it attends to, from
+    /// the first. Its length is the sequence's row count.
+    pub(crate) depths: Vec<usize>,
+    /// Its keys: rows `hidden` apart at [`Scope::Matrix`], Kᵀ blocks
+    /// `hidden` wide (a KV cache's) at [`Scope::Row`].
+    pub(crate) keys: &'a [f32],
+    /// Its value rows, `positions × hidden` row-major.
+    pub(crate) values: &'a [f32],
+}
+
 /// A BERT-style encoder with embeddings.
 ///
 /// # Examples
@@ -466,8 +481,9 @@ impl BertModel {
     ///
     /// Each layer is the one transformer block the decoder also runs
     /// (q/k/v, attention, wo, residual, norm, FFN, activation,
-    /// FFN, residual, norm); only the attention differs — here it is
-    /// bidirectional over each sequence's valid rows. Every stage works on
+    /// FFN, residual, norm), with the decoder's pair attention at
+    /// whole-matrix scope — here bidirectional over each sequence's valid
+    /// rows. Every stage works on
     /// the packed `(sequences·max_len) × d` activation buffer through
     /// `exec` — [`crate::exec::SerialExecutor`] for the reference serial
     /// path, `nnlut_serve`'s thread pool for the parallel one. The two are
@@ -513,7 +529,21 @@ impl BertModel {
         });
         for layer in &self.layers {
             x = self.block(layer, &x, nl, mode, Scope::Matrix, exec, |q, k, v| {
-                self.attend_pairs(q, k, v, batch.lens(), nl, mode, exec)
+                let spans: Vec<Span> = batch
+                    .lens()
+                    .iter()
+                    .enumerate()
+                    .map(|(s, &valid)| {
+                        let block = s * l * d..(s + 1) * l * d;
+                        Span {
+                            row: s * l,
+                            depths: (0..l).map(|r| if r < valid { valid } else { 0 }).collect(),
+                            keys: &k.as_slice()[block.clone()],
+                            values: &v.as_slice()[block],
+                        }
+                    })
+                    .collect();
+                self.attend_pairs(q, &spans, Scope::Matrix, nl, mode, exec)
             });
         }
         // Unpack: keep only each sequence's valid rows.
@@ -613,78 +643,100 @@ impl BertModel {
         add_norm(&x1, project(&layer.ff2, &hmid), &layer.norm2)
     }
 
-    /// Bidirectional multi-head attention over a padded batch: one
-    /// sequence per `lens` entry, each `rows / lens.len()` rows of
-    /// `q`/`k`/`v` with its first `lens[s]` valid. Parallel over (sequence,
-    /// head) pairs so even a single sequence spreads its quadratic stage
-    /// across the lanes. Each pair packs its K block as Kᵀ panels and
-    /// scores `q·Kᵀ/√dh` on the packed tile, softmaxes each valid row over
-    /// the valid keys (a pad row's output is all-zero, keeping it finite),
-    /// applies V, and writes its context block into the shared output
-    /// inside the same executor call. F32 and Codebook bodies apply V on
-    /// the tile too, reading the pair's V block where it lies; F16 and INT8
-    /// keep [`crate::quant::matmul`]. Both tile products keep the reference
-    /// loops' per-element order, so the result equals serial `encode`'s. A
-    /// pair's math is the same on whichever lane runs it and the blocks are
-    /// disjoint, so the result is executor-independent.
-    #[allow(clippy::too_many_arguments)] // every argument is an input of the attention
+    /// Multi-head attention over every (sequence, head) pair of `spans`,
+    /// in one executor call: each pair scores its query rows against its
+    /// keys on the packed tile (`q·Kᵀ/√dh`), softmaxes each row over its
+    /// depth (a depth-0 row is all-zero, keeping pad rows finite), applies
+    /// V, and writes its context block into the shared output under a
+    /// mutex. `scope` says what the spans hold:
+    ///
+    /// * [`Scope::Matrix`] (`encode_batch`): a padded sequence's row-major
+    ///   K and V blocks. The pair packs its head's Kᵀ inside its lane, and
+    ///   every row's product runs over the whole block — on the tile for
+    ///   F32 and Codebook bodies, through one whole-block
+    ///   [`crate::quant::matmul`] (pad rows of V included) for F16 and INT8.
+    /// * [`Scope::Row`] (the decoder): a KV cache's Kᵀ blocks and V rows,
+    ///   the query rows its last positions. Each row's product runs over
+    ///   its own prefix — the causal tile for F32 and Codebook, a
+    ///   `1 × depth` [`crate::quant::matmul`] per row for F16 and INT8 — so
+    ///   a row's context is the same whether it arrives alone or with
+    ///   others.
+    ///
+    /// The tile products keep the reference loops' per-element order, so
+    /// the encoder's result equals serial `encode`'s. A pair's math is the
+    /// same on whichever lane runs it and the blocks are disjoint, so the
+    /// result is executor-independent.
     pub(crate) fn attend_pairs(
         &self,
         q: &Matrix,
-        k: &Matrix,
-        v: &Matrix,
-        lens: &[usize],
+        spans: &[Span<'_>],
+        scope: Scope,
         nl: &Nonlinearity,
         mode: MatmulMode,
         exec: &dyn BatchExecutor,
     ) -> Matrix {
         let (rows, d) = q.shape();
-        let len = rows / lens.len();
         let heads = self.config.heads;
         let dh = self.config.head_dim();
         let scale = 1.0 / (dh as f32).sqrt();
         let ctx = Mutex::new(Matrix::zeros(rows, d));
-        par_map(exec, lens.len() * heads, |pair| {
-            let (s, h) = (pair / heads, pair % heads);
-            let (seq_rows, head_cols) = (s * len..(s + 1) * len, h * dh..(h + 1) * dh);
-            // The pair's blocks of q and v start here, rows `d` apart.
-            let at = s * len * d + h * dh;
-            let kt = pack_keys(k.as_slice(), d, seq_rows.clone(), head_cols.clone());
-            let mut scores = Matrix::zeros(len, len);
-            key_panels(&kt, dh, len, 0..dh).product(
-                &q.as_slice()[at..],
+        par_map(exec, spans.len() * heads, |pair| {
+            let (span, h) = (&spans[pair / heads], pair % heads);
+            let head_cols = h * dh..(h + 1) * dh;
+            let (m, n) = (span.depths.len(), span.values.len() / d);
+            let packed;
+            let keys = match scope {
+                Scope::Matrix => {
+                    packed = pack_keys(span.keys, d, 0..n, head_cols.clone());
+                    key_panels(&packed, dh, n, 0..dh)
+                }
+                Scope::Row => key_panels(span.keys, d, n, head_cols.clone()),
+            };
+            let mut scores = Matrix::zeros(m, n);
+            keys.product(
+                &q.as_slice()[span.row * d + h * dh..],
                 d,
-                len,
+                m,
                 false,
                 scores.as_mut_slice(),
-                len,
+                n,
             );
             scores.scale(scale);
-            let valid: Vec<usize> = (0..len)
-                .map(|r| if r < lens[s] { lens[s] } else { 0 })
-                .collect();
-            nl.apply_softmax_rows_masked(&mut scores, &valid);
-            let part = match mode {
-                MatmulMode::F32 | MatmulMode::Codebook => {
-                    let mut part = Matrix::zeros(len, dh);
-                    Panels::row_major(&v.as_slice()[at..], len, dh, d).product(
+            nl.apply_softmax_rows_masked(&mut scores, &span.depths);
+            let part = match (mode, scope) {
+                (MatmulMode::F32 | MatmulMode::Codebook, _) => {
+                    let mut part = Matrix::zeros(m, dh);
+                    Panels::row_major(&span.values[h * dh..], n, dh, d).product(
                         scores.as_slice(),
-                        len,
-                        len,
-                        false,
+                        n,
+                        m,
+                        scope == Scope::Row,
                         part.as_mut_slice(),
                         dh,
                     );
                     part
                 }
-                MatmulMode::F16 | MatmulMode::Int8 => {
-                    let vh = copy_block(v.as_slice(), d, seq_rows.clone(), head_cols.clone());
+                (_, Scope::Matrix) => {
+                    let vh = copy_block(span.values, d, 0..n, head_cols.clone());
                     crate::quant::matmul(&scores, &vh, mode)
+                }
+                (_, Scope::Row) => {
+                    let mut part = Matrix::zeros(m, dh);
+                    for ((probs, out), &depth) in scores
+                        .rows_iter()
+                        .zip(part.rows_iter_mut())
+                        .zip(&span.depths)
+                    {
+                        let probs = Matrix::from_vec(1, depth, probs[..depth].to_vec());
+                        let vh = copy_block(span.values, d, 0..depth, head_cols.clone());
+                        out.copy_from_slice(crate::quant::matmul(&probs, &vh, mode).row(0));
+                    }
+                    part
                 }
             };
             let mut ctx = ctx.lock().expect("attention context poisoned");
-            for (r, part_row) in seq_rows.zip(part.rows_iter()) {
-                ctx.row_mut(r)[head_cols.clone()].copy_from_slice(part_row);
+            for (r, part_row) in part.rows_iter().enumerate() {
+                ctx.row_mut(span.row + r)[head_cols.clone()].copy_from_slice(part_row);
             }
         });
         ctx.into_inner().expect("attention context poisoned")
