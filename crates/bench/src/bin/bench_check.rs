@@ -1,6 +1,10 @@
-//! The CI kernel-ledger gate.
+//! The CI gate on both committed ledgers.
 //!
-//! The committed `BENCH_lut_eval.json` (written by `bench_lut_eval`)
+//! The paper ledger `BENCH_paper.json` (written by a full `paper` run)
+//! is read from beside the kernel ledger and must hold every section,
+//! each value a finite number ([`nnlut_bench::paper::check_ledger`]).
+//!
+//! The kernel ledger `BENCH_lut_eval.json` (written by `bench_lut_eval`)
 //! must still carry every section the repo's trajectory claims
 //! (`results`, `simd`, `codebook`); a PR that drops or mangles a section
 //! fails here, not months later. The `simd` kernel rows are gated at a
@@ -22,57 +26,12 @@
 //! cargo run --release -p nnlut-bench --bin bench_check
 //! ```
 //!
-//! Flag: `--ledger <path>` (default `BENCH_lut_eval.json`). Exits
-//! non-zero listing every violated check.
+//! Flag: `--ledger <path>` (default `BENCH_lut_eval.json`); the paper
+//! ledger is `BENCH_paper.json` in the same directory. Exits non-zero
+//! listing every violated check.
 
-use nnlut_bench::Json;
-
-struct Gate {
-    failures: Vec<String>,
-    checks: usize,
-}
-
-impl Gate {
-    fn new() -> Self {
-        Self {
-            failures: Vec::new(),
-            checks: 0,
-        }
-    }
-
-    fn fail(&mut self, message: String) {
-        self.checks += 1;
-        println!("  FAIL  {message}");
-        self.failures.push(message);
-    }
-
-    fn pass(&mut self, message: String) {
-        self.checks += 1;
-        println!("  ok    {message}");
-    }
-
-    /// Asserts `doc.path(path)` exists and is a number; returns it.
-    fn require_num(&mut self, doc: &Json, path: &str) -> Option<f64> {
-        match doc.path(path).and_then(Json::as_f64) {
-            Some(v) => Some(v),
-            None => {
-                self.fail(format!("ledger: missing numeric `{path}`"));
-                None
-            }
-        }
-    }
-}
-
-fn flag(args: &[String], name: &str, default: &str) -> String {
-    args.iter()
-        .position(|a| a == name)
-        .map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{name} takes a value"))
-                .clone()
-        })
-        .unwrap_or_else(|| default.to_string())
-}
+use nnlut_bench::paper::check_ledger as check_paper_ledger;
+use nnlut_bench::{Gate, Json};
 
 fn load(path: &str) -> Json {
     let text = std::fs::read_to_string(path)
@@ -80,21 +39,71 @@ fn load(path: &str) -> Json {
     Json::parse(&text).unwrap_or_else(|e| panic!("the ledger at {path} is not valid JSON: {e}"))
 }
 
+/// Checks that `path` is a non-empty array and returns it.
+fn rows<'a>(gate: &mut Gate, ledger: &'a Json, path: &str) -> Option<&'a [Json]> {
+    match ledger.path(path).and_then(Json::as_array) {
+        Some(rows) if !rows.is_empty() => {
+            gate.pass(format!("{path}: {} rows", rows.len()));
+            Some(rows)
+        }
+        _ => {
+            gate.fail(format!("{path}: missing or empty"));
+            None
+        }
+    }
+}
+
+/// Checks that `path` is a string (a recorded kernel tier) and returns it.
+fn level(gate: &mut Gate, ledger: &Json, path: &str) -> Option<String> {
+    let level = ledger.path(path).and_then(Json::as_str);
+    match level {
+        Some(l) => gate.pass(format!("{path}: {l}")),
+        None => gate.fail(format!("{path}: missing string")),
+    }
+    level.map(str::to_string)
+}
+
+/// A speedup floor that applies only to an AVX2 recording: at any other
+/// recorded `level` the dispatched side is the scalar kernel itself, so
+/// the floor would be meaningless and the check passes with a skip note.
+fn avx2_floor(gate: &mut Gate, row: &str, speedup: Option<f64>, floor: f64, level: &str) {
+    match speedup {
+        Some(s) if level == "avx2" && s >= floor => gate.pass(format!("{row}: {s:.2}x ≥ {floor}x")),
+        Some(s) if level == "avx2" => {
+            gate.fail(format!("{row}: {s:.2}x below the {floor}x avx2 floor"))
+        }
+        Some(s) => gate.pass(format!(
+            "{row}: {s:.2}x (floor skipped — level is `{level}`, not avx2)"
+        )),
+        None => gate.fail(format!("{row}: no such row")),
+    }
+}
+
+/// The first row whose string `key` and numeric `n_key` match, and its
+/// numeric `field`.
+fn find(
+    rows: &[Json],
+    (key, name): (&str, &str),
+    (n_key, n): (&str, f64),
+    field: &str,
+) -> Option<f64> {
+    rows.iter().find_map(|row| {
+        let hit = row.get(key).and_then(Json::as_str)? == name
+            && row.get(n_key).and_then(Json::as_f64)? == n;
+        hit.then(|| row.get(field).and_then(Json::as_f64))?
+    })
+}
+
 /// Structural checks on the committed ledger: every trajectory section
 /// the repo has earned must still be present and sane.
 fn check_ledger(gate: &mut Gate, ledger: &Json) {
     println!("ledger integrity:");
-    match ledger.get("results").and_then(Json::as_array) {
-        Some(rows) if !rows.is_empty() => {
-            gate.pass(format!("results: {} rows", rows.len()));
-            for (i, row) in rows.iter().enumerate() {
-                match row.get("speedup").and_then(Json::as_f64) {
-                    Some(s) if s > 0.0 => {}
-                    _ => gate.fail(format!("results[{i}]: missing positive `speedup`")),
-                }
-            }
+    let results = rows(gate, ledger, "results").unwrap_or(&[]);
+    for (i, row) in results.iter().enumerate() {
+        let speedup = row.get("speedup").and_then(Json::as_f64);
+        if !speedup.is_some_and(|s| s > 0.0) {
+            gate.fail(format!("results[{i}]: missing positive `speedup`"));
         }
-        _ => gate.fail("results: missing or empty".into()),
     }
     check_simd_section(gate, ledger);
     check_codebook_section(gate, ledger);
@@ -117,83 +126,50 @@ fn check_ledger(gate: &mut Gate, ledger: &Json) {
 ///   recording passes with a skip note, since the gather kernel *is*
 ///   the oracle there.
 fn check_codebook_section(gate: &mut Gate, ledger: &Json) {
-    let level = match ledger.path("codebook.level").and_then(Json::as_str) {
-        Some(l) => {
-            gate.pass(format!("codebook.level: {l}"));
-            l.to_string()
-        }
-        None => {
-            gate.fail("codebook.level: missing string".into());
-            return;
-        }
+    let Some(level) = level(gate, ledger, "codebook.level") else {
+        return;
     };
-    let rows = match ledger.path("codebook.rows").and_then(Json::as_array) {
-        Some(rows) if !rows.is_empty() => {
-            gate.pass(format!("codebook.rows: {} rows", rows.len()));
-            rows
-        }
-        _ => {
-            gate.fail("codebook.rows: missing or empty".into());
-            return;
-        }
+    let Some(rows) = rows(gate, ledger, "codebook.rows") else {
+        return;
     };
-    let mut last: Option<(String, f64)> = None;
+    let mut last: Option<(&str, f64)> = None;
     for (i, row) in rows.iter().enumerate() {
         let shape = row.get("shape").and_then(Json::as_str).unwrap_or("?");
         let k = row.get("k").and_then(Json::as_f64).unwrap_or(0.0);
+        let at = format!("codebook.rows[{shape} k={k}]");
         match row.get("rel_err_vs_f32").and_then(Json::as_f64) {
             Some(e) if e.is_finite() && e <= CODEBOOK_REL_ERR_CEILING => {
-                gate.pass(format!(
-                    "codebook.rows[{shape} k={k}]: rel err {e:.4} ≤ {CODEBOOK_REL_ERR_CEILING}"
-                ));
-                if let Some((ref prev_shape, prev_err)) = last {
-                    if prev_shape == shape && e > prev_err {
-                        gate.fail(format!(
-                            "codebook.rows[{shape} k={k}]: rel err {e:.4} above the smaller-k row's \
-                             {prev_err:.4} — the accuracy-per-table-size frontier slopes the wrong way"
-                        ));
-                    }
+                gate.pass(format!("{at}: rel err {e:.4} ≤ {CODEBOOK_REL_ERR_CEILING}"));
+                if let Some((_, prev)) = last.filter(|&(s, p)| s == shape && e > p) {
+                    gate.fail(format!(
+                        "{at}: rel err {e:.4} above the smaller-k row's {prev:.4} — the \
+                         accuracy-per-table-size frontier slopes the wrong way"
+                    ));
                 }
-                last = Some((shape.to_string(), e));
+                last = Some((shape, e));
             }
             Some(e) => gate.fail(format!(
-                "codebook.rows[{shape} k={k}]: rel err {e:.4} exceeds the \
-                 {CODEBOOK_REL_ERR_CEILING} ceiling"
+                "{at}: rel err {e:.4} exceeds the {CODEBOOK_REL_ERR_CEILING} ceiling"
             )),
             None => gate.fail(format!(
                 "codebook.rows[{i}]: missing numeric `rel_err_vs_f32`"
             )),
         }
-        match row.get("table_bytes").and_then(Json::as_f64) {
-            Some(b) if b > 0.0 => {}
-            _ => gate.fail(format!(
+        let bytes = row.get("table_bytes").and_then(Json::as_f64);
+        if !bytes.is_some_and(|b| b > 0.0) {
+            gate.fail(format!(
                 "codebook.rows[{i}]: missing positive `table_bytes`"
-            )),
+            ));
         }
     }
-    let ffn_speedup = rows.iter().find_map(|row| {
-        let s = row.get("shape").and_then(Json::as_str)?;
-        let k = row.get("k").and_then(Json::as_f64)?;
-        (s == "768x3072" && k == 16.0).then(|| row.get("speedup_vs_f32").and_then(Json::as_f64))?
-    });
-    match ffn_speedup {
-        Some(s) if level == "avx2" => {
-            if s >= CODEBOOK_SPEEDUP_FLOOR {
-                gate.pass(format!(
-                    "codebook.rows[768x3072 k=16]: {s:.2}x ≥ {CODEBOOK_SPEEDUP_FLOOR}x vs f32"
-                ));
-            } else {
-                gate.fail(format!(
-                    "codebook.rows[768x3072 k=16]: {s:.2}x below the {CODEBOOK_SPEEDUP_FLOOR}x \
-                     avx2 floor vs f32"
-                ));
-            }
-        }
-        Some(s) => gate.pass(format!(
-            "codebook.rows[768x3072 k=16]: {s:.2}x (floor skipped — level is `{level}`, not avx2)"
-        )),
-        None => gate.fail("codebook.rows: no `768x3072` k=16 row".into()),
-    }
+    let ffn = find(rows, ("shape", "768x3072"), ("k", 16.0), "speedup_vs_f32");
+    avx2_floor(
+        gate,
+        "codebook.rows[768x3072 k=16] vs f32",
+        ffn,
+        CODEBOOK_SPEEDUP_FLOOR,
+        &level,
+    );
 }
 
 /// The `simd` section of the ledger (written by `bench_lut_eval`,
@@ -206,52 +182,27 @@ fn check_codebook_section(gate: &mut Gate, ledger: &Json) {
 /// side is the scalar kernel itself and a vectorization floor would be
 /// meaningless, so the gate passes with a skip note.
 fn check_simd_section(gate: &mut Gate, ledger: &Json) {
-    let level = match ledger.path("simd.level").and_then(Json::as_str) {
-        Some(l) => {
-            gate.pass(format!("simd.level: {l}"));
-            l.to_string()
-        }
-        None => {
-            gate.fail("simd.level: missing string".into());
-            return;
-        }
+    let Some(level) = level(gate, ledger, "simd.level") else {
+        return;
     };
-    let rows = match ledger.path("simd.kernels").and_then(Json::as_array) {
-        Some(rows) if !rows.is_empty() => {
-            gate.pass(format!("simd.kernels: {} rows", rows.len()));
-            rows
-        }
-        _ => {
-            gate.fail("simd.kernels: missing or empty".into());
-            return;
-        }
+    let Some(rows) = rows(gate, ledger, "simd.kernels") else {
+        return;
     };
     for table in ["gelu", "exp"] {
-        let speedup = rows.iter().find_map(|row| {
-            let t = row.get("table").and_then(Json::as_str)?;
-            let n = row.get("elems").and_then(Json::as_f64)?;
-            (t == table && n == 65536.0).then(|| row.get("speedup").and_then(Json::as_f64))?
-        });
-        match speedup {
-            Some(s) if level == "avx2" => {
-                if s >= SIMD_KERNEL_FLOOR {
-                    gate.pass(format!(
-                        "simd.kernels[{table} @ 65536]: {s:.2}x ≥ {SIMD_KERNEL_FLOOR}x"
-                    ));
-                } else {
-                    gate.fail(format!(
-                        "simd.kernels[{table} @ 65536]: {s:.2}x below the {SIMD_KERNEL_FLOOR}x avx2 floor"
-                    ));
-                }
-            }
-            Some(s) => gate.pass(format!(
-                "simd.kernels[{table} @ 65536]: {s:.2}x (floor skipped — level is `{level}`, not avx2)"
-            )),
-            None => gate.fail(format!("simd.kernels: no 65536-element `{table}` row")),
-        }
+        let speedup = find(rows, ("table", table), ("elems", 65536.0), "speedup");
+        avx2_floor(
+            gate,
+            &format!("simd.kernels[{table} @ 65536]"),
+            speedup,
+            SIMD_KERNEL_FLOOR,
+            &level,
+        );
     }
     for key in ["speedup", "unfused_ns_per_row", "fused_ns_per_row"] {
-        gate.require_num(ledger, &format!("simd.fused.layernorm.{key}"));
+        let path = format!("simd.fused.layernorm.{key}");
+        if ledger.path(&path).and_then(Json::as_f64).is_none() {
+            gate.fail(format!("ledger: missing numeric `{path}`"));
+        }
     }
 }
 
@@ -277,19 +228,21 @@ const CODEBOOK_SPEEDUP_FLOOR: f64 = 1.2;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let ledger_path = flag(&args, "--ledger", "BENCH_lut_eval.json");
+    let ledger_path = match args.iter().position(|a| a == "--ledger") {
+        Some(i) => args.get(i + 1).expect("--ledger takes a value").clone(),
+        None => "BENCH_lut_eval.json".to_string(),
+    };
+    let paper_path = std::path::Path::new(&ledger_path).with_file_name("BENCH_paper.json");
 
-    let mut gate = Gate::new();
+    let mut gate = Gate::default();
     check_ledger(&mut gate, &load(&ledger_path));
+    check_paper_ledger(&mut gate, &load(&paper_path.to_string_lossy()));
 
     if gate.failures.is_empty() {
         println!("bench_check: all {} checks passed", gate.checks);
     } else {
-        println!(
-            "bench_check: {} of {} checks FAILED",
-            gate.failures.len(),
-            gate.checks
-        );
+        let (failed, checks) = (gate.failures.len(), gate.checks);
+        println!("bench_check: {failed} of {checks} checks FAILED");
         std::process::exit(1);
     }
 }

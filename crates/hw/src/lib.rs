@@ -20,7 +20,7 @@
 //! actually claims — is the *structural* cost asymmetry: a single
 //! table-lookup + MAC versus a multi-step iterative integer pipeline.
 //!
-//! [`designs`] builds both units; [`report`] emits the Table-4 comparison.
+//! [`designs`] builds both units; [`report`] computes the Table-4 comparison.
 
 pub mod component;
 pub mod datapath;

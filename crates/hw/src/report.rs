@@ -18,8 +18,8 @@ pub struct Table4Row {
     pub power_mw: f64,
     /// Critical-path delay in ns.
     pub delay_ns: f64,
-    /// Latency description (cycles per operation).
-    pub latency: String,
+    /// Latency in cycles of GELU, EXP and SQRT, in that order.
+    pub latency_cycles: [u32; 3],
 }
 
 /// Computes the paper's Table 4: the I-BERT INT32 unit versus the NN-LUT
@@ -33,12 +33,7 @@ pub fn table4() -> Vec<Table4Row> {
         area_um2: ib.area_um2(),
         power_mw: ib.power_mw(),
         delay_ns: ib.critical_path_ns(),
-        latency: format!(
-            "I-GELU {} / I-EXP {} / I-SQRT {}",
-            ibert_latency(IbertOp::Gelu),
-            ibert_latency(IbertOp::Exp),
-            ibert_latency(IbertOp::Sqrt)
-        ),
+        latency_cycles: [IbertOp::Gelu, IbertOp::Exp, IbertOp::Sqrt].map(ibert_latency),
     });
     for (precision, label) in [
         (UnitPrecision::Int32, "INT32"),
@@ -52,7 +47,7 @@ pub fn table4() -> Vec<Table4Row> {
             area_um2: u.area_um2(),
             power_mw: u.power_mw(),
             delay_ns: u.critical_path_ns(),
-            latency: format!("{} (all ops)", nn_lut_latency()),
+            latency_cycles: [nn_lut_latency(); 3],
         });
     }
     rows
@@ -69,24 +64,6 @@ pub fn table4_ratios() -> (f64, f64, f64) {
         ib.power_mw() / nn.power_mw(),
         ib.critical_path_ns() / nn.critical_path_ns(),
     )
-}
-
-/// Renders Table 4 as aligned text.
-pub fn render_table4() -> String {
-    let mut out = String::from(
-        "Approximation   Precision   Area (um2)   Power (mW)   Delay (ns)   Latency (cycles)\n",
-    );
-    for r in table4() {
-        out.push_str(&format!(
-            "{:<15} {:<11} {:>10.2}   {:>10.4}   {:>10.2}   {}\n",
-            r.unit, r.precision, r.area_um2, r.power_mw, r.delay_ns, r.latency
-        ));
-    }
-    let (a, p, d) = table4_ratios();
-    out.push_str(&format!(
-        "I-BERT / NN-LUT(INT32) ratios: area {a:.2}x, power {p:.1}x, delay {d:.2}x (paper: 2.63x, 36.4x, 3.93x)\n"
-    ));
-    out
 }
 
 /// Convenience re-export used by the NPU crate: the datapaths themselves.
@@ -135,13 +112,5 @@ mod tests {
         let nn = &rows[1];
         assert!((nn.area_um2 / 1008.92 - 1.0).abs() < 1.0, "{}", nn.area_um2);
         assert!((nn.delay_ns / 0.68 - 1.0).abs() < 1.0, "{}", nn.delay_ns);
-    }
-
-    #[test]
-    fn render_contains_all_rows() {
-        let s = render_table4();
-        assert!(s.contains("I-BERT"));
-        assert!(s.contains("FP16"));
-        assert!(s.contains("ratios"));
     }
 }

@@ -16,7 +16,7 @@
 //!   element counts).
 //! * [`sim`] — schedules the workload onto MAC arrays and SFUs, producing
 //!   a cycle breakdown per operation category.
-//! * [`report`] — regenerates Table 5 (relative cycles vs sequence length
+//! * [`report`] — computes Table 5 (relative cycles vs sequence length
 //!   and the NN-LUT speedup row).
 
 pub mod arch;
@@ -25,7 +25,7 @@ pub mod sim;
 pub mod workload;
 
 pub use arch::NpuConfig;
-pub use report::{render_table5, table5, Table5Entry};
+pub use report::{table5, Table5Entry};
 pub use sim::{sfu_lanes_for_throughput_match, simulate, CycleBreakdown, NonlinearImpl};
 pub use workload::{
     decoder_step_workload, transformer_workload, LayerWorkload, ModelShape, Workload,

@@ -41,36 +41,6 @@ pub fn table5() -> Vec<Table5Entry> {
         .collect()
 }
 
-/// Renders Table 5 in the paper's layout (percent per category, speedup
-/// row at the bottom).
-pub fn render_table5() -> String {
-    let entries = table5();
-    let mut out = String::new();
-    out.push_str("RoBERTa relative computation cycles (%)\n");
-    let header: Vec<String> = entries
-        .iter()
-        .map(|e| format!("{:>7}", e.seq_len))
-        .collect();
-    out.push_str(&format!("{:<22}{}\n", "Ops / Seq-Length", header.join(" ")));
-
-    let mut emit = |label: &str, f: &dyn Fn(&Table5Entry) -> f64| {
-        let row: Vec<String> = entries.iter().map(|e| format!("{:>7.2}", f(e))).collect();
-        out.push_str(&format!("{:<22}{}\n", label, row.join(" ")));
-    };
-    emit("I-BERT  GELU", &|e| e.ibert.percentages().0);
-    emit("I-BERT  LayerNorm", &|e| e.ibert.percentages().1);
-    emit("I-BERT  Softmax", &|e| e.ibert.percentages().2);
-    emit("I-BERT  MatMul", &|e| e.ibert.percentages().3);
-    emit("I-BERT  etc.", &|e| e.ibert.percentages().4);
-    emit("NN-LUT  GELU", &|e| e.nnlut.percentages().0);
-    emit("NN-LUT  LayerNorm", &|e| e.nnlut.percentages().1);
-    emit("NN-LUT  Softmax", &|e| e.nnlut.percentages().2);
-    emit("NN-LUT  MatMul", &|e| e.nnlut.percentages().3);
-    emit("NN-LUT  etc.", &|e| e.nnlut.percentages().4);
-    emit("Speedup (times)", &|e| e.speedup);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,13 +70,5 @@ mod tests {
             assert!(sm >= prev, "softmax share shrank at SL={}", e.seq_len);
             prev = sm;
         }
-    }
-
-    #[test]
-    fn render_contains_speedup_row() {
-        let s = render_table5();
-        assert!(s.contains("Speedup"));
-        assert!(s.contains("I-BERT  Softmax"));
-        assert!(s.contains("NN-LUT  MatMul"));
     }
 }

@@ -17,7 +17,7 @@
 //!
 //! These constants were calibrated so the simulated RoBERTa-base breakdown
 //! matches the paper's Table 5 within a few tenths of a percent at both
-//! ends of the sequence-length sweep (`table5_system` prints the sweep).
+//! ends of the sequence-length sweep (`paper table5` prints the sweep).
 
 use crate::arch::NpuConfig;
 use crate::workload::Workload;

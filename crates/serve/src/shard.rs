@@ -147,13 +147,15 @@ impl Default for ShardConfig {
 }
 
 /// A replica's position in the health state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplicaHealth {
-    /// Serving normally.
+    /// Serving normally (a fresh replica's state).
+    #[default]
     Healthy,
     /// Recent failure(s), still routable; one more strike may quarantine.
     Degraded,
-    /// Out of rotation; re-admitted only by a successful probe batch.
+    /// Out of rotation; re-admitted by a successful probe batch (or,
+    /// while draining at shutdown, a successful served attempt).
     Quarantined,
 }
 
@@ -170,8 +172,9 @@ impl ReplicaHealth {
 }
 
 /// Point-in-time snapshot of one replica's health bookkeeping (see
-/// [`ShardedServer::status`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`ShardedServer::status`]). The default is a fresh, healthy replica
+/// with every counter at zero.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReplicaStatus {
     /// Replica index.
     pub replica: usize,
@@ -191,7 +194,8 @@ pub struct ReplicaStatus {
     pub rejections: u64,
     /// Times this replica entered quarantine.
     pub quarantines: u64,
-    /// Times a probe re-admitted this replica.
+    /// Times a success (a probe, or a served attempt while draining)
+    /// re-admitted this replica from quarantine.
     pub readmissions: u64,
     /// Probe batches sent while quarantined.
     pub probes_sent: u64,
@@ -220,7 +224,8 @@ pub struct ShardMetrics {
     pub stalls: u64,
     /// Probe batches sent to quarantined replicas.
     pub probes_sent: u64,
-    /// Quarantined replicas re-admitted by a successful probe.
+    /// Quarantine exits: successes (probes, or served attempts while
+    /// draining) that re-admitted a quarantined replica.
     pub readmissions: u64,
     /// Requests rejected at the shard door ([`ServeError::Overloaded`]).
     pub overload_rejections: u64,
@@ -268,20 +273,13 @@ impl ShardRequest {
     }
 }
 
-/// Internal per-replica bookkeeping (the mutable side of [`ReplicaStatus`]).
+/// Internal per-replica bookkeeping: the [`ReplicaStatus`] ledger plus
+/// the probe timer and the transition clock.
 #[derive(Debug)]
 struct ReplicaCtl {
-    health: ReplicaHealth,
-    consecutive_failures: u32,
-    routed: u64,
-    completed: u64,
-    failures: u64,
-    stalls: u64,
-    rejections: u64,
-    quarantines: u64,
-    readmissions: u64,
-    probes_sent: u64,
-    outstanding_tokens: usize,
+    /// Every counter a snapshot reports; `last_transition_ms` is filled
+    /// in from `last_transition` when the snapshot is taken.
+    status: ReplicaStatus,
     /// When the next probe may go out (quarantined replicas only).
     next_probe_at: Option<Instant>,
     /// Current probe backoff (doubles per failed probe).
@@ -291,36 +289,31 @@ struct ReplicaCtl {
 }
 
 impl ReplicaCtl {
-    fn new(backoff: Duration) -> Self {
+    fn new(replica: usize, backoff: Duration) -> Self {
         Self {
-            health: ReplicaHealth::Healthy,
-            consecutive_failures: 0,
-            routed: 0,
-            completed: 0,
-            failures: 0,
-            stalls: 0,
-            rejections: 0,
-            quarantines: 0,
-            readmissions: 0,
-            probes_sent: 0,
-            outstanding_tokens: 0,
+            status: ReplicaStatus {
+                replica,
+                ..ReplicaStatus::default()
+            },
             next_probe_at: None,
             backoff,
             last_transition: Instant::now(),
         }
     }
 
-    /// A success (served attempt or probe) fully restores the replica.
+    /// A success (served attempt or probe) fully restores the replica;
+    /// returns true on the Quarantined → Healthy edge.
     fn on_success(&mut self, now: Instant) -> bool {
-        let readmitted = self.health == ReplicaHealth::Quarantined;
+        let s = &mut self.status;
+        let readmitted = s.health == ReplicaHealth::Quarantined;
         if readmitted {
-            self.readmissions += 1;
+            s.readmissions += 1;
         }
-        if self.health != ReplicaHealth::Healthy {
+        if s.health != ReplicaHealth::Healthy {
             self.last_transition = now;
         }
-        self.health = ReplicaHealth::Healthy;
-        self.consecutive_failures = 0;
+        s.health = ReplicaHealth::Healthy;
+        s.consecutive_failures = 0;
         self.next_probe_at = None;
         readmitted
     }
@@ -328,12 +321,13 @@ impl ReplicaCtl {
     /// A failure advances the state machine; returns true on the
     /// Degraded/Healthy → Quarantined edge.
     fn on_failure(&mut self, config: &SupervisorConfig, now: Instant) -> bool {
-        self.consecutive_failures += 1;
-        if self.consecutive_failures >= config.quarantine_after {
-            let newly = self.health != ReplicaHealth::Quarantined;
+        let s = &mut self.status;
+        s.consecutive_failures += 1;
+        if s.consecutive_failures >= config.quarantine_after {
+            let newly = s.health != ReplicaHealth::Quarantined;
             if newly {
-                self.health = ReplicaHealth::Quarantined;
-                self.quarantines += 1;
+                s.health = ReplicaHealth::Quarantined;
+                s.quarantines += 1;
                 self.backoff = config.probe_backoff;
                 self.last_transition = now;
             } else {
@@ -343,11 +337,32 @@ impl ReplicaCtl {
             self.next_probe_at = Some(now + self.backoff);
             newly
         } else {
-            if self.health != ReplicaHealth::Degraded {
+            if s.health != ReplicaHealth::Degraded {
                 self.last_transition = now;
             }
-            self.health = ReplicaHealth::Degraded;
+            s.health = ReplicaHealth::Degraded;
             false
+        }
+    }
+
+    /// The point-in-time [`ReplicaStatus`].
+    fn snapshot(&self) -> ReplicaStatus {
+        ReplicaStatus {
+            last_transition_ms: self.last_transition.elapsed().as_millis() as u64,
+            ..self.status.clone()
+        }
+    }
+}
+
+/// Advances `replica`'s health machine after a success (a served attempt
+/// or a probe). On the Quarantined → Healthy edge it counts the
+/// readmission in the shard metrics and journals it, whichever path
+/// brought the success.
+fn succeed_health(st: &mut ShardState, replica: usize, config: &SupervisorConfig, now: Instant) {
+    if st.replicas[replica].on_success(now) {
+        st.metrics.readmissions += 1;
+        if let Some(rec) = &config.recorder {
+            rec.record("readmitted", Some(replica), None, 0);
         }
     }
 }
@@ -357,9 +372,9 @@ impl ReplicaCtl {
 /// flight recorder on the edge itself, so the events *leading up to* the
 /// degradation survive the ring.
 fn fail_health(st: &mut ShardState, replica: usize, config: &SupervisorConfig, now: Instant) {
-    let before = st.replicas[replica].health;
+    let before = st.replicas[replica].status.health;
     st.replicas[replica].on_failure(config, now);
-    let after = st.replicas[replica].health;
+    let after = st.replicas[replica].status.health;
     if after != before {
         if let Some(rec) = &config.recorder {
             rec.record(after.as_str(), Some(replica), None, 0);
@@ -371,25 +386,7 @@ fn fail_health(st: &mut ShardState, replica: usize, config: &SupervisorConfig, n
 /// One point-in-time [`ReplicaStatus`] per replica, indexed by replica —
 /// what [`ShardedServer::status`], `/healthz` and `/metrics` all render.
 fn replica_statuses(st: &ShardState) -> Vec<ReplicaStatus> {
-    st.replicas
-        .iter()
-        .enumerate()
-        .map(|(replica, ctl)| ReplicaStatus {
-            replica,
-            health: ctl.health,
-            consecutive_failures: ctl.consecutive_failures,
-            routed: ctl.routed,
-            completed: ctl.completed,
-            failures: ctl.failures,
-            stalls: ctl.stalls,
-            rejections: ctl.rejections,
-            quarantines: ctl.quarantines,
-            readmissions: ctl.readmissions,
-            probes_sent: ctl.probes_sent,
-            outstanding_tokens: ctl.outstanding_tokens,
-            last_transition_ms: ctl.last_transition.elapsed().as_millis() as u64,
-        })
-        .collect()
+    st.replicas.iter().map(ReplicaCtl::snapshot).collect()
 }
 
 /// Everything the door and the supervisor share, behind one lock. Lock
@@ -425,7 +422,11 @@ impl ShardState {
     /// padded area.
     fn load(&self) -> (usize, usize) {
         let parked: usize = self.pending.iter().map(ShardRequest::area).sum();
-        let outstanding: usize = self.replicas.iter().map(|c| c.outstanding_tokens).sum();
+        let outstanding: usize = self
+            .replicas
+            .iter()
+            .map(|c| c.status.outstanding_tokens)
+            .sum();
         (
             self.pending.len() + self.attempts.len(),
             parked + outstanding,
@@ -578,7 +579,7 @@ impl ShardedServer {
                 next_id: 0,
                 shutdown: false,
                 replicas: (0..replicas)
-                    .map(|_| ReplicaCtl::new(config.probe_backoff))
+                    .map(|r| ReplicaCtl::new(r, config.probe_backoff))
                     .collect(),
                 routed_to: vec![0; replicas],
                 metrics: ShardMetrics::default(),
@@ -1251,7 +1252,7 @@ fn render_prometheus(
         ),
         (
             "nnlut_shard_readmissions_total",
-            "Quarantined replicas re-admitted by a probe.",
+            "Quarantined replicas re-admitted by a successful probe or attempt.",
             shard.readmissions,
         ),
         (
@@ -1426,12 +1427,7 @@ fn supervisor_loop(
                 // and only a health signal.
                 probes[replica] = None;
                 if matches!(progress, Progress::Done(Ok(_))) {
-                    if st.replicas[replica].on_success(now) {
-                        st.metrics.readmissions += 1;
-                        if let Some(rec) = &config.recorder {
-                            rec.record("readmitted", Some(replica), None, 0);
-                        }
-                    }
+                    succeed_health(st, replica, config, now);
                 } else {
                     fail_health(st, replica, config, now);
                 }
@@ -1487,8 +1483,8 @@ fn supervisor_loop(
                     if let Some(r) = &mut response {
                         r.id = req.id;
                     }
-                    st.replicas[replica].completed += 1;
-                    st.replicas[replica].on_success(now);
+                    st.replicas[replica].status.completed += 1;
+                    succeed_health(st, replica, config, now);
                     st.metrics.completed += 1;
                     resolve(st, req.id, Ok(response));
                 }
@@ -1511,7 +1507,7 @@ fn supervisor_loop(
                     // panic and froze an incident snapshot.) A failed
                     // generation fails over with its streamed prefix —
                     // the retry re-prefills it, rebuilding the KV cache.
-                    st.replicas[replica].failures += 1;
+                    st.replicas[replica].status.failures += 1;
                     fail_health(st, replica, config, now);
                     fail_over(st, &servers, config, req, replica, "panic", now);
                 }
@@ -1528,7 +1524,7 @@ fn supervisor_loop(
             .collect();
         for (replica, id) in stalled {
             let req = discharge(st, replica, id);
-            st.replicas[replica].stalls += 1;
+            st.replicas[replica].status.stalls += 1;
             st.metrics.stalls += 1;
             if let Some(rec) = &config.recorder {
                 rec.record(
@@ -1562,11 +1558,11 @@ fn supervisor_loop(
                 continue;
             }
             let ctl = &mut st.replicas[r];
-            ctl.probes_sent += 1;
+            ctl.status.probes_sent += 1;
             ctl.next_probe_at = Some(now + ctl.backoff);
             st.metrics.probes_sent += 1;
             if let Some(rec) = &config.recorder {
-                rec.record("probe", Some(r), None, ctl.probes_sent);
+                rec.record("probe", Some(r), None, ctl.status.probes_sent);
             }
             // A minimal in-vocabulary batch; its result is only a
             // health signal.
@@ -1618,7 +1614,7 @@ fn discharge(st: &mut ShardState, replica: usize, id: RequestId) -> ShardRequest
         .attempts
         .remove(&(replica, id))
         .expect("attempt in flight");
-    st.replicas[replica].outstanding_tokens -= a.req.area();
+    st.replicas[replica].status.outstanding_tokens -= a.req.area();
     a.req
 }
 
@@ -1755,11 +1751,11 @@ fn route(
             return Ok(());
         }
         let routable =
-            |r: &usize| st.shutdown || st.replicas[*r].health != ReplicaHealth::Quarantined;
+            |r: &usize| st.shutdown || st.replicas[*r].status.health != ReplicaHealth::Quarantined;
         let Some(target) = (0..servers.len())
             .filter(routable)
             .filter(|&r| Some(r) != req.avoid)
-            .min_by_key(|&r| (st.replicas[r].outstanding_tokens, r))
+            .min_by_key(|&r| (st.replicas[r].status.outstanding_tokens, r))
             .or_else(|| req.avoid.filter(routable))
         else {
             return Err(req);
@@ -1771,7 +1767,7 @@ fn route(
             .as_ref()
             .is_some_and(|plan| plan.rejects_submission(target, submission));
         if bounced {
-            st.replicas[target].rejections += 1;
+            st.replicas[target].status.rejections += 1;
             fail_health(st, target, config, now);
             if let Some(rec) = &config.recorder {
                 rec.record("bounce", Some(target), Some(req.id), submission);
@@ -1803,8 +1799,8 @@ fn route(
         // re-prefills it on the target — the KV-cache rebuild.
         let remaining = req.deadline.map(|d| d.saturating_duration_since(now));
         let local = servers[target].enqueue(req.tokens.clone(), remaining, req.kind, trace);
-        st.replicas[target].routed += 1;
-        st.replicas[target].outstanding_tokens += req.area();
+        st.replicas[target].status.routed += 1;
+        st.replicas[target].status.outstanding_tokens += req.area();
         let attempt = Attempt {
             req,
             last_progress: now,
@@ -2168,6 +2164,49 @@ mod tests {
         assert!(m.failovers >= 1, "the panic must have failed over");
         assert!(m.cache_rebuilds >= 1, "the failover re-prefilled");
         assert_eq!(server.active_generations(), 0);
+    }
+
+    /// A quarantined replica re-admitted by a *served* attempt (the
+    /// shutdown drain routes the parked victim onto it, no probe ever
+    /// goes out) counts the readmission in the shard metrics and the
+    /// journal, exactly as a probe's readmission does.
+    #[test]
+    fn drain_readmission_is_counted_like_a_probe_readmission() {
+        let mut server = tiny_sharded(ShardConfig {
+            replicas: 1,
+            replica: AsyncServerConfig {
+                trace: crate::TraceConfig::enabled(),
+                ..AsyncServerConfig::default()
+            },
+            stall_timeout: Duration::from_secs(60),
+            quarantine_after: 1,
+            probe_backoff: Duration::from_secs(60),
+            fault_plan: Some(Arc::new(FaultPlan::new().panic_at(0, 0))),
+            ..ShardConfig::default()
+        });
+        let ticket = server.submit(vec![2; 5]);
+        let parked_by = Instant::now() + Duration::from_secs(30);
+        while server.queue_depth() == 0 {
+            assert!(Instant::now() < parked_by, "the victim never parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(server.status()[0].health, ReplicaHealth::Quarantined);
+        server.shutdown();
+        ticket.wait().expect("the drain serves the parked victim");
+        let status = &server.status()[0];
+        assert_eq!(status.health, ReplicaHealth::Healthy);
+        assert_eq!(status.probes_sent, 0, "no probe went out");
+        assert_eq!(status.readmissions, 1);
+        assert_eq!(
+            server.shard_metrics().readmissions,
+            status.readmissions,
+            "the shard counter and the replica's disagree"
+        );
+        let journal = server.recorder().expect("tracing enabled").snapshot();
+        assert_eq!(
+            journal.iter().filter(|ev| ev.kind == "readmitted").count(),
+            1
+        );
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! encodes, and quadratically wasteful for generation, where each new
 //! token only needs its *own* query against the keys/values of everything
 //! before it. This module adds the decoder-serving shape the repo's
-//! `ext_decoder` analysis models: a per-sequence [`KvCache`] holding each
-//! layer's appended K/V rows, a causal [`BertModel::prefill`] that
-//! populates the cache from a prompt in wide row-parallel passes, and
+//! `ext_decoder` paper artifact models: a per-sequence [`KvCache`]
+//! holding each layer's appended K/V rows, a causal
+//! [`BertModel::prefill`] that populates the cache from a prompt in wide
+//! row-parallel passes, and
 //! [`BertModel::decode_batch`] and [`BertModel::decode_step`], which feed
 //! one token per sequence — all through the same baked LUT kernels and
 //! the [`BatchExecutor`] seam the serving layer already drives.
