@@ -94,8 +94,10 @@ pub(crate) fn validate_request(cfg: &TransformerConfig, tokens: &[usize]) {
 pub(crate) fn validate_generate(cfg: &TransformerConfig, prompt: &[usize], max_new: usize) {
     validate_request(cfg, prompt);
     assert!(max_new > 0, "must generate at least one token");
+    // `validate_request` bounds the prompt by `max_seq`, so the
+    // subtraction cannot wrap; the sum `prompt.len() + max_new` could.
     assert!(
-        prompt.len() + max_new <= cfg.max_seq,
+        max_new <= cfg.max_seq - prompt.len(),
         "prompt ({}) + max_new ({max_new}) exceeds max_seq {}",
         prompt.len(),
         cfg.max_seq

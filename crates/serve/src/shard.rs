@@ -265,11 +265,10 @@ impl ShardRequest {
     /// budget it has reserved. Reported tokens move from the budget to
     /// the tokens, so the area stays put across a generation.
     fn area(&self) -> usize {
-        self.tokens.len()
-            + match self.kind {
-                RequestKind::Encode => 0,
-                RequestKind::Generate { max_new } => max_new,
-            }
+        self.tokens.len().saturating_add(match self.kind {
+            RequestKind::Encode => 0,
+            RequestKind::Generate { max_new } => max_new,
+        })
     }
 }
 
@@ -2214,6 +2213,30 @@ mod tests {
     fn submit_generate_validates_the_token_budget() {
         // roberta_tiny max_seq = 64: 60 prompt + 5 new cannot fit.
         tiny_sharded(ShardConfig::default()).submit_generate(vec![1; 60], 5, None);
+    }
+
+    /// A budget whose sum with the prompt wraps `usize` is refused at the
+    /// door like any other overlong one, before any replica sees it.
+    #[test]
+    fn a_wrapping_token_budget_is_refused_at_the_door() {
+        let server = one_replica(AsyncServerConfig::default(), ServePolicy::default());
+        let submit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            server.submit_generate(vec![1, 2, 3], usize::MAX - 1, None)
+        }));
+        let err = submit.expect_err("the door admitted a wrapping budget");
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(msg.contains("exceeds max_seq"), "panicked with {msg:?}");
+        // The door refused it: nothing reached, failed or quarantined a
+        // replica.
+        for status in server.status() {
+            assert_eq!(
+                (status.routed, status.failures, status.quarantines),
+                (0, 0, 0)
+            );
+        }
     }
 
     #[test]

@@ -359,11 +359,13 @@ impl BertModel {
     /// to the lowest id, NaN logits never win, and a row with no logit
     /// above `−inf` reads token 0.
     ///
-    /// The embedding's panels are split across `exec` lanes, and each lane
-    /// runs the packed GEMM tile over its panels for up to four rows at a
-    /// time, folding each tile's logits into a running per-row best — no
-    /// `rows × vocab` logits buffer is built, and each panel is read once
-    /// per call, not once per row. The lanes' bests merge in lane order
+    /// The embedding's panels are split across `exec` lanes. Each lane
+    /// screens its panels' columns on the high 16 bits of `E`, up to four
+    /// rows at a time, and rescores exactly, with the packed GEMM tile,
+    /// only the columns whose error bound lets them reach the best; their
+    /// logits fold into a running per-row best. No `rows × vocab` logits
+    /// buffer is built, and each panel is read once per call, not once per
+    /// row. The lanes' bests merge in lane order
     /// under the same strict `>`, so the tokens equal the serial fold at
     /// any lane count and are row-local: batch composition never changes
     /// a chosen token.
@@ -443,7 +445,7 @@ impl BertModel {
     ) -> Vec<usize> {
         assert!(max_new > 0, "must generate at least one token");
         assert!(
-            prompt.len() + max_new <= self.config.max_seq,
+            max_new <= self.config.max_seq.saturating_sub(prompt.len()),
             "prompt ({}) + max_new ({max_new}) exceeds max_seq {}",
             prompt.len(),
             self.config.max_seq
@@ -843,7 +845,7 @@ mod tests {
             for (t, row) in e.rows_iter_mut().enumerate() {
                 row[0] = 1.0 + (vocab - 1 - t) as f32 / 256.0;
             }
-            m.token_embedding = crate::gemm::PackedWeight::transposed(e.clone());
+            m.token_embedding = crate::gemm::LmHead::new(e.clone());
             let mut negative = vec![0.0f32; d];
             negative[0] = -1.0;
             let mut pool = vec![negative, vec![0.0; d]];
@@ -882,6 +884,55 @@ mod tests {
                     let got = m.greedy_tokens(&hidden, &FakeLanes(lanes));
                     assert_eq!(got, want, "vocab {vocab} B {b} at {lanes} lanes");
                 }
+            }
+        }
+    }
+
+    /// At a realistic vocabulary (2,003 ids: 126 panels, the last one
+    /// partial) the screen drops most columns, so the tokens rest on its
+    /// bound rather than on rescoring nearly every column. Hidden rows from
+    /// `prefill` and `decode_batch`, in batches of one to eight, read at
+    /// one to four lanes the row-major first max over the unpacked `E`.
+    #[test]
+    fn greedy_tokens_at_a_realistic_vocabulary() {
+        let cfg = TransformerConfig {
+            vocab: 2003,
+            ..TransformerConfig::roberta_tiny()
+        };
+        let d = cfg.hidden;
+        let m = BertModel::new_synthetic(cfg, 5);
+        let e = m.token_embedding.unpack().transposed();
+        let nl = Nonlinearity::exact();
+        let mut caches: Vec<KvCache> = (0..4).map(|_| m.new_cache()).collect();
+        let mut rows = Vec::new();
+        for (s, cache) in caches.iter_mut().enumerate() {
+            let p = prompt(6 + s, 13 * s);
+            rows.extend(m.prefill(&p, cache, &nl, MatmulMode::F32, &SerialExecutor));
+        }
+        let mut steps: Vec<(&mut KvCache, usize)> =
+            caches.iter_mut().zip([3, 1900, 77, 2002]).collect();
+        let stepped = m.decode_batch(&mut steps, &nl, MatmulMode::F32, &SerialExecutor);
+        rows.extend(stepped.into_vec());
+        let first_max = |h: &[f32]| {
+            let mut best = (0usize, f32::NEG_INFINITY);
+            for (t, e_row) in e.rows_iter().enumerate() {
+                let mut logit = 0.0f32;
+                for (&hv, &ev) in h.iter().zip(e_row) {
+                    logit += hv * ev;
+                }
+                if logit > best.1 {
+                    best = (t, logit);
+                }
+            }
+            best.0
+        };
+        for b in [1usize, 2, 3, 4, 8] {
+            // The last `b` rows: up to four decode rows, or all eight.
+            let hidden = Matrix::from_vec(b, d, rows[(8 - b) * d..].to_vec());
+            let want: Vec<usize> = hidden.rows_iter().map(first_max).collect();
+            for lanes in 1..=4 {
+                let got = m.greedy_tokens(&hidden, &FakeLanes(lanes));
+                assert_eq!(got, want, "B {b} at {lanes} lanes");
             }
         }
     }

@@ -10,12 +10,17 @@
 //! The row-major i-k-j loop ([`Matrix::matmul_rows_into`]) re-streams
 //! every weight row for each output row instead.
 //!
+//! # The LM head
+//!
 //! The tied token embedding `E` (`vocab × hidden`) is the LM head's weight
-//! `Eᵀ`, and is stored the same way ([`PackedWeight::transposed`]): a
-//! 16-row block of `E` is exactly one panel of `Eᵀ`. The greedy readout
-//! ([`PackedWeight::argmax_cols`]) runs the same tiles and folds each
-//! tile's outputs straight into a running per-row maximum, so no
-//! `rows × vocab` logits buffer exists.
+//! `Eᵀ`, stored as *split* panels ([`LmHead`]): a 16-row block of `E` is
+//! exactly one panel of `Eᵀ`, held as the high 16 bits of its values (a
+//! bf16 truncation) followed by their low 16 bits, and split in place. The
+//! greedy readout ([`LmHead::argmax_cols`]) screens every column on the
+//! high halves alone, half the bytes, with a per-column error bound fixed
+//! at pack time. Only the columns the bound cannot rule out are rebuilt as
+//! f32 and rescored by the tile, and their exact logits fold straight into
+//! a running per-row maximum, so no `rows × vocab` logits buffer exists.
 //!
 //! # Attention
 //!
@@ -51,6 +56,10 @@
 //!   does a partial last panel read in place whose 16-float rows would run
 //!   off the end of the buffer.
 //!
+//! The LM head's screen follows the same choice: an AVX2 kernel of the
+//! tile's shape over the high halves (prefetching the next panel's, whose
+//! place the hardware streams would not guess), or a scalar loop.
+//!
 //! # The bit-identity contract
 //!
 //! Every output is `0.0`, then `+= x[i][k]·w[k][j]` for k ascending, as
@@ -61,6 +70,10 @@
 //! NaN exactly where it is NaN; and any split of the row range across
 //! threads reproduces the serial bits, because each output depends on one
 //! `x` row and one weight column only.
+//!
+//! The LM head's screened logits are not under the contract: only its
+//! chosen tokens and their rescored logits are, which are the tile's
+//! outputs over the rebuilt panels and so the oracle's, bit for bit.
 //!
 //! **NaN payloads are not part of the contract.** IEEE 754 leaves the
 //! payload of an operation on two NaN operands unspecified, and x86
@@ -164,37 +177,6 @@ impl PackedWeight {
         }
     }
 
-    /// Packs `Wᵀ` for the running CPU's kernel, given the row-major `w`
-    /// (`n × k`): row `j` of `w` becomes column `j` of the packed weight.
-    ///
-    /// A 16-row block of `w` is contiguous and holds exactly the values of
-    /// one panel, in the panel's own place, so each block is transposed in
-    /// place through a 16-row scratch: linear time, and no second copy of a
-    /// large weight. Only the last panel's zero rows are appended.
-    pub(crate) fn transposed(w: Matrix) -> Self {
-        let (cols, rows) = w.shape();
-        let block = rows * PANEL;
-        let mut panels = w.into_vec();
-        panels.resize(cols.div_ceil(PANEL) * block, 0.0);
-        let mut scratch = vec![0.0f32; block];
-        for panel in panels.chunks_exact_mut(block.max(1)) {
-            scratch.copy_from_slice(panel);
-            // `scratch` holds up to 16 rows of `w` (zeros past `n`); `w[j][r]`
-            // belongs at panel entry `r·16 + j`.
-            for (j, w_row) in scratch.chunks_exact(rows).enumerate() {
-                for (r, &v) in w_row.iter().enumerate() {
-                    panel[r * PANEL + j] = v;
-                }
-            }
-        }
-        Self {
-            rows,
-            cols,
-            panels,
-            level: simd::detect(),
-        }
-    }
-
     /// The row-major weight, bit for bit.
     pub(crate) fn unpack(&self) -> Matrix {
         let mut w = Matrix::zeros(self.rows, self.cols);
@@ -223,75 +205,6 @@ impl PackedWeight {
     /// Output dimension `n`.
     pub(crate) fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// Number of 16-column panels, `⌈n/16⌉`.
-    pub(crate) fn panel_count(&self) -> usize {
-        self.cols.div_ceil(PANEL)
-    }
-
-    /// Column `j`, top to bottom: a stride-16 walk down its panel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= n`.
-    pub(crate) fn col(&self, j: usize) -> impl Iterator<Item = f32> + '_ {
-        assert!(j < self.cols, "column {j} out of {}", self.cols);
-        let at = (j / PANEL) * self.rows * PANEL + j % PANEL;
-        self.panels
-            .iter()
-            .skip(at)
-            .step_by(PANEL)
-            .take(self.rows)
-            .copied()
-    }
-
-    /// For each of the `m` rows of `a` (`m × k`, row-major), the
-    /// `(column, output)` of the row's greatest `x·W` output over the
-    /// columns of `panels`: a fold from `(0, −inf)` over those columns in
-    /// ascending order that takes a column only when its output is
-    /// strictly `>` the best so far. So ties keep the lowest column, NaN
-    /// outputs never win, and a row with nothing above `−inf` keeps
-    /// `(0, −inf)`. Only the real columns count: a padding column's output
-    /// would otherwise beat an all-negative row. The outputs are the
-    /// GEMM's, bit for bit (see the module docs), one tile of up to four
-    /// rows and one panel at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != m·k` or a panel is out of range.
-    pub(crate) fn argmax_cols(
-        &self,
-        a: &[f32],
-        m: usize,
-        panels: Range<usize>,
-    ) -> Vec<(usize, f32)> {
-        let k = self.rows;
-        assert_eq!(a.len(), m * k, "argmax input length mismatch");
-        assert!(
-            panels.end <= self.panel_count(),
-            "panel range out of bounds"
-        );
-        let view = self.view();
-        let mut best = vec![(0usize, f32::NEG_INFINITY); m];
-        let mut tile = [0.0f32; 4 * PANEL];
-        for p in panels {
-            let c0 = p * PANEL;
-            let width = (self.cols - c0).min(PANEL);
-            for (i, best) in best.chunks_mut(4).enumerate() {
-                let rows = best.len();
-                view.panel(p)
-                    .product(&a[4 * i * k..], k, rows, false, &mut tile, PANEL);
-                for (b, logits) in best.iter_mut().zip(tile.chunks_exact(PANEL)) {
-                    for (j, &v) in logits[..width].iter().enumerate() {
-                        if v > b.1 {
-                            *b = (c0 + j, v);
-                        }
-                    }
-                }
-            }
-        }
-        best
     }
 
     /// Rows `[r0, r1)` of `x · W` into `out`, a `(r1 - r0) × n` row-major
@@ -332,6 +245,374 @@ impl PackedWeight {
             level: self.level,
         }
     }
+}
+
+/// Words per half of a split panel row: column `c` and column `c + 8`
+/// share word `c`.
+const HALF: usize = PANEL / 2;
+
+/// The high 16 bits of a word's two values, as floats: the bf16
+/// truncations of columns `c` (low half-word) and `c + 8` (high half-word).
+const HIGH: u32 = 0xFFFF_0000;
+
+/// `γ_k = k·u/(1 − k·u)` for f32's unit roundoff `u = 2⁻²⁴`, rounded up:
+/// every k-term dot product, in any summation order, lies within
+/// `γ_k·Σ|x_i·y_i|` of the exact sum when nothing overflows or underflows.
+/// Infinite once `k·u ≥ 1/2`, where the bound no longer earns its keep.
+fn gamma(k: usize) -> f64 {
+    let ku = k as f64 * f64::powi(2.0, -24);
+    if ku >= 0.5 {
+        f64::INFINITY
+    } else {
+        ku / (1.0 - ku) * (1.0 + f64::powi(2.0, -30))
+    }
+}
+
+/// `x` as an f32 rounded up (`+inf` for NaN): `x`'s own f64 rounding error
+/// is the caller's to cover.
+fn f32_up(x: f64) -> f32 {
+    let f = x as f32;
+    if x.is_nan() {
+        f32::INFINITY
+    } else if (f as f64) < x {
+        f.next_up()
+    } else {
+        f
+    }
+}
+
+/// The tied LM head `Eᵀ` (`k × n`: hidden × vocab; token `t`'s embedding is
+/// column `t`) as *split* 16-column panels, read by a screened greedy
+/// readout ([`LmHead::argmax_cols`]; see the module docs).
+///
+/// Panel `p` is a *high* half then a *low* half, each `k × 8` words: word
+/// `c` of a half's row `r` holds the high (or the low) 16 bits of
+/// `Eᵀ[r][16p + c]` in its low half-word and of `Eᵀ[r][16p + c + 8]` in its
+/// high half-word. The screen reads the high halves only, half the bytes,
+/// and widens a word to two floats with one shift and one mask. Beside the
+/// panels sits one float per column, the screen's error per unit of ‖h‖₂.
+#[derive(Clone)]
+pub(crate) struct LmHead {
+    rows: usize,
+    cols: usize,
+    /// `⌈n/16⌉` panels of `16·k` words: word `16k·p + 8r + c` holds the
+    /// high 16 bits of columns `16p + c` and `16p + c + 8` of row `r`, word
+    /// `16k·p + 8k + 8r + c` their low 16 bits, zero past column `n`.
+    words: Vec<u32>,
+    /// Per column `t`, `c_t = ‖E_t − hi(E_t)‖₂ + 2γ_k‖E_t‖₂` rounded up, or
+    /// `+inf` when `E_t` holds a non-finite value.
+    slack: Vec<f32>,
+    level: SimdLevel,
+}
+
+impl std::fmt::Debug for LmHead {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "LmHead {}x{} ({} split panels, {})",
+            self.rows,
+            self.cols,
+            self.panel_count(),
+            self.level.name()
+        )
+    }
+}
+
+/// The two values `hi` and `lo` (a high-half word and its low-half twin)
+/// hold: column `c`'s bits, then column `c + 8`'s.
+fn join(hi: u32, lo: u32) -> [f32; 2] {
+    [
+        f32::from_bits(hi << 16 | lo & 0xFFFF),
+        f32::from_bits(hi & HIGH | lo >> 16),
+    ]
+}
+
+impl LmHead {
+    /// Splits the row-major embedding `e` (`n × k`) for the running CPU's
+    /// screen: row `t` of `e` becomes column `t`.
+    pub(crate) fn new(e: Matrix) -> Self {
+        Self::with_level(e, simd::detect())
+    }
+
+    /// Splits `e` for the screen `level` (which the CPU must support), in
+    /// `e`'s own buffer. A 16-row block of `e` is contiguous and holds
+    /// exactly the values of one panel, in the panel's own place, so each
+    /// block is split in place through a one-panel scratch: linear time,
+    /// and no second copy of a large weight. Only the last panel's zero
+    /// rows are appended.
+    fn with_level(e: Matrix, level: SimdLevel) -> Self {
+        let (cols, rows) = e.shape();
+        let block = rows * PANEL;
+        let mut floats = e.into_vec();
+        floats.resize(cols.div_ceil(PANEL) * block, 0.0);
+        // Same size and alignment: the collect reuses the allocation.
+        let mut words: Vec<u32> = floats.into_iter().map(f32::to_bits).collect();
+        let mut scratch = vec![0u32; block];
+        let mut slack = Vec::with_capacity(cols);
+        let gamma = gamma(rows);
+        for (p, panel) in words.chunks_exact_mut(block.max(1)).enumerate() {
+            scratch.copy_from_slice(panel);
+            let (high, low) = panel.split_at_mut(rows * HALF);
+            // `scratch` holds up to 16 rows of `e` (zeros past `n`). Columns
+            // `0..8` fill each word's low half-word, then `8..16` its high.
+            for (j, e_row) in scratch.chunks_exact(rows).enumerate() {
+                let (mut tail, mut norm) = (0.0f64, 0.0f64);
+                for (r, &v) in e_row.iter().enumerate() {
+                    let at = r * HALF + j % HALF;
+                    if j < HALF {
+                        (high[at], low[at]) = (v >> 16, v & 0xFFFF);
+                    } else {
+                        high[at] |= v & HIGH;
+                        low[at] |= v << 16;
+                    }
+                    // Both terms are exact in f64; only the sums round.
+                    let x = f32::from_bits(v) as f64;
+                    let d = x - f32::from_bits(v & HIGH) as f64;
+                    (tail, norm) = (tail + d * d, norm + x * x);
+                }
+                if p * PANEL + j < cols {
+                    // A non-finite entry makes `tail` NaN: `+inf`.
+                    let c = tail.sqrt() + 2.0 * gamma * norm.sqrt();
+                    slack.push(f32_up(c * (1.0 + f64::powi(2.0, -30))));
+                }
+            }
+        }
+        // Zero-depth columns have no entries, so no slack.
+        slack.resize(cols, 0.0);
+        Self {
+            rows,
+            cols,
+            words,
+            slack,
+            level,
+        }
+    }
+
+    /// The `(high, low)` halves of panel `p`.
+    fn halves(&self, p: usize) -> (&[u32], &[u32]) {
+        let block = self.rows * PANEL;
+        self.words[p * block..(p + 1) * block].split_at(self.rows * HALF)
+    }
+
+    /// `Eᵀ` (`k × n`, row-major), bit for bit.
+    #[cfg(test)]
+    pub(crate) fn unpack(&self) -> Matrix {
+        let mut w = Matrix::zeros(self.rows, self.cols);
+        let mut panel = vec![0.0f32; self.rows * PANEL];
+        for p in 0..self.panel_count() {
+            self.rebuild(p, &mut panel);
+            let width = (self.cols - p * PANEL).min(PANEL);
+            for (r, cells) in panel.chunks_exact(PANEL).enumerate() {
+                w.row_mut(r)[p * PANEL..p * PANEL + width].copy_from_slice(&cells[..width]);
+            }
+        }
+        w
+    }
+
+    /// Number of 16-column panels, `⌈n/16⌉`.
+    pub(crate) fn panel_count(&self) -> usize {
+        self.cols.div_ceil(PANEL)
+    }
+
+    /// Column `j` (token `j`'s embedding), top to bottom: each value is
+    /// joined from its two halves, a stride-8 walk down each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= n`.
+    pub(crate) fn col(&self, j: usize) -> impl Iterator<Item = f32> + '_ {
+        assert!(j < self.cols, "column {j} out of {}", self.cols);
+        let (high, low) = self.halves(j / PANEL);
+        let (c, side) = (j % HALF, j % PANEL / HALF);
+        high.iter()
+            .skip(c)
+            .step_by(HALF)
+            .zip(low.iter().skip(c).step_by(HALF))
+            .map(move |(&hi, &lo)| join(hi, lo)[side])
+    }
+
+    /// Panel `p` as plain f32 panel rows (`k × 16`, the layout
+    /// [`Panels::product`] reads) into `out`.
+    fn rebuild(&self, p: usize, out: &mut [f32]) {
+        let (high, low) = self.halves(p);
+        let rows = out
+            .chunks_exact_mut(PANEL)
+            .zip(high.chunks_exact(HALF).zip(low.chunks_exact(HALF)));
+        for (o, (high, low)) in rows {
+            for c in 0..HALF {
+                [o[c], o[c + HALF]] = join(high[c], low[c]);
+            }
+        }
+    }
+
+    /// The screened logits `S` of the `m ≤ 4` rows of `a` (rows `k` apart)
+    /// over panel `p`'s high half: the bf16-truncated Eᵀ, summed in any
+    /// order (see [`LmHead::argmax_cols`] for why any order will do).
+    fn screen(&self, a: &[f32], m: usize, p: usize, s: &mut [[f32; PANEL]; 4]) {
+        let k = self.rows;
+        let (high, _) = self.halves(p);
+        assert!(m <= 4 && a.len() >= m * k, "screen operand too short");
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if self.level == SimdLevel::Avx2 && m > 0 {
+            // SAFETY: `level` is `Avx2` only when `simd::detect()` found
+            // AVX2 (or a test that checked it). The assert bounds the `m`
+            // rows of `a` read; `high` and `next` are whole high halves, `k`
+            // rows of 8 words; `s` holds four rows.
+            // The next panel's high half, or this one's again at the last.
+            let next = self.halves((p + 1).min(self.panel_count() - 1)).0;
+            unsafe {
+                let (a, high, s) = (a.as_ptr(), high.as_ptr(), s.as_mut_ptr());
+                let next = next.as_ptr();
+                match m {
+                    1 => avx2::screen::<1>(a, k, high, next, s),
+                    2 => avx2::screen::<2>(a, k, high, next, s),
+                    3 => avx2::screen::<3>(a, k, high, next, s),
+                    _ => avx2::screen::<4>(a, k, high, next, s),
+                }
+            }
+            return;
+        }
+        for (r, out) in s[..m].iter_mut().enumerate() {
+            let h = &a[r * k..(r + 1) * k];
+            let mut acc = [0.0f32; PANEL];
+            for (&hv, w) in h.iter().zip(high.chunks_exact(HALF)) {
+                for c in 0..HALF {
+                    acc[c] += hv * f32::from_bits(w[c] << 16);
+                    acc[c + HALF] += hv * f32::from_bits(w[c] & HIGH);
+                }
+            }
+            *out = acc;
+        }
+    }
+
+    /// For each of the `m` rows of `a` (`m × k`, row-major), the
+    /// `(column, logit)` of the row's greatest `x·Eᵀ` logit over the
+    /// columns of `panels`: a fold from `(0, −inf)` over those columns in
+    /// ascending order that takes a column only when its logit is strictly
+    /// `>` the best so far. So ties keep the lowest column, NaN logits
+    /// never win, and a row with nothing above `−inf` keeps `(0, −inf)`.
+    /// Only the real columns count: a padding column's logit would
+    /// otherwise beat an all-negative row. The logits are the GEMM's, bit
+    /// for bit (see the module docs).
+    ///
+    /// Screen, then rescore. The screen runs the tile over the high halves
+    /// only; every exact logit `L_t` of a row `h` lies within `B_t =
+    /// ‖h‖₂·c_t + (k+1)·2⁻¹⁴⁸` of its screened `S_t` (rounded outward),
+    /// and the interval is `(−inf, +inf)` when `h`, `E_t` or `S_t` is
+    /// non-finite, or `B_t` so large that a sum could overflow. A column
+    /// is kept when its upper bound reaches the greatest lower bound seen
+    /// (an earlier column whose lower bound it cannot pass is dropped at
+    /// once: it could tie that column at best, and ties keep the earlier).
+    /// The kept columns' panels are rebuilt as f32 and their exact logits
+    /// computed by [`Panels::product`], folded in ascending order; a kept
+    /// column whose upper bound cannot pass the exact best is skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != m·k` or a panel is out of range.
+    pub(crate) fn argmax_cols(
+        &self,
+        a: &[f32],
+        m: usize,
+        panels: Range<usize>,
+    ) -> Vec<(usize, f32)> {
+        let k = self.rows;
+        assert_eq!(a.len(), m * k, "argmax input length mismatch");
+        assert!(
+            panels.end <= self.panel_count(),
+            "panel range out of bounds"
+        );
+        let gamma = gamma(k);
+        // A bound past `γ_k·MAX` allows ‖h‖₂·‖E_t‖₂ ≥ MAX/2: a sum might
+        // overflow, outside the error model.
+        let limit = (gamma * f32::MAX as f64) as f32;
+        let bounds: Vec<(f32, f32)> = (0..m).map(|i| row_bound(&a[i * k..(i + 1) * k])).collect();
+        // Per row: the greatest lower bound so far, and the kept columns
+        // `(column, row, upper bound)`, panel by panel.
+        let mut floor = vec![f32::NEG_INFINITY; m];
+        let mut kept: Vec<(usize, usize, f32)> = Vec::new();
+        let mut s = [[0.0f32; PANEL]; 4];
+        for p in panels.clone() {
+            let c0 = p * PANEL;
+            let width = (self.cols - c0).min(PANEL);
+            let slack = &self.slack[c0..c0 + width];
+            for i in (0..m).step_by(4) {
+                let rows = (m - i).min(4);
+                self.screen(&a[i * k..], rows, p, &mut s);
+                for (row, s) in (i..i + rows).zip(&s) {
+                    let ((scale, abs), floor) = (bounds[row], &mut floor[row]);
+                    for ((j, &s), &c) in s[..width].iter().enumerate().zip(slack) {
+                        let b = scale * c + abs;
+                        if !(b <= limit && s.is_finite()) {
+                            kept.push((c0 + j, row, f32::INFINITY));
+                        } else if b == 0.0 {
+                            // `h` is zero: `S_t` is the exact logit.
+                            if s > *floor {
+                                kept.push((c0 + j, row, s));
+                                *floor = s;
+                            }
+                        } else {
+                            // `fl(S + B) ≥ floor` exactly when its next float
+                            // up, an upper bound, passes the floor.
+                            let (up, lo) = (s + b, s - b);
+                            if up >= *floor {
+                                kept.push((c0 + j, row, up.next_up()));
+                            }
+                            if lo > *floor {
+                                *floor = lo.next_down();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let mut best = vec![(0usize, f32::NEG_INFINITY); m];
+        let mut panel = vec![0.0f32; k * PANEL];
+        let mut built = usize::MAX;
+        // Per row: the exact logits of one panel, and which.
+        let mut exact = vec![([0.0f32; PANEL], usize::MAX); m];
+        for (t, row, up) in kept {
+            if up < floor[row] || up <= best[row].1 {
+                continue;
+            }
+            let p = t / PANEL;
+            if exact[row].1 != p {
+                if built != p {
+                    self.rebuild(p, &mut panel);
+                    built = p;
+                }
+                let view = Panels {
+                    level: self.level,
+                    ..Panels::new(&panel, k, (self.cols - p * PANEL).min(PANEL), 0, PANEL)
+                };
+                view.product(&a[row * k..], k, 1, false, &mut exact[row].0, PANEL);
+                exact[row].1 = p;
+            }
+            let logit = exact[row].0[t % PANEL];
+            if logit > best[row].1 {
+                best[row] = (t, logit);
+            }
+        }
+        best
+    }
+}
+
+/// A row `h`'s bound `B_t = scale·c_t + abs` as `(scale, abs)`: `(0, 0)`
+/// for a zero row (its screen is exact), `scale = +inf` for a non-finite
+/// or overflowing ‖h‖₂, else ‖h‖₂ and the underflow term, rounded up so
+/// that `fl(scale·c_t + abs)` still bounds both dot products' error.
+fn row_bound(h: &[f32]) -> (f32, f32) {
+    let sq: f64 = h.iter().map(|&v| v as f64 * v as f64).sum();
+    let norm = f32_up(sq.sqrt() * (1.0 + f64::powi(2.0, -30)));
+    if norm == 0.0 {
+        return (0.0, 0.0);
+    }
+    // Each of the two dot products' k underflowing products errs by at
+    // most 2⁻¹⁵⁰; the factor and the spare term cover the roundings of
+    // `scale·c_t + abs` itself.
+    let scale = norm * (1.0 + f32::powi(2.0, -20));
+    let abs = (h.len() as f32 + 1.0) * f32::from_bits(2);
+    (scale, abs)
 }
 
 /// A `k × n` right-hand operand read as 16-column panels where it lies:
@@ -386,15 +667,6 @@ impl<'a> Panels<'a> {
     /// Panics if the matrix runs past the end of `data`.
     pub(crate) fn row_major(data: &'a [f32], k: usize, n: usize, ld: usize) -> Self {
         Self::new(data, k, n, PANEL, ld)
-    }
-
-    /// Panel `p` alone, as a `k × width` operand.
-    fn panel(&self, p: usize) -> Self {
-        Self {
-            data: &self.data[p * self.panel_stride..],
-            n: (self.n - p * PANEL).min(PANEL),
-            ..*self
-        }
     }
 
     /// `m` rows of `a` (row `i` from `a[i·lda]` on) times this operand,
@@ -542,7 +814,7 @@ pub(crate) fn key_rows(blocks: &[f32], width: usize, n: usize) -> Vec<f32> {
 mod avx2 {
     use core::arch::x86_64::*;
 
-    use super::{Panels, PANEL};
+    use super::{Panels, HALF, HIGH, PANEL};
 
     /// The panels `0..panels` of [`Panels::product`], each for every block
     /// of up to four rows: the panel is read from memory once per call and
@@ -581,6 +853,69 @@ mod avx2 {
                     _ => tile::<4>(a, lda, depths, panel, row_stride, o, ldo, width),
                 }
             }
+        }
+    }
+
+    /// The screen of `R` rows over one split panel's high half: per k row
+    /// one 8-word load, widened to the bf16 values of columns `0..8` (a
+    /// 16-bit shift) and `8..16` (a mask), shared by every row's broadcast
+    /// multiply and add. One row runs two accumulator chains, even and odd
+    /// k rows, summed at the end: the screen's error bound holds in any
+    /// order. Each load prefetches the same row of `next`, the high half
+    /// the following call will read: the halves are a panel apart, a gap
+    /// the hardware's sequential prefetch does not cross.
+    ///
+    /// # Safety
+    ///
+    /// AVX2; `a` points at `R` rows `k` apart, each with `k` readable
+    /// floats; `high` and `next` at `k` rows of 8 readable words each; `s`
+    /// at `R` writable rows of 16 floats.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn screen<const R: usize>(
+        a: *const f32,
+        k: usize,
+        high: *const u32,
+        next: *const u32,
+        s: *mut [f32; PANEL],
+    ) {
+        let mask = _mm256_set1_epi32(HIGH as i32);
+        let widen = |kk: usize| {
+            _mm_prefetch::<_MM_HINT_T0>(next.add(kk * HALF).cast());
+            let w = _mm256_loadu_si256(high.add(kk * HALF).cast());
+            (
+                _mm256_castsi256_ps(_mm256_slli_epi32::<16>(w)),
+                _mm256_castsi256_ps(_mm256_and_si256(w, mask)),
+            )
+        };
+        let mut lo = [_mm256_setzero_ps(); R];
+        let mut hi = [_mm256_setzero_ps(); R];
+        let mut kk = 0;
+        if R == 1 {
+            let (mut lo2, mut hi2) = (_mm256_setzero_ps(), _mm256_setzero_ps());
+            while kk + 1 < k {
+                let ((w_lo, w_hi), (w_lo2, w_hi2)) = (widen(kk), widen(kk + 1));
+                let (av, av2) = (_mm256_set1_ps(*a.add(kk)), _mm256_set1_ps(*a.add(kk + 1)));
+                lo[0] = _mm256_add_ps(lo[0], _mm256_mul_ps(av, w_lo));
+                hi[0] = _mm256_add_ps(hi[0], _mm256_mul_ps(av, w_hi));
+                lo2 = _mm256_add_ps(lo2, _mm256_mul_ps(av2, w_lo2));
+                hi2 = _mm256_add_ps(hi2, _mm256_mul_ps(av2, w_hi2));
+                kk += 2;
+            }
+            lo[0] = _mm256_add_ps(lo[0], lo2);
+            hi[0] = _mm256_add_ps(hi[0], hi2);
+        }
+        for kk in kk..k {
+            let (w_lo, w_hi) = widen(kk);
+            for r in 0..R {
+                let av = _mm256_set1_ps(*a.add(r * k + kk));
+                lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(av, w_lo));
+                hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(av, w_hi));
+            }
+        }
+        for r in 0..R {
+            let row = (*s.add(r)).as_mut_ptr();
+            _mm256_storeu_ps(row, lo[r]);
+            _mm256_storeu_ps(row.add(HALF), hi[r]);
         }
     }
 
@@ -770,10 +1105,13 @@ mod tests {
         v.into_iter().map(f32::to_bits).collect()
     }
 
-    /// `transposed` packs exactly what the general pack makes of `Wᵀ`,
-    /// padding included, and reads its columns back as `w`'s rows.
+    /// The split holds `e`'s bits where the layout says (high and low
+    /// half-words, zero past column `n`), reads its columns back as `e`'s
+    /// rows and unpacks to `eᵀ`, bit for bit; and each column's slack is
+    /// at least `‖E_t − hi(E_t)‖₂ + 2γ_k‖E_t‖₂`, infinite exactly when the
+    /// column holds a non-finite value.
     #[test]
-    fn transposed_pack_is_the_pack_of_the_transpose() {
+    fn lm_head_split_follows_the_documented_layout() {
         let mut rng = Mix(11);
         for (n, k) in [
             (0, 3),
@@ -784,21 +1122,40 @@ mod tests {
             (37, 5),
             (129, 64),
         ] {
-            let w = rng.matrix(n, k, 0.3);
-            let packed = PackedWeight::transposed(w.clone());
-            let general = PackedWeight::new(w.transposed());
-            assert_eq!((packed.rows(), packed.cols()), (k, n));
+            let e = rng.matrix(n, k, 0.3);
+            let head = LmHead::new(e.clone());
+            assert_eq!(head.words.len(), n.div_ceil(PANEL) * k * PANEL, "{n}x{k}");
+            for (i, &w) in head.words.iter().enumerate() {
+                let (p, at) = (i / (k * PANEL), i % (k * PANEL));
+                let (low, r, c) = (at >= k * HALF, at % (k * HALF) / HALF, at % HALF);
+                let of = |j: usize| if j < n { e[(j, r)].to_bits() } else { 0 };
+                let (a, b) = (of(p * PANEL + c), of(p * PANEL + c + HALF));
+                let want = if low {
+                    a & 0xFFFF | b << 16
+                } else {
+                    a >> 16 | b & HIGH
+                };
+                assert_eq!(w, want, "{n}x{k} word {i}");
+            }
             assert_eq!(
-                bits(packed.panels.iter().copied()),
-                bits(general.panels.iter().copied()),
-                "{n}x{k}"
+                bits(head.unpack().into_vec()),
+                bits(e.transposed().into_vec())
             );
-            for j in 0..n {
+            for (t, &c) in head.slack.iter().enumerate() {
+                let col = e.row(t);
                 assert_eq!(
-                    bits(packed.col(j)),
-                    bits(w.row(j).iter().copied()),
-                    "{n}x{k} col {j}"
+                    bits(head.col(t)),
+                    bits(col.iter().copied()),
+                    "{n}x{k} col {t}"
                 );
+                if col.iter().all(|v| v.is_finite()) {
+                    let sq = |f: fn(f32) -> f64| col.iter().map(|&v| f(v) * f(v)).sum::<f64>();
+                    let tail = sq(|v| v as f64 - f32::from_bits(v.to_bits() & HIGH) as f64);
+                    let want = tail.sqrt() + 2.0 * gamma(k) * sq(|v| v as f64).sqrt();
+                    assert!(c.is_finite() && c as f64 >= want, "{n}x{k} col {t}: {c}");
+                } else {
+                    assert_eq!(c, f32::INFINITY, "{n}x{k} col {t}");
+                }
             }
         }
     }
@@ -830,10 +1187,9 @@ mod tests {
             }
             pool.extend((0..4).map(|_| rng.matrix(1, k, 0.0).into_vec()));
             for level in levels() {
-                let packed = PackedWeight {
-                    level,
-                    ..PackedWeight::transposed(e.clone())
-                };
+                let head = LmHead::with_level(e.clone(), level);
+                // The logits the rescore reproduces: the tile over `Eᵀ`.
+                let packed = PackedWeight::with_level(head.unpack(), level);
                 for m in 0..=9usize {
                     let rows: Vec<f32> = (0..m)
                         .flat_map(|i| pool[(i + m) % pool.len()].clone())
@@ -841,7 +1197,7 @@ mod tests {
                     let x = Matrix::from_vec(m, k, rows);
                     let mut got = vec![0.0f32; m * n];
                     packed.matmul_rows_into(&x, 0, m, &mut got);
-                    let best = packed.argmax_cols(x.as_slice(), m, 0..packed.panel_count());
+                    let best = head.argmax_cols(x.as_slice(), m, 0..head.panel_count());
                     for (i, h) in x.rows_iter().enumerate() {
                         let mut want = (0usize, f32::NEG_INFINITY);
                         for (t, e_row) in e.rows_iter().enumerate() {
@@ -873,6 +1229,173 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The row-major first max of `h` over `e`'s rows `cols`: a fold from
+    /// `(0, −inf)` that takes a strictly greater logit, each logit `0.0`
+    /// then `+= h[c]·e[t][c]` for `c` ascending.
+    fn first_max(e: &Matrix, h: &[f32], cols: Range<usize>) -> (usize, f32) {
+        let mut best = (0usize, f32::NEG_INFINITY);
+        for t in cols {
+            let mut logit = 0.0f32;
+            for (&hv, &ev) in h.iter().zip(e.row(t)) {
+                logit += hv * ev;
+            }
+            if logit > best.1 {
+                best = (t, logit);
+            }
+        }
+        best
+    }
+
+    /// Columns of `e` that only their low halves rank, planted for the row
+    /// `h` (finite and non-zero, `h[0] > 0`) at ids `at`: with `H =
+    /// hi(4h)`, *up* is `H` with its smallest term one bf16 step larger
+    /// and clean low halves, *heavy* is `H` with every low half all ones,
+    /// *twin* is heavy again and *near* is heavy one ulp smaller in that
+    /// term. So up screens above the other three by one bf16 step of one
+    /// term, far past `2γ_k‖h‖‖E‖`, while heavy is the greater exact logit
+    /// by the other terms' low halves; twin ties heavy exactly (the lower
+    /// id must win) and near trails it by at most one ulp.
+    fn plant(e: &mut Matrix, h: &[f32], at: [usize; 4]) {
+        let high: Vec<u32> = h.iter().map(|&v| (4.0 * v).to_bits() & HIGH).collect();
+        let term = |i: usize| (h[i] * f32::from_bits(high[i])).abs();
+        let i0 = (1..h.len())
+            .min_by(|&a, &b| term(a).total_cmp(&term(b)))
+            .unwrap_or(0);
+        let heavy: Vec<u32> = high.iter().map(|&w| w | 0xFFFF).collect();
+        let mut up = high.clone();
+        up[i0] += 1 << 16;
+        let mut near = heavy.clone();
+        near[i0] -= 1;
+        for (t, col) in at.into_iter().zip([up, heavy.clone(), heavy, near]) {
+            for (v, w) in e.row_mut(t).iter_mut().zip(col) {
+                *v = f32::from_bits(w);
+            }
+        }
+    }
+
+    /// The screen-then-rescore readout against [`first_max`] over `E`'s
+    /// rows, for every panel subrange a lane may own, on both kernels. The
+    /// ids and the logits must match bit for bit, and so must the lanes'
+    /// bests merged in lane order.
+    ///
+    /// `E` leaves a partial last panel and holds, for four rows of the
+    /// pool (one of them tiny enough that its products underflow), the
+    /// columns of [`plant`]: a screen that dropped the `‖E_t − hi(E_t)‖`
+    /// term from its bound would keep *up* alone and read it. A second `E`
+    /// adds, to the other columns, entries of ±inf, ±1e38 (the screen's
+    /// partial sums overflow), subnormals and NaNs whose payload sits only
+    /// in the low bits (so their high halves read ±inf). The rows include
+    /// NaN, ±inf, one whose logits are all negative (the padding's `0.0`
+    /// must not win), all-zero (every logit ties at `+0.0`: id 0), and a
+    /// finite one whose ‖h‖₂ overflows f32.
+    #[test]
+    fn screened_argmax_matches_the_row_major_first_max() {
+        const SPECIALS: [u32; 7] = [
+            0x7F80_0000, // +inf
+            0xFF80_0000, // −inf
+            0x7E96_7699, // 1e38
+            0xFE96_7699, // −1e38
+            0x0000_0001, // the least subnormal
+            0x7F80_0001, // NaN, payload in the low bits only
+            0xFF80_0001,
+        ];
+        let mut rng = Mix(0x5C4EE2);
+        let mut bites = 0;
+        for k in [1usize, 17, 64] {
+            let random = |rng: &mut Mix| rng.matrix(1, k, 0.0).into_vec();
+            let mut planted: Vec<Vec<f32>> = (0..4).map(|_| random(&mut rng)).collect();
+            for v in planted[3].iter_mut() {
+                *v *= f32::powi(2.0, -66);
+            }
+            for h in planted.iter_mut() {
+                h[0] = h[0].abs() + f32::powi(2.0, -64);
+            }
+            let mut pool = planted.clone();
+            let mut negative = vec![0.0f32; k];
+            negative[0] = -1.0;
+            pool.extend([negative, vec![0.0; k], random(&mut rng)]);
+            for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut row = random(&mut rng);
+                row[rng.below(k)] = special;
+                pool.push(row);
+            }
+            pool.push((0..k).map(|i| f32::MAX / [4.0, -4.0][i % 2]).collect());
+            for n in [1usize, 15, 17, 40, 75, 130] {
+                // Column 0 positive everywhere, so the negative row reads
+                // only negative logits.
+                let mut e = rng.matrix(n, k, 0.0);
+                for (t, row) in e.rows_iter_mut().enumerate() {
+                    row[0] = 1.0 + (n - 1 - t) as f32 / 64.0;
+                }
+                let plants = k >= 4 && n >= 16;
+                let mut ids: Vec<usize> = (0..n).collect();
+                for i in (1..n).rev() {
+                    ids.swap(i, rng.below(i + 1));
+                }
+                if plants {
+                    for (h, at) in planted.iter().zip(ids.chunks_exact(4)) {
+                        plant(&mut e, h, at.try_into().expect("four ids"));
+                    }
+                    for (h, at) in planted[..3].iter().zip(ids.chunks_exact(4)) {
+                        let up = first_max(&e, h, at[0]..at[0] + 1);
+                        let heavy = first_max(&e, h, at[1]..at[1] + 1);
+                        assert!(heavy.1 > up.1, "k {k} n {n}: up outscores heavy");
+                        bites += 1;
+                    }
+                }
+                let mut special = e.clone();
+                for &t in &ids[if plants { 16 } else { 0 }..] {
+                    for _ in 0..k.min(3) {
+                        let v = SPECIALS[rng.below(SPECIALS.len())];
+                        special[(t, rng.below(k))] = f32::from_bits(v);
+                    }
+                    if k > 1 && rng.below(4) == 0 {
+                        // Enough ±1e38 terms to overflow a partial sum.
+                        for v in &mut special.row_mut(t)[1..] {
+                            *v = [1e38, -1e38][rng.below(2)];
+                        }
+                    }
+                }
+                for (e, what) in [(&e, "clean"), (&special, "specials")] {
+                    for level in levels() {
+                        let head = LmHead::with_level(e.clone(), level);
+                        let panels = head.panel_count();
+                        for m in 0..=9usize {
+                            let rows: Vec<f32> = (0..m)
+                                .flat_map(|i| pool[(i * 5 + m) % pool.len()].clone())
+                                .collect();
+                            let cut = rng.below(panels + 1);
+                            let lanes = [0..cut, cut..panels];
+                            let mut merged = vec![(0usize, f32::NEG_INFINITY); m];
+                            for (r, range) in std::iter::once(0..panels).chain(lanes).enumerate() {
+                                let got = head.argmax_cols(&rows, m, range.clone());
+                                let cols = range.start * PANEL..(range.end * PANEL).min(n);
+                                for (i, (got, merged)) in got.iter().zip(&mut merged).enumerate() {
+                                    let want =
+                                        first_max(e, &rows[i * k..(i + 1) * k], cols.clone());
+                                    assert_eq!(
+                                        (got.0, got.1.to_bits()),
+                                        (want.0, want.1.to_bits()),
+                                        "{} {what} k {k} n {n} m {m} row {i} panels {range:?}",
+                                        level.name()
+                                    );
+                                    if r > 0 && got.1 > merged.1 {
+                                        *merged = *got;
+                                    }
+                                }
+                            }
+                            for (i, merged) in merged.iter().enumerate() {
+                                let want = first_max(e, &rows[i * k..(i + 1) * k], 0..n);
+                                assert_eq!(merged.0, want.0, "{what} k {k} n {n} m {m} row {i}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(bites, 3 * 2 * 4, "planted columns that bite");
     }
 
     /// Bitwise equality, except that NaN only has to meet NaN.

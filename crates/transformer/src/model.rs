@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use crate::backend::Nonlinearity;
 use crate::config::{Activation, NormKind, TransformerConfig};
 use crate::exec::{par_map, run_row_chunks, BatchExecutor};
-use crate::gemm::{key_panels, pack_keys, PackedWeight, Panels};
+use crate::gemm::{key_panels, pack_keys, LmHead, Panels};
 use crate::quant::{Linear, MatmulMode};
 
 /// One encoder layer's codebook-calibration taps: a [`RowCapture`]
@@ -213,10 +213,10 @@ pub(crate) struct Span<'a> {
 pub struct BertModel {
     pub(crate) config: TransformerConfig,
     /// The token embedding `E` (`vocab × hidden`), stored once as the tied
-    /// LM head's weight `Eᵀ` in 16-column panels: token `t`'s row is
-    /// column `t`, read with stride 16 by [`BertModel::embed_into`] and
-    /// scanned panel by panel by [`BertModel::greedy_tokens`].
-    pub(crate) token_embedding: PackedWeight,
+    /// LM head's weight `Eᵀ` in split 16-column panels: token `t`'s row is
+    /// column `t`, joined from both halves by [`BertModel::embed_into`] and
+    /// screened panel by panel by [`BertModel::greedy_tokens`].
+    pub(crate) token_embedding: LmHead,
     pub(crate) pos_embedding: Matrix,
     pub(crate) layers: Vec<EncoderLayer>,
     pub(crate) eps: f32,
@@ -311,7 +311,7 @@ impl BertModel {
             }
         }
         Self {
-            token_embedding: PackedWeight::transposed(token_embedding),
+            token_embedding: LmHead::new(token_embedding),
             pos_embedding: normal_matrix(config.max_seq, d, 0.3, seed ^ 0xf0f0),
             config,
             layers,
