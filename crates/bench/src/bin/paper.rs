@@ -14,7 +14,7 @@
 use std::cell::OnceCell;
 
 use nnlut_bench::paper::{ledger, SECTIONS};
-use nnlut_bench::{paper_kit, Row, Table, KIT_SEED};
+use nnlut_bench::{paper_kit, Json, Row, Table, KIT_SEED};
 use nnlut_core::calibrate::CalibrationConfig;
 use nnlut_core::convert::nn_to_lut;
 use nnlut_core::funcs::TargetFunction::{self, Exp, Gelu, Recip, Rsqrt};
@@ -538,7 +538,9 @@ fn main() {
     if names.is_empty() {
         let sections: Vec<&str> = tables.iter().map(|t| t.section).collect();
         assert_eq!(sections, SECTIONS.split_whitespace().collect::<Vec<_>>());
-        std::fs::write("BENCH_paper.json", ledger(&tables)).expect("write BENCH_paper.json");
+        let header = [("kit_seed", Json::Num(KIT_SEED as f64))];
+        let text = ledger("paper", &header, &tables);
+        std::fs::write("BENCH_paper.json", text).expect("write BENCH_paper.json");
         println!("wrote BENCH_paper.json");
     }
 }

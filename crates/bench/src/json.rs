@@ -1,9 +1,9 @@
 //! A minimal JSON reader for the bench ledger.
 //!
-//! The offline workspace has no serde; `bench_lut_eval` formats the
-//! ledger text directly, but the kernel-ledger gate (`bench_check`) and
-//! the end-to-end benchmark's comparison tool have to actually *read*
-//! JSON and compare numbers. This is a small, strict recursive-descent
+//! The offline workspace has no serde; both ledgers are written by
+//! [`crate::paper::ledger`], but their gate (`bench_check`) and the
+//! end-to-end benchmark's comparison tool have to actually *read* JSON
+//! and compare numbers. This is a small, strict recursive-descent
 //! parser for the subset of JSON the ledger uses — objects, arrays,
 //! numbers, strings, booleans, null — with dotted-path lookup helpers.
 //! It is a reader for our own machine-written files, not a
@@ -51,7 +51,7 @@ impl Json {
         }
     }
 
-    /// Dotted-path lookup: `doc.path("simd.fused.layernorm")`. Path
+    /// Dotted-path lookup: `doc.path("sections.simd_fused.rows")`. Path
     /// segments index objects only (the ledger nests arrays at leaves).
     pub fn path(&self, path: &str) -> Option<&Json> {
         path.split('.').try_fold(self, |node, key| node.get(key))

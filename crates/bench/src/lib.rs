@@ -7,19 +7,22 @@
 //! * `paper` computes every reproduced artifact (Fig. 2, Tables 2–5, the
 //!   §4.1 ablations and two extensions) as one [`Table`] type, prints
 //!   them, and records a full run in `BENCH_paper.json`;
-//! * `bench_lut_eval` times the LUT kernels into `BENCH_lut_eval.json`;
+//! * `bench_lut_eval` times the LUT kernels into the [`kernels`] tables,
+//!   prints them and records them in `BENCH_lut_eval.json`;
 //! * `bench_check` gates both committed ledgers.
 //!
 //! This library crate holds the pieces the binaries share: paper-config kit
-//! construction, the RoBERTa bench shape, the [`paper`] ledger's table type,
-//! writer and gate, and the [`Json`] ledger reader that `bench_check` and
-//! the end-to-end benchmark (`benchmark/`) use.
+//! construction, the RoBERTa bench shape, the one [`Table`] type with its
+//! [`paper`] ledger writer, cell reader and shape gate, the [`kernels`]
+//! ledger's tables and claim gates, and the [`Json`] reader that
+//! `bench_check` and the end-to-end benchmark (`benchmark/`) use.
 
 use nnlut_core::train::TrainConfig;
 use nnlut_core::NnLutKit;
 use nnlut_transformer::TransformerConfig;
 
 pub mod json;
+pub mod kernels;
 pub mod paper;
 pub use json::Json;
 pub use paper::{Column, Gate, Row, Table};
@@ -41,8 +44,8 @@ pub const ROBERTA_BENCH_SEQ: usize = 128;
 /// The single source of the benches' RoBERTa-base model shapes
 /// ([`ROBERTA_BENCH_LAYERS`] deep, [`ROBERTA_BENCH_SEQ`] tokens).
 /// `bench_lut_eval` and the end-to-end benchmark (`benchmark/`) both
-/// call this, so the `simd` ledger section and the benchmark always
-/// describe the same model.
+/// call this, so the kernel ledger and the benchmark always describe the
+/// same model.
 pub fn roberta_bench_config() -> TransformerConfig {
     TransformerConfig {
         layers: ROBERTA_BENCH_LAYERS,
@@ -57,8 +60,8 @@ pub fn paper_kit() -> NnLutKit {
     NnLutKit::train_with(16, KIT_SEED, &TrainConfig::paper())
 }
 
-/// Deterministic GELU-domain inputs the `bench_lut_eval` trajectory bin
-/// times, so every ledger re-record measures the same workload.
+/// Deterministic GELU-domain inputs the `bench_lut_eval` binary times,
+/// so every ledger re-record measures the same workload.
 pub fn gelu_inputs(n: usize) -> Vec<f32> {
     (0..n)
         .map(|i| ((i * 37) % 1024) as f32 / 64.0 - 8.0)

@@ -1,12 +1,14 @@
-//! The paper ledger: one [`Table`] type for every reproduced artifact, the
-//! one formatter that prints it, the one writer that records a full run
-//! in `BENCH_paper.json`, and the shape gate `bench_check` runs on that
-//! file.
+//! The ledgers: one [`Table`] type for every reproduced artifact and
+//! every kernel measurement, the one formatter that prints it, the one
+//! [`ledger`] writer, the one [`cells`] reader and the shape gate
+//! `bench_check` runs on both committed ledgers. A full `paper` run
+//! records [`SECTIONS`] in `BENCH_paper.json`; `bench_lut_eval` records
+//! the [`kernels`](crate::kernels) sections in `BENCH_lut_eval.json`.
 //!
-//! The ledger holds numbers only as they are printed: each value is
+//! A ledger holds numbers only as they are printed: each value is
 //! written at its column's precision, so the file and the terminal agree
-//! digit for digit, and two runs of the deterministic artifacts write the
-//! same bytes. Nothing in it is timed.
+//! digit for digit, and two runs of the deterministic paper artifacts
+//! write the same bytes. Nothing in the paper ledger is timed.
 
 use crate::Json;
 
@@ -57,7 +59,7 @@ impl Row {
 /// records. Built by [`Table::new`], then the `cols` and `shape` methods.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Table {
-    /// Ledger key, one of the names in [`SECTIONS`].
+    /// Ledger key, one of its ledger's section names.
     pub section: &'static str,
     /// What the table reproduces.
     pub title: String,
@@ -182,15 +184,36 @@ impl Table {
     }
 }
 
-/// The `BENCH_paper.json` text for `tables`: one section per table, each
-/// value at its column's precision, a non-finite value as `null`.
-pub fn ledger(tables: &[Table]) -> String {
+/// The ledger text for `tables`: the `bench` name, then the run-wide
+/// `header` fields (strings and numbers), then one section per table,
+/// each value at its column's precision, a non-finite value as `null`.
+pub fn ledger(bench: &str, header: &[(&str, Json)], tables: &[Table]) -> String {
+    let mut out = format!("{{\n  \"bench\": {bench:?},\n");
+    for (key, value) in header {
+        out += &format!("  {key:?}: {value},\n");
+    }
     let sections: Vec<String> = tables.iter().map(Table::json).collect();
-    let seed = crate::KIT_SEED;
-    format!(
-        "{{\n  \"bench\": \"paper\",\n  \"kit_seed\": {seed},\n  \"sections\": {{\n{}\n  }}\n}}\n",
-        sections.join(",\n")
-    )
+    out + &format!("  \"sections\": {{\n{}\n  }}\n}}\n", sections.join(",\n"))
+}
+
+/// The `column` cell of every row of a ledger's `section`, by row label:
+/// the one reader the ledger gates use. A `null` cell or a missing
+/// column reads `None`; a missing section has no rows.
+pub fn cells<'a>(ledger: &'a Json, section: &str, column: &str) -> Vec<(&'a str, Option<f64>)> {
+    let table = ledger.get("sections").and_then(|s| s.get(section));
+    let list = |key: &str| -> &'a [Json] {
+        let list = table.and_then(|t| t.get(key)).and_then(Json::as_array);
+        list.unwrap_or(&[])
+    };
+    let col = list("columns")
+        .iter()
+        .position(|c| c.as_str() == Some(column));
+    let value = |r: &'a Json| {
+        let values = r.get("values").and_then(Json::as_array);
+        values.zip(col).and_then(|(v, c)| v.get(c)?.as_f64())
+    };
+    let label = |r: &'a Json| r.get("label").and_then(Json::as_str).unwrap_or("?");
+    list("rows").iter().map(|r| (label(r), value(r))).collect()
 }
 
 /// A running tally of ledger checks: each prints an `ok` or `FAIL` line.
@@ -198,32 +221,38 @@ pub fn ledger(tables: &[Table]) -> String {
 pub struct Gate {
     /// The failed checks' messages.
     pub failures: Vec<String>,
-    /// Checks run so far.
-    pub checks: usize,
+    /// The passed checks' messages.
+    pub passes: Vec<String>,
 }
 
 impl Gate {
     /// Records a failed check.
     pub fn fail(&mut self, message: String) {
-        self.checks += 1;
         println!("  FAIL  {message}");
         self.failures.push(message);
     }
 
     /// Records a passed check.
     pub fn pass(&mut self, message: String) {
-        self.checks += 1;
         println!("  ok    {message}");
+        self.passes.push(message);
+    }
+
+    /// Checks run so far.
+    pub fn checks(&self) -> usize {
+        self.failures.len() + self.passes.len()
     }
 }
 
-/// The paper ledger's shape gate, one check per section: each of
-/// [`SECTIONS`] is present, has columns and rows, and records one finite
-/// number per column in every row's `values` (and `paper`, where given).
-/// It gates no claim of the paper: tests pin the claims that hold.
-pub fn check_ledger(gate: &mut Gate, ledger: &Json) {
-    println!("paper ledger:");
-    for section in SECTIONS.split_whitespace() {
+/// A ledger's shape gate, one check per section: each of `sections`
+/// (names separated by spaces, as [`SECTIONS`]) is present, has columns
+/// and rows, and records one finite number per column in every row's
+/// `values` (and `paper`, where given). On the paper ledger it gates no
+/// claim of the paper: tests pin the claims that hold.
+pub fn check_ledger(gate: &mut Gate, ledger: &Json, sections: &str) {
+    let bench = ledger.get("bench").and_then(Json::as_str).unwrap_or("?");
+    println!("{bench} ledger:");
+    for section in sections.split_whitespace() {
         let table = ledger.get("sections").and_then(|s| s.get(section));
         let list = |key: &str| {
             table
@@ -271,20 +300,26 @@ mod tests {
             .shape("one\ntwo")
     }
 
+    fn paper_ledger(tables: &[Table]) -> String {
+        ledger(
+            "paper",
+            &[("kit_seed", Json::Num(crate::KIT_SEED as f64))],
+            tables,
+        )
+    }
+
     fn gate(tables: &[Table]) -> Vec<String> {
         let mut gate = Gate::default();
-        check_ledger(
-            &mut gate,
-            &Json::parse(&ledger(tables)).expect("valid JSON"),
-        );
-        assert_eq!(gate.checks, SECTIONS.split_whitespace().count());
+        let doc = Json::parse(&paper_ledger(tables)).expect("valid JSON");
+        check_ledger(&mut gate, &doc, SECTIONS);
+        assert_eq!(gate.checks(), SECTIONS.split_whitespace().count());
         gate.failures
     }
 
     #[test]
     fn ledger_round_trips_a_table() {
         let t = table("fig2");
-        let doc = Json::parse(&ledger(std::slice::from_ref(&t))).expect("valid JSON");
+        let doc = Json::parse(&paper_ledger(std::slice::from_ref(&t))).expect("valid JSON");
         let s = doc.path("sections.fig2").expect("section recorded");
         // Each field as text: strings quoted, numbers as parsed.
         let field = |j: &Json, key: &str| {

@@ -90,7 +90,7 @@ pub enum SimdLevel {
 }
 
 impl SimdLevel {
-    /// Stable lowercase name, used by the bench ledger's `simd.level`
+    /// Stable lowercase name, used by the kernel ledger's `level` header
     /// field and the `bench_check` gate.
     pub fn name(self) -> &'static str {
         match self {

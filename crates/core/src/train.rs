@@ -399,9 +399,14 @@ fn least_squares_readout(net: &mut ApproxNet, data: &Dataset) {
     }
 }
 
-/// In-place Gaussian elimination with partial pivoting; returns the solution
-/// or `None` for a (numerically) singular system.
-fn solve_dense(a: &mut [f64], y: &mut [f64], k: usize) -> Option<Vec<f64>> {
+/// Solves the dense `k × k` system `a · x = y` (`a` row-major) by
+/// Gaussian elimination with partial pivoting, in place: `a` and `y` are
+/// overwritten. Returns `x`, or `None` when a pivot falls below `1e-30`
+/// (a numerically singular system). The operation order is fixed, so
+/// equal inputs give bit-identical solutions. The least-squares readout
+/// fit here and the transformer crate's ridge regression head both solve
+/// through it.
+pub fn solve_dense(a: &mut [f64], y: &mut [f64], k: usize) -> Option<Vec<f64>> {
     debug_assert_eq!(a.len(), k * k);
     for col in 0..k {
         // Pivot.

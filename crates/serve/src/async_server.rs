@@ -906,10 +906,17 @@ fn resolve_batch(
     };
     let (ids, bucket) = match closed {
         Closed::Bucket(closed) => {
+            // The area `run` computed: the encodes packed to their own
+            // longest member, the prompts unpadded through `extend`.
+            let (encodes, longest, prompts) =
+                work.iter().fold((0, 0, 0), |(n, max, p), w| match w {
+                    Work::Encode(t) => (n + 1, max.max(t.len()), p),
+                    Work::Extend(_, t) => (n, max, p + t.len()),
+                });
             st.metrics.record(BatchRecord {
                 sequences: closed.batch.sequences(),
                 tokens: closed.batch.tokens(),
-                padded_tokens: closed.batch.padded_tokens(),
+                padded_tokens: encodes * longest + prompts,
                 queue_depth: depth,
                 latency,
                 bucket: closed.bucket,

@@ -180,7 +180,9 @@ pub struct BatchRecord {
     pub sequences: usize,
     /// Real (unpadded) tokens encoded.
     pub tokens: usize,
-    /// Padded positions actually computed (`sequences × max_len`).
+    /// Positions actually computed: `sequences × max_len` for a packed
+    /// batch; the async server packs only the encodes and runs the
+    /// generation prompts unpadded.
     pub padded_tokens: usize,
     /// Queue depth at the moment the batch was packed (including its own
     /// members) — the backlog signal.

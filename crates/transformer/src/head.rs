@@ -5,6 +5,7 @@
 //! frozen synthetic body once, train a small head on them, then hold the
 //! head fixed while the non-linear ops are swapped underneath it.
 
+use nnlut_core::train::solve_dense;
 use nnlut_tensor::stats::argmax;
 use nnlut_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -180,7 +181,7 @@ impl RidgeHead {
         for r in 0..d {
             ata[r * k + r] += lambda as f64;
         }
-        let sol = gaussian_solve(&mut ata, &mut aty, k)
+        let sol = solve_dense(&mut ata, &mut aty, k)
             .expect("ridge system is positive definite for lambda > 0");
         Self {
             w: sol[..d].iter().map(|&v| v as f32).collect(),
@@ -379,47 +380,6 @@ fn accumulate_position_ce(
         }
         *g_b += g;
     }
-}
-
-/// In-place Gaussian elimination with partial pivoting.
-fn gaussian_solve(a: &mut [f64], y: &mut [f64], k: usize) -> Option<Vec<f64>> {
-    for col in 0..k {
-        let mut pivot = col;
-        for r in col + 1..k {
-            if a[r * k + col].abs() > a[pivot * k + col].abs() {
-                pivot = r;
-            }
-        }
-        if a[pivot * k + col].abs() < 1e-30 {
-            return None;
-        }
-        if pivot != col {
-            for c in 0..k {
-                a.swap(col * k + c, pivot * k + c);
-            }
-            y.swap(col, pivot);
-        }
-        let diag = a[col * k + col];
-        for r in col + 1..k {
-            let f = a[r * k + col] / diag;
-            if f == 0.0 {
-                continue;
-            }
-            for c in col..k {
-                a[r * k + c] -= f * a[col * k + c];
-            }
-            y[r] -= f * y[col];
-        }
-    }
-    let mut x = vec![0.0f64; k];
-    for col in (0..k).rev() {
-        let mut acc = y[col];
-        for c in col + 1..k {
-            acc -= a[col * k + c] * x[c];
-        }
-        x[col] = acc / a[col * k + col];
-    }
-    Some(x)
 }
 
 #[cfg(test)]
